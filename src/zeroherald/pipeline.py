@@ -2,14 +2,18 @@
 
 The chain is: rebuild the pulse train from reference tags, assign each
 detector tag to a pulse through a virtual gate window, enforce detector
-dead time on the assigned clicks, and emit a dense per-pulse table with
-one tri-state entry per detector (no-click / click / dead). Analysis
-then reduces that table to rates.
+dead time on the assigned clicks, and emit an event table. The table
+gives each detector one tri-state outcome per pulse (no-click / click /
+dead) but stores only the accepted click pulses and the dead length, so
+its size and the 3x3 cell counts that analysis reduces to rates grow
+with the number of clicks, not with the number of pulses.
 
 Gating arithmetic is exact: a tag at timestamp t inside reference
 segment i with spacing s is compared through integers only,
 (t - ref_i) * divider vs. pulse_offset * s, so no tag ever migrates
-across a pulse boundary through float rounding.
+across a pulse boundary through float rounding. Timestamps stay uint64
+until they are reduced to offsets from a reference, so any u64 value
+is placed correctly.
 """
 
 from __future__ import annotations
@@ -72,10 +76,10 @@ class PulseGrid:
         k = np.asarray(k, dtype=np.int64)
         if np.any(k < 0) or np.any(k >= self.n_pulses):
             raise ValidationError("pulse index out of range")
-        refs = self.ref_times.astype(np.int64)
+        refs = self.ref_times
         seg = np.minimum(k // self.divider, refs.size - 2)
         j = k - seg * self.divider
-        spacing = refs[seg + 1] - refs[seg]
+        spacing = (refs[seg + 1] - refs[seg]).astype(np.int64)
         return refs[seg] + j * spacing / self.divider
 
     def __len__(self) -> int:
@@ -95,7 +99,12 @@ def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
         raise InsufficientReferenceError(
             f"need at least 2 reference tags to rebuild the pulse train, got {refs.size}"
         )
-    diffs = (refs[1:] - refs[:-1]).astype(np.float64)
+    gaps = refs[1:] - refs[:-1]
+    if int(gaps.max()) * stream.divider >= 1 << 63:
+        raise ValidationError(
+            "reference spacing times divider must stay below 2**63 for exact gating"
+        )
+    diffs = gaps.astype(np.float64)
     median = float(np.median(diffs))
     if median <= 0:
         raise ClockGlitchError("reference tags do not advance", indices=[0])
@@ -121,7 +130,8 @@ class GateResult:
 
     assigned maps each detector channel to the pulse index of every
     in-gate tag (stream order, so non-decreasing); n_rejected counts
-    tags that fell outside every gate window.
+    tags that fell outside every gate window, including tags before the
+    first reference.
     """
 
     grid: PulseGrid
@@ -143,14 +153,14 @@ def virtual_gate(stream: TagStream, grid: PulseGrid, window: float) -> GateResul
             f"gate window of {window_tb!r} timebins must sit in (0, period "
             f"{grid.period_tb!r})"
         )
-    refs = grid.ref_times.astype(np.int64)
-    spacings = refs[1:] - refs[:-1]
+    refs = np.asarray(grid.ref_times, dtype=np.uint64)
+    spacings = (refs[1:] - refs[:-1]).astype(np.int64)
     divider = grid.divider
     threshold = window_tb * divider
     assigned: dict[Channel, np.ndarray] = {}
     n_rejected: dict[Channel, int] = {}
     for ch in (Channel.D1, Channel.D2):
-        t = stream.channel_timestamps(ch).astype(np.int64)
+        t = stream.channel_timestamps(ch)
         if t.size == 0:
             assigned[ch] = np.empty(0, dtype=np.int64)
             n_rejected[ch] = 0
@@ -162,7 +172,7 @@ def virtual_gate(stream: TagStream, grid: PulseGrid, window: float) -> GateResul
         mid = (seg >= 0) & (seg < refs.size - 1)
         if np.any(mid):
             s = seg[mid]
-            rel = t[mid] - refs[s]
+            rel = (t[mid] - refs[s]).astype(np.int64)
             sp = spacings[s]
             j = (rel * divider) // sp
             pulse[mid] = s * divider + j
@@ -202,59 +212,98 @@ def apply_dead_time(click_pulses, dead_pulses: int) -> np.ndarray:
     return np.asarray(accepted, dtype=np.int64)
 
 
-def _channel_states(n_pulses: int, raw_clicks: np.ndarray, dead_pulses: int) -> np.ndarray:
-    state = np.zeros(n_pulses, dtype=np.uint8)
-    accepted = apply_dead_time(raw_clicks, dead_pulses)
-    if accepted.size and (accepted[0] < 0 or accepted[-1] >= n_pulses):
-        raise ValidationError("click pulse index outside the pulse grid")
-    state[accepted] = PulseState.CLICK
-    if dead_pulses > 0 and accepted.size:
-        # accepted clicks are > dead_pulses apart, so windows cannot
-        # reach the next click or each other
-        dead = (accepted[:, None] + np.arange(1, dead_pulses + 1)).ravel()
-        dead = dead[dead < n_pulses]
-        state[dead] = PulseState.DEAD
-    return state
-
-
 @dataclass
 class PulseEventTable:
-    """Dense per-pulse outcome table for both detectors.
+    """Per-pulse outcomes of both detectors, stored as accepted clicks.
 
-    d1 and d2 hold PulseState codes, one entry per pulse. A pulse is
-    "live" when neither detector is dead there.
+    clicks1/clicks2 hold the sorted pulse indices of each detector's
+    accepted clicks, more than dead_pulses1/dead_pulses2 apart, as
+    apply_dead_time leaves them. After a click at pulse k the detector
+    is dead on pulses k+1 .. k+dead_pulses (cut off at the end of the
+    train) and idle everywhere else. A pulse is "live" when neither
+    detector is dead there. Storage and cell_counts() grow with the
+    number of clicks; only the d1/d2 views hold one entry per pulse.
     """
 
-    d1: np.ndarray
-    d2: np.ndarray
+    n_pulses: int
+    clicks1: np.ndarray
+    clicks2: np.ndarray
+    dead_pulses1: int
+    dead_pulses2: int
 
     def __post_init__(self):
-        d1 = np.asarray(self.d1, dtype=np.uint8)
-        d2 = np.asarray(self.d2, dtype=np.uint8)
-        if d1.shape != d2.shape or d1.ndim != 1:
-            raise ValidationError("detector state arrays must be 1-d and equal length")
-        if d1.size and (d1.max() > 2 or d2.max() > 2):
-            raise ValidationError("state codes must be 0, 1 or 2")
-        self.d1 = d1
-        self.d2 = d2
+        self.n_pulses = int(self.n_pulses)
+        if self.n_pulses < 0:
+            raise ValidationError(f"n_pulses must be >= 0, got {self.n_pulses!r}")
+        for i in (1, 2):
+            dead = int(getattr(self, f"dead_pulses{i}"))
+            if dead < 0:
+                raise ValidationError(f"dead_pulses{i} must be >= 0, got {dead!r}")
+            clicks = np.asarray(getattr(self, f"clicks{i}"))
+            if clicks.ndim != 1 or (clicks.size and clicks.dtype.kind not in "ui"):
+                raise ValidationError(f"clicks{i} must be a 1-d integer array")
+            if clicks.size and (clicks.min() < 0 or clicks.max() >= self.n_pulses):
+                raise ValidationError("click pulse index outside the pulse grid")
+            clicks = clicks.astype(np.int64)
+            if np.any(np.diff(clicks) <= dead):
+                raise ValidationError(
+                    f"clicks{i} must be sorted and more than dead_pulses{i} = "
+                    f"{dead} apart"
+                )
+            setattr(self, f"dead_pulses{i}", dead)
+            setattr(self, f"clicks{i}", clicks)
+
+    def _states(self, clicks: np.ndarray, dead: int) -> np.ndarray:
+        state = np.zeros(self.n_pulses, dtype=np.uint8)
+        state[clicks] = PulseState.CLICK
+        for j in range(1, dead + 1):
+            after = clicks + j
+            state[after[after < self.n_pulses]] = PulseState.DEAD
+        return state
 
     @property
-    def n_pulses(self) -> int:
-        return self.d1.size
+    def d1(self) -> np.ndarray:
+        """Detector 1's PulseState code for every pulse, built on each access."""
+        return self._states(self.clicks1, self.dead_pulses1)
+
+    @property
+    def d2(self) -> np.ndarray:
+        """Detector 2's PulseState code for every pulse, built on each access."""
+        return self._states(self.clicks2, self.dead_pulses2)
 
     def live_mask(self) -> np.ndarray:
         return (self.d1 != PulseState.DEAD) & (self.d2 != PulseState.DEAD)
 
     def cell_counts(self) -> np.ndarray:
-        """3x3 matrix counting pulses by (d1 state, d2 state)."""
-        combined = self.d1.astype(np.int64) * 3 + self.d2
-        return np.bincount(combined, minlength=9).reshape(3, 3)
+        """3x3 matrix counting pulses by (d1 state, d2 state).
+
+        Click/click pulses are the shared clicks. A click sits in the
+        other detector's dead window when that detector's previous click
+        is at most its dead length before it. Dead/dead pulses are the
+        overlap of the two window sets. The no-click cells follow from
+        each detector's click and dead totals and n_pulses.
+        """
+        c1, c2 = self.clicks1, self.clicks2
+        # the dead window after click k covers [k+1, min(k+dead, n-1)]
+        len1 = np.minimum(self.dead_pulses1, self.n_pulses - 1 - c1)
+        len2 = np.minimum(self.dead_pulses2, self.n_pulses - 1 - c2)
+        cells = np.zeros((3, 3), dtype=np.int64)
+        cells[1, 1] = np.intersect1d(c1, c2, assume_unique=True).size
+        cells[1, 2] = _count_in_windows(c1, c2, self.dead_pulses2)
+        cells[2, 1] = _count_in_windows(c2, c1, self.dead_pulses1)
+        cells[2, 2] = _window_overlap(c1 + 1, len1, c2 + 1, len2)
+        cells[1, 0] = c1.size - cells[1, 1] - cells[1, 2]
+        cells[2, 0] = len1.sum() - cells[2, 1] - cells[2, 2]
+        cells[0, 1] = c2.size - cells[1, 1] - cells[2, 1]
+        cells[0, 2] = len2.sum() - cells[1, 2] - cells[2, 2]
+        cells[0, 0] = self.n_pulses - cells.sum()
+        return cells
 
     def to_csv(self, sink, chunk: int = 1 << 16) -> None:
-        """Write pulse_index,d1,d2 rows with named states.
+        """Write pulse_index,d1,d2 rows with named states, one per pulse.
 
-        Meant for heralded subsets and diagnostics; a full table at
-        realistic pulse counts is enormous.
+        Goes through the dense d1/d2 views, so time and memory grow with
+        n_pulses: meant for small tables and diagnostics, not full runs.
         """
         pair_names = [
             f"{STATE_NAMES[PulseState(a)]},{STATE_NAMES[PulseState(b)]}"
@@ -277,12 +326,41 @@ class PulseEventTable:
                 _write(fh)
 
 
+def _count_in_windows(pulses: np.ndarray, clicks: np.ndarray, dead: int) -> int:
+    """Count the pulses that lie in the dead window after one of clicks."""
+    if not (pulses.size and clicks.size):
+        return 0
+    prev = np.searchsorted(clicks, pulses, side="left") - 1
+    has_prev = prev >= 0
+    return int(np.count_nonzero(pulses[has_prev] - clicks[prev[has_prev]] <= dead))
+
+
+def _window_overlap(start1, len1, start2, len2) -> int:
+    """Pulses inside both window sets; each set is sorted and disjoint."""
+    if not (start1.size and start2.size):
+        return 0
+    end1 = start1 + len1
+    cum1 = np.concatenate(([0], np.cumsum(len1)))
+
+    def covered_before(x):
+        # set-1 pulses below x: whole windows started before x, less the
+        # part of the last one that reaches x or beyond
+        i = np.searchsorted(start1, x, side="left")
+        overshoot = np.maximum(end1[np.maximum(i - 1, 0)] - x, 0)
+        return cum1[i] - np.where(i > 0, overshoot, 0)
+
+    return int(np.sum(covered_before(start2 + len2) - covered_before(start2)))
+
+
 def build_event_table(gate: GateResult, dead_pulses1: int, dead_pulses2: int) -> PulseEventTable:
     """Apply per-detector dead time to gated clicks; emit the table."""
-    n = gate.grid.n_pulses
-    d1 = _channel_states(n, gate.assigned[Channel.D1], dead_pulses1)
-    d2 = _channel_states(n, gate.assigned[Channel.D2], dead_pulses2)
-    return PulseEventTable(d1=d1, d2=d2)
+    return PulseEventTable(
+        n_pulses=gate.grid.n_pulses,
+        clicks1=apply_dead_time(gate.assigned[Channel.D1], dead_pulses1),
+        clicks2=apply_dead_time(gate.assigned[Channel.D2], dead_pulses2),
+        dead_pulses1=dead_pulses1,
+        dead_pulses2=dead_pulses2,
+    )
 
 
 def table_from_stream(

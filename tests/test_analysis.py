@@ -39,14 +39,18 @@ from zeroherald.errors import (
     WrongShapeError,
 )
 from zeroherald.model import DetectorParams, IndistinguishabilityProfile, SourceParams
-from zeroherald.pipeline import PulseEventTable, PulseState, table_from_stream
+from zeroherald.pipeline import PulseState, table_from_stream
 from zeroherald.sim import SimConfig, run_simulation
+
+from dense_oracle import DenseTable
 
 N, C, D = PulseState.NOCLICK, PulseState.CLICK, PulseState.DEAD
 
 
 def table(d1, d2):
-    return PulseEventTable(np.array(d1, dtype=np.uint8), np.array(d2, dtype=np.uint8))
+    # state-by-state fixtures: some (a dead row with no click before it)
+    # have no sparse PulseEventTable form
+    return DenseTable(d1, d2)
 
 
 # ten pulses, one dead row per detector; live rows are the other eight

@@ -7,18 +7,23 @@ literally.
 """
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zeroherald.analysis import compute_rates
 from zeroherald.errors import (
     ClockGlitchError,
     InsufficientReferenceError,
     ValidationError,
 )
 from zeroherald.pipeline import (
+    GateResult,
+    PulseEventTable,
+    PulseGrid,
     PulseState,
     apply_dead_time,
     build_event_table,
@@ -27,6 +32,8 @@ from zeroherald.pipeline import (
     virtual_gate,
 )
 from zeroherald.tags import Channel, TagStream
+
+from dense_oracle import DenseTable
 
 N, C, D = PulseState.NOCLICK, PulseState.CLICK, PulseState.DEAD
 
@@ -121,6 +128,54 @@ class TestVirtualGate:
         for ch in (Channel.D1, Channel.D2):
             total = int(np.sum(s.channels == int(ch)))
             assert gate.assigned[ch].size + gate.n_rejected[ch] == total
+
+
+class TestWideTimestamps:
+    """Gating depends only on offsets between tags, for any u64 timestamps."""
+
+    REFS = [20, 70, 120, 170]
+
+    def gate_and_cells(self, shift, d1, d2):
+        channels = [0] * len(self.REFS) + [1] * len(d1) + [2] * len(d2)
+        ts = [t + shift for t in self.REFS + d1 + d2]
+        s = make_stream(channels, ts)
+        _, gate, table = table_from_stream(s, window=30e-12, dead_pulses1=2,
+                                           dead_pulses2=1)
+        return gate, table.cell_counts()
+
+    @given(
+        shift=st.one_of(
+            st.integers(0, 2**64 - 1 - 240),
+            st.integers(2**63 - 240, 2**63),
+        ),
+        d1=st.lists(st.integers(0, 240), max_size=12),
+        d2=st.lists(st.integers(0, 240), max_size=12),
+    )
+    @example(shift=2**63 - 50, d1=[21, 0], d2=[71])
+    @settings(max_examples=200, deadline=None)
+    def test_shifted_stream_gates_identically(self, shift, d1, d2):
+        base_gate, base_cells = self.gate_and_cells(0, d1, d2)
+        gate, cells = self.gate_and_cells(shift, d1, d2)
+        for ch in (Channel.D1, Channel.D2):
+            np.testing.assert_array_equal(gate.assigned[ch], base_gate.assigned[ch])
+            assert gate.n_rejected[ch] == base_gate.n_rejected[ch]
+        np.testing.assert_array_equal(cells, base_cells)
+
+    def test_references_straddling_2_63(self):
+        r0 = 2**63 - 50
+        s = make_stream([1, 0, 1, 0, 2, 0], [r0 - 10, r0, r0 + 1, r0 + 50, r0 + 51, r0 + 100])
+        grid = reconstruct_pulse_train(s)
+        gate = virtual_gate(s, grid, window=30e-12)
+        # the tag before the first reference is rejected, not wrapped
+        np.testing.assert_array_equal(gate.assigned[Channel.D1], [0])
+        assert gate.n_rejected[Channel.D1] == 1
+        np.testing.assert_array_equal(gate.assigned[Channel.D2], [5])
+        assert grid.pulse_times(5) == float(r0 + 50)
+
+    def test_spacing_too_wide_for_exact_gating_rejected(self):
+        s = make_stream([0, 0], [0, 2**62], divider=2)
+        with pytest.raises(ValidationError):
+            reconstruct_pulse_train(s)
 
 
 class TestDeadTime:
@@ -238,3 +293,77 @@ class TestGateDeadIndependence:
         assert n_clicks <= len(pulses)
         if dead == 0:
             assert n_clicks == len(pulses)
+
+
+@st.composite
+def sparse_table_args(draw):
+    n = draw(st.integers(1, 80))
+    pulse = st.one_of(st.integers(0, n - 1), st.integers(max(0, n - 8), n - 1))
+    shared = draw(st.lists(pulse, max_size=10))
+    dead1, dead2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    clicks1 = apply_dead_time(shared + draw(st.lists(pulse, max_size=15)), dead1)
+    clicks2 = apply_dead_time(shared + draw(st.lists(pulse, max_size=15)), dead2)
+    return n, clicks1, clicks2, dead1, dead2
+
+
+class TestSparseTable:
+    @given(sparse_table_args())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_dense_oracle(self, args):
+        n, clicks1, clicks2, dead1, dead2 = args
+        table = PulseEventTable(n, clicks1, clicks2, dead1, dead2)
+        oracle = DenseTable.from_clicks(n, clicks1, dead1, clicks2, dead2)
+        np.testing.assert_array_equal(table.cell_counts(), oracle.cell_counts())
+        np.testing.assert_array_equal(table.d1, oracle.d1)
+        np.testing.assert_array_equal(table.d2, oracle.d2)
+        assert table.cell_counts().sum() == n
+
+    def test_empty_train(self):
+        table = PulseEventTable(0, [], [], 3, 3)
+        np.testing.assert_array_equal(table.cell_counts(), np.zeros((3, 3)))
+        assert table.d1.size == 0
+
+    @pytest.mark.parametrize("clicks1, dead1", [
+        ([5, 2], 0),        # unsorted
+        ([2, 2], 0),        # repeated
+        ([2, 4], 2),        # inside the previous dead window
+        ([-1, 4], 0),       # before the train
+        ([3, 10], 0),       # past the end of a 10-pulse train
+        ([3], -1),          # negative dead length
+        ([[1, 2]], 0),      # not 1-d
+        ([1.0, 2.0], 0),    # not integer
+    ])
+    def test_rejects_invalid_clicks(self, clicks1, dead1):
+        with pytest.raises(ValidationError):
+            PulseEventTable(10, np.asarray(clicks1), [], dead1, 0)
+
+    def test_cost_grows_with_clicks_not_pulses(self):
+        # a dense view of this train would need about 2 TB
+        n = 10**12
+        grid = PulseGrid(ref_times=np.array([0, n - 1], dtype=np.uint64),
+                         divider=n - 1, n_pulses=n, period_tb=1.0)
+        gate = GateResult(
+            grid=grid, window_tb=0.5,
+            assigned={Channel.D1: np.array([0, 3, 10, 200, 500, n - 2]),
+                      Channel.D2: np.array([3, 5, 12, 199, 500, n - 1])},
+            n_rejected={Channel.D1: 0, Channel.D2: 0},
+        )
+        tracemalloc.start()
+        try:
+            table = build_event_table(gate, 4, 2)
+            cells = table.cell_counts()
+            summary = compute_rates(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # d1: clicks 0 10 200 500 n-2, dead 1-4 11-14 201-204 501-504 n-1
+        # d2: clicks 3 12 199 500 n-1, dead 4-5 13-14 200-201 501-502
+        np.testing.assert_array_equal(
+            cells,
+            [[n - 24, 1, 1],
+             [3, 1, 1],
+             [8, 3, 6]],
+        )
+        assert summary.n_pulses == n
+        assert summary.n_live_pulses == n - 19
+        assert peak < 1 << 20
