@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 import zeroherald as zh
-from zeroherald.pipeline import PulseState
 
 GAMMA = 0.05
 N = 2 * 10**6
@@ -38,13 +37,15 @@ def run(eta1, dark, seed):
     summary = zh.compute_rates(table, 0.0)
 
     # ground truth: how many of the accepted heralds really had zero
-    # photons in the output arm
-    m_dense = np.zeros(N, dtype=np.int64)
-    m_dense[res.truth.pair_pulses] = res.truth.m
-    herald = (table.d1 == PulseState.NOCLICK) & (table.d2 != PulseState.DEAD)
-    m_h = m_dense[: table.n_pulses][herald]
-    fid = float((m_h == 0).mean())
-    fid_err = math.sqrt(fid * (1 - fid) / m_h.size)
+    # photons in the output arm. Without dead time every pulse where
+    # detector 1 did not click is a herald; the false ones are the
+    # pulses that carried photons to detector 1 and are not in clicks1.
+    heralds = table.n_pulses - table.clicks1.size
+    truth = res.truth
+    carried = truth.pair_pulses[(truth.m > 0) & (truth.pair_pulses < table.n_pulses)]
+    missed = carried.size - np.intersect1d(carried, table.clicks1, assume_unique=True).size
+    fid = (heralds - missed) / heralds
+    fid_err = math.sqrt(fid * (1 - fid) / heralds)
     return summary, fid, fid_err
 
 

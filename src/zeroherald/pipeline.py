@@ -197,19 +197,57 @@ def apply_dead_time(click_pulses, dead_pulses: int) -> np.ndarray:
     After an accepted click at pulse k the next dead_pulses pulses are
     blind; clicks there are dropped and do not extend the window. Input
     order does not matter; duplicates collapse. Idempotent.
+
+    The clicks are sorted and deduplicated, then thinned greedily
+    without a per-click loop: each click's next live click is found by
+    one searchsorted, and the chain of accepted clicks that starts at
+    the first one is followed by pointer doubling, so the cost is
+    O(n log n) in the number of clicks.
     """
-    if dead_pulses < 0:
-        raise ValidationError(f"dead_pulses must be >= 0, got {dead_pulses!r}")
-    clicks = np.unique(np.asarray(click_pulses, dtype=np.int64))
-    if dead_pulses == 0 or clicks.size < 2:
-        return clicks
-    accepted = []
-    next_live = clicks[0]
-    for k in clicks.tolist():
-        if k >= next_live:
-            accepted.append(k)
-            next_live = k + dead_pulses + 1
-    return np.asarray(accepted, dtype=np.int64)
+    if not isinstance(dead_pulses, (int, np.integer)) or dead_pulses < 0:
+        raise ValidationError(
+            f"dead_pulses must be a non-negative integer, got {dead_pulses!r}"
+        )
+    clicks = np.sort(np.asarray(click_pulses, dtype=np.int64), axis=None)
+    clicks = clicks[_first_of_runs(clicks)]
+    return clicks[_dead_time_keep(clicks, dead_pulses)]
+
+
+def _first_of_runs(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal, adjacent values."""
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
+
+
+def _dead_time_keep(pulses: np.ndarray, dead: int) -> np.ndarray:
+    """Indices of the pulses a non-paralyzable dead window keeps.
+
+    pulses must be sorted and distinct (int64). The first pulse is kept,
+    then, after each kept pulse k, the first pulse at or past
+    k + dead + 1. jump[i] names that successor of pulse i, with n as the
+    end sentinel. The kept chain 0, jump[0], jump[jump[0]], ... is
+    collected by pointer doubling: each round appends the jumps of the
+    chain found so far, which doubles its length, and squares the jump
+    table, so about log2(n) rounds reach the sentinel.
+    """
+    n = pulses.size
+    if dead == 0:
+        return np.arange(n)
+    if n == 0 or dead >= int(pulses[-1]) - int(pulses[0]):
+        return np.arange(min(n, 1))
+    # offsets from the first pulse are exact in uint64 for any int64 input
+    offsets = pulses.view(np.uint64) - pulses[:1].view(np.uint64)
+    step = np.uint64(dead + 1)  # at most the last offset here
+    jump = np.empty(n + 1, dtype=np.intp)
+    jump[:n] = np.searchsorted(offsets, offsets + step)
+    jump[:n][offsets > offsets[-1] - step] = n  # past the end; the sum may wrap
+    jump[n] = n
+    path = np.zeros(1, dtype=np.intp)
+    while path[-1] < n:
+        path = np.concatenate((path, jump[path]))
+        jump = jump[jump]
+    return path[path < n]
 
 
 @dataclass

@@ -36,6 +36,7 @@ from .model import (
     SourceParams,
     p_noclick_given_n,
 )
+from .pipeline import _dead_time_keep, _first_of_runs
 from .tags import Channel, TagStream
 
 __all__ = [
@@ -393,20 +394,13 @@ def _detector_walk(
     ap_prob = det.afterpulse_prob
     dead = det.dead_pulses
     if ap_prob == 0.0:
-        # no afterpulses: collapse same-pulse candidates to their first
-        # offset (plan is sorted by pulse then offset), then thin by the
-        # dead window; consumes no randomness, same result as the walk
-        uniq, first = np.unique(plan.pulses, return_index=True)
-        offs = plan.offsets[first]
-        if dead == 0 or uniq.size < 2:
-            return uniq, offs
-        keep = np.zeros(uniq.size, dtype=bool)
-        next_live = uniq[0]
-        for j, k in enumerate(uniq.tolist()):
-            if k >= next_live:
-                keep[j] = True
-                next_live = k + dead + 1
-        return uniq[keep], offs[keep]
+        # no afterpulses: the first candidate of each pulse is the click
+        # (plan is sorted by pulse then offset), then the dead window
+        # thins the clicks; consumes no randomness, same result as the walk
+        first = _first_of_runs(plan.pulses)
+        pulses, offsets = plan.pulses[first], plan.offsets[first]
+        keep = _dead_time_keep(pulses, dead)
+        return pulses[keep], offsets[keep]
 
     pulses = plan.pulses.tolist()
     offsets = plan.offsets.tolist()

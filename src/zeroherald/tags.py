@@ -17,13 +17,18 @@ Binary layout (little-endian), 18-byte header then 9-byte records:
 
 The CSV form carries the same header as "# key = value" comment lines
 plus a free-text provenance note that the fixed binary header has no
-room for.
+room for, then the column header "channel,timestamp". Every line after
+it is one record NAME,DIGITS: NAME is REF, D1 or D2 and DIGITS a
+decimal below 2**64 (a plus sign, leading zeros and surrounding blanks
+are tolerated). Empty lines are skipped; anything else there, a "#"
+line included, is a FormatError naming its line.
 """
 
 from __future__ import annotations
 
-import io
+import re
 import struct
+import warnings
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
@@ -38,6 +43,13 @@ MAGIC = b"ZHT1"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIII")
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
+_CSV_COLUMNS = "channel,timestamp"
+_CSV_DTYPE = np.dtype([("ch", "U4"), ("ts", "u8")])
+_CSV_BLOCK = 1 << 16
+# what np.loadtxt accepts as a record: a known name, one comma, a
+# decimal that may carry a plus sign, leading zeros and surrounding
+# blanks; more than 20 significant digits cannot fit in a u64
+_CSV_RECORD = re.compile(r"(?:REF|D1|D2),\s*\+?0*([0-9]{1,20})\s*")
 
 
 class Channel(IntEnum):
@@ -199,7 +211,11 @@ def read_tags(source) -> TagStream:
 
 
 def write_tags_csv(stream: TagStream, sink) -> None:
-    """Write a stream as CSV with '# key = value' header lines."""
+    """Write a stream as CSV with '# key = value' header lines.
+
+    Records go out in blocks of _CSV_BLOCK rows, each formatted by one
+    printf-style call, so memory stays bounded for any stream length.
+    """
     fh, owned = _open_binary(sink, "w")
     try:
         fh.write("# zht-csv\n")
@@ -210,56 +226,57 @@ def write_tags_csv(stream: TagStream, sink) -> None:
         # provenance is advisory free text; the format is line-oriented
         flat = " ".join(stream.provenance.splitlines()) if stream.provenance else ""
         fh.write(f"# provenance = {flat}\n")
-        fh.write("channel,timestamp\n")
-        names = {int(c): c.name for c in Channel}
-        buf = io.StringIO()
-        for ch, ts in zip(stream.channels, stream.timestamps):
-            buf.write(f"{names[int(ch)]},{int(ts)}\n")
-        fh.write(buf.getvalue())
+        fh.write(f"{_CSV_COLUMNS}\n")
+        names = np.array([c.name for c in Channel], dtype=object)
+        for start in range(0, len(stream), _CSV_BLOCK):
+            chans = stream.channels[start:start + _CSV_BLOCK]
+            fields = [None] * (2 * chans.size)
+            fields[0::2] = names[chans].tolist()
+            fields[1::2] = stream.timestamps[start:start + _CSV_BLOCK].tolist()
+            fh.write("%s,%d\n" * chans.size % tuple(fields))
     finally:
         if owned:
             fh.close()
 
 
 def read_tags_csv(source) -> TagStream:
-    """Read the CSV form back into a stream."""
+    """Read the CSV form back into a stream.
+
+    Header lines are read one at a time up to the column header; blank
+    lines there are skipped and '#' lines without '=' ignored. The body
+    after it is NAME,DIGITS records only, parsed by one np.loadtxt call;
+    empty lines are skipped, CRLF line ends are accepted. A comment, an
+    unknown channel name, a missing or extra column, or a timestamp
+    that is not a u64 decimal raises FormatError naming the file line.
+    """
     fh, owned = _open_binary(source, "r")
     try:
-        text = fh.read()
+        return _read_csv(fh)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot decode tag CSV: {exc}") from None
     finally:
         if owned:
             fh.close()
+
+
+def _read_csv(fh) -> TagStream:
     header: dict[str, str] = {}
-    channels: list[int] = []
-    timestamps: list[int] = []
-    codes = {c.name: int(c) for c in Channel}
-    saw_columns = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lineno = 0
+    while True:
+        raw = fh.readline()
+        lineno += 1
+        if not raw:
+            raise FormatError(f"line {lineno}: no {_CSV_COLUMNS!r} column header")
         line = raw.strip()
-        if not line:
-            continue
+        if line == _CSV_COLUMNS:
+            break
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body:
                 key, _, value = body.partition("=")
                 header[key.strip()] = value.strip()
-            continue
-        if not saw_columns:
-            if line != "channel,timestamp":
-                raise FormatError(f"line {lineno}: expected column header, got {raw!r}")
-            saw_columns = True
-            continue
-        ch_name, sep, ts_text = line.partition(",")
-        if not sep or ch_name not in codes:
-            raise FormatError(f"line {lineno}: bad record {raw!r}")
-        try:
-            ts = int(ts_text)
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad timestamp {ts_text!r}") from None
-        if ts < 0:
-            raise FormatError(f"line {lineno}: negative timestamp")
-        channels.append(codes[ch_name])
-        timestamps.append(ts)
+        elif line:
+            raise FormatError(f"line {lineno}: expected column header, got {raw!r}")
     missing = {"version", "timebin_ps", "rep_period_ps", "divider"} - set(header)
     if missing:
         raise FormatError(f"missing header lines: {sorted(missing)}")
@@ -272,12 +289,45 @@ def read_tags_csv(source) -> TagStream:
         raise FormatError(f"bad header value: {exc}") from None
     if version != VERSION:
         raise FormatError(f"unsupported format version {version}")
+
+    body_at = fh.tell() if fh.seekable() else None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            records = np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",",
+                                 comments=None, ndmin=1)
+    except ValueError as exc:
+        raise _record_error(fh, body_at, lineno, str(exc)) from None
+    channels = np.full(records.size, 0xFF, dtype=np.uint8)
+    for c in Channel:
+        channels[records["ch"] == c.name] = c
+    if np.any(channels == 0xFF):
+        name = str(records["ch"][np.argmax(channels == 0xFF)])
+        raise _record_error(fh, body_at, lineno, f"unknown channel name {name!r}")
     return TagStream(
         timebin_ps=timebin_ps,
         rep_period_ps=rep_period_ps,
         divider=divider,
-        channels=np.array(channels, dtype=np.uint8),
-        timestamps=np.array(timestamps, dtype=np.uint64),
+        channels=channels,
+        timestamps=records["ts"],
         version=version,
         provenance=header.get("provenance", ""),
     )
+
+
+def _record_error(fh, body_at, header_lines: int, what: str) -> FormatError:
+    """FormatError naming the first body line that is not a valid record.
+
+    Only called once parsing has failed: it rereads the body from
+    body_at and checks each line against the record grammar, so the
+    line number is exact even where blank lines shift loadtxt's row
+    count. An unseekable source is reported without a line.
+    """
+    if body_at is not None:
+        fh.seek(body_at)
+        for lineno, raw in enumerate(fh, start=header_lines + 1):
+            line = raw.rstrip("\r\n")
+            match = _CSV_RECORD.fullmatch(line)
+            if line and (match is None or int(match[1]) >= 1 << 64):
+                return FormatError(f"line {lineno}: bad record {line!r}")
+    return FormatError(f"bad record: {what}")

@@ -1,4 +1,4 @@
-"""Dense per-pulse reference for the sparse event table.
+"""Obvious per-pulse and per-click references for the fast pipeline.
 
 DenseTable keeps one PulseState code per pulse and per detector and
 counts the 3x3 cells with bincount, the obvious way. It is the
@@ -6,6 +6,9 @@ differential oracle for PulseEventTable, and it holds the hand-made
 state fixtures of the rate tests, some of which (a dead row with no
 click before it) have no sparse form. compute_rates reads only
 n_pulses and cell_counts(), so it accepts either table.
+
+greedy_dead_time is the scalar walk that pipeline.apply_dead_time
+vectorises: the differential oracle for the shared dead-time thinning.
 """
 
 import numpy as np
@@ -42,3 +45,14 @@ def dense_states(n_pulses, clicks, dead):
         for j in range(k + 1, min(k + dead, n_pulses - 1) + 1):
             state[j] = PulseState.DEAD
     return np.array(state, dtype=np.uint8)
+
+
+def greedy_dead_time(click_pulses, dead):
+    """Walk the distinct clicks in order, keeping each one that is live."""
+    accepted = []
+    next_live = None
+    for k in sorted(set(int(c) for c in click_pulses)):
+        if next_live is None or k >= next_live:
+            accepted.append(k)
+            next_live = k + dead + 1
+    return np.array(accepted, dtype=np.int64)

@@ -309,13 +309,15 @@ def _truth_run(eta1, dark, seed):
     _, _, table = zh.table_from_stream(res.stream, 2e-9, 0, 0)
     s = zh.compute_rates(table, 0.0)
     # fidelity against what the source actually emitted: the fraction of
-    # heralds where arm 1 truly carried zero photons
-    m_dense = np.zeros(n, dtype=np.int64)
-    m_dense[res.truth.pair_pulses] = res.truth.m
-    herald = (table.d1 == PulseState.NOCLICK) & (table.d2 != PulseState.DEAD)
-    m_h = m_dense[: table.n_pulses][herald]
-    fid = float((m_h == 0).mean())
-    fid_err = math.sqrt(max(fid * (1 - fid), 1e-300) / m_h.size)
+    # heralds where arm 1 truly carried zero photons. With no dead time
+    # every pulse without a detector 1 click is a herald, so the false
+    # heralds are the photon-carrying pulses missing from clicks1.
+    heralds = table.n_pulses - table.clicks1.size
+    truth = res.truth
+    carried = truth.pair_pulses[(truth.m > 0) & (truth.pair_pulses < table.n_pulses)]
+    missed = carried.size - np.intersect1d(carried, table.clicks1, assume_unique=True).size
+    fid = (heralds - missed) / heralds
+    fid_err = math.sqrt(max(fid * (1 - fid), 1e-300) / heralds)
     return s, fid, fid_err
 
 

@@ -7,6 +7,7 @@ literally.
 """
 
 import io
+import random
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,7 @@ from zeroherald.pipeline import (
 )
 from zeroherald.tags import Channel, TagStream
 
-from dense_oracle import DenseTable
+from dense_oracle import DenseTable, greedy_dead_time
 
 N, C, D = PulseState.NOCLICK, PulseState.CLICK, PulseState.DEAD
 
@@ -195,6 +196,11 @@ class TestDeadTime:
             apply_dead_time([1, 2, 3], 0), [1, 2, 3]
         )
 
+    @pytest.mark.parametrize("dead", [-1, 2.5, 2.0, None])
+    def test_dead_length_must_be_a_non_negative_integer(self, dead):
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            apply_dead_time([0, 3, 4, 7], dead)
+
     @given(
         clicks=st.lists(st.integers(0, 400), max_size=60),
         dead=st.integers(0, 12),
@@ -208,6 +214,42 @@ class TestDeadTime:
         # first click always survives
         if clicks:
             assert out[0] == min(clicks)
+
+
+@st.composite
+def click_lists(draw):
+    """Unsorted clicks with repeats, mixing sparse ones with dense runs.
+
+    A run of clicks one or two pulses apart is thinned into a chain of
+    up to a thousand accepted clicks, which takes the pointer doubling
+    through several rounds (up to ten).
+    """
+    clicks = draw(st.lists(st.integers(0, 5000), max_size=40))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, 5000))
+        step = draw(st.integers(1, 2))
+        clicks += range(start, start + step * draw(st.integers(0, 1000)), step)
+    if clicks:
+        clicks += draw(st.lists(st.sampled_from(clicks), max_size=20))
+    random.Random(draw(st.integers(0, 2**32))).shuffle(clicks)
+    return clicks
+
+
+class TestDeadTimeOracle:
+    @given(clicks=click_lists(), dead=st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    @example(clicks=list(range(4096)) * 2, dead=1)
+    def test_matches_greedy_walk(self, clicks, dead):
+        out = apply_dead_time(clicks, dead)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, greedy_dead_time(clicks, dead))
+
+    @pytest.mark.parametrize("dead", [0, 1, 2**62, 2**63, 2**64 - 2, 2**70])
+    def test_extreme_pulses_and_dead_lengths(self, dead):
+        clicks = [2**63 - 1, -(2**63), 0, -(2**63) + 1, 2**63 - 3, 5]
+        np.testing.assert_array_equal(
+            apply_dead_time(clicks, dead), greedy_dead_time(clicks, dead)
+        )
 
 
 class TestEventTable:

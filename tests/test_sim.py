@@ -6,6 +6,8 @@ fluctuation on the frozen seeds used here.
 """
 
 import dataclasses
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -28,7 +30,7 @@ from zeroherald.sim import (
     detect_pulse,
     sample_trial,
 )
-from zeroherald.tags import Channel
+from zeroherald.tags import Channel, write_tags
 
 SRC = SourceParams(gamma=0.3, kappa1=0.7, kappa2=0.55)
 NU = 0.41
@@ -147,6 +149,43 @@ class TestDeterminism:
         c1 = one.truth.clicks1.size
         c4 = four.truth.clicks1.size
         assert abs(c1 - c4) < 5 * math.sqrt(c1 + c4 + 1)
+
+
+class TestGoldenStreams:
+    """SHA-256 of the binary tag file of two small fixed-seed runs.
+
+    The pins were computed before the no-afterpulse path of the detector
+    walk moved to the dead-time thinning it shares with the pipeline,
+    so they show that the move (and any later one) leaves every stream
+    bit-identical. Both runs are busy (about one click in ten pulses at
+    dead length 4), so dead-time chains and same-pulse candidates occur.
+    """
+
+    @staticmethod
+    def busy_config(afterpulse_prob, jitter_sigma, seed):
+        det = dict(dark_prob=1e-3, afterpulse_prob=afterpulse_prob, dead_pulses=4)
+        return SimConfig(
+            source=SourceParams(gamma=0.2, kappa1=0.8, kappa2=0.8),
+            det1=DetectorParams(eta=0.6, **det),
+            det2=DetectorParams(eta=0.5, **det),
+            profile=IndistinguishabilityProfile(nu_max=0.9, tau=100e-15),
+            n_pulses=200_000,
+            seed=seed,
+            jitter_sigma=jitter_sigma,
+        )
+
+    @pytest.mark.parametrize("afterpulse_prob, jitter_sigma, seed, n_tags, digest", [
+        (0.0, 0.0, 11, 22209,
+         "d80892ed057e33065beb0e091f222a2a3559379b9fc7ad81e58fff5d307e6ceb"),
+        (0.1, 30e-12, 12, 24061,
+         "b06b6fe1510c14e3c46ea6e9578f543b0b733628b88adb65d74327bd5dc7c80c"),
+    ])
+    def test_stream_digest(self, afterpulse_prob, jitter_sigma, seed, n_tags, digest):
+        res = run_simulation(self.busy_config(afterpulse_prob, jitter_sigma, seed))
+        buf = io.BytesIO()
+        write_tags(res.stream, buf)
+        assert len(res.stream) == n_tags
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == digest
 
 
 class TestStreamShape:

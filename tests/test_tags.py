@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroherald.errors import FormatError, IntegrityError, ValidationError
+from zeroherald.errors import (
+    FormatError,
+    IntegrityError,
+    ValidationError,
+    ZeroHeraldError,
+)
 from zeroherald.tags import (
     MAGIC,
     Channel,
@@ -219,3 +224,114 @@ class TestCsvRoundTrip:
         text = buf.getvalue() + "D1,not_a_number\n"
         with pytest.raises(FormatError, match="line"):
             read_tags_csv(io.StringIO(text))
+
+
+def csv_text(channels=(0, 1), timestamps=(0, 5)):
+    """A valid CSV file: 7 header lines, then one record per tag."""
+    buf = io.StringIO()
+    write_tags_csv(make_stream(list(channels), list(timestamps)), buf)
+    return buf.getvalue()
+
+
+class TestCsvRecordGrammar:
+    """After the column header every line is NAME,DIGITS or blank.
+
+    The file below has its records on lines 8 and 9, the bad line on
+    line 10 (later with leading blank lines) and a good record after it.
+    """
+
+    @pytest.mark.parametrize("bad, line", [
+        ("D1,18446744073709551616", 10),  # 2**64
+        ("D1,99999999999999999999999", 10),
+        ("# divider = 7", 10),  # once silently changed the divider
+        ("#", 10),
+        ("D3,12", 10),
+        ("d1,12", 10),
+        (" D1,12", 10),
+        ("REF,12,3", 10),
+        ("D1,12,", 10),
+        ("D1", 10),
+        ("D1,", 10),
+        (",12", 10),
+        ("D1,-3", 10),
+        ("D1,1_000", 10),
+        ("D1,12.0", 10),
+        ("D1,1e3", 10),
+        ("channel,timestamp", 10),
+        ("\n\nD3,12", 12),
+    ])
+    def test_bad_record_names_its_line(self, bad, line):
+        text = csv_text() + bad + "\nD2,20\n"
+        with pytest.raises(FormatError, match=f"^line {line}: bad record"):
+            read_tags_csv(io.StringIO(text))
+
+    def test_bad_record_in_a_file_names_its_line(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_bytes((csv_text() + "\n# divider = 7\n").encode().replace(b"\n", b"\r\n"))
+        with pytest.raises(FormatError, match="^line 11: bad record '# divider = 7'"):
+            read_tags_csv(path)
+
+    def test_undecodable_bytes_are_a_format_error(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(csv_text().encode() + b"D1,\xff\n")
+        with pytest.raises(FormatError, match="decode"):
+            read_tags_csv(path)
+
+    def test_missing_column_header_rejected(self):
+        text = csv_text()
+        with pytest.raises(FormatError, match="column header"):
+            read_tags_csv(io.StringIO(text[:text.index("channel,")]))
+
+    @pytest.mark.parametrize("name, edit", [
+        ("crlf", lambda t: t.replace("\n", "\r\n")),
+        ("blank trailing lines", lambda t: t + "\n\n"),
+        ("blank lines between records", lambda t: t.replace("D1,5", "\nD1,5\n")),
+        ("spaces and plus sign", lambda t: t.replace("D1,5", "D1, +5 ")),
+        ("leading zeros", lambda t: t.replace("D1,5", "D1,0005")),
+    ])
+    def test_accepted_layouts(self, name, edit):
+        assert read_tags_csv(io.StringIO(edit(csv_text()))) == make_stream([0, 1], [0, 5])
+
+    def test_empty_body_and_largest_timestamp(self, tmp_path):
+        empty = read_tags_csv(io.StringIO(csv_text((), ())))
+        assert len(empty) == 0 and empty.divider == 512
+        path = tmp_path / "tags.csv"
+        path.write_text(csv_text((2,), (2**64 - 1,)))
+        assert read_tags_csv(path).timestamps.tolist() == [2**64 - 1]
+
+
+class TestReaderFuzz:
+    """Hostile bodies after a valid header: a typed error or a stream."""
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_binary_body(self, body):
+        buf = io.BytesIO()
+        write_tags(make_stream([0, 1], [0, 5]), buf)
+        header = buf.getvalue()[:18]
+        try:
+            stream = read_tags(io.BytesIO(header + body))
+        except ZeroHeraldError:
+            return
+        assert len(stream) == len(body) // 9
+
+    @given(st.one_of(
+        st.text(max_size=120),
+        st.text(alphabet="REFD12,#+- \r\n0123456789", max_size=120),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_csv_body(self, body):
+        try:
+            stream = read_tags_csv(io.StringIO(csv_text() + body))
+        except ZeroHeraldError:
+            return
+        assert stream.timestamps.dtype == np.uint64
+
+    @given(st.binary(max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_csv_body_bytes(self, body):
+        fh = io.TextIOWrapper(io.BytesIO(csv_text().encode() + body))
+        try:
+            read_tags_csv(fh)
+        except ZeroHeraldError:
+            pass
