@@ -234,7 +234,7 @@ def csv_text(channels=(0, 1), timestamps=(0, 5)):
 
 
 class TestCsvRecordGrammar:
-    """After the column header every line is NAME,DIGITS or blank.
+    """After the column header every line is NAME,DIGITS or empty.
 
     The file below has its records on lines 8 and 9, the bad line on
     line 10 (later with leading blank lines) and a good record after it.
