@@ -28,6 +28,7 @@ from .errors import (
 )
 from . import model
 from .pipeline import PulseEventTable
+from .tags import _opened
 
 __all__ = [
     "RateSummary",
@@ -195,6 +196,18 @@ def _gauss(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return a + b * np.exp(-((x - t0) ** 2) / (2.0 * s * s))
 
 
+def _weighted_jacobian(x: np.ndarray, w: np.ndarray, b, t0, s) -> np.ndarray:
+    """Derivatives of _gauss by (a, b, t0, sigma), each row scaled by w."""
+    dx = x - t0
+    e = np.exp(-(dx * dx) / (2.0 * s * s))
+    jac = np.empty((x.size, 4))
+    jac[:, 0] = w
+    jac[:, 1] = e * w
+    jac[:, 2] = b * e * dx / (s * s) * w
+    jac[:, 3] = b * e * dx * dx / (s ** 3) * w
+    return jac
+
+
 def gaussian_fit(points: Iterable, hint: str = "auto") -> FitResult:
     """Weighted Gaussian fit of (delta_t, rate, stderr) points.
 
@@ -275,14 +288,8 @@ def gaussian_fit(points: Iterable, hint: str = "auto") -> FitResult:
     tiny = 1e-9 * span
     while iterations < 200:
         iterations += 1
-        a, b, t0, s = theta
-        dx = x - t0
-        e = np.exp(-(dx * dx) / (2.0 * s * s))
-        jac = np.empty((n, 4))
-        jac[:, 0] = w
-        jac[:, 1] = e * w
-        jac[:, 2] = b * e * dx / (s * s) * w
-        jac[:, 3] = b * e * dx * dx / (s ** 3) * w
+        _, b, t0, s = theta
+        jac = _weighted_jacobian(x, w, b, t0, s)
         r = (_gauss(x, theta) - y) * w
         normal = jac.T @ jac
         grad = jac.T @ r
@@ -353,13 +360,7 @@ def gaussian_fit(points: Iterable, hint: str = "auto") -> FitResult:
             "fit converged to a non-positive baseline",
             report={"cost": current, "params": theta.tolist()},
         )
-    dx = x - t0
-    e = np.exp(-(dx * dx) / (2.0 * s * s))
-    jac = np.empty((n, 4))
-    jac[:, 0] = w
-    jac[:, 1] = e * w
-    jac[:, 2] = b * e * dx / (s * s) * w
-    jac[:, 3] = b * e * dx * dx / (s ** 3) * w
+    jac = _weighted_jacobian(x, w, b, t0, s)
     normal = jac.T @ jac
     try:
         cov = np.linalg.inv(normal)
@@ -389,16 +390,15 @@ def gaussian_fit(points: Iterable, hint: str = "auto") -> FitResult:
 def visibility(fit: FitResult) -> tuple[float, float]:
     """Dip visibility |b|/a with its propagated uncertainty.
 
-    Only defined for dips; a positive fitted amplitude raises
-    WrongShapeError. A flat fit (b = 0) has zero visibility.
+    The fit's own visibility and visibility_err. Only defined for dips;
+    a positive fitted amplitude raises WrongShapeError. A flat fit
+    (b = 0) has zero visibility.
     """
     if fit.b > 0:
         raise WrongShapeError("visibility is defined for dip fits (b <= 0)")
-    vis = -fit.b / fit.a
-    cov = np.asarray(fit.covariance)
-    g = np.array([fit.b / (fit.a * fit.a), -1.0 / fit.a])
-    var = float(g @ cov[:2, :2] @ g)
-    return float(vis), math.sqrt(max(var, 0.0))
+    if fit.visibility is None:
+        return 0.0, 0.0
+    return float(fit.visibility), fit.visibility_err
 
 
 def _cwr_value(fit_or_value) -> float:
@@ -511,7 +511,7 @@ def write_rate_csv(summaries: Sequence[RateSummary], sink, rep_rate_hz: float | 
         float_fields += [name, name + "_err"]
     per_s = ["singles1", "singles2", "coincidence", "heralded_rate"] if rep_rate_hz else []
 
-    def _write(fh):
+    with _opened(sink, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["delta_t"] + int_fields
                         + [f for f in float_fields if f != "delta_t"]
@@ -523,24 +523,11 @@ def write_rate_csv(summaries: Sequence[RateSummary], sink, rep_rate_hz: float | 
             row += [FLOAT_FMT % (getattr(s, name) * rep_rate_hz) for name in per_s]
             writer.writerow(row)
 
-    if hasattr(sink, "write"):
-        _write(sink)
-    else:
-        with open(sink, "w", newline="") as fh:
-            _write(fh)
-
 
 def write_fits_jsonl(fits: dict, sink) -> None:
     """One JSON object per line: {"series": name, ...fit fields}."""
-
-    def _write(fh):
+    with _opened(sink, "w") as fh:
         for name, fit in fits.items():
             record = {"series": name}
             record.update(fit.to_dict())
             fh.write(json.dumps(record) + "\n")
-
-    if hasattr(sink, "write"):
-        _write(sink)
-    else:
-        with open(sink, "w") as fh:
-            _write(fh)

@@ -241,19 +241,19 @@ def cmd_scan(args) -> int:
         delays = list(np.linspace(-args.span, args.span, args.points))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = sim.scan_delays(cfg, delays)
+    # one delay at a time: simulate, write, reduce, then drop the result
     tag_paths = []
-    for index, (_, result) in enumerate(results):
+    summaries = []
+    for index, (delta_t, sub) in enumerate(sim.delay_configs(cfg, delays)):
+        stream = sim.run_simulation(sub).stream
         path = out_dir / f"tags_{index:03d}.zht"
-        tags.write_tags(result.stream, path)
+        tags.write_tags(stream, path)
         tag_paths.append(path)
-    summaries = _analyze_streams(
-        [r.stream for _, r in results], delays, args.gate, args.dead_pulses
-    )
+        summaries += _analyze_streams([stream], [delta_t], args.gate, args.dead_pulses)
+        del stream
     rates_path = out_dir / "rates.csv"
-    rep_rate = PS_PER_SECOND / results[0][1].stream.rep_period_ps
     with open(rates_path, "w", newline="") as fh:
-        analysis.write_rate_csv(summaries, fh, rep_rate_hz=rep_rate)
+        analysis.write_rate_csv(summaries, fh, rep_rate_hz=PS_PER_SECOND / cfg.rep_period_ps)
     fits = _fit_series(summaries)
     outputs = {str(p): _sha256(p) for p in tag_paths}
     outputs[str(rates_path)] = _sha256(rates_path)

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, NoSolutionError, ValidationError
+from .tags import _opened
 
 __all__ = [
     "SourceParams",
@@ -476,17 +477,10 @@ def curve_grid(
 
 def write_curve_csv(rows: list[dict], sink, meta: dict | None = None) -> None:
     """Write curve_grid rows as CSV; meta becomes leading comment lines."""
-
-    def _write(fh):
+    with _opened(sink, "w", newline="") as fh:
         for key, value in (meta or {}).items():
             fh.write(f"# {key} = {value}\n")
         writer = csv.writer(fh)
         writer.writerow(CURVE_COLUMNS)
         for row in rows:
             writer.writerow([FLOAT_FMT % row[c] for c in CURVE_COLUMNS])
-
-    if hasattr(sink, "write"):
-        _write(sink)
-    else:
-        with open(sink, "w", newline="") as fh:
-            _write(fh)

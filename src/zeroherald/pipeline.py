@@ -28,7 +28,7 @@ from .errors import (
     InsufficientReferenceError,
     ValidationError,
 )
-from .tags import Channel, TagStream
+from .tags import Channel, TagStream, _opened
 
 __all__ = [
     "PulseState",
@@ -225,11 +225,8 @@ def _dead_time_keep(pulses: np.ndarray, dead: int) -> np.ndarray:
 
     pulses must be sorted and distinct (int64). The first pulse is kept,
     then, after each kept pulse k, the first pulse at or past
-    k + dead + 1. jump[i] names that successor of pulse i, with n as the
-    end sentinel. The kept chain 0, jump[0], jump[jump[0]], ... is
-    collected by pointer doubling: each round appends the jumps of the
-    chain found so far, which doubles its length, and squares the jump
-    table, so about log2(n) rounds reach the sentinel.
+    k + dead + 1: jump[i] names that successor of pulse i, with n as the
+    end sentinel, and _chain_from_first follows it.
     """
     n = pulses.size
     if dead == 0:
@@ -239,14 +236,27 @@ def _dead_time_keep(pulses: np.ndarray, dead: int) -> np.ndarray:
     # offsets from the first pulse are exact in uint64 for any int64 input
     offsets = pulses.view(np.uint64) - pulses[:1].view(np.uint64)
     step = np.uint64(dead + 1)  # at most the last offset here
-    jump = np.empty(n + 1, dtype=np.intp)
-    jump[:n] = np.searchsorted(offsets, offsets + step)
-    jump[:n][offsets > offsets[-1] - step] = n  # past the end; the sum may wrap
-    jump[n] = n
+    jump = np.searchsorted(offsets, offsets + step)
+    jump[offsets > offsets[-1] - step] = n  # past the end; the sum may wrap
+    return _chain_from_first(jump)
+
+
+def _chain_from_first(jump: np.ndarray) -> np.ndarray:
+    """The chain 0, jump[0], jump[jump[0]], ... below n = jump.size.
+
+    Each jump[i] lies in (i, n], n meaning the end; jump is overwritten.
+    Pointer doubling: each round appends the jumps of the chain found so
+    far, doubling its length, and squares the jump table in place (one
+    table alive next to the chain), so about log2(chain length) rounds
+    reach the end.
+    """
+    n = jump.size
     path = np.zeros(1, dtype=np.intp)
     while path[-1] < n:
-        path = np.concatenate((path, jump[path]))
-        jump = jump[jump]
+        if path.size > 1:  # square between rounds, never after the last
+            jump[:] = jump.take(jump, mode="clip")
+        # clipping reads jump[n - 1], which is n, for the end index n
+        path = np.concatenate((path, jump.take(path, mode="clip")))
     return path[path < n]
 
 
@@ -348,20 +358,13 @@ class PulseEventTable:
             for a in range(3) for b in range(3)
         ]
         combined = self.d1.astype(np.int16) * 3 + self.d2
-
-        def _write(fh):
+        with _opened(sink, "w", newline="") as fh:
             fh.write("pulse_index,d1,d2\n")
             for start in range(0, self.n_pulses, chunk):
                 block = combined[start:start + chunk]
                 fh.write("".join(
                     f"{start + i},{pair_names[c]}\n" for i, c in enumerate(block.tolist())
                 ))
-
-        if hasattr(sink, "write"):
-            _write(sink)
-        else:
-            with open(sink, "w", newline="") as fh:
-                _write(fh)
 
 
 def _count_in_windows(pulses: np.ndarray, clicks: np.ndarray, dead: int) -> int:

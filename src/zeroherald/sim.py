@@ -13,6 +13,15 @@ darks per channel) is sampled by drawing gaps between successes from
 its geometric law, so runtime scales with the number of events rather
 than the number of pulses.
 
+Dead time and afterpulsing are applied per detector without a per-click
+loop. For each pulse with candidate events the engine draws the number
+L of afterpulses a click there would chain (geometric, P(L >= l) = p**l
+for afterpulse probability p), then one jitter per emitted afterpulse.
+A click at pulse k is followed by afterpulses at k + r*(dead+1) for
+r = 1..L and the next click is the first candidate at or past
+k + (L+1)*(dead+1), so the accepted clicks are one chain through the
+candidates, collected by pointer doubling.
+
 All randomness comes from counter-based generators keyed by (seed,
 shard index), so a config is reproducible tag-for-tag regardless of
 how the shards are executed. The scalar helpers sample_trial and
@@ -36,7 +45,7 @@ from .model import (
     SourceParams,
     p_noclick_given_n,
 )
-from .pipeline import _dead_time_keep, _first_of_runs
+from .pipeline import _chain_from_first, _first_of_runs
 from .tags import Channel, TagStream
 
 __all__ = [
@@ -49,6 +58,7 @@ __all__ = [
     "detect_pulse",
     "run_simulation",
     "scan_delays",
+    "delay_configs",
     "derive_delay_seed",
 ]
 
@@ -374,6 +384,27 @@ def _channel_plan(
     return _ChannelPlan(pulses[order], offsets[order])
 
 
+def _afterpulse_chain(pulses: np.ndarray, runs: np.ndarray, dead: int, n_sh: int):
+    """Accepted candidates and afterpulse pulses of one detector.
+
+    pulses are sorted, distinct candidate pulses in [0, n_sh). A click
+    at pulses[i] fires afterpulses at pulses[i] + r*(dead+1) for
+    r = 1..runs[i]; its successor is the first candidate at or past
+    pulses[i] + (runs[i]+1)*(dead+1), and the chain from candidate 0
+    follows those successors. Capping runs at the slots left in the
+    shard and the step at n_sh drops the afterpulses at or past n_sh,
+    changes nothing else and keeps every sum below 2*n_sh. Returns the
+    accepted candidate indices and the sorted afterpulse pulses.
+    """
+    step = min(int(dead) + 1, n_sh)
+    runs = np.minimum(runs, (n_sh - 1 - pulses) // step)
+    keep = _chain_from_first(np.searchsorted(pulses, pulses + (runs + 1) * step))
+    counts = runs[keep]
+    # the afterpulses after keep[i] are 1..counts[i] steps on from it
+    rank = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    return keep, np.repeat(pulses[keep], counts) + rank * step
+
+
 def _detector_walk(
     rng: np.random.Generator,
     cfg: SimConfig,
@@ -385,58 +416,32 @@ def _detector_walk(
 
     Within a pulse the earliest candidate defines the click time; later
     ones are absorbed into the same click. A click blinds the detector
-    for dead_pulses pulses and, with probability afterpulse_prob,
-    schedules one spurious click at the first live pulse; a fresh
-    schedule replaces any pending one. Afterpulses falling past the
-    shard end are dropped with the dead state (documented boundary
-    bias <= dead_pulses / shard length).
+    for dead_pulses pulses and, with probability afterpulse_prob, fires
+    a spurious click at the first live pulse, which chains in turn; so
+    the run of afterpulses a click starts has P(L >= l) = p**l. Draw
+    order: one L per pulse with candidates, then one jitter per emitted
+    afterpulse in pulse order. An afterpulse on a pulse with candidates
+    takes the earlier of its jitter and their time. Afterpulses past the
+    shard end are dropped with the dead state (documented boundary bias
+    <= dead_pulses / shard length).
     """
-    ap_prob = det.afterpulse_prob
-    dead = det.dead_pulses
-    if ap_prob == 0.0:
-        # no afterpulses: the first candidate of each pulse is the click
-        # (plan is sorted by pulse then offset), then the dead window
-        # thins the clicks; consumes no randomness, same result as the walk
-        first = _first_of_runs(plan.pulses)
-        pulses, offsets = plan.pulses[first], plan.offsets[first]
-        keep = _dead_time_keep(pulses, dead)
-        return pulses[keep], offsets[keep]
-
-    pulses = plan.pulses.tolist()
-    offsets = plan.offsets.tolist()
-    n_cand = len(pulses)
-    accepted_pulses: list[int] = []
-    accepted_offsets: list[int] = []
-    next_live = 0
-    pending = -1  # pulse index of a scheduled afterpulse, -1 when none
-    i = 0
-    while i < n_cand or pending >= 0:
-        if pending >= 0 and (i >= n_cand or pending <= pulses[i]):
-            k = pending
-        else:
-            k = pulses[i]
-        if k >= n_sh:
-            break
-        best = None
-        if pending == k:
-            best = int(_jitter_offsets(rng, 1, cfg)[0])
-            pending = -1
-        while i < n_cand and pulses[i] == k:
-            off = offsets[i]
-            if best is None or off < best:
-                best = off
-            i += 1
-        if k < next_live:
-            continue  # blind: candidates at k are absorbed without a click
-        accepted_pulses.append(k)
-        accepted_offsets.append(best)
-        next_live = k + dead + 1
-        if rng.random() < ap_prob:
-            pending = next_live
-    return (
-        np.asarray(accepted_pulses, dtype=np.int64),
-        np.asarray(accepted_offsets, dtype=np.int64),
-    )
+    first = _first_of_runs(plan.pulses)
+    pulses, offsets = plan.pulses[first], plan.offsets[first]
+    p = det.afterpulse_prob
+    if p == 0.0:  # no draws: streams without afterpulses keep theirs
+        runs = np.zeros(pulses.size, dtype=np.int64)
+    elif p < 1.0:
+        runs = rng.geometric(1.0 - p, size=pulses.size) - 1
+    else:  # every click re-arms: the chain runs to the shard end
+        runs = np.full(pulses.size, n_sh, dtype=np.int64)
+    keep, after = _afterpulse_chain(pulses, runs, det.dead_pulses, n_sh)
+    after_offsets = _jitter_offsets(rng, after.size, cfg)
+    at = np.minimum(np.searchsorted(pulses, after), pulses.size - 1)
+    on = pulses[at] == after
+    after_offsets[on] = np.minimum(after_offsets[on], offsets[at[on]])
+    clicks = np.concatenate((pulses[keep], after))
+    order = np.argsort(clicks, kind="stable")
+    return clicks[order], np.concatenate((offsets[keep], after_offsets))[order]
 
 
 def _shard_bounds(n_pulses: int, n_shards: int) -> list[tuple[int, int]]:
@@ -538,19 +543,20 @@ def derive_delay_seed(seed: int, index: int) -> int:
     return _splitmix64(seed ^ ((index + 1) * _GOLDEN & _MASK))
 
 
-def scan_delays(cfg: SimConfig, delays) -> list[tuple[float, SimResult]]:
-    """Run one independent simulation per delay.
+def delay_configs(cfg: SimConfig, delays) -> list[tuple[float, SimConfig]]:
+    """One config per delay of a scan, as (delta_t, config) pairs.
 
     Each delay gets its own seed derived from (cfg.seed, position), so
     scan results are reproducible yet statistically independent across
     the grid.
     """
-    delays = list(delays)
+    delays = [float(delta_t) for delta_t in delays]
     if not delays:
         raise ValidationError("scan needs at least one delay")
-    results = []
-    for index, delta_t in enumerate(delays):
-        sub = replace(cfg, delta_t=float(delta_t),
-                      seed=derive_delay_seed(cfg.seed, index))
-        results.append((float(delta_t), run_simulation(sub)))
-    return results
+    return [(delta_t, replace(cfg, delta_t=delta_t, seed=derive_delay_seed(cfg.seed, index)))
+            for index, delta_t in enumerate(delays)]
+
+
+def scan_delays(cfg: SimConfig, delays) -> list[tuple[float, SimResult]]:
+    """Run one independent simulation per delay of delay_configs."""
+    return [(delta_t, run_simulation(sub)) for delta_t, sub in delay_configs(cfg, delays)]

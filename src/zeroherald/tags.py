@@ -26,9 +26,11 @@ line included, is a FormatError naming its line.
 
 from __future__ import annotations
 
+import io
 import re
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
@@ -46,6 +48,7 @@ _RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
 _CSV_COLUMNS = "channel,timestamp"
 _CSV_DTYPE = np.dtype([("ch", "U4"), ("ts", "u8")])
 _CSV_BLOCK = 1 << 16
+_CSV_SCAN = 1 << 20  # characters per block of the NUL scan
 # what np.loadtxt accepts as a record: a known name, one comma, a
 # decimal that may carry a plus sign, leading zeros and surrounding
 # blanks; more than 20 significant digits cannot fit in a u64
@@ -137,25 +140,25 @@ class TagStream:
         return replace(self, provenance=note)
 
 
-def _open_binary(source, mode):
+@contextmanager
+def _opened(source, mode: str, newline: str | None = None):
+    """A file object as it is, or a path opened in mode and closed after."""
     if hasattr(source, "read") or hasattr(source, "write"):
-        return source, False
-    return open(source, mode), True
+        yield source
+    else:
+        with open(source, mode, newline=newline) as fh:
+            yield fh
 
 
 def write_tags(stream: TagStream, sink) -> None:
     """Write a stream in the binary format; sink is a path or file."""
-    fh, owned = _open_binary(sink, "wb")
-    try:
+    with _opened(sink, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, stream.version, stream.timebin_ps,
                               stream.rep_period_ps, stream.divider))
         records = np.empty(len(stream), dtype=_RECORD_DTYPE)
         records["channel"] = stream.channels
         records["timestamp"] = stream.timestamps
         fh.write(records.tobytes())
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_tags(source) -> TagStream:
@@ -164,12 +167,8 @@ def read_tags(source) -> TagStream:
     Bad magic, version, or a truncated record raise FormatError;
     out-of-order timestamps raise IntegrityError.
     """
-    fh, owned = _open_binary(source, "rb")
-    try:
+    with _opened(source, "rb") as fh:
         blob = fh.read()
-    finally:
-        if owned:
-            fh.close()
     if len(blob) < _HEADER.size:
         raise FormatError(f"file too short for a header ({len(blob)} bytes)")
     magic, version, timebin_ps, rep_period_ps, divider = _HEADER.unpack_from(blob)
@@ -216,8 +215,7 @@ def write_tags_csv(stream: TagStream, sink) -> None:
     Records go out in blocks of _CSV_BLOCK rows, each formatted by one
     printf-style call, so memory stays bounded for any stream length.
     """
-    fh, owned = _open_binary(sink, "w")
-    try:
+    with _opened(sink, "w") as fh:
         fh.write("# zht-csv\n")
         fh.write(f"# version = {stream.version}\n")
         fh.write(f"# timebin_ps = {stream.timebin_ps}\n")
@@ -234,9 +232,6 @@ def write_tags_csv(stream: TagStream, sink) -> None:
             fields[0::2] = names[chans].tolist()
             fields[1::2] = stream.timestamps[start:start + _CSV_BLOCK].tolist()
             fh.write("%s,%d\n" * chans.size % tuple(fields))
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_tags_csv(source) -> TagStream:
@@ -244,22 +239,22 @@ def read_tags_csv(source) -> TagStream:
 
     Header lines are read one at a time up to the column header; blank
     lines there are skipped and '#' lines without '=' ignored. The body
-    after it is NAME,DIGITS records only, parsed by one np.loadtxt call;
+    after it is NAME,DIGITS records only, parsed by one np.loadtxt call
+    (for a path, numpy's chunked reader skips the header lines itself);
     empty lines are skipped, CRLF line ends are accepted. A comment, an
-    unknown channel name, a missing or extra column, or a timestamp
-    that is not a u64 decimal raises FormatError naming the file line.
+    unknown channel name, a missing or extra column, a NUL character or
+    a timestamp that is not a u64 decimal raises FormatError naming the
+    file line. An unseekable source is copied into memory first, since
+    the body is read twice.
     """
-    fh, owned = _open_binary(source, "r")
-    try:
-        return _read_csv(fh)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"cannot decode tag CSV: {exc}") from None
-    finally:
-        if owned:
-            fh.close()
+    with _opened(source, "r") as fh:
+        try:
+            return _read_csv(fh, None if fh is source else source)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"cannot decode tag CSV: {exc}") from None
 
 
-def _read_csv(fh) -> TagStream:
+def _read_csv(fh, path) -> TagStream:
     header: dict[str, str] = {}
     lineno = 0
     while True:
@@ -290,14 +285,21 @@ def _read_csv(fh) -> TagStream:
     if version != VERSION:
         raise FormatError(f"unsupported format version {version}")
 
-    body_at = fh.tell() if fh.seekable() else None
+    if not fh.seekable():
+        fh = io.StringIO(fh.read())
+    body_at = fh.tell()
+    body, skip = (fh, 0) if path is None else (path, lineno)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            records = np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",",
-                                 comments=None, ndmin=1)
+            records = np.loadtxt(body, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1,
+                                 skiprows=skip, encoding=getattr(fh, "encoding", None))
     except ValueError as exc:
         raise _record_error(fh, body_at, lineno, str(exc)) from None
+    # the U4 field drops trailing NULs: "D1\0" would read as D1
+    fh.seek(body_at)
+    if any("\x00" in block for block in iter(lambda: fh.read(_CSV_SCAN), "")):
+        raise _record_error(fh, body_at, lineno, "NUL character")
     channels = np.full(records.size, 0xFF, dtype=np.uint8)
     for c in Channel:
         channels[records["ch"] == c.name] = c
@@ -321,13 +323,12 @@ def _record_error(fh, body_at, header_lines: int, what: str) -> FormatError:
     Only called once parsing has failed: it rereads the body from
     body_at and checks each line against the record grammar, so the
     line number is exact even where blank lines shift loadtxt's row
-    count. An unseekable source is reported without a line.
+    count.
     """
-    if body_at is not None:
-        fh.seek(body_at)
-        for lineno, raw in enumerate(fh, start=header_lines + 1):
-            line = raw.rstrip("\r\n")
-            match = _CSV_RECORD.fullmatch(line)
-            if line and (match is None or int(match[1]) >= 1 << 64):
-                return FormatError(f"line {lineno}: bad record {line!r}")
+    fh.seek(body_at)
+    for lineno, raw in enumerate(fh, start=header_lines + 1):
+        line = raw.rstrip("\r\n")
+        match = _CSV_RECORD.fullmatch(line)
+        if line and (match is None or int(match[1]) >= 1 << 64):
+            return FormatError(f"line {lineno}: bad record {line!r}")
     return FormatError(f"bad record: {what}")

@@ -9,6 +9,8 @@ n_pulses and cell_counts(), so it accepts either table.
 
 greedy_dead_time is the scalar walk that pipeline.apply_dead_time
 vectorises: the differential oracle for the shared dead-time thinning.
+afterpulse_walk is the event-by-event detector the simulator's
+vectorised afterpulse chain stands for.
 """
 
 import numpy as np
@@ -56,3 +58,49 @@ def greedy_dead_time(click_pulses, dead):
             accepted.append(k)
             next_live = k + dead + 1
     return np.array(accepted, dtype=np.int64)
+
+
+def afterpulse_walk(pulses, offsets, runs, jitter, dead, n_sh):
+    """Walk a detector's candidates and afterpulses in pulse order.
+
+    pulses/offsets are the candidates sorted by (pulse, offset), repeats
+    allowed; runs holds one run length per distinct pulse, in order, and
+    jitter the offsets of the afterpulses in the order they fire. The
+    first candidate at a live pulse clicks and arms its run length; every
+    click, while armed afterpulses are left, spends one to schedule a
+    click at the first live pulse, which absorbs candidates there and
+    takes the earlier time. Nothing at or past n_sh fires.
+
+    Returns (pulse, offset, is_afterpulse) per click, in order.
+    """
+    distinct = sorted(set(int(p) for p in pulses))
+    run_of = dict(zip(distinct, (int(r) for r in runs)))
+    cands = list(zip((int(p) for p in pulses), (int(o) for o in offsets)))
+    jitter = iter(int(j) for j in jitter)
+    clicks = []
+    next_live = 0
+    armed = 0
+    pending = None
+    i = 0
+    while i < len(cands) or pending is not None:
+        k = cands[i][0] if i < len(cands) else None
+        if pending is not None and (k is None or pending <= k):
+            k, best, is_after = pending, next(jitter), True
+            pending = None
+        else:
+            best, is_after = None, False
+        if k >= n_sh:
+            break
+        while i < len(cands) and cands[i][0] == k:
+            best = cands[i][1] if best is None else min(best, cands[i][1])
+            i += 1
+        if k < next_live:
+            continue  # blind: absorbed without a click
+        if not is_after:
+            armed = run_of[k]
+        clicks.append((k, best, is_after))
+        next_live = k + dead + 1
+        if armed:
+            armed -= 1
+            pending = next_live
+    return clicks

@@ -294,6 +294,31 @@ class TestScanCommand:
         for name in ("tags_000.zht", "tags_001.zht", "tags_002.zht", "rates.csv"):
             assert sha256(tmp_path / "one" / name) == sha256(tmp_path / "two" / name)
 
+    def test_scan_outputs_are_pinned(self, tmp_path, cfg_path):
+        """SHA-256 of every scan output, computed while cmd_scan still held
+        all delays in memory: streaming them one at a time changes no byte.
+        fits.jsonl goes through LAPACK, so its pin assumes the same numpy
+        build."""
+        out_dir = tmp_path / "scan"
+        assert main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "--span", "3e-13", "--points", "7",
+                     "--set", "n_pulses=40961", "--set", "dark_prob2=1e-3"]) == 0
+        pins = {
+            "fits.jsonl": "13842e68dd276f2e7a06bc28e723831a5e30efa3a97b0f0c17f12910a51dc530",
+            "rates.csv": "2218ce28e1c763b8950344d3e07ba4ea115c6a5a94767b0c95e8290eda30691c",
+            "tags_000.zht": "f14a827565276a9d1e625fadfe5b6266c8834321da9a79815319ca9234f218bc",
+            "tags_001.zht": "fa9c1422af956a0b4ab3174f15e3c035ca242283eb85618cb99a30ffc8d46e01",
+            "tags_002.zht": "d18b19c449e0966455e583db02d4b05684ffc2072921b74b084f55abd67a529b",
+            "tags_003.zht": "2b10cefc1f5fdbd3aad01583c8db25e708246e12b19857e0addb06061519187e",
+            "tags_004.zht": "379022a354d19062c03e3ccb77331092b0a6a674ea23f91f7bbf436af2c88049",
+            "tags_005.zht": "75853d230ce29689dfe0641eccd0709f7447809c60bde6f36c1ca51b76224b66",
+            "tags_006.zht": "61b11ea310a17f4092c88ae4a5970a3095d79deb2756d66e25597d8265313c2e",
+        }
+        manifest = json.loads((out_dir / "scan_manifest.json").read_text())
+        assert manifest["outputs"] == {str(out_dir / name): pin for name, pin in pins.items()}
+        for name, pin in pins.items():
+            assert sha256(out_dir / name) == pin, name
+
     def test_scan_needs_a_grid(self, tmp_path, cfg_path, capsys):
         code = main(["scan", "--config", str(cfg_path),
                      "--out-dir", str(tmp_path / "scan")])

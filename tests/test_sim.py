@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeroherald import (
     DetectorParams,
@@ -26,11 +28,16 @@ from zeroherald.errors import CapacityError, ValidationError
 from zeroherald.pipeline import PulseState, table_from_stream
 from zeroherald.sim import (
     DeadState,
+    _afterpulse_chain,
+    _ChannelPlan,
+    _detector_walk,
     derive_delay_seed,
     detect_pulse,
     sample_trial,
 )
 from zeroherald.tags import Channel, write_tags
+
+from dense_oracle import afterpulse_walk
 
 SRC = SourceParams(gamma=0.3, kappa1=0.7, kappa2=0.55)
 NU = 0.41
@@ -154,11 +161,16 @@ class TestDeterminism:
 class TestGoldenStreams:
     """SHA-256 of the binary tag file of two small fixed-seed runs.
 
-    The pins were computed before the no-afterpulse path of the detector
-    walk moved to the dead-time thinning it shares with the pipeline,
-    so they show that the move (and any later one) leaves every stream
-    bit-identical. Both runs are busy (about one click in ten pulses at
-    dead length 4), so dead-time chains and same-pulse candidates occur.
+    The no-afterpulse pin was computed before the no-afterpulse path of
+    the detector walk moved to the dead-time thinning it shares with the
+    pipeline, and it still holds after the walk became one vectorised
+    afterpulse chain: that stream is bit-identical throughout. The
+    afterpulse pin was recomputed when the chain replaced the per-click
+    walk (24061 tags before, 24129 after): the afterpulse law is the
+    same, but run lengths and jitters are now drawn in two blocks, not
+    interleaved click by click, so that stream changed on purpose. Both
+    runs are busy (about one click in ten pulses at dead length 4), so
+    dead-time chains and same-pulse candidates occur.
     """
 
     @staticmethod
@@ -177,8 +189,9 @@ class TestGoldenStreams:
     @pytest.mark.parametrize("afterpulse_prob, jitter_sigma, seed, n_tags, digest", [
         (0.0, 0.0, 11, 22209,
          "d80892ed057e33065beb0e091f222a2a3559379b9fc7ad81e58fff5d307e6ceb"),
-        (0.1, 30e-12, 12, 24061,
-         "b06b6fe1510c14e3c46ea6e9578f543b0b733628b88adb65d74327bd5dc7c80c"),
+        pytest.param(0.1, 30e-12, 12, 24129,
+                     "48e65573e35045a49753f8d04043bf50eec745d9259eb9df79985288505503c7",
+                     id="afterpulses-jitter"),
     ])
     def test_stream_digest(self, afterpulse_prob, jitter_sigma, seed, n_tags, digest):
         res = run_simulation(self.busy_config(afterpulse_prob, jitter_sigma, seed))
@@ -363,6 +376,26 @@ class TestValidation:
 
 
 class TestStatisticalEquivalence:
+    @staticmethod
+    def scalar_clicks(src, det1, det2, n, seed):
+        """Click pulses of both detectors from the per-pulse scalar twins."""
+        rng = np.random.default_rng(seed)
+        s1, s2 = DeadState(), DeadState()
+        c1, c2 = [], []
+        for k in range(n):
+            m, j = sample_trial(rng, src, NU)
+            if detect_pulse(rng, m, det1, s1):
+                c1.append(k)
+            if detect_pulse(rng, j, det2, s2):
+                c2.append(k)
+        return np.array(c1), np.array(c2)
+
+    @staticmethod
+    def assert_counts_agree(engine, scalar):
+        for eng, ref in zip(engine, scalar):
+            z = (eng - ref) / math.sqrt(max(eng + ref, 1))
+            assert abs(z) < 5, (eng, ref)
+
     def test_engine_matches_scalar_walk(self):
         src = SourceParams(gamma=0.02, kappa1=0.7, kappa2=0.55)
         det1 = DetectorParams(eta=0.62, dead_pulses=2, dark_prob=1e-3)
@@ -373,20 +406,109 @@ class TestStatisticalEquivalence:
             source=src, det1=det1, det2=det2, profile=prof,
             n_pulses=n, seed=18,
         ))
+        c1, c2 = self.scalar_clicks(src, det1, det2, n, 987654321)
+        self.assert_counts_agree(
+            (res.truth.clicks1.size, res.truth.clicks2.size,
+             np.intersect1d(res.truth.clicks1, res.truth.clicks2).size),
+            (c1.size, c2.size, np.intersect1d(c1, c2).size),
+        )
 
-        rng = np.random.default_rng(987654321)
-        s1, s2 = DeadState(), DeadState()
-        c1 = c2 = cc = 0
-        for _ in range(n):
-            m, k = sample_trial(rng, src, NU)
-            h1 = detect_pulse(rng, m, det1, s1)
-            h2 = detect_pulse(rng, k, det2, s2)
-            c1 += h1
-            c2 += h2
-            cc += h1 and h2
-        eng1 = res.truth.clicks1.size
-        eng2 = res.truth.clicks2.size
-        both = np.intersect1d(res.truth.clicks1, res.truth.clicks2).size
-        for eng, ref in ((eng1, c1), (eng2, c2), (both, cc)):
-            z = (eng - ref) / math.sqrt(max(eng + ref, 1))
-            assert abs(z) < 5, (eng, ref)
+    def test_afterpulse_chain_matches_scalar_walk(self):
+        """Click counts and first-live-pulse lags, with afterpulses and jitter."""
+        src = SourceParams(gamma=0.05, kappa1=0.8, kappa2=0.7)
+        det1 = DetectorParams(eta=0.6, dead_pulses=2, dark_prob=1e-3, afterpulse_prob=0.3)
+        det2 = DetectorParams(eta=0.5, dead_pulses=3, afterpulse_prob=0.6)
+        n = 100_000
+        res = run_simulation(config(
+            source=src, det1=det1, det2=det2,
+            profile=IndistinguishabilityProfile(nu_max=NU, tau=1e-13),
+            n_pulses=n, seed=19, jitter_sigma=30e-12,
+        ))
+        c1, c2 = self.scalar_clicks(src, det1, det2, n, 123456789)
+
+        def first_live_lags(clicks, det):
+            return int(np.count_nonzero(np.diff(clicks) == det.dead_pulses + 1))
+
+        engine = (res.truth.clicks1, res.truth.clicks2)
+        assert first_live_lags(engine[0], det1) > 500
+        self.assert_counts_agree(
+            [c.size for c in engine] + [first_live_lags(c, d) for c, d in zip(engine, (det1, det2))],
+            [c.size for c in (c1, c2)] + [first_live_lags(c, d) for c, d in zip((c1, c2), (det1, det2))],
+        )
+
+
+class ScriptedRng:
+    """Stands in for the generator in _detector_walk: fixed run lengths
+    (geometric draws are one more) and fixed jitter normals."""
+
+    def __init__(self, runs, jitter):
+        self.runs, self.jitter = runs, jitter
+
+    def geometric(self, p, size):
+        assert size == len(self.runs)
+        return np.asarray(self.runs, dtype=np.int64) + 1
+
+    def normal(self, loc, scale, size):
+        return np.asarray(self.jitter[:size], dtype=np.float64)
+
+
+@st.composite
+def afterpulse_cases(draw):
+    """Candidates of one shard, with repeats and dense runs, plus draws.
+
+    Run lengths 0-5 against a short shard chain afterpulses onto later
+    candidates and past the shard end; jitters and candidate offsets
+    share a range so that either can be the earlier one.
+    """
+    n_sh = draw(st.integers(1, 300))
+    pulses = draw(st.lists(st.integers(0, n_sh - 1), max_size=60))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n_sh - 1))
+        pulses += range(start, min(n_sh, start + draw(st.integers(0, 80))))
+    offsets = draw(st.lists(st.integers(-3, 12), min_size=len(pulses), max_size=len(pulses)))
+    order = np.lexsort((offsets, pulses))
+    pulses = np.asarray(pulses, dtype=np.int64)[order]
+    offsets = np.asarray(offsets, dtype=np.int64)[order]
+    dead = draw(st.one_of(st.integers(0, 6), st.sampled_from([2**31, 2**62, 2**63, 2**70])))
+    prob = draw(st.sampled_from([0.0, 0.4, 1.0]))
+    n_first = np.unique(pulses).size
+    if prob == 0.0:
+        runs = [0] * n_first
+    elif prob == 1.0:
+        runs = [n_sh] * n_first  # more than fit: the chain runs to the shard end
+    else:
+        runs = draw(st.lists(st.integers(0, 5), min_size=n_first, max_size=n_first))
+    # one jitter per pulse is enough for every afterpulse that can fire
+    jitter = np.random.default_rng(draw(st.integers(0, 2**32))).integers(-3, 13, n_sh)
+    return pulses, offsets, runs, jitter, dead, prob, n_sh
+
+
+class TestAfterpulseChain:
+    """The vectorised chain against the event-by-event walk, exactly."""
+
+    @given(afterpulse_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scalar_walk(self, case):
+        pulses, offsets, runs, jitter, dead, prob, n_sh = case
+        want = afterpulse_walk(pulses, offsets, runs, jitter, dead, n_sh)
+
+        first = np.unique(pulses)
+        keep, after = _afterpulse_chain(first, np.asarray(runs, dtype=np.int64), dead, n_sh)
+        assert first[keep].tolist() == [k for k, _, is_after in want if not is_after]
+        assert after.tolist() == [k for k, _, is_after in want if is_after]
+
+        cfg = config(jitter_sigma=30e-12)
+        det = DetectorParams(eta=0.5, dead_pulses=dead, afterpulse_prob=prob)
+        clicks, offs = _detector_walk(
+            ScriptedRng(runs, jitter), cfg, det, _ChannelPlan(pulses, offsets), n_sh
+        )
+        assert clicks.tolist() == [k for k, _, _ in want]
+        assert offs.tolist() == [o for _, o, _ in want]
+
+    def test_huge_dead_length_keeps_the_first_click(self):
+        res = run_simulation(config(
+            det1=DetectorParams(eta=0.8, dead_pulses=2**70, afterpulse_prob=1.0),
+            source=SourceParams(gamma=0.05, kappa1=1.0, kappa2=1.0),
+            seed=20,
+        ))
+        assert res.truth.clicks1.size == 1

@@ -259,6 +259,10 @@ class TestCsvRecordGrammar:
         ("D1,1e3", 10),
         ("channel,timestamp", 10),
         ("\n\nD3,12", 12),
+        ("REF\x00junk,0", 10),  # a fixed-width name field drops the NUL tail
+        ("D1\x00,5", 10),
+        ("D1,5\x00", 10),
+        ("\x00", 10),
     ])
     def test_bad_record_names_its_line(self, bad, line):
         text = csv_text() + bad + "\nD2,20\n"
@@ -270,6 +274,30 @@ class TestCsvRecordGrammar:
         path.write_bytes((csv_text() + "\n# divider = 7\n").encode().replace(b"\n", b"\r\n"))
         with pytest.raises(FormatError, match="^line 11: bad record '# divider = 7'"):
             read_tags_csv(path)
+
+    @pytest.mark.parametrize("bad", ["REF\x00junk,0", "D1\x00,5"])
+    def test_nul_in_a_file_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "tags.csv"
+        path.write_text(csv_text() + "\n" + bad + "\nD2,20\n")
+        with pytest.raises(FormatError, match="^line 11: bad record"):
+            read_tags_csv(path)
+
+    def test_unseekable_source_reads_and_names_bad_lines(self):
+        class Unseekable(io.StringIO):
+            def seekable(self):
+                return False
+
+        assert read_tags_csv(Unseekable(csv_text())) == make_stream([0, 1], [0, 5])
+        with pytest.raises(FormatError, match=r"^line 10: bad record 'D1\\x00,5'"):
+            read_tags_csv(Unseekable(csv_text() + "D1\x00,5\n"))
+
+    def test_file_and_text_sources_read_alike(self, tmp_path):
+        text = "\n# note\n" + csv_text((0, 2, 1), (0, 3, 9)) + "\n\nD1,+0012 \nREF,18446744073709551615\n"
+        path = tmp_path / "tags.csv"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        from_path = read_tags_csv(path)
+        assert from_path == read_tags_csv(io.StringIO(text))
+        assert from_path.timestamps.tolist() == [0, 3, 9, 12, 2**64 - 1]
 
     def test_undecodable_bytes_are_a_format_error(self, tmp_path):
         path = tmp_path / "tags.csv"
