@@ -30,7 +30,6 @@ from .errors import (
 )
 from .model import (
     DetectorParams,
-    EffectiveEfficiency,
     IndistinguishabilityProfile,
     OutputDistribution,
     SourceParams,
@@ -39,7 +38,6 @@ from .model import (
     heralded_fidelity,
     invert_cwr_for_eta1,
     invert_cwr_for_eta2_unheralded,
-    nu_of_delay,
     output_distribution,
     p_c2_given_nc1_approx,
     p_c2_given_nc1_exact,

@@ -208,23 +208,20 @@ def _weighted_jacobian(x: np.ndarray, w: np.ndarray, b, t0, s) -> np.ndarray:
     return jac
 
 
-def gaussian_fit(points: Iterable, hint: str = "auto") -> FitResult:
+def gaussian_fit(points: Iterable) -> FitResult:
     """Weighted Gaussian fit of (delta_t, rate, stderr) points.
 
     Initialization is deterministic: baseline from the outer quartile
-    points, amplitude from the mid-span point, center at the largest
-    deviation from baseline, width a sixth of the span. hint "peak" or
-    "dip" forces the starting amplitude sign; "auto" keeps it as found.
-    Iterates a damped weighted least-squares step until the relative
-    parameter change drops below 1e-9 or the weighted cost stops
-    improving, raising FitConvergenceError with a residual report after
-    200 iterations. The center is constrained to the sampled delay
+    points, amplitude (and so the peak or dip sign) from the mid-span
+    point, center at the largest deviation from baseline, width a sixth
+    of the span. Iterates a damped weighted least-squares step until the
+    relative parameter change drops below 1e-9 or the weighted cost
+    stops improving, raising FitConvergenceError with a residual report
+    after 200 iterations. The center is constrained to the sampled delay
     range and the width to [half the point spacing, twice the span]:
     narrower spikes would fit a single sample, which the data cannot
     distinguish from noise.
     """
-    if hint not in ("peak", "dip", "auto"):
-        raise ValidationError(f"hint must be peak, dip or auto, got {hint!r}")
     x, y, err = _fit_points(points)
     n = x.size
     span = x[-1] - x[0]
@@ -244,10 +241,6 @@ def gaussian_fit(points: Iterable, hint: str = "auto") -> FitResult:
     a0 = float(np.mean(np.concatenate([y[:q], y[-q:]])))
     center_idx = int(np.argmin(np.abs(x - 0.5 * (x[0] + x[-1]))))
     b0 = float(y[center_idx] - a0)
-    if hint == "peak":
-        b0 = abs(b0)
-    elif hint == "dip":
-        b0 = -abs(b0)
     t00 = float(x[int(np.argmax(np.abs(y - a0)))])
     theta = np.array([a0, b0, t00, span / 6.0])
 

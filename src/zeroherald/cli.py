@@ -184,7 +184,7 @@ def _fit_series(summaries):
     for name in ("heralded_rate", "singles2", "coincidence"):
         points = analysis.series_points(summaries, name)
         try:
-            fits[name] = analysis.gaussian_fit(points, hint="auto")
+            fits[name] = analysis.gaussian_fit(points)
         except NumericalError as exc:
             print(f"note: {name} fit skipped: {exc}", file=sys.stderr)
     return fits

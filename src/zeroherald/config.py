@@ -22,7 +22,6 @@ Keys (defaults in parentheses):
     out_gate_dark_rate (240)       Hz of gate-rejectable darks; an
                                    engineering default, not a measured
                                    device value
-    n_shards (1)
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ _FLOAT_KEYS = {
     "afterpulse_prob1", "afterpulse_prob2", "nu_max", "tau", "delta_t",
     "rep_period", "timebin", "jitter_sigma", "gate_window", "out_gate_dark_rate",
 }
-_INT_KEYS = {"dead_pulses1", "dead_pulses2", "divider", "n_pulses", "seed", "n_shards"}
+_INT_KEYS = {"dead_pulses1", "dead_pulses2", "divider", "n_pulses", "seed"}
 _STR_KEYS = {"profile_shape"}
 _LIST_KEYS = {"profile_delays", "profile_values"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
@@ -56,7 +55,7 @@ _DEFAULTS = {
     "profile_shape": "gaussian",
     "delta_t": "0", "rep_period": "10e-9", "timebin": "81e-12",
     "divider": "512", "jitter_sigma": "0", "gate_window": "2e-9",
-    "out_gate_dark_rate": "240", "n_shards": "1",
+    "out_gate_dark_rate": "240",
 }
 
 
@@ -168,7 +167,7 @@ def build_sim_config(raw: dict[str, str], overrides: dict[str, str] | None = Non
         timebin=values["timebin"], divider=values["divider"],
         n_pulses=values["n_pulses"], seed=values["seed"],
         jitter_sigma=values["jitter_sigma"], gate_window=values["gate_window"],
-        out_gate_dark_rate=values["out_gate_dark_rate"], n_shards=values["n_shards"],
+        out_gate_dark_rate=values["out_gate_dark_rate"],
     )
 
 
@@ -205,7 +204,6 @@ def config_dict(cfg: SimConfig) -> dict:
         "jitter_sigma": cfg.jitter_sigma,
         "gate_window": cfg.gate_window,
         "out_gate_dark_rate": cfg.out_gate_dark_rate,
-        "n_shards": cfg.n_shards,
     }
     if cfg.profile.shape == "tabulated":
         out["profile_delays"] = list(map(float, cfg.profile.delays))

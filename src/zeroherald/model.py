@@ -31,9 +31,7 @@ __all__ = [
     "SourceParams",
     "DetectorParams",
     "IndistinguishabilityProfile",
-    "EffectiveEfficiency",
     "OutputDistribution",
-    "nu_of_delay",
     "p_noclick_given_n",
     "success_probability",
     "heralded_fidelity",
@@ -169,36 +167,6 @@ class IndistinguishabilityProfile:
                 )
             out = np.interp(dt, self.delays, self.values)
         return out if np.ndim(delta_t) else float(out)
-
-
-def nu_of_delay(profile: IndistinguishabilityProfile, delta_t):
-    """Evaluate a profile; accepts scalars or arrays of delays."""
-    return profile.nu(delta_t)
-
-
-@dataclass(frozen=True)
-class EffectiveEfficiency:
-    """Detector efficiency folded with the source transmissions."""
-
-    eta_prime: float
-
-    def __post_init__(self):
-        _check_unit("eta_prime", self.eta_prime)
-
-    @classmethod
-    def from_components(cls, kappa1: float, kappa2: float, eta: float) -> "EffectiveEfficiency":
-        _check_unit("kappa1", kappa1)
-        _check_unit("kappa2", kappa2)
-        _check_unit("eta", eta)
-        return cls(math.sqrt(kappa1 * kappa2) * eta)
-
-    def __float__(self) -> float:
-        return self.eta_prime
-
-
-def _eff(value) -> float:
-    """Coerce a float or EffectiveEfficiency to a checked float."""
-    return _check_unit("effective efficiency", float(value))
 
 
 @dataclass(frozen=True)
@@ -356,8 +324,8 @@ def p_c2_given_nc1_approx(eta1p, eta2p, gamma: float, nu: float) -> float:
     (gamma*eta2'/4) * (4 - eta2' - 2*eta1' + nu*(2*eta1' - eta2')), with
     effective efficiencies eta_i' = sqrt(k1*k2)*eta_i.
     """
-    e1 = _eff(eta1p)
-    e2 = _eff(eta2p)
+    e1 = _check_unit("effective efficiency", eta1p)
+    e2 = _check_unit("effective efficiency", eta2p)
     _check_unit("gamma", gamma)
     _check_unit("nu", nu)
     return (gamma * e2 / 4.0) * (4.0 - e2 - 2.0 * e1 + nu * (2.0 * e1 - e2))
@@ -371,8 +339,8 @@ def cwr_approx(eta1p, eta2p, nu_max: float) -> float:
     Above 1 the curve is a peak, below 1 a dip; eta1' = eta2'/2 hides the
     structure entirely.
     """
-    e1 = _eff(eta1p)
-    e2 = _eff(eta2p)
+    e1 = _check_unit("effective efficiency", eta1p)
+    e2 = _check_unit("effective efficiency", eta2p)
     _check_unit("nu_max", nu_max)
     denom = 4.0 - 2.0 * e1 - e2
     if denom <= 0.0:
@@ -389,7 +357,7 @@ def invert_cwr_for_eta1(cwr: float, eta2p, nu_max: float) -> float:
     attainable band [cwr at eta1'=0, cwr at eta1'=1] for the given eta2'
     and nu_max.
     """
-    e2 = _eff(eta2p)
+    e2 = _check_unit("effective efficiency", eta2p)
     _check_unit("nu_max", nu_max)
     if not math.isfinite(cwr) or cwr <= 0:
         raise ValidationError(f"cwr must be a positive finite number, got {cwr!r}")
@@ -455,8 +423,8 @@ def curve_grid(
     The cwr column is the heralded rate normalized to its own wings, so
     it reads the center-to-wings ratio at delay 0 and tends to 1 far out.
     """
-    e1p = EffectiveEfficiency.from_components(src.kappa1, src.kappa2, eta1)
-    e2p = EffectiveEfficiency.from_components(src.kappa1, src.kappa2, eta2)
+    e1p = src.kappa_tilde * _check_unit("eta", eta1)
+    e2p = src.kappa_tilde * _check_unit("eta", eta2)
     rows = []
     for dt in delays:
         nu = profile.nu(float(dt))

@@ -22,18 +22,18 @@ r = 1..L and the next click is the first candidate at or past
 k + (L+1)*(dead+1), so the accepted clicks are one chain through the
 candidates, collected by pointer doubling.
 
-All randomness comes from counter-based generators keyed by (seed,
-shard index), so a config is reproducible tag-for-tag regardless of
-how the shards are executed. The scalar helpers sample_trial and
-detect_pulse define the per-pulse semantics the vectorized engine
-implements in aggregate; they share the physics but not the draw
-order, so they are statistical twins, not bitwise ones.
+All randomness of a run comes from one counter-based Philox generator
+keyed by (seed, 0), so a config is reproducible tag-for-tag. The
+scalar helpers sample_trial and detect_pulse define the per-pulse
+semantics the vectorized engine implements in aggregate; they share
+the physics but not the draw order, so they are statistical twins, not
+bitwise ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -98,15 +98,12 @@ class SimConfig:
     jitter_sigma: float = 0.0
     gate_window: float = 2e-9
     out_gate_dark_rate: float = 240.0
-    n_shards: int = 1
 
     def __post_init__(self):
         if not isinstance(self.n_pulses, (int, np.integer)) or self.n_pulses < 1:
             raise ValidationError(f"n_pulses must be a positive integer, got {self.n_pulses!r}")
         if not isinstance(self.divider, (int, np.integer)) or self.divider < 1:
             raise ValidationError(f"divider must be a positive integer, got {self.divider!r}")
-        if not isinstance(self.n_shards, (int, np.integer)) or self.n_shards < 1:
-            raise ValidationError(f"n_shards must be a positive integer, got {self.n_shards!r}")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
             raise ValidationError("seed must be an unsigned 64-bit integer")
         for name in ("rep_period", "timebin", "gate_window"):
@@ -178,10 +175,7 @@ class SimConfig:
         return self.profile.nu(self.delta_t)
 
     def provenance(self) -> str:
-        return (
-            f"philox4x64 seed={self.seed} shards={self.n_shards} "
-            f"delta_t={self.delta_t!r}"
-        )
+        return f"philox4x64 seed={self.seed} delta_t={self.delta_t!r}"
 
 
 class TrialOutcome(NamedTuple):
@@ -270,14 +264,6 @@ class SimTruth:
     ingate_clicks1: np.ndarray
     ingate_clicks2: np.ndarray
 
-    def photons_by_pulse(self, arm: int, n_pulses: int) -> np.ndarray:
-        """Dense photon-number array for one arm (1 or 2)."""
-        counts = np.zeros(n_pulses, dtype=np.uint8)
-        src = self.m if arm == 1 else self.n
-        keep = self.pair_pulses < n_pulses
-        counts[self.pair_pulses[keep]] = src[keep]
-        return counts
-
 
 @dataclass
 class SimResult:
@@ -360,17 +346,17 @@ def _channel_plan(
     det: DetectorParams,
     pair_pulses: np.ndarray,
     photons: np.ndarray,
-    n_sh: int,
+    n_pulses: int,
 ) -> _ChannelPlan:
-    """Draw all candidate events for one detector within one shard."""
+    """Draw all candidate events for one detector over the run."""
     hit = _click_candidates(rng, photons, det.eta)
     photon_pulses = pair_pulses[hit]
     photon_offsets = _jitter_offsets(rng, photon_pulses.size, cfg)
 
-    dark_pulses = _event_pulses(rng, det.dark_prob, n_sh)
+    dark_pulses = _event_pulses(rng, det.dark_prob, n_pulses)
     dark_offsets = rng.integers(0, cfg.ingate_bins, size=dark_pulses.size, dtype=np.int64)
 
-    og_pulses = _event_pulses(rng, cfg.p_out_gate_dark, n_sh)
+    og_pulses = _event_pulses(rng, cfg.p_out_gate_dark, n_pulses)
     if og_pulses.size:
         og_offsets = rng.integers(
             cfg.ingate_bins, cfg.period_tb, size=og_pulses.size, dtype=np.int64
@@ -384,20 +370,21 @@ def _channel_plan(
     return _ChannelPlan(pulses[order], offsets[order])
 
 
-def _afterpulse_chain(pulses: np.ndarray, runs: np.ndarray, dead: int, n_sh: int):
+def _afterpulse_chain(pulses: np.ndarray, runs: np.ndarray, dead: int, n_pulses: int):
     """Accepted candidates and afterpulse pulses of one detector.
 
-    pulses are sorted, distinct candidate pulses in [0, n_sh). A click
-    at pulses[i] fires afterpulses at pulses[i] + r*(dead+1) for
+    pulses are sorted, distinct candidate pulses in [0, n_pulses). A
+    click at pulses[i] fires afterpulses at pulses[i] + r*(dead+1) for
     r = 1..runs[i]; its successor is the first candidate at or past
     pulses[i] + (runs[i]+1)*(dead+1), and the chain from candidate 0
-    follows those successors. Capping runs at the slots left in the
-    shard and the step at n_sh drops the afterpulses at or past n_sh,
-    changes nothing else and keeps every sum below 2*n_sh. Returns the
-    accepted candidate indices and the sorted afterpulse pulses.
+    follows those successors. Capping runs at the slots left before the
+    end of the run and the step at n_pulses drops the afterpulses at or
+    past n_pulses, changes nothing else and keeps every sum below
+    2*n_pulses. Returns the accepted candidate indices and the sorted
+    afterpulse pulses.
     """
-    step = min(int(dead) + 1, n_sh)
-    runs = np.minimum(runs, (n_sh - 1 - pulses) // step)
+    step = min(int(dead) + 1, n_pulses)
+    runs = np.minimum(runs, (n_pulses - 1 - pulses) // step)
     keep = _chain_from_first(np.searchsorted(pulses, pulses + (runs + 1) * step))
     counts = runs[keep]
     # the afterpulses after keep[i] are 1..counts[i] steps on from it
@@ -410,7 +397,7 @@ def _detector_walk(
     cfg: SimConfig,
     det: DetectorParams,
     plan: _ChannelPlan,
-    n_sh: int,
+    n_pulses: int,
 ):
     """Run dead time and afterpulsing over sorted candidates.
 
@@ -422,8 +409,7 @@ def _detector_walk(
     order: one L per pulse with candidates, then one jitter per emitted
     afterpulse in pulse order. An afterpulse on a pulse with candidates
     takes the earlier of its jitter and their time. Afterpulses past the
-    shard end are dropped with the dead state (documented boundary bias
-    <= dead_pulses / shard length).
+    end of the run are dropped.
     """
     first = _first_of_runs(plan.pulses)
     pulses, offsets = plan.pulses[first], plan.offsets[first]
@@ -432,9 +418,9 @@ def _detector_walk(
         runs = np.zeros(pulses.size, dtype=np.int64)
     elif p < 1.0:
         runs = rng.geometric(1.0 - p, size=pulses.size) - 1
-    else:  # every click re-arms: the chain runs to the shard end
-        runs = np.full(pulses.size, n_sh, dtype=np.int64)
-    keep, after = _afterpulse_chain(pulses, runs, det.dead_pulses, n_sh)
+    else:  # every click re-arms: the chain runs to the end of the run
+        runs = np.full(pulses.size, n_pulses, dtype=np.int64)
+    keep, after = _afterpulse_chain(pulses, runs, det.dead_pulses, n_pulses)
     after_offsets = _jitter_offsets(rng, after.size, cfg)
     at = np.minimum(np.searchsorted(pulses, after), pulses.size - 1)
     on = pulses[at] == after
@@ -442,11 +428,6 @@ def _detector_walk(
     clicks = np.concatenate((pulses[keep], after))
     order = np.argsort(clicks, kind="stable")
     return clicks[order], np.concatenate((offsets[keep], after_offsets))[order]
-
-
-def _shard_bounds(n_pulses: int, n_shards: int) -> list[tuple[int, int]]:
-    edges = [n_pulses * s // n_shards for s in range(n_shards + 1)]
-    return [(edges[s], edges[s + 1]) for s in range(n_shards) if edges[s + 1] > edges[s]]
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -458,48 +439,28 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     out-of-gate positions for dark clicks). Identical configs produce
     byte-identical streams.
     """
-    nu = cfg.nu
     period = cfg.period_tb
-    pair_parts = []
-    m_parts = []
-    n_parts = []
-    det_parts: dict[Channel, list[tuple[np.ndarray, np.ndarray]]] = {
-        Channel.D1: [],
-        Channel.D2: [],
+    # the key's second word stays 0: every stream so far was drawn with
+    # (seed, 0), so keeping it keeps them all bit-identical
+    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64)))
+    pair_pulses = _event_pulses(rng, cfg.source.gamma, cfg.n_pulses)
+    m, n = _pair_outcomes(rng, cfg.source, cfg.nu, pair_pulses.size)
+    plan1 = _channel_plan(rng, cfg, cfg.det1, pair_pulses, m, cfg.n_pulses)
+    plan2 = _channel_plan(rng, cfg, cfg.det2, pair_pulses, n, cfg.n_pulses)
+    walks = {
+        Channel.D1: _detector_walk(rng, cfg, cfg.det1, plan1, cfg.n_pulses),
+        Channel.D2: _detector_walk(rng, cfg, cfg.det2, plan2, cfg.n_pulses),
     }
-    for shard_index, (lo, hi) in enumerate(_shard_bounds(cfg.n_pulses, cfg.n_shards)):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([cfg.seed, shard_index], dtype=np.uint64))
-        )
-        n_sh = hi - lo
-        pair_local = _event_pulses(rng, cfg.source.gamma, n_sh)
-        m, n = _pair_outcomes(rng, cfg.source, nu, pair_local.size)
-        plan1 = _channel_plan(rng, cfg, cfg.det1, pair_local, m, n_sh)
-        plan2 = _channel_plan(rng, cfg, cfg.det2, pair_local, n, n_sh)
-        clk1, off1 = _detector_walk(rng, cfg, cfg.det1, plan1, n_sh)
-        clk2, off2 = _detector_walk(rng, cfg, cfg.det2, plan2, n_sh)
-        pair_parts.append(pair_local + lo)
-        m_parts.append(m)
-        n_parts.append(n)
-        det_parts[Channel.D1].append((clk1 + lo, off1))
-        det_parts[Channel.D2].append((clk2 + lo, off2))
-
-    pair_pulses = np.concatenate(pair_parts) if pair_parts else np.empty(0, np.int64)
-    m_all = np.concatenate(m_parts) if m_parts else np.empty(0, np.uint8)
-    n_all = np.concatenate(n_parts) if n_parts else np.empty(0, np.uint8)
 
     channels = [np.zeros(len(range(0, cfg.n_pulses, cfg.divider)), dtype=np.uint8)]
     ref_times = np.arange(0, cfg.n_pulses, cfg.divider, dtype=np.int64) * period
     times = [ref_times]
     clicks = {}
     ingate = {}
-    for ch in (Channel.D1, Channel.D2):
-        parts = det_parts[ch]
-        pulses = np.concatenate([p for p, _ in parts]) if parts else np.empty(0, np.int64)
-        offs = np.concatenate([o for _, o in parts]) if parts else np.empty(0, np.int64)
+    for ch, (pulses, offs) in walks.items():
         stamps = pulses * period + offs
         keep = stamps >= 0  # negative jitter ahead of pulse 0 has nowhere to go
-        clicks[ch] = pulses.copy()
+        clicks[ch] = pulses
         ingate[ch] = pulses[(offs >= 0) & (offs < cfg.window_tb)]
         channels.append(np.full(keep.sum(), int(ch), dtype=np.uint8))
         times.append(stamps[keep])
@@ -517,8 +478,8 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     )
     truth = SimTruth(
         pair_pulses=pair_pulses,
-        m=m_all,
-        n=n_all,
+        m=m,
+        n=n,
         clicks1=clicks[Channel.D1],
         clicks2=clicks[Channel.D2],
         ingate_clicks1=ingate[Channel.D1],

@@ -31,7 +31,7 @@ import re
 import struct
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -135,9 +135,6 @@ class TagStream:
         """Iterate tags as TimeTag objects (convenience, not bulk API)."""
         for ch, ts in zip(self.channels, self.timestamps):
             yield TimeTag(Channel(int(ch)), int(ts))
-
-    def with_provenance(self, note: str) -> "TagStream":
-        return replace(self, provenance=note)
 
 
 @contextmanager

@@ -60,7 +60,7 @@ def greedy_dead_time(click_pulses, dead):
     return np.array(accepted, dtype=np.int64)
 
 
-def afterpulse_walk(pulses, offsets, runs, jitter, dead, n_sh):
+def afterpulse_walk(pulses, offsets, runs, jitter, dead, n_pulses):
     """Walk a detector's candidates and afterpulses in pulse order.
 
     pulses/offsets are the candidates sorted by (pulse, offset), repeats
@@ -69,7 +69,7 @@ def afterpulse_walk(pulses, offsets, runs, jitter, dead, n_sh):
     first candidate at a live pulse clicks and arms its run length; every
     click, while armed afterpulses are left, spends one to schedule a
     click at the first live pulse, which absorbs candidates there and
-    takes the earlier time. Nothing at or past n_sh fires.
+    takes the earlier time. Nothing at or past n_pulses fires.
 
     Returns (pulse, offset, is_afterpulse) per click, in order.
     """
@@ -89,7 +89,7 @@ def afterpulse_walk(pulses, offsets, runs, jitter, dead, n_sh):
             pending = None
         else:
             best, is_after = None, False
-        if k >= n_sh:
+        if k >= n_pulses:
             break
         while i < len(cands) and cands[i][0] == k:
             best = cands[i][1] if best is None else min(best, cands[i][1])

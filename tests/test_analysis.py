@@ -190,13 +190,6 @@ class TestGaussianFit:
         with pytest.raises(WrongShapeError):
             visibility(fit)
 
-    def test_hint_forces_amplitude_sign(self):
-        # a dip hint on peaked data still converges to the peak; the
-        # hint only sets the starting sign, not the result
-        peak = gauss_points(0.01, 0.002, 0.0, 1e-13, GRID)
-        assert gaussian_fit(peak, hint="dip").b == pytest.approx(0.002, rel=1e-6)
-        assert gaussian_fit(peak, hint="peak").b == pytest.approx(0.002, rel=1e-6)
-
     def test_flat_data_short_circuits(self):
         fit = gaussian_fit([(float(x), 0.25, 1e-3) for x in GRID])
         assert fit.b == 0.0
@@ -260,8 +253,6 @@ class TestGaussianFit:
 
     def test_validation(self):
         pts = gauss_points(0.01, 0.002, 0.0, 1e-13, GRID)
-        with pytest.raises(ValidationError, match="hint"):
-            gaussian_fit(pts, hint="bump")
         with pytest.raises(ValidationError, match="at least 5"):
             gaussian_fit(pts[:4])
         with pytest.raises(ValidationError, match="finite"):

@@ -123,6 +123,7 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "run.zht.manifest.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["config"]["gamma"] == 5e-3
+        assert "n_shards" not in manifest["config"]
         assert manifest["outputs"][str(out)] == sha256(out)
         assert manifest["inputs"][str(cfg_path)] == sha256(cfg_path)
         assert manifest["timing_s"] > 0

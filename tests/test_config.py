@@ -81,7 +81,6 @@ class TestBuildSimConfig:
         assert cfg.divider == 512
         assert cfg.gate_window == 2e-9
         assert cfg.out_gate_dark_rate == 240.0
-        assert cfg.n_shards == 1
 
     def test_whole_scientific_int(self):
         assert build_sim_config(raw(drop=("seed",)) | {"seed": "1e3"}).seed == 1000
@@ -102,6 +101,11 @@ class TestBuildSimConfig:
         bad = raw() | {"zeta": "1", "alpha": "2"}
         with pytest.raises(ConfigError, match="unknown config keys: alpha, zeta"):
             build_sim_config(bad)
+
+    def test_n_shards_is_not_a_key(self):
+        # a run is one generator over all its pulses; there is no shard count
+        with pytest.raises(ConfigError, match="unknown config keys: n_shards"):
+            build_sim_config(raw() | {"n_shards": "4"})
 
     def test_missing_required_listed(self):
         with pytest.raises(ConfigError, match="missing required config keys: gamma, seed"):

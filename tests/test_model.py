@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from zeroherald import (
     DetectorParams,
-    EffectiveEfficiency,
     IndistinguishabilityProfile,
     SourceParams,
     curve_grid,
@@ -245,9 +244,9 @@ class TestCwr:
         assert cwr_approx(e1, e2, 0.0) == 1.0
 
     def test_accepts_effective_efficiency_wrapper(self):
-        e1 = EffectiveEfficiency.from_components(0.25, 0.25, 0.64)
-        assert float(e1) == pytest.approx(0.16, rel=1e-14)
-        assert cwr_approx(e1, 0.15, 0.975) == pytest.approx(
+        # an effective efficiency sqrt(k1*k2)*eta is a plain float:
+        # sqrt(0.25*0.25)*0.64 = 0.16
+        assert cwr_approx(0.16, 0.15, 0.975) == pytest.approx(
             1.0469546742209632, rel=1e-14
         )
 

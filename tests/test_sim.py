@@ -145,17 +145,6 @@ class TestDeterminism:
         b = run_simulation(config(seed=43))
         assert a.stream != b.stream
 
-    def test_sharded_run_is_deterministic(self):
-        a = run_simulation(config(n_shards=4))
-        b = run_simulation(config(n_shards=4))
-        assert a.stream == b.stream
-
-    def test_shard_counts_consistent_with_single_shard(self):
-        one = run_simulation(config(n_pulses=512 * 100 + 1))
-        four = run_simulation(config(n_pulses=512 * 100 + 1, n_shards=4))
-        c1 = one.truth.clicks1.size
-        c4 = four.truth.clicks1.size
-        assert abs(c1 - c4) < 5 * math.sqrt(c1 + c4 + 1)
 
 
 class TestGoldenStreams:
@@ -222,14 +211,6 @@ class TestStreamShape:
             assert np.all(offsets < window_tb) == (
                 t.size == ingate.size
             )
-
-    def test_truth_photons_dense_view(self):
-        res = run_simulation(config())
-        dense = res.truth.photons_by_pulse(1, res.config.n_pulses)
-        assert dense.sum() == res.truth.m.sum()
-        np.testing.assert_array_equal(
-            np.flatnonzero(dense), res.truth.pair_pulses[res.truth.m > 0]
-        )
 
 
 class TestTruthMatchesPipeline:
@@ -454,17 +435,17 @@ class ScriptedRng:
 
 @st.composite
 def afterpulse_cases(draw):
-    """Candidates of one shard, with repeats and dense runs, plus draws.
+    """Candidates of one run, with repeats and dense runs, plus draws.
 
-    Run lengths 0-5 against a short shard chain afterpulses onto later
-    candidates and past the shard end; jitters and candidate offsets
+    Run lengths 0-5 against a short run chain afterpulses onto later
+    candidates and past the end of the run; jitters and candidate offsets
     share a range so that either can be the earlier one.
     """
-    n_sh = draw(st.integers(1, 300))
-    pulses = draw(st.lists(st.integers(0, n_sh - 1), max_size=60))
+    n_pulses = draw(st.integers(1, 300))
+    pulses = draw(st.lists(st.integers(0, n_pulses - 1), max_size=60))
     if draw(st.booleans()):
-        start = draw(st.integers(0, n_sh - 1))
-        pulses += range(start, min(n_sh, start + draw(st.integers(0, 80))))
+        start = draw(st.integers(0, n_pulses - 1))
+        pulses += range(start, min(n_pulses, start + draw(st.integers(0, 80))))
     offsets = draw(st.lists(st.integers(-3, 12), min_size=len(pulses), max_size=len(pulses)))
     order = np.lexsort((offsets, pulses))
     pulses = np.asarray(pulses, dtype=np.int64)[order]
@@ -475,12 +456,12 @@ def afterpulse_cases(draw):
     if prob == 0.0:
         runs = [0] * n_first
     elif prob == 1.0:
-        runs = [n_sh] * n_first  # more than fit: the chain runs to the shard end
+        runs = [n_pulses] * n_first  # more than fit: the chain runs to the end
     else:
         runs = draw(st.lists(st.integers(0, 5), min_size=n_first, max_size=n_first))
     # one jitter per pulse is enough for every afterpulse that can fire
-    jitter = np.random.default_rng(draw(st.integers(0, 2**32))).integers(-3, 13, n_sh)
-    return pulses, offsets, runs, jitter, dead, prob, n_sh
+    jitter = np.random.default_rng(draw(st.integers(0, 2**32))).integers(-3, 13, n_pulses)
+    return pulses, offsets, runs, jitter, dead, prob, n_pulses
 
 
 class TestAfterpulseChain:
@@ -489,18 +470,18 @@ class TestAfterpulseChain:
     @given(afterpulse_cases())
     @settings(max_examples=400, deadline=None)
     def test_matches_scalar_walk(self, case):
-        pulses, offsets, runs, jitter, dead, prob, n_sh = case
-        want = afterpulse_walk(pulses, offsets, runs, jitter, dead, n_sh)
+        pulses, offsets, runs, jitter, dead, prob, n_pulses = case
+        want = afterpulse_walk(pulses, offsets, runs, jitter, dead, n_pulses)
 
         first = np.unique(pulses)
-        keep, after = _afterpulse_chain(first, np.asarray(runs, dtype=np.int64), dead, n_sh)
+        keep, after = _afterpulse_chain(first, np.asarray(runs, dtype=np.int64), dead, n_pulses)
         assert first[keep].tolist() == [k for k, _, is_after in want if not is_after]
         assert after.tolist() == [k for k, _, is_after in want if is_after]
 
         cfg = config(jitter_sigma=30e-12)
         det = DetectorParams(eta=0.5, dead_pulses=dead, afterpulse_prob=prob)
         clicks, offs = _detector_walk(
-            ScriptedRng(runs, jitter), cfg, det, _ChannelPlan(pulses, offsets), n_sh
+            ScriptedRng(runs, jitter), cfg, det, _ChannelPlan(pulses, offsets), n_pulses
         )
         assert clicks.tolist() == [k for k, _, _ in want]
         assert offs.tolist() == [o for _, o, _ in want]
