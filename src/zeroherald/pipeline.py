@@ -108,7 +108,8 @@ def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
     median = float(np.median(diffs))
     if median <= 0:
         raise ClockGlitchError("reference tags do not advance", indices=[0])
-    bad = np.flatnonzero(np.abs(diffs - median) > 0.5 * stream.divider)
+    diffs -= median
+    bad = np.flatnonzero(np.abs(diffs, out=diffs) > 0.5 * stream.divider)
     if bad.size:
         raise ClockGlitchError(
             f"{bad.size} reference gap(s) deviate from the median period "
@@ -117,7 +118,7 @@ def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
         )
     n_pulses = (refs.size - 1) * stream.divider + 1
     return PulseGrid(
-        ref_times=refs.copy(),
+        ref_times=refs,  # channel_timestamps returns a fresh array
         divider=stream.divider,
         n_pulses=n_pulses,
         period_tb=median / stream.divider,
@@ -198,17 +199,20 @@ def apply_dead_time(click_pulses, dead_pulses: int) -> np.ndarray:
     blind; clicks there are dropped and do not extend the window. Input
     order does not matter; duplicates collapse. Idempotent.
 
-    The clicks are sorted and deduplicated, then thinned greedily
-    without a per-click loop: each click's next live click is found by
-    one searchsorted, and the chain of accepted clicks that starts at
-    the first one is followed by pointer doubling, so the cost is
-    O(n log n) in the number of clicks.
+    The clicks are sorted (a stable sort, linear on input that is
+    already in order) and deduplicated, then thinned greedily without a
+    per-click loop. A click is free when no earlier click's dead window
+    reaches it: every greedy chain keeps it, and one running maximum
+    finds them all. Only the contested clicks, those inside some
+    earlier window, and the free click heading each run of them go
+    through searchsorted and pointer doubling, so the cost is linear in
+    the clicks plus O(m log m) in the m contested ones.
     """
     if not isinstance(dead_pulses, (int, np.integer)) or dead_pulses < 0:
         raise ValidationError(
             f"dead_pulses must be a non-negative integer, got {dead_pulses!r}"
         )
-    clicks = np.sort(np.asarray(click_pulses, dtype=np.int64), axis=None)
+    clicks = np.sort(np.asarray(click_pulses, dtype=np.int64), axis=None, kind="stable")
     clicks = clicks[_first_of_runs(clicks)]
     return clicks[_dead_time_keep(clicks, dead_pulses)]
 
@@ -221,43 +225,66 @@ def _first_of_runs(values: np.ndarray) -> np.ndarray:
 
 
 def _dead_time_keep(pulses: np.ndarray, dead: int) -> np.ndarray:
-    """Indices of the pulses a non-paralyzable dead window keeps.
+    """Mask of the pulses a non-paralyzable dead window keeps.
 
     pulses must be sorted and distinct (int64). The first pulse is kept,
-    then, after each kept pulse k, the first pulse at or past
-    k + dead + 1: jump[i] names that successor of pulse i, with n as the
-    end sentinel, and _chain_from_first follows it.
+    then, after each kept pulse k, the first pulse past k + dead, the
+    last pulse its window blinds; _greedy_chain follows that chain.
     """
-    n = pulses.size
-    if dead == 0:
-        return np.arange(n)
-    if n == 0 or dead >= int(pulses[-1]) - int(pulses[0]):
-        return np.arange(min(n, 1))
-    # offsets from the first pulse are exact in uint64 for any int64 input
+    keep = np.zeros(pulses.size, dtype=bool)
+    keep[:1] = True
+    if pulses.size == 0 or dead >= int(pulses[-1]) - int(pulses[0]):
+        return keep
+    # offsets from the first pulse are exact in uint64 for any int64 input;
+    # dead is below the last offset here, and the window ends saturate
     offsets = pulses.view(np.uint64) - pulses[:1].view(np.uint64)
-    step = np.uint64(dead + 1)  # at most the last offset here
-    jump = np.searchsorted(offsets, offsets + step)
-    jump[offsets > offsets[-1] - step] = n  # past the end; the sum may wrap
-    return _chain_from_first(jump)
+    ends = np.minimum(offsets, np.uint64(2**64 - 1 - dead))
+    ends += np.uint64(dead)
+    return _greedy_chain(offsets, ends)
 
 
-def _chain_from_first(jump: np.ndarray) -> np.ndarray:
-    """The chain 0, jump[0], jump[jump[0]], ... below n = jump.size.
+def _greedy_chain(positions: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Mask of the greedy chain through sorted, distinct positions.
 
-    Each jump[i] lies in (i, n], n meaning the end; jump is overwritten.
-    Pointer doubling: each round appends the jumps of the chain found so
-    far, doubling its length, and squares the jump table in place (one
-    table alive next to the chain), so about log2(chain length) rounds
-    reach the end.
+    The chain keeps position 0; after keeping position i it keeps the
+    first position past ends[i], the last one that i blocks (ends[i] is
+    at least positions[i]). Index j is free when no earlier end reaches
+    it: whatever was kept before j then leads to j, so every free index
+    is kept, and one running maximum finds them all. The rest, the
+    contested indices, fall into clusters, each a run of them behind
+    one free head. A chain never leaves a cluster before the next free
+    index, so the chains of all clusters are followed at once, over the
+    clusters' indices only: searchsorted gives each its successor, and
+    pointer doubling (each round maps the chain nodes found so far by
+    the jump table, then squares the table) takes about log2 of the
+    longest chain in rounds, O(m log m) for m contested indices.
     """
-    n = jump.size
-    path = np.zeros(1, dtype=np.intp)
-    while path[-1] < n:
-        if path.size > 1:  # square between rounds, never after the last
-            jump[:] = jump.take(jump, mode="clip")
-        # clipping reads jump[n - 1], which is n, for the end index n
-        path = np.concatenate((path, jump.take(path, mode="clip")))
-    return path[path < n]
+    n = positions.size
+    keep = np.ones(n, dtype=bool)
+    if n < 2:
+        return keep
+    keep[1:] = np.maximum.accumulate(ends[:-1]) < positions[1:]
+    nodes = ~keep
+    nodes[:-1] |= nodes[1:].copy()  # each cluster's free head
+    idx = np.flatnonzero(nodes)
+    if idx.size == 0:
+        return keep
+    m = idx.size
+    head = keep[idx]
+    jump = np.searchsorted(positions[idx], ends[idx], side="right")
+    # a step onto a free index leaves the cluster: the end, m
+    jump[np.append(head, True)[jump]] = m
+    path = np.flatnonzero(head)
+    while True:
+        # clipping reads jump[m - 1], which is m, for the end index m
+        found = jump.take(path, mode="clip")
+        found = found[found < m]
+        if found.size == 0:
+            break
+        path = np.concatenate((path, found))
+        jump = jump.take(jump, mode="clip")
+    keep[idx[path]] = True
+    return keep
 
 
 @dataclass

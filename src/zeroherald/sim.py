@@ -19,8 +19,16 @@ L of afterpulses a click there would chain (geometric, P(L >= l) = p**l
 for afterpulse probability p), then one jitter per emitted afterpulse.
 A click at pulse k is followed by afterpulses at k + r*(dead+1) for
 r = 1..L and the next click is the first candidate at or past
-k + (L+1)*(dead+1), so the accepted clicks are one chain through the
-candidates, collected by pointer doubling.
+k + (L+1)*(dead+1), so the accepted clicks are one greedy chain through
+the candidates: those no earlier click can blind are kept outright, and
+pointer doubling follows the chain through the contested rest.
+
+Every event source is drawn in pulse order, so nothing is sorted from
+scratch. A stable sort merges a channel's three sorted candidate runs
+(photons, in-gate darks, out-of-gate darks) and the earliest offset per
+pulse is kept; the detector tags are merged the same way, and since
+the reference tags sit on a regular grid, one division places each
+detector tag among them.
 
 All randomness of a run comes from one counter-based Philox generator
 keyed by (seed, 0), so a config is reproducible tag-for-tag. The
@@ -45,7 +53,7 @@ from .model import (
     SourceParams,
     p_noclick_given_n,
 )
-from .pipeline import _chain_from_first, _first_of_runs
+from .pipeline import _first_of_runs, _greedy_chain
 from .tags import Channel, TagStream
 
 __all__ = [
@@ -275,7 +283,8 @@ class SimResult:
 
 
 class _ChannelPlan(NamedTuple):
-    """Per-channel candidate events, sorted by (pulse, time offset)."""
+    """Per-channel candidate events: distinct pulses in increasing order,
+    each with the earliest time offset of its candidates."""
 
     pulses: np.ndarray
     offsets: np.ndarray
@@ -295,12 +304,19 @@ def _event_pulses(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     while total <= n - 1:
         remaining = (n - total) * p
         size = int(remaining + 6.0 * math.sqrt(remaining + 1.0) + 16.0)
-        gaps = rng.geometric(p, size=size)
-        idx = total + np.cumsum(gaps) - 1
+        idx = rng.geometric(p, size=size)
+        np.cumsum(idx, out=idx)
+        idx += total - 1
         chunks.append(idx)
         total = int(idx[-1]) + 1
-    events = np.concatenate(chunks)
-    return events[events < n].astype(np.int64)
+    events = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return events[:np.searchsorted(events, n)]
+
+
+# photons at D1 (m) and D2 (n) by pair class: 0 both lost, 1 split,
+# 2 bunched into D1, 3 bunched into D2, 4 lone photon on D1, 5 on D2
+_PAIR_M = np.array([0, 1, 2, 0, 1, 0], dtype=np.uint8)
+_PAIR_N = np.array([0, 1, 0, 2, 0, 1], dtype=np.uint8)
 
 
 def _pair_outcomes(rng: np.random.Generator, src: SourceParams, nu: float, k: int):
@@ -308,23 +324,12 @@ def _pair_outcomes(rng: np.random.Generator, src: SourceParams, nu: float, k: in
     s1 = rng.random(k) < src.kappa1
     s2 = rng.random(k) < src.kappa2
     branch = rng.random(k)
-    side = rng.random(k)
-    m = np.zeros(k, dtype=np.uint8)
-    n = np.zeros(k, dtype=np.uint8)
-    both = s1 & s2
-    split = both & (branch < (1.0 - nu) / 2.0)
-    bunch1 = both & ~split & (branch < (1.0 - nu) / 2.0 + (1.0 + nu) / 4.0)
-    bunch2 = both & ~split & ~bunch1
-    m[split] = 1
-    n[split] = 1
-    m[bunch1] = 2
-    n[bunch2] = 2
-    lone = s1 ^ s2
-    lone1 = lone & (side < 0.5)
-    lone2 = lone & ~lone1
-    m[lone1] = 1
-    n[lone2] = 1
-    return m, n
+    split = (branch < (1.0 - nu) / 2.0).view(np.uint8)
+    bunched = (branch < (1.0 - nu) / 2.0 + (1.0 + nu) / 4.0).view(np.uint8) | split
+    del branch  # the side draw comes next; one float block alive at a time
+    code = (s1 & s2).view(np.uint8) * (3 - bunched - split)
+    code += (s1 ^ s2).view(np.uint8) * (4 + (rng.random(k) >= 0.5).view(np.uint8))
+    return _PAIR_M.take(code), _PAIR_N.take(code)
 
 
 def _click_candidates(rng: np.random.Generator, photons: np.ndarray, eta: float):
@@ -364,10 +369,13 @@ def _channel_plan(
     else:
         og_offsets = np.empty(0, dtype=np.int64)
 
+    # each source is sorted already: a stable sort merges the three runs
     pulses = np.concatenate([photon_pulses, dark_pulses, og_pulses])
-    offsets = np.concatenate([photon_offsets, dark_offsets, og_offsets])
-    order = np.lexsort((offsets, pulses))
-    return _ChannelPlan(pulses[order], offsets[order])
+    order = np.argsort(pulses, kind="stable")
+    pulses = pulses[order]
+    starts = np.flatnonzero(_first_of_runs(pulses))
+    offsets = np.concatenate([photon_offsets, dark_offsets, og_offsets])[order]
+    return _ChannelPlan(pulses[starts], np.minimum.reduceat(offsets, starts))
 
 
 def _afterpulse_chain(pulses: np.ndarray, runs: np.ndarray, dead: int, n_pulses: int):
@@ -380,12 +388,12 @@ def _afterpulse_chain(pulses: np.ndarray, runs: np.ndarray, dead: int, n_pulses:
     follows those successors. Capping runs at the slots left before the
     end of the run and the step at n_pulses drops the afterpulses at or
     past n_pulses, changes nothing else and keeps every sum below
-    2*n_pulses. Returns the accepted candidate indices and the sorted
+    2*n_pulses. Returns the mask of accepted candidates and the sorted
     afterpulse pulses.
     """
     step = min(int(dead) + 1, n_pulses)
     runs = np.minimum(runs, (n_pulses - 1 - pulses) // step)
-    keep = _chain_from_first(np.searchsorted(pulses, pulses + (runs + 1) * step))
+    keep = _greedy_chain(pulses, pulses + (runs + 1) * step - 1)
     counts = runs[keep]
     # the afterpulses after keep[i] are 1..counts[i] steps on from it
     rank = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + 1
@@ -399,20 +407,20 @@ def _detector_walk(
     plan: _ChannelPlan,
     n_pulses: int,
 ):
-    """Run dead time and afterpulsing over sorted candidates.
+    """Run dead time and afterpulsing over a channel plan.
 
-    Within a pulse the earliest candidate defines the click time; later
-    ones are absorbed into the same click. A click blinds the detector
-    for dead_pulses pulses and, with probability afterpulse_prob, fires
-    a spurious click at the first live pulse, which chains in turn; so
-    the run of afterpulses a click starts has P(L >= l) = p**l. Draw
-    order: one L per pulse with candidates, then one jitter per emitted
-    afterpulse in pulse order. An afterpulse on a pulse with candidates
-    takes the earlier of its jitter and their time. Afterpulses past the
-    end of the run are dropped.
+    The plan holds one candidate per pulse, the earliest, which defines
+    the click time; later ones are absorbed into the same click. A
+    click blinds the detector for dead_pulses pulses and, with
+    probability afterpulse_prob, fires a spurious click at the first
+    live pulse, which chains in turn; so the run of afterpulses a click
+    starts has P(L >= l) = p**l. Draw order: one L per pulse with
+    candidates, then one jitter per emitted afterpulse in pulse order.
+    An afterpulse on a pulse with candidates takes the earlier of its
+    jitter and their time. Afterpulses past the end of the run are
+    dropped.
     """
-    first = _first_of_runs(plan.pulses)
-    pulses, offsets = plan.pulses[first], plan.offsets[first]
+    pulses, offsets = plan
     p = det.afterpulse_prob
     if p == 0.0:  # no draws: streams without afterpulses keep theirs
         runs = np.zeros(pulses.size, dtype=np.int64)
@@ -428,6 +436,37 @@ def _detector_walk(
     clicks = np.concatenate((pulses[keep], after))
     order = np.argsort(clicks, kind="stable")
     return clicks[order], np.concatenate((offsets[keep], after_offsets))[order]
+
+
+def _merge_tags(ref_times: np.ndarray, ref_step: int, d1: np.ndarray, d2: np.ndarray):
+    """Channels and times of the stream, in time order.
+
+    ref_times is the reference grid 0, ref_step, 2*ref_step, ...; d1
+    and d2 are detector stamps in click order, almost sorted (jitter and
+    out-of-gate darks can swap neighbours), and negative ones are
+    dropped: jitter ahead of pulse 0 has nowhere to go. On equal times
+    REF comes first, then D1, then D2. A stable sort of the detector
+    stamps merges their runs; each then lands behind the
+    t // ref_step + 1 references at or before it, and the references
+    fill the other slots in order.
+    """
+    det = np.concatenate((d1, d2))
+    det_channels = np.repeat(np.array([Channel.D1, Channel.D2], dtype=np.uint8),
+                             (d1.size, d2.size))
+    kept = det >= 0
+    det, det_channels = det[kept], det_channels[kept]
+    order = np.argsort(det, kind="stable")
+    det = det[order]
+    at = np.minimum(det // ref_step + 1, ref_times.size)
+    at += np.arange(det.size)
+    is_ref = np.ones(ref_times.size + det.size, dtype=bool)
+    is_ref[at] = False
+    times = np.empty(is_ref.size, dtype=np.int64)
+    times[at] = det
+    times[is_ref] = ref_times
+    channels = np.zeros(is_ref.size, dtype=np.uint8)
+    channels[at] = det_channels[order]
+    return channels, times
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -452,28 +491,22 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         Channel.D2: _detector_walk(rng, cfg, cfg.det2, plan2, cfg.n_pulses),
     }
 
-    channels = [np.zeros(len(range(0, cfg.n_pulses, cfg.divider)), dtype=np.uint8)]
     ref_times = np.arange(0, cfg.n_pulses, cfg.divider, dtype=np.int64) * period
-    times = [ref_times]
+    stamps = {}
     clicks = {}
     ingate = {}
     for ch, (pulses, offs) in walks.items():
-        stamps = pulses * period + offs
-        keep = stamps >= 0  # negative jitter ahead of pulse 0 has nowhere to go
+        stamps[ch] = pulses * period + offs
         clicks[ch] = pulses
         ingate[ch] = pulses[(offs >= 0) & (offs < cfg.window_tb)]
-        channels.append(np.full(keep.sum(), int(ch), dtype=np.uint8))
-        times.append(stamps[keep])
-
-    all_channels = np.concatenate(channels)
-    all_times = np.concatenate(times)
-    order = np.lexsort((all_channels, all_times))
+    channels, times = _merge_tags(ref_times, cfg.divider * period,
+                                  stamps[Channel.D1], stamps[Channel.D2])
     stream = TagStream(
         timebin_ps=cfg.timebin_ps,
         rep_period_ps=cfg.rep_period_ps,
         divider=cfg.divider,
-        channels=all_channels[order],
-        timestamps=all_times[order].astype(np.uint64),
+        channels=channels,
+        timestamps=times,
         provenance=cfg.provenance(),
     )
     truth = SimTruth(

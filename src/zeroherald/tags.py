@@ -19,9 +19,10 @@ The CSV form carries the same header as "# key = value" comment lines
 plus a free-text provenance note that the fixed binary header has no
 room for, then the column header "channel,timestamp". Every line after
 it is one record NAME,DIGITS: NAME is REF, D1 or D2 and DIGITS a
-decimal below 2**64 (a plus sign, leading zeros and surrounding blanks
-are tolerated). Empty lines are skipped; anything else there, a "#"
-line included, is a FormatError naming its line.
+decimal below 2**64 (a plus sign, leading zeros and surrounding ASCII
+blanks are tolerated). Empty lines are skipped; anything else there, a
+"#" line or a character outside ASCII included, is a FormatError naming
+its line.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ _CSV_SCAN = 1 << 20  # characters per block of the NUL scan
 # what np.loadtxt accepts as a record: a known name, one comma, a
 # decimal that may carry a plus sign, leading zeros and surrounding
 # blanks; more than 20 significant digits cannot fit in a u64
-_CSV_RECORD = re.compile(r"(?:REF|D1|D2),\s*\+?0*([0-9]{1,20})\s*")
+_CSV_RECORD = re.compile(r"(?:REF|D1|D2),\s*\+?0*([0-9]{1,20})\s*", re.ASCII)
 
 
 class Channel(IntEnum):
@@ -61,6 +62,15 @@ class Channel(IntEnum):
     REF = 0
     D1 = 1
     D2 = 2
+
+
+# the writer's three-byte name fields, by channel code
+_CSV_NAMES = np.frombuffer(b"REFD1 D2 ", dtype=np.uint8).reshape(len(Channel), 3)
+# the reader's U4 name field as two 64-bit words of code points, and the
+# words of each channel's name
+_CSV_NAME_WORDS = np.dtype({"names": ["lo", "hi"], "formats": ["u8", "u8"],
+                            "offsets": [0, 8], "itemsize": _CSV_DTYPE.itemsize})
+_CSV_NAME_KEYS = np.array([c.name for c in Channel], dtype="U4").view(np.uint64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -173,14 +183,14 @@ def read_tags(source) -> TagStream:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise FormatError(f"unsupported format version {version}")
-    body = blob[_HEADER.size:]
-    if len(body) % _RECORD_DTYPE.itemsize:
-        good = len(body) // _RECORD_DTYPE.itemsize * _RECORD_DTYPE.itemsize
+    body_size = len(blob) - _HEADER.size
+    if body_size % _RECORD_DTYPE.itemsize:
+        good = body_size // _RECORD_DTYPE.itemsize * _RECORD_DTYPE.itemsize
         raise FormatError(
             f"truncated record at byte offset {_HEADER.size + good} "
-            f"({len(body) - good} trailing bytes)"
+            f"({body_size - good} trailing bytes)"
         )
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
+    records = np.frombuffer(blob, dtype=_RECORD_DTYPE, offset=_HEADER.size)
     if records.size and records["channel"].max() > max(Channel):
         bad = int(np.argmax(records["channel"] > max(Channel)))
         raise FormatError(
@@ -189,28 +199,31 @@ def read_tags(source) -> TagStream:
         )
     if timebin_ps <= 0 or rep_period_ps <= 0 or divider <= 0:
         raise FormatError("header fields must be positive")
-    ts = records["timestamp"]
-    if ts.size and np.any(ts[1:] < ts[:-1]):
+    try:
+        # the stream copies each column once and checks the order
+        return TagStream(
+            timebin_ps=int(timebin_ps),
+            rep_period_ps=int(rep_period_ps),
+            divider=int(divider),
+            channels=records["channel"],
+            timestamps=records["timestamp"],
+            version=int(version),
+        )
+    except IntegrityError:
+        ts = records["timestamp"]
         bad = int(np.argmax(ts[1:] < ts[:-1])) + 1
         raise IntegrityError(
             f"timestamps go backwards at record {bad} (byte offset "
             f"{_HEADER.size + bad * _RECORD_DTYPE.itemsize})"
-        )
-    return TagStream(
-        timebin_ps=int(timebin_ps),
-        rep_period_ps=int(rep_period_ps),
-        divider=int(divider),
-        channels=records["channel"].copy(),
-        timestamps=records["timestamp"].copy(),
-        version=int(version),
-    )
+        ) from None
 
 
 def write_tags_csv(stream: TagStream, sink) -> None:
     """Write a stream as CSV with '# key = value' header lines.
 
-    Records go out in blocks of _CSV_BLOCK rows, each formatted by one
-    printf-style call, so memory stays bounded for any stream length.
+    Records go out in blocks of _CSV_BLOCK rows, each formatted with
+    array arithmetic by _csv_rows, so memory stays bounded for any
+    stream length.
     """
     with _opened(sink, "w") as fh:
         fh.write("# zht-csv\n")
@@ -222,13 +235,39 @@ def write_tags_csv(stream: TagStream, sink) -> None:
         flat = " ".join(stream.provenance.splitlines()) if stream.provenance else ""
         fh.write(f"# provenance = {flat}\n")
         fh.write(f"{_CSV_COLUMNS}\n")
-        names = np.array([c.name for c in Channel], dtype=object)
         for start in range(0, len(stream), _CSV_BLOCK):
-            chans = stream.channels[start:start + _CSV_BLOCK]
-            fields = [None] * (2 * chans.size)
-            fields[0::2] = names[chans].tolist()
-            fields[1::2] = stream.timestamps[start:start + _CSV_BLOCK].tolist()
-            fh.write("%s,%d\n" * chans.size % tuple(fields))
+            fh.write(_csv_rows(stream.channels[start:start + _CSV_BLOCK],
+                               stream.timestamps[start:start + _CSV_BLOCK]))
+
+
+def _csv_rows(channels: np.ndarray, timestamps: np.ndarray) -> str:
+    """NAME,DIGITS lines of one block, built as a byte matrix.
+
+    Each row is a three-byte name field, a comma, the decimal digits
+    right-aligned to the block's widest value and a newline. The digits
+    are peeled off by repeated division by 10, in uint32 once the rest
+    fits. A keep-mask drops the third name byte of D1/D2 and the leading
+    zeros; reading the kept bytes row by row gives the text.
+    """
+    top = int(timestamps.max())
+    width = len(str(top))
+    rows = np.empty((channels.size, width + 5), dtype=np.uint8)
+    for col, name_bytes in enumerate(_CSV_NAMES.T):
+        rows[:, col] = name_bytes[channels]
+    rows[:, 3] = ord(",")
+    rows[:, -1] = ord("\n")
+    keep = np.ones(rows.shape, dtype=bool)
+    np.equal(channels, Channel.REF, out=keep[:, 2])
+    rest = timestamps
+    for col in range(width + 3, 3, -1):  # units digit first
+        if top < 2**32:
+            rest = rest.astype(np.uint32, copy=False)
+        if col < width + 3:  # a zero rest left of the units is a leading zero
+            np.not_equal(rest, 0, out=keep[:, col])
+        quot = rest // 10
+        np.add(rest - quot * 10, ord("0"), out=rows[:, col], casting="unsafe")
+        rest, top = quot, top // 10
+    return rows[keep].tobytes().decode("ascii")
 
 
 def read_tags_csv(source) -> TagStream:
@@ -239,10 +278,10 @@ def read_tags_csv(source) -> TagStream:
     after it is NAME,DIGITS records only, parsed by one np.loadtxt call
     (for a path, numpy's chunked reader skips the header lines itself);
     empty lines are skipped, CRLF line ends are accepted. A comment, an
-    unknown channel name, a missing or extra column, a NUL character or
-    a timestamp that is not a u64 decimal raises FormatError naming the
-    file line. An unseekable source is copied into memory first, since
-    the body is read twice.
+    unknown channel name, a missing or extra column, a NUL or non-ASCII
+    character or a timestamp that is not a u64 decimal raises
+    FormatError naming the file line. An unseekable source is copied
+    into memory first, since the body is read twice.
     """
     with _opened(source, "r") as fh:
         try:
@@ -285,6 +324,13 @@ def _read_csv(fh, path) -> TagStream:
     if not fh.seekable():
         fh = io.StringIO(fh.read())
     body_at = fh.tell()
+    # records are ASCII, and numpy's parser must see neither a NUL (the
+    # U4 field drops trailing NULs: "D1\0" would read as D1) nor a code
+    # point far past U+FFFF in a number (numpy 2.4 can crash on one)
+    if any("\x00" in block or not block.isascii()
+           for block in iter(lambda: fh.read(_CSV_SCAN), "")):
+        raise _record_error(fh, body_at, lineno, "NUL or non-ASCII character")
+    fh.seek(body_at)
     body, skip = (fh, 0) if path is None else (path, lineno)
     try:
         with warnings.catch_warnings():
@@ -293,13 +339,11 @@ def _read_csv(fh, path) -> TagStream:
                                  skiprows=skip, encoding=getattr(fh, "encoding", None))
     except ValueError as exc:
         raise _record_error(fh, body_at, lineno, str(exc)) from None
-    # the U4 field drops trailing NULs: "D1\0" would read as D1
-    fh.seek(body_at)
-    if any("\x00" in block for block in iter(lambda: fh.read(_CSV_SCAN), "")):
-        raise _record_error(fh, body_at, lineno, "NUL character")
+    # integer compares on the name's code points, two 64-bit words each
+    words = records.view(_CSV_NAME_WORDS)
     channels = np.full(records.size, 0xFF, dtype=np.uint8)
-    for c in Channel:
-        channels[records["ch"] == c.name] = c
+    for c, (lo, hi) in zip(Channel, _CSV_NAME_KEYS):
+        channels[(words["lo"] == lo) & (words["hi"] == hi)] = c
     if np.any(channels == 0xFF):
         name = str(records["ch"][np.argmax(channels == 0xFF)])
         raise _record_error(fh, body_at, lineno, f"unknown channel name {name!r}")

@@ -10,12 +10,15 @@ n_pulses and cell_counts(), so it accepts either table.
 greedy_dead_time is the scalar walk that pipeline.apply_dead_time
 vectorises: the differential oracle for the shared dead-time thinning.
 afterpulse_walk is the event-by-event detector the simulator's
-vectorised afterpulse chain stands for.
+vectorised afterpulse chain stands for. printf_tags_csv is the CSV tag
+writer as one printf-style call per block, the reference for the byte
+matrix tags.write_tags_csv builds.
 """
 
 import numpy as np
 
 from zeroherald.pipeline import PulseState
+from zeroherald.tags import Channel
 
 
 class DenseTable:
@@ -104,3 +107,22 @@ def afterpulse_walk(pulses, offsets, runs, jitter, dead, n_pulses):
             armed -= 1
             pending = next_live
     return clicks
+
+
+def printf_tags_csv(stream, fh, block=1 << 16):
+    """Write a stream's CSV form to the text file fh, "%s,%d" per record."""
+    fh.write("# zht-csv\n")
+    fh.write(f"# version = {stream.version}\n")
+    fh.write(f"# timebin_ps = {stream.timebin_ps}\n")
+    fh.write(f"# rep_period_ps = {stream.rep_period_ps}\n")
+    fh.write(f"# divider = {stream.divider}\n")
+    flat = " ".join(stream.provenance.splitlines()) if stream.provenance else ""
+    fh.write(f"# provenance = {flat}\n")
+    fh.write("channel,timestamp\n")
+    names = np.array([c.name for c in Channel], dtype=object)
+    for start in range(0, len(stream), block):
+        chans = stream.channels[start:start + block]
+        fields = [None] * (2 * chans.size)
+        fields[0::2] = names[chans].tolist()
+        fields[1::2] = stream.timestamps[start:start + block].tolist()
+        fh.write("%s,%d\n" * chans.size % tuple(fields))

@@ -26,6 +26,8 @@ from zeroherald.pipeline import (
     PulseEventTable,
     PulseGrid,
     PulseState,
+    _dead_time_keep,
+    _greedy_chain,
     apply_dead_time,
     build_event_table,
     reconstruct_pulse_train,
@@ -250,6 +252,73 @@ class TestDeadTimeOracle:
         np.testing.assert_array_equal(
             apply_dead_time(clicks, dead), greedy_dead_time(clicks, dead)
         )
+
+
+def chain_walk(positions, ends):
+    """Keep position 0, then each first position past the last kept end."""
+    kept = []
+    for i, pos in enumerate(positions):
+        if not kept or pos > ends[kept[-1]]:
+            kept.append(i)
+    return kept
+
+
+@st.composite
+def chain_inputs(draw):
+    """Sorted distinct positions in runs, each end reaching 0-30 past its
+    position, so free heads, contested clusters and long chains mix."""
+    gaps = draw(st.lists(st.integers(1, 12), min_size=1, max_size=300))
+    positions = np.cumsum(gaps) - draw(st.integers(0, 50))
+    reach = draw(st.lists(st.integers(0, 30), min_size=len(gaps), max_size=len(gaps)))
+    return positions, positions + np.asarray(reach, dtype=np.int64)
+
+
+class TestGreedyChain:
+    """The free-index shortcut and the contested-cluster doubling,
+    against the scalar walks, on the shapes that stress each part."""
+
+    @given(chain_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_walk(self, case):
+        positions, ends = case
+        keep = _greedy_chain(positions, ends)
+        assert np.flatnonzero(keep).tolist() == chain_walk(positions.tolist(), ends.tolist())
+
+    def test_one_long_contested_run(self):
+        # every click after the first is contested: one cluster whose
+        # chain of 50,000 kept clicks takes the doubling 16 rounds
+        clicks = np.arange(100_000)
+        out = apply_dead_time(clicks, 1)
+        assert out.size == 50_000
+        np.testing.assert_array_equal(out, greedy_dead_time(clicks, 1))
+
+    def test_many_clusters_between_free_clicks(self):
+        rng = np.random.default_rng(7)
+        runs = [start + np.arange(rng.integers(1, 40)) * rng.integers(1, 3)
+                for start in np.cumsum(rng.integers(100, 200, 500))]
+        clicks = np.concatenate(runs)
+        for dead in (0, 1, 2, 5, 99):
+            np.testing.assert_array_equal(apply_dead_time(clicks, dead),
+                                          greedy_dead_time(clicks, dead))
+
+    def test_all_free(self):
+        clicks = np.cumsum(np.random.default_rng(8).integers(4, 40, 10_000))
+        assert _dead_time_keep(clicks, 3).all()
+        np.testing.assert_array_equal(apply_dead_time(clicks, 3), clicks)
+
+    @pytest.mark.parametrize("clicks, dead", [
+        # the window ends saturate at the top of uint64: the last click,
+        # 2**63 - 2 past the second, stays blind
+        ([-(2**63), 1, 2**63 - 1], 2**63),
+        ([-(2**63), -(2**63) + 1, -(2**63) + 2, 0, 2**63 - 2, 2**63 - 1], 1),
+        ([-(2**63), -(2**63) + 3, 2**62, 2**63 - 3, 2**63 - 1], 2**62),
+        ([-(2**63), 2**63 - 1], 2**64 - 2),
+        ([-(2**63), 2**63 - 1], 2**64 - 1),
+        ([-(2**63), 0, 2**63 - 1], 2**70),
+    ])
+    def test_extreme_int64_pulses(self, clicks, dead):
+        np.testing.assert_array_equal(apply_dead_time(clicks, dead),
+                                      greedy_dead_time(clicks, dead))
 
 
 class TestEventTable:

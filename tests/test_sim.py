@@ -31,6 +31,7 @@ from zeroherald.sim import (
     _afterpulse_chain,
     _ChannelPlan,
     _detector_walk,
+    _merge_tags,
     derive_delay_seed,
     detect_pulse,
     sample_trial,
@@ -197,6 +198,11 @@ class TestStreamShape:
         assert refs.size == 2
         period_tb = res.config.period_tb
         np.testing.assert_array_equal(refs, [0, 512 * period_tb])
+
+    def test_reference_on_the_last_pulse(self):
+        res = run_simulation(config(n_pulses=1025))
+        refs = res.stream.channel_timestamps(Channel.REF)
+        np.testing.assert_array_equal(refs, np.array([0, 512, 1024]) * res.config.period_tb)
 
     def test_detector_stamps_sit_in_their_gates(self):
         res = run_simulation(config())
@@ -473,7 +479,8 @@ class TestAfterpulseChain:
         pulses, offsets, runs, jitter, dead, prob, n_pulses = case
         want = afterpulse_walk(pulses, offsets, runs, jitter, dead, n_pulses)
 
-        first = np.unique(pulses)
+        # the plan keeps the earliest candidate of each pulse
+        first, at = np.unique(pulses, return_index=True)
         keep, after = _afterpulse_chain(first, np.asarray(runs, dtype=np.int64), dead, n_pulses)
         assert first[keep].tolist() == [k for k, _, is_after in want if not is_after]
         assert after.tolist() == [k for k, _, is_after in want if is_after]
@@ -481,10 +488,23 @@ class TestAfterpulseChain:
         cfg = config(jitter_sigma=30e-12)
         det = DetectorParams(eta=0.5, dead_pulses=dead, afterpulse_prob=prob)
         clicks, offs = _detector_walk(
-            ScriptedRng(runs, jitter), cfg, det, _ChannelPlan(pulses, offsets), n_pulses
+            ScriptedRng(runs, jitter), cfg, det, _ChannelPlan(first, offsets[at]), n_pulses
         )
         assert clicks.tolist() == [k for k, _, _ in want]
         assert offs.tolist() == [o for _, o, _ in want]
+
+    def test_one_long_contested_run(self):
+        # candidates on every pulse: all but the first are contested, and
+        # the chain through them holds hundreds of clicks and afterpulses
+        n_pulses = 3000
+        pulses = np.arange(n_pulses)
+        runs = np.random.default_rng(9).integers(0, 4, n_pulses)
+        for dead in (0, 2, 7):
+            want = afterpulse_walk(pulses, np.zeros(n_pulses), runs, np.zeros(n_pulses),
+                                   dead, n_pulses)
+            keep, after = _afterpulse_chain(pulses, runs, dead, n_pulses)
+            assert pulses[keep].tolist() == [k for k, _, is_after in want if not is_after]
+            assert after.tolist() == [k for k, _, is_after in want if is_after]
 
     def test_huge_dead_length_keeps_the_first_click(self):
         res = run_simulation(config(
@@ -493,3 +513,48 @@ class TestAfterpulseChain:
             seed=20,
         ))
         assert res.truth.clicks1.size == 1
+
+
+def lexsort_merge(ref_times, d1, d2):
+    """The stream order by brute force: drop negative stamps, lexsort."""
+    times = np.concatenate((ref_times, d1, d2)).astype(np.int64)
+    channels = np.repeat(np.array([0, 1, 2], dtype=np.uint8), (len(ref_times), len(d1), len(d2)))
+    kept = times >= 0
+    times, channels = times[kept], channels[kept]
+    order = np.lexsort((channels, times))
+    return channels[order], times[order]
+
+
+stamps = st.lists(st.integers(-6, 60), max_size=40)
+
+
+class TestMergeTags:
+    """Stream assembly by merging, against a lexsort of every tag."""
+
+    @given(n_refs=st.integers(1, 12), ref_step=st.integers(1, 9), d1=stamps, d2=stamps,
+           sort_detectors=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lexsort(self, n_refs, ref_step, d1, d2, sort_detectors):
+        # small ranges force ties between references and both detectors,
+        # and stamps past the last reference
+        if sort_detectors:  # click order is almost sorted in a real run
+            d1, d2 = sorted(d1), sorted(d2)
+        d1, d2 = np.asarray(d1, dtype=np.int64), np.asarray(d2, dtype=np.int64)
+        ref_times = np.arange(n_refs, dtype=np.int64) * ref_step
+        channels, times = _merge_tags(ref_times, ref_step, d1, d2)
+        want_channels, want_times = lexsort_merge(ref_times, d1, d2)
+        assert channels.dtype == np.uint8
+        assert channels.tolist() == want_channels.tolist()
+        assert times.tolist() == want_times.tolist()
+
+    def test_no_detector_tags(self):
+        empty = np.empty(0, dtype=np.int64)
+        channels, times = _merge_tags(np.arange(5) * 123, 123, empty, np.array([-4, -1]))
+        assert channels.tolist() == [0] * 5
+        assert times.tolist() == [0, 123, 246, 369, 492]
+
+    def test_ties_go_ref_then_d1_then_d2(self):
+        channels, times = _merge_tags(np.array([0, 10]), 10, np.array([10, -2, 0]),
+                                      np.array([0, 10]))
+        assert list(zip(channels.tolist(), times.tolist())) == [
+            (0, 0), (1, 0), (2, 0), (0, 10), (1, 10), (2, 10)]

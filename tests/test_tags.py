@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from zeroherald.tags import (
     write_tags,
     write_tags_csv,
 )
+
+from dense_oracle import printf_tags_csv
 
 
 def make_stream(channels, timestamps, **kw):
@@ -133,6 +136,22 @@ class TestBinaryRoundTrip:
         write_tags(s, path)
         assert read_tags(path) == s
 
+    def test_reader_copies_each_column_once(self, tmp_path):
+        # the file (9 bytes a record) plus one copy of each column, also
+        # 9 bytes a record, and the order check's mask
+        n_rows = 200_000
+        path = tmp_path / "tags.zht"
+        write_tags(make_stream(np.arange(n_rows) % 3, np.arange(n_rows)), path)
+        tracemalloc.start()
+        try:
+            back = read_tags(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.timestamps.flags.owndata and back.channels.flags.owndata
+        assert back.timestamps.flags.writeable
+        assert peak < 21 * n_rows
+
 
 class TestBinaryCorruption:
     def good_bytes(self):
@@ -178,6 +197,15 @@ class TestBinaryCorruption:
         struct.pack_into("<Q", blob, 18 + 9 + 1, 25)  # now 0, 25, 20
         with pytest.raises(IntegrityError, match="record 2"):
             read_tags(io.BytesIO(bytes(blob)))
+
+    def test_backwards_timestamps_report_byte_offset(self, tmp_path):
+        blob = self.good_bytes()
+        struct.pack_into("<Q", blob, 18 + 9 + 1, 25)
+        path = tmp_path / "tags.zht"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError, match=r"^timestamps go backwards at record 2 "
+                                                 r"\(byte offset 36\)$"):
+            read_tags(path)
 
     def test_magic_constant(self):
         assert MAGIC == b"ZHT1"
@@ -226,6 +254,83 @@ class TestCsvRoundTrip:
             read_tags_csv(io.StringIO(text))
 
 
+def edge_stream(n_rows, seed=0):
+    """n_rows sorted tags of every decimal width, with the edge values
+    0, 9, 10, 2**32 - 1, 2**32, 10**19 and 2**64 - 1 among them."""
+    rng = np.random.default_rng(seed)
+    edges = np.array([0, 9, 10, 2**32 - 1, 2**32, 10**19, 2**64 - 1], dtype=np.uint64)
+    wide = rng.integers(0, 2**64, n_rows, dtype=np.uint64, endpoint=False)
+    values = np.concatenate((edges, wide >> rng.integers(0, 64, n_rows).astype(np.uint64)))
+    return make_stream(rng.integers(0, 3, n_rows), np.sort(values[:n_rows]),
+                       provenance="edge values")
+
+
+def printf_text(stream):
+    buf = io.StringIO()
+    printf_tags_csv(stream, buf)
+    return buf.getvalue()
+
+
+class TestCsvWriterMatchesPrintf:
+    """The byte-matrix writer against the printf-style formatter, byte
+    for byte: empty, one block, one block and one row, and blocks whose
+    widest value differs."""
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 65_536, 65_537, 3 * 65_536 + 5])
+    def test_text_sink(self, n_rows):
+        stream = edge_stream(n_rows)
+        buf = io.StringIO()
+        write_tags_csv(stream, buf)
+        assert buf.getvalue() == printf_text(stream)
+
+    @pytest.mark.parametrize("top", [2**32 - 1, 2**32, 2**32 + 1, 10 * 2**32 - 1, 10 * 2**32,
+                                     10**10, 2**64 - 1])
+    def test_block_tops_near_the_uint32_switch(self, top):
+        # the digits go to uint32 once the block's rest fits; values just
+        # past 2**32, one division from it, or at the u64 top must not wrap
+        rng = np.random.default_rng(top % 1000)
+        values = np.sort(rng.integers(0, top, 500, dtype=np.uint64, endpoint=True))
+        values[-1] = top
+        stream = make_stream(rng.integers(0, 3, 500), values)
+        buf = io.StringIO()
+        write_tags_csv(stream, buf)
+        assert buf.getvalue() == printf_text(stream)
+
+    def test_path_sink(self, tmp_path):
+        stream = edge_stream(65_537, seed=1)
+        write_tags_csv(stream, tmp_path / "tags.csv")
+        with open(tmp_path / "want.csv", "w") as fh:
+            printf_tags_csv(stream, fh)
+        assert (tmp_path / "tags.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_edge_values_round_trip(self):
+        stream = edge_stream(7)
+        assert stream.timestamps.tolist() == [0, 9, 10, 2**32 - 1, 2**32, 10**19, 2**64 - 1]
+        assert read_tags_csv(io.StringIO(printf_text(stream))) == stream
+
+    def test_memory_stays_per_block(self):
+        # 16 blocks of 20-digit values: about 23 MB of text, ~6.4 MB peak
+        n_rows = 16 * 65_536
+        stream = make_stream(np.arange(n_rows) % 3,
+                             np.arange(n_rows, dtype=np.uint64) * np.uint64(10**13))
+
+        class Counting:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        sink = Counting()
+        tracemalloc.start()
+        try:
+            write_tags_csv(stream, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 20 * 2**20
+        assert peak < 12 * 2**20
+
+
 def csv_text(channels=(0, 1), timestamps=(0, 5)):
     """A valid CSV file: 7 header lines, then one record per tag."""
     buf = io.StringIO()
@@ -263,6 +368,12 @@ class TestCsvRecordGrammar:
         ("D1\x00,5", 10),
         ("D1,5\x00", 10),
         ("\x00", 10),
+        ("D1X,12", 10),  # a name that shares its first two code points
+        ("REFS,12", 10),
+        ("RE,12", 10),
+        ("D1é,5", 10),
+        ("D1,5\u2003", 10),  # a blank outside ASCII
+        ("D1,\U00077685", 10),  # a code point numpy's parser can crash on
     ])
     def test_bad_record_names_its_line(self, bad, line):
         text = csv_text() + bad + "\nD2,20\n"
@@ -275,7 +386,7 @@ class TestCsvRecordGrammar:
         with pytest.raises(FormatError, match="^line 11: bad record '# divider = 7'"):
             read_tags_csv(path)
 
-    @pytest.mark.parametrize("bad", ["REF\x00junk,0", "D1\x00,5"])
+    @pytest.mark.parametrize("bad", ["REF\x00junk,0", "D1\x00,5", "D1,\U00077685"])
     def test_nul_in_a_file_names_its_line(self, tmp_path, bad):
         path = tmp_path / "tags.csv"
         path.write_text(csv_text() + "\n" + bad + "\nD2,20\n")
