@@ -3,9 +3,13 @@
 Thirteen delay points spanning +-3 tau, 10^8 pulses each (about ten
 seconds; the simulator only touches eventful pulses). The
 heralded rate traces a peak, the raw detector-2 singles trace a
-shallow dip, and the coincidences trace the deep two-photon dip.
-Weighted Gaussian fits turn those into a center-to-wings ratio and a
-visibility, and the pair of ratios inverts back into the effective
+shallow dip, and the coincidences trace the deep two-photon dip. One
+indistinguishability profile drives all three, so scan_fit fits them
+together: one Gaussian delay shape (center and width) shared by the
+three series, each with its own baseline and amplitude. The deep dip
+pins the shape, which keeps the two shallow curves' center-to-wings
+ratios well determined, and each ratio's error includes the shape's
+uncertainty. The pair of ratios inverts back into the effective
 efficiencies the scan was generated with.
 """
 
@@ -37,9 +41,8 @@ def main():
         print(f"{s.delta_t * 1e15:+9.1f}   {s.heralded_rate:.6e}"
               f"   {s.singles2:.6e}   {s.coincidence:.6e}")
 
-    fit_h = zh.gaussian_fit(zh.series_points(summaries, "heralded_rate"))
-    fit_u = zh.gaussian_fit(zh.series_points(summaries, "singles2"))
-    fit_c = zh.gaussian_fit(zh.series_points(summaries, "coincidence"))
+    fits = zh.scan_fit(summaries)
+    fit_h, fit_u, fit_c = fits["heralded_rate"], fits["singles2"], fits["coincidence"]
     vis, vis_err = zh.visibility(fit_c)
 
     print()
@@ -49,7 +52,7 @@ def main():
           f"  (model {zh.cwr_approx(0.0, 0.15, NU_MAX):.4f})")
     print(f"coincidence dip:  visibility = {vis:.4f} +- {vis_err:.4f}"
           f"  (true {NU_MAX})")
-    print(f"fitted width:     {fit_h.sigma * 1e15:.1f} fs"
+    print(f"shared width:     {fit_h.sigma * 1e15:.1f} fs"
           f"  (tau/sqrt(2) = {TAU / np.sqrt(2) * 1e15:.1f} fs)")
 
     # the inversion amplifies the few-percent ratio errors, so expect

@@ -47,7 +47,7 @@ from .model import (
     success_probability,
     write_curve_csv,
 )
-from .tags import Channel, TagStream, TimeTag, read_tags, read_tags_csv, write_tags, write_tags_csv
+from .tags import Channel, TagStream, read_tags, read_tags_csv, write_tags, write_tags_csv
 from .pipeline import (
     GateResult,
     PulseEventTable,
@@ -78,6 +78,7 @@ from .analysis import (
     compute_rates,
     estimate_efficiencies,
     gaussian_fit,
+    scan_fit,
     series_points,
     visibility,
     write_fits_jsonl,

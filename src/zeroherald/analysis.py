@@ -2,10 +2,14 @@
 
 Rates are defined on live pulses only (neither detector dead). The
 herald signal is a live pulse where detector 1 did not click; the
-heralded rate is how often detector 2 clicked on those pulses. Curve
-fitting uses a four-parameter Gaussian with a damped weighted
-least-squares loop and fixed deterministic initialization, so a given
-point set always produces the same fit.
+heralded rate is how often detector 2 clicked on those pulses.
+
+One indistinguishability profile drives every rate series of a scan,
+so series i is fitted as a_i + b_i*g(delta_t) with one Gaussian g of
+center t0 and width sigma for all. The fit is variable projection
+(Golub & Pereyra, SIAM J. Numer. Anal. 10 (1973) 413): under a given
+shape each (a_i, b_i) is a closed-form weighted linear solve, so only
+(t0, sigma) is searched, deterministically, on batched grids.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyTableError,
@@ -37,6 +42,7 @@ __all__ = [
     "compute_rates",
     "series_points",
     "gaussian_fit",
+    "scan_fit",
     "visibility",
     "estimate_efficiencies",
     "compare_to_model",
@@ -143,9 +149,11 @@ class FitResult:
     """Gaussian fit a + b*exp(-(x-t0)^2/(2 sigma^2)) of a rate series.
 
     cwr is the fitted center-to-wings ratio (a+b)/a. visibility is
-    |b|/a and only set for dips (b < 0). Covariance is the unscaled
-    inverse of the weighted normal matrix, parameter order
-    (a, b, t0, sigma).
+    |b|/a and only set for dips (b < 0). covariance is the (a, b, t0,
+    sigma) block of the unscaled inverse weighted normal matrix of the
+    whole fit, which for k series sharing t0 and sigma has 2 + 2k
+    parameters, so the errors of a, b and cwr carry the shared shape's
+    uncertainty. n_iterations counts the rounds of the shape search.
     """
 
     a: float
@@ -184,200 +192,190 @@ def _fit_points(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if x[-1] == x[0]:
         raise ValidationError("fit needs a spread of delays")
     positive = err[err > 0]
-    if positive.size:
-        err = np.where(err > 0, err, positive.min())
-    else:
-        err = np.ones_like(err)
+    err = np.where(err > 0, err, positive.min()) if positive.size else np.ones_like(err)
     return x, y, err
 
 
-def _gauss(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    a, b, t0, s = theta
-    return a + b * np.exp(-((x - t0) ** 2) / (2.0 * s * s))
+def _shape(x: np.ndarray, t0, s) -> np.ndarray:
+    return np.exp(-((x - t0) ** 2) / (2.0 * s * s))
 
 
-def _weighted_jacobian(x: np.ndarray, w: np.ndarray, b, t0, s) -> np.ndarray:
-    """Derivatives of _gauss by (a, b, t0, sigma), each row scaled by w."""
-    dx = x - t0
-    e = np.exp(-(dx * dx) / (2.0 * s * s))
-    jac = np.empty((x.size, 4))
-    jac[:, 0] = w
-    jac[:, 1] = e * w
-    jac[:, 2] = b * e * dx / (s * s) * w
-    jac[:, 3] = b * e * dx * dx / (s ** 3) * w
-    return jac
+def _projector(x: np.ndarray, ys: np.ndarray, ws: np.ndarray):
+    """Closed-form (a, b) of every series for candidate shapes.
+
+    ys and ws are (k, n) rates and weights; the returned function takes
+    t0 and sigma broadcasting to shape S. Under a fixed shape b is the
+    weighted covariance of shape and rate over the shape's variance.
+    Returns a and b as S + (k,) and the summed weighted cost as S,
+    infinite where a shape cannot separate a from b.
+    """
+    k, w2 = len(ys), ws * ws
+    total = w2.sum(axis=1)
+    y_bar = (w2 * ys).sum(axis=1) / total
+    yc = ys - y_bar[:, None]
+    # one product gives the shapes' weighted means and covariances
+    moments = np.concatenate([w2, w2 * yc]).T / np.tile(total, 2)
+    syy = float((w2 * yc * yc).sum())
+
+    def project(t0, s):
+        e = _shape(x, t0[..., None], s[..., None])
+        e_bar, cov = np.split(e @ moments, 2, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = cov / ((e * e) @ moments[:, :k] - e_bar * e_bar)
+            cost = syy - (total * cov * b).sum(axis=-1)
+        return y_bar - b * e_bar, b, np.where(np.isfinite(cost), cost, np.inf)
+
+    return project
+
+
+def _keep(cost: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Boxes to keep around each start's best cell (i, j) of its grid.
+
+    cost is (m, p, q). A box spans the cells no costlier than the best
+    cell's worst neighbour, padded by one, two to four cells each way
+    from the best: long along a flat valley, narrow across it. Returns
+    the first and last kept index per axis as (m, 2), the best costs,
+    and bounds under the basins (a quadratic basin's minimum is above
+    the best cost less the rise to its worst neighbour).
+    """
+    at, top = np.arange(i.size), np.array(cost.shape[1:]) - 1
+    level = np.maximum.reduce([
+        cost[at, np.maximum(i - 1, 0), j], cost[at, np.minimum(i + 1, top[0]), j],
+        cost[at, i, np.maximum(j - 1, 0)], cost[at, i, np.minimum(j + 1, top[1])]])
+    kept = cost <= level[:, None, None]
+    best = np.stack([i, j], axis=1)
+    ends = [(a.argmax(axis=1), a[:, ::-1].argmax(axis=1)) for a in (kept.any(2), kept.any(1))]
+    first = np.clip(np.array([e[0] for e in ends]).T - 1, best - 4, best - 2).clip(0, None)
+    last = np.clip(top - np.array([e[1] for e in ends]).T + 1, best + 2, best + 4).clip(None, top)
+    least = cost[at, i, j]
+    return first, last, least, 2 * least - level
+
+
+def _search(x, ys, ws) -> tuple[float, float, int]:
+    """The shared (t0, sigma) of the series, by batched grid zoom.
+
+    t0 stays within the scan, sigma in [half the point spacing, twice
+    the span], searched in log sigma. Each local minimum of a 65 x 17
+    grid starts a zoom in its _keep box; a round solves a 17 x 17 grid
+    in every box at once and keeps _keep's box around each best cell,
+    until every box is below 1e-10 of the first. A box on the width
+    floor may hold a spike the samples do not resolve, so it competes
+    with its cost raised by 4 (two standard errors). The least raised
+    cost leads; a start stays while its bound is below it. Returns the
+    leading shape and the number of rounds.
+    """
+    lo = np.array([x[0], math.log(0.5 * float(np.min(np.diff(np.unique(x)))))])
+    hi = np.array([x[-1], math.log(2.0 * (x[-1] - x[0]))])
+    tol = 1e-10 * (hi - lo)
+    # the last rounds compare costs that differ by rounding only, so a
+    # box on the floor can drift off it, though by far less than this
+    floor = lo[1] + 1e-6 * (hi[1] - lo[1])
+    project = _projector(x, ys, ws)
+    t_axis, l_axis = np.linspace(lo[0], hi[0], 65), np.linspace(lo[1], hi[1], 17)
+    cost = project(t_axis[:, None], np.exp(l_axis))[2]
+    around = sliding_window_view(np.pad(cost, 1, constant_values=np.inf), (3, 3))
+    i, j = np.nonzero((cost == around.min(axis=(2, 3))) & np.isfinite(cost))
+    first, last, least, bound = _keep(np.broadcast_to(cost, (i.size,) + cost.shape), i, j)
+    lo = np.stack([t_axis[first[:, 0]], l_axis[first[:, 1]]], axis=1)
+    hi = np.stack([t_axis[last[:, 0]], l_axis[last[:, 1]]], axis=1)
+    zoom, rounds = np.linspace(0.0, 1.0, 17), 1
+    while True:
+        raised = least + 4.0 * (lo[:, 1] < floor)
+        lead = int(np.argmin(raised))
+        if rounds > 1 and not np.any(hi - lo >= tol):
+            return float(axes[lead, 0, i[lead]]), float(np.exp(axes[lead, 1, j[lead]])), rounds
+        race = bound <= raised[lead]
+        lo, hi = lo[race], hi[race]
+        rounds += 1
+        axes = lo[:, :, None] + (hi - lo)[:, :, None] * zoom
+        cost = project(axes[:, 0, :, None], np.exp(axes[:, 1, None, :]))[2]
+        i, j = np.divmod(cost.reshape(len(lo), -1).argmin(axis=1), zoom.size)
+        first, last, least, bound = _keep(cost, i, j)
+        starts = np.arange(len(lo))[:, None]
+        lo, hi = axes[starts, [0, 1], first], axes[starts, [0, 1], last]
+
+
+def _fit(x: np.ndarray, ys: list, errs: list) -> list[FitResult]:
+    """Fit series on one delay grid with one shared (t0, sigma).
+
+    A flat series has b = 0 under every shape and is reported alone. The
+    joint covariance orders the 2 + 2k parameters (a_i, b_i), t0, sigma.
+    """
+    out = [None] * len(ys)
+    for i, y in enumerate(ys):
+        if np.all(y == y[0]):
+            out[i] = FitResult(
+                a=float(y[0]), b=0.0, t0=float(0.5 * (x[0] + x[-1])), sigma=(x[-1] - x[0]) / 6.0,
+                a_err=0.0, b_err=0.0, t0_err=0.0, sigma_err=0.0, cwr=1.0 if y[0] > 0 else math.nan,
+                cwr_err=0.0, visibility=None, visibility_err=None, residual_norm=0.0,
+                n_points=x.size, n_iterations=0, covariance=np.zeros((4, 4)))
+    fitted = [i for i, fit in enumerate(out) if fit is None]
+    if not fitted:
+        return out
+    ys, ws = np.array([ys[i] for i in fitted]), 1.0 / np.array([errs[i] for i in fitted])
+    t0, s, rounds = _search(x, ys, ws)
+    a, b, cost = _projector(x, ys, ws)(np.float64(t0), np.float64(s))
+    if np.any(a <= 0):
+        raise FitConvergenceError(
+            "fit converged to a non-positive baseline",
+            report={"cost": float(cost), "t0": t0, "sigma": s, "a": a.tolist(), "b": b.tolist()},
+        )
+    k, n = ys.shape
+    e, dx = _shape(x, t0, s), x - t0
+    blocks = [[2 * m, 2 * m + 1, 2 * k, 2 * k + 1] for m in range(k)]
+    jac = np.zeros((k, n, 2 * k + 2))
+    for m, cols in enumerate(blocks):
+        jac[m][:, cols] = np.stack([np.ones(n), e, b[m] * e * dx / s**2, b[m] * e * dx**2 / s**3], 1)
+    jac = (jac * ws[:, :, None]).reshape(k * n, -1)
+    try:
+        full = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError:
+        full = np.linalg.pinv(jac.T @ jac)
+    for m, i in enumerate(fitted):
+        cov = full[np.ix_(blocks[m], blocks[m])]
+        errs_m = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        am, bm = float(a[m]), float(b[m])
+        # cwr and visibility have opposite gradients, so one error
+        g_cwr = np.array([-bm / (am * am), 1.0 / am])
+        cwr_err = float(math.sqrt(max(g_cwr @ cov[:2, :2] @ g_cwr, 0.0)))
+        r = (am + bm * e - ys[m]) * ws[m]
+        out[i] = FitResult(
+            a=am, b=bm, t0=t0, sigma=s,
+            a_err=float(errs_m[0]), b_err=float(errs_m[1]),
+            t0_err=float(errs_m[2]), sigma_err=float(errs_m[3]),
+            cwr=(am + bm) / am, cwr_err=cwr_err,
+            visibility=-bm / am if bm < 0 else None, visibility_err=cwr_err if bm < 0 else None,
+            residual_norm=float(math.sqrt(r @ r)), n_points=n, n_iterations=rounds, covariance=cov,
+        )
+    return out
 
 
 def gaussian_fit(points: Iterable) -> FitResult:
     """Weighted Gaussian fit of (delta_t, rate, stderr) points.
 
-    Initialization is deterministic: baseline from the outer quartile
-    points, amplitude (and so the peak or dip sign) from the mid-span
-    point, center at the largest deviation from baseline, width a sixth
-    of the span. Iterates a damped weighted least-squares step until the
-    relative parameter change drops below 1e-9 or the weighted cost
-    stops improving, raising FitConvergenceError with a residual report
-    after 200 iterations. The center is constrained to the sampled delay
-    range and the width to [half the point spacing, twice the span]:
-    narrower spikes would fit a single sample, which the data cannot
-    distinguish from noise.
+    The one-series case of scan_fit, by the same code: center within the
+    delays, width in [half the point spacing, twice the span]; a width on
+    that floor, an unresolved spike, must cost 4 less to win. Zero stderr
+    take the smallest positive one, all zero mean equal weights. Raises
+    FitConvergenceError if the fitted baseline is not positive.
     """
     x, y, err = _fit_points(points)
-    n = x.size
-    span = x[-1] - x[0]
+    return _fit(x, [y], [err])[0]
 
-    if np.all(y == y[0]):
-        flat = float(y[0])
-        cov = np.zeros((4, 4))
-        return FitResult(
-            a=flat, b=0.0, t0=float(0.5 * (x[0] + x[-1])), sigma=span / 6.0,
-            a_err=0.0, b_err=0.0, t0_err=0.0, sigma_err=0.0,
-            cwr=1.0 if flat > 0 else float("nan"), cwr_err=0.0,
-            visibility=None, visibility_err=None,
-            residual_norm=0.0, n_points=n, n_iterations=0, covariance=cov,
-        )
 
-    q = max(1, n // 4)
-    a0 = float(np.mean(np.concatenate([y[:q], y[-q:]])))
-    center_idx = int(np.argmin(np.abs(x - 0.5 * (x[0] + x[-1]))))
-    b0 = float(y[center_idx] - a0)
-    t00 = float(x[int(np.argmax(np.abs(y - a0)))])
-    theta = np.array([a0, b0, t00, span / 6.0])
+def scan_fit(summaries: Sequence[RateSummary],
+             names: Sequence[str] = ("heralded_rate", "singles2", "coincidence")) -> dict:
+    """Fit the named rate series of a delay scan with one shared shape.
 
-    # scales for the relative-change convergence test; keeps parameters
-    # near zero (a centered t0, a vanishing amplitude) testable
-    scale = np.array([
-        max(abs(a0), float(np.max(np.abs(y))), 1e-300),
-        max(abs(b0), float(np.max(np.abs(y - a0))), 1e-300),
-        max(abs(t00), span),
-        span,
-    ])
-
-    w = 1.0 / err
-
-    # resolvable box: a width below half the point spacing would thread
-    # a spike through a single sample, a spurious minimum with a
-    # degenerate covariance; the center must stay inside the scan
-    s_min = 0.5 * float(np.min(np.diff(x)))
-    s_max = 2.0 * span
-
-    def clamp(th: np.ndarray) -> np.ndarray:
-        th = th.copy()
-        th[2] = min(max(th[2], x[0]), x[-1])
-        th[3] = min(max(abs(th[3]), s_min), s_max)
-        return th
-
-    theta = clamp(theta)
-
-    def cost(th: np.ndarray) -> float:
-        r = (_gauss(x, th) - y) * w
-        return float(r @ r)
-
-    lam = 1e-3
-    current = cost(theta)
-    converged = False
-    iterations = 0
-    stagnant = 0
-    tiny = 1e-9 * span
-    while iterations < 200:
-        iterations += 1
-        _, b, t0, s = theta
-        jac = _weighted_jacobian(x, w, b, t0, s)
-        r = (_gauss(x, theta) - y) * w
-        normal = jac.T @ jac
-        grad = jac.T @ r
-        # active set: a parameter pinned at its bound with the descent
-        # direction pointing outward is frozen for this step, so the
-        # damped solve works in the remaining subspace and the step
-        # test can fire at a constrained optimum
-        free = np.ones(4, dtype=bool)
-        if t0 - x[0] <= tiny and grad[2] > 0:
-            free[2] = False
-        if x[-1] - t0 <= tiny and grad[2] < 0:
-            free[2] = False
-        if s - s_min <= tiny and grad[3] > 0:
-            free[3] = False
-        if s_max - s <= tiny and grad[3] < 0:
-            free[3] = False
-        damp = np.diag(normal).copy()
-        damp[damp <= 0] = 1.0
-        sub = normal[np.ix_(free, free)] + lam * np.diag(damp[free])
-        delta = np.zeros(4)
-        try:
-            delta[free] = np.linalg.solve(sub, -grad[free])
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        trial = clamp(theta + delta)
-        trial_cost = cost(trial)
-        rel = float(np.max(np.abs(trial - theta) / scale))
-        if not math.isfinite(trial_cost) or trial_cost > current:
-            # a rejected proposal this small means the parameters can
-            # no longer move by more than the tolerance
-            if rel < 1e-9:
-                converged = True
-                break
-            stagnant += 1
-            if stagnant >= 15:
-                converged = True
-                break
-            lam = min(lam * 10.0, 1e15)
-            continue
-        improvement = current - trial_cost
-        theta = trial
-        current = trial_cost
-        lam = max(lam / 3.0, 1e-15)
-        # stop on a negligible step, on a negligible cost gain once
-        # damping is low (Gauss-Newton regime), or on prolonged
-        # stagnation; weak peaks can otherwise crawl along a flat
-        # valley for hundreds of iterations without tripping the
-        # step-size test
-        if improvement <= 1e-12 * max(current, 1.0):
-            stagnant += 1
-        else:
-            stagnant = 0
-        stalled = improvement <= 1e-12 * max(current, 1.0) and lam <= 1e-2
-        if rel < 1e-9 or stalled or stagnant >= 15:
-            converged = True
-            break
-    if not converged:
-        raise FitConvergenceError(
-            "gaussian fit did not converge in 200 iterations",
-            report={"cost": current, "params": theta.tolist(), "lambda": lam},
-        )
-
-    a, b, t0, s = theta
-    s = abs(float(s))
-    if a <= 0:
-        raise FitConvergenceError(
-            "fit converged to a non-positive baseline",
-            report={"cost": current, "params": theta.tolist()},
-        )
-    jac = _weighted_jacobian(x, w, b, t0, s)
-    normal = jac.T @ jac
-    try:
-        cov = np.linalg.inv(normal)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(normal)
-    errs = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    cwr = (a + b) / a
-    g_cwr = np.array([-b / (a * a), 1.0 / a])
-    cwr_err = float(math.sqrt(max(g_cwr @ cov[:2, :2] @ g_cwr, 0.0)))
-    vis = vis_err = None
-    if b < 0:
-        vis = -b / a
-        g_vis = np.array([b / (a * a), -1.0 / a])
-        vis_err = float(math.sqrt(max(g_vis @ cov[:2, :2] @ g_vis, 0.0)))
-    r = (_gauss(x, theta) - y) * w
-    return FitResult(
-        a=float(a), b=float(b), t0=float(t0), sigma=s,
-        a_err=float(errs[0]), b_err=float(errs[1]),
-        t0_err=float(errs[2]), sigma_err=float(errs[3]),
-        cwr=float(cwr), cwr_err=cwr_err,
-        visibility=vis, visibility_err=vis_err,
-        residual_norm=float(math.sqrt(r @ r)),
-        n_points=n, n_iterations=iterations, covariance=cov,
-    )
+    One indistinguishability profile drives every series: all share the
+    Gaussian's t0 and sigma, each has its own a and b. Returns {name:
+    FitResult}, each covariance the series' block of the joint one.
+    Raises FitConvergenceError if any fitted baseline is not positive.
+    """
+    if not names:
+        raise ValidationError("scan_fit needs at least one series")
+    series = [_fit_points(series_points(summaries, name)) for name in names]
+    return dict(zip(names, _fit(series[0][0], [s[1] for s in series], [s[2] for s in series])))
 
 
 def visibility(fit: FitResult) -> tuple[float, float]:

@@ -5,7 +5,7 @@ Subcommands:
     model      emit closed-form curves over a delay grid as CSV
     simulate   run one simulation from a config file, write a tag file
                plus a JSON run manifest
-    analyze    reduce tag files to rates, Gaussian fits, and optional
+    analyze    reduce tag files to rates, a shared-shape scan fit, and optional
                model z-scores
     scan       simulate a whole delay grid and analyze it in one go
     compare    z-scores of tag files against a config's closed forms
@@ -177,17 +177,14 @@ def _analyze_streams(streams, delays, gate, dead_pulses):
 
 
 def _fit_series(summaries):
-    """Gaussian fits for each rate series with enough points to try."""
-    fits = {}
+    """The shared-shape fit of the rate series, with enough points to try."""
     if len(summaries) < 5:
-        return fits
-    for name in ("heralded_rate", "singles2", "coincidence"):
-        points = analysis.series_points(summaries, name)
-        try:
-            fits[name] = analysis.gaussian_fit(points)
-        except NumericalError as exc:
-            print(f"note: {name} fit skipped: {exc}", file=sys.stderr)
-    return fits
+        return {}
+    try:
+        return analysis.scan_fit(summaries)
+    except NumericalError as exc:
+        print(f"note: scan fit skipped: {exc}", file=sys.stderr)
+        return {}
 
 
 def _delays_for_files(args, n_files: int) -> list[float]:
@@ -380,9 +377,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ZeroHeraldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -63,7 +63,7 @@ class HeraldUndefinedError(NumericalError):
 
 
 class FitConvergenceError(NumericalError):
-    """The curve fit failed to converge; carries the residual report."""
+    """The curve fit ended on a non-positive baseline; carries its report."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

@@ -28,7 +28,7 @@ from .errors import (
     InsufficientReferenceError,
     ValidationError,
 )
-from .tags import Channel, TagStream, _opened
+from .tags import Channel, TagStream
 
 __all__ = [
     "PulseState",
@@ -51,10 +51,6 @@ class PulseState(IntEnum):
     NOCLICK = 0
     CLICK = 1
     DEAD = 2
-
-
-STATE_NAMES = {PulseState.NOCLICK: "no-click", PulseState.CLICK: "click",
-               PulseState.DEAD: "dead"}
 
 
 @dataclass
@@ -373,25 +369,6 @@ class PulseEventTable:
         cells[0, 2] = len2.sum() - cells[1, 2] - cells[2, 2]
         cells[0, 0] = self.n_pulses - cells.sum()
         return cells
-
-    def to_csv(self, sink, chunk: int = 1 << 16) -> None:
-        """Write pulse_index,d1,d2 rows with named states, one per pulse.
-
-        Goes through the dense d1/d2 views, so time and memory grow with
-        n_pulses: meant for small tables and diagnostics, not full runs.
-        """
-        pair_names = [
-            f"{STATE_NAMES[PulseState(a)]},{STATE_NAMES[PulseState(b)]}"
-            for a in range(3) for b in range(3)
-        ]
-        combined = self.d1.astype(np.int16) * 3 + self.d2
-        with _opened(sink, "w", newline="") as fh:
-            fh.write("pulse_index,d1,d2\n")
-            for start in range(0, self.n_pulses, chunk):
-                block = combined[start:start + chunk]
-                fh.write("".join(
-                    f"{start + i},{pair_names[c]}\n" for i, c in enumerate(block.tolist())
-                ))
 
 
 def _count_in_windows(pulses: np.ndarray, clicks: np.ndarray, dead: int) -> int:

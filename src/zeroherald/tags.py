@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import FormatError, IntegrityError, ValidationError
 
-__all__ = ["Channel", "TimeTag", "TagStream", "write_tags", "read_tags",
+__all__ = ["Channel", "TagStream", "write_tags", "read_tags",
            "write_tags_csv", "read_tags_csv"]
 
 MAGIC = b"ZHT1"
@@ -71,14 +71,6 @@ _CSV_NAMES = np.frombuffer(b"REFD1 D2 ", dtype=np.uint8).reshape(len(Channel), 3
 _CSV_NAME_WORDS = np.dtype({"names": ["lo", "hi"], "formats": ["u8", "u8"],
                             "offsets": [0, 8], "itemsize": _CSV_DTYPE.itemsize})
 _CSV_NAME_KEYS = np.array([c.name for c in Channel], dtype="U4").view(np.uint64).reshape(-1, 2)
-
-
-@dataclass(frozen=True)
-class TimeTag:
-    """A single detection event; timestamp counts timebins."""
-
-    channel: Channel
-    timestamp: int
 
 
 @dataclass
@@ -141,11 +133,6 @@ class TagStream:
         """Timestamps of one channel, in stream order."""
         return self.timestamps[self.channels == int(channel)]
 
-    def tags(self):
-        """Iterate tags as TimeTag objects (convenience, not bulk API)."""
-        for ch, ts in zip(self.channels, self.timestamps):
-            yield TimeTag(Channel(int(ch)), int(ts))
-
 
 @contextmanager
 def _opened(source, mode: str, newline: str | None = None):
@@ -165,7 +152,7 @@ def write_tags(stream: TagStream, sink) -> None:
         records = np.empty(len(stream), dtype=_RECORD_DTYPE)
         records["channel"] = stream.channels
         records["timestamp"] = stream.timestamps
-        fh.write(records.tobytes())
+        fh.write(records)
 
 
 def read_tags(source) -> TagStream:

@@ -3,7 +3,9 @@
 Each test prints one "criterion N: PASS/FAIL (...)" line; run with -s
 to watch them.  Criteria 3 and 4 share one 13-delay simulated scan at
 the reference operating point (eta1' = 0.16, eta2' = 0.15, nu = 0.975),
-written to and read back from tag files like a real run would be.
+written to and read back from tag files like a real run would be, and
+fitted with one delay shape shared by the three series. A seed sweep of
+the same scan checks that fit's failures and error bars over 60 seeds.
 Seeds are fixed so every number below is reproducible bit for bit.
 """
 
@@ -77,10 +79,7 @@ def delay_scan(tmp_path_factory):
         zh.write_tags(res.stream, path)
         _, _, table = zh.table_from_stream(zh.read_tags(path), 2e-9, 5, 5)
         summaries.append(zh.compute_rates(table, dt))
-    fits = {
-        name: zh.gaussian_fit(zh.series_points(summaries, name))
-        for name in ("heralded_rate", "singles2", "coincidence")
-    }
+    fits = zh.scan_fit(summaries)
     elapsed = time.perf_counter() - t0
     return SimpleNamespace(fits=fits, elapsed=elapsed)
 
@@ -106,6 +105,46 @@ def test_scan_dip_visibility(delay_scan):
     vis, vis_err = zh.visibility(delay_scan.fits["coincidence"])
     z = (vis - VISIBILITY) / vis_err
     _report(4, abs(z) < 3, f"visibility={vis:.4f}+-{vis_err:.4f} z={z:+.2f}")
+
+
+def test_scan_fit_seed_sweep():
+    """The shared-shape fit over seeds 0-59 of the reference scan.
+
+    The only fit-stage failure allowed is a measured unheralded ratio of
+    1 or more, which no efficiency can produce; every z-score of the two
+    ratios and the dip visibility is kept, and each set must spread like
+    a unit normal. The scans skip the tag files, which change no count.
+    """
+    delays = np.linspace(-3 * TAU, 3 * TAU, 13)
+    zs = {"heralded cwr": [], "singles2 cwr": [], "visibility": []}
+    inverted = []
+    for seed in range(60):
+        cfg = zh.SimConfig(
+            source=zh.SourceParams(gamma=1e-4, kappa1=0.5, kappa2=0.5),
+            det1=zh.DetectorParams(eta=0.32, dead_pulses=5),
+            det2=zh.DetectorParams(eta=0.30, dead_pulses=5),
+            profile=zh.IndistinguishabilityProfile(nu_max=VISIBILITY, tau=TAU),
+            n_pulses=10**8,
+            seed=seed,
+        )
+        summaries = [
+            zh.compute_rates(zh.table_from_stream(res.stream, cfg.gate_window, 5, 5)[2], dt)
+            for dt, res in zh.scan_delays(cfg, delays)
+        ]
+        fits = zh.scan_fit(summaries)
+        fh, fu = fits["heralded_rate"], fits["singles2"]
+        vis, vis_err = zh.visibility(fits["coincidence"])
+        zs["heralded cwr"].append((fh.cwr - CWR_PEAK) / fh.cwr_err)
+        zs["singles2 cwr"].append((fu.cwr - CWR_WING) / fu.cwr_err)
+        zs["visibility"].append((vis - VISIBILITY) / vis_err)
+        try:
+            zh.estimate_efficiencies(fh, fu, VISIBILITY)
+        except zh.NoSolutionError:
+            assert fu.cwr >= 1.0, f"seed {seed}: inversion failed at unheralded cwr {fu.cwr}"
+            inverted.append(seed)
+    spreads = {name: float(np.std(z, ddof=1)) for name, z in zs.items()}
+    print(f"seed sweep: z sd {spreads}, unheralded cwr >= 1 on seeds {inverted}")
+    assert all(0.8 <= sd <= 1.25 for sd in spreads.values()), spreads
 
 
 def _rate_zscores(kappa, eta1, eta2, nu, seed, n_pulses):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zeroherald import model
@@ -25,6 +25,7 @@ from zeroherald.analysis import (
     compute_rates,
     estimate_efficiencies,
     gaussian_fit,
+    scan_fit,
     series_points,
     visibility,
     write_fits_jsonl,
@@ -40,7 +41,7 @@ from zeroherald.errors import (
 )
 from zeroherald.model import DetectorParams, IndistinguishabilityProfile, SourceParams
 from zeroherald.pipeline import PulseState, table_from_stream
-from zeroherald.sim import SimConfig, run_simulation
+from zeroherald.sim import SimConfig, run_simulation, scan_delays
 
 from dense_oracle import DenseTable
 
@@ -251,6 +252,57 @@ class TestGaussianFit:
         fit = gaussian_fit(pts)
         assert GRID[0] <= fit.t0 <= GRID[-1]
 
+    def test_clear_spike_at_the_edge_is_kept(self):
+        # an 8-sigma last sample: the best shape is a width pinned at the
+        # floor on the scan's edge, far more than 4 in cost below any other
+        rng = np.random.default_rng(0)
+        y = 0.01 + rng.normal(0.0, 1e-4, GRID.size)
+        y[-1] += 8e-4
+        fit = gaussian_fit([(float(x), float(v), 1e-4) for x, v in zip(GRID, y)])
+        assert fit.t0 == pytest.approx(GRID[-1], rel=1e-9)
+        assert fit.sigma == pytest.approx(0.5 * float(np.min(np.diff(GRID))), rel=1e-9)
+        assert fit.b > 0
+
+    @given(
+        amp=st.floats(-30.0, 30.0),
+        center=st.floats(-4.0, 4.0),
+        width=st.floats(0.5, 4.0),
+        spike_at=st.integers(0, GRID.size - 1),
+        spike=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(amp=0.0, center=0.0, width=1.0, spike_at=7, spike=5.0, seed=5)
+    @example(amp=0.0, center=0.0, width=1.0, spike_at=0, spike=4.0, seed=11)
+    @example(amp=20.0, center=3.5, width=1.0, spike_at=0, spike=0.0, seed=0)
+    @example(amp=-8.150262115333295, center=-3.1328418929165327, width=3.567013749372653,
+             spike_at=1, spike=0.0, seed=2610643910)
+    @example(amp=27.984510028023962, center=0.4361175763635998, width=1.7747881978258029,
+             spike_at=0, spike=-9.92070796226242, seed=2276304816)
+    @settings(max_examples=60, deadline=None)
+    def test_search_beats_a_brute_force_grid(self, amp, center, width, spike_at, spike, seed):
+        # noisy Gaussians (amplitude in units of the 1e-4 noise, center and
+        # width in units of the 1e-13 step), with a spiked sample; the
+        # examples are the spiked-sample and edge cases above, an edge
+        # peak centered beyond the scan, and two scans that a single zoom
+        # from the best cell of one 17 x 17 grid fits in the wrong basin
+        rng = np.random.default_rng(seed)
+        y = 0.01 + amp * 1e-4 * np.exp(-((GRID / 1e-13 - center) ** 2) / (2 * width**2))
+        y = y + rng.normal(0.0, 1e-4, GRID.size)
+        y[spike_at] += spike * 1e-4
+        err = np.full(GRID.size, 1e-4)
+        try:
+            cost = gaussian_fit(list(zip(GRID, y, err))).residual_norm ** 2
+        except FitConvergenceError as exc:
+            cost = exc.report["cost"]
+        best, best_sigma = brute_force_fit(GRID, y, err)
+        # a width on the floor is charged 4 in cost, so no fit is worse
+        # than the grid's best point by more than that; a best point at
+        # least the point spacing wide is resolved, and the fit reaches it
+        # (to 1e-6: along a flat valley the zoom ends that far off)
+        assert cost <= best * (1 + 1e-6) + 4.0
+        if best_sigma >= np.min(np.diff(GRID)):
+            assert cost <= best * (1 + 1e-6)
+
     def test_validation(self):
         pts = gauss_points(0.01, 0.002, 0.0, 1e-13, GRID)
         with pytest.raises(ValidationError, match="at least 5"):
@@ -261,6 +313,25 @@ class TestGaussianFit:
             gaussian_fit([(0.0, float(v), 1e-6) for _, v, _ in pts])
         with pytest.raises(ValidationError, match="triples"):
             gaussian_fit([(0.0, 1.0), (1.0, 2.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)])
+
+
+def brute_force_fit(x, y, err, m=201):
+    """Least weighted cost on an m x m (t0, log sigma) grid over the fit's
+    box, with (a, b) solved at each point and residuals summed directly;
+    returns it with its sigma."""
+    w2 = 1.0 / err**2
+    t0 = np.linspace(x[0], x[-1], m)[:, None, None]
+    sigma = np.exp(np.linspace(np.log(0.5 * np.min(np.diff(x))), np.log(2 * (x[-1] - x[0])), m))
+    e = np.exp(-((x - t0) ** 2) / (2 * sigma[None, :, None] ** 2))
+    s0, s1, s2 = w2.sum(), (w2 * e).sum(axis=-1), (w2 * e * e).sum(axis=-1)
+    t_0, t_1 = (w2 * y).sum(), (w2 * e * y).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = s0 * s2 - s1 * s1
+        a = (s2 * t_0 - s1 * t_1) / det
+        b = (s0 * t_1 - s1 * t_0) / det
+    cost = ((a[..., None] + b[..., None] * e - y) ** 2 * w2).sum(axis=-1)
+    i, j = np.unravel_index(np.nanargmin(cost), cost.shape)
+    return float(cost[i, j]), float(sigma[j])
 
 
 TAU = 100e-15
@@ -301,6 +372,81 @@ class TestFitAgainstClosedForm:
         )
         assert eta1p == pytest.approx(0.16, abs=1e-6)
         assert eta2p == pytest.approx(0.15, abs=1e-6)
+
+
+@pytest.fixture(scope="module")
+def paper_scan():
+    """13 delays over +-3 tau at the reference point, 1e8 pulses each, seed 3."""
+    cfg = SimConfig(
+        source=SourceParams(gamma=1e-4, kappa1=0.5, kappa2=0.5),
+        det1=DetectorParams(eta=0.32, dead_pulses=5),
+        det2=DetectorParams(eta=0.30, dead_pulses=5),
+        profile=IndistinguishabilityProfile(nu_max=NU_MAX, tau=TAU),
+        n_pulses=10**8,
+        seed=3,
+    )
+    return [compute_rates(table_from_stream(res.stream, cfg.gate_window, 5, 5)[2], dt)
+            for dt, res in scan_delays(cfg, DELAYS)]
+
+
+class TestScanFit:
+    def test_one_series_is_gaussian_fit(self, paper_scan):
+        for name in ("heralded_rate", "singles2", "coincidence"):
+            fit = scan_fit(paper_scan, names=(name,))[name]
+            assert fit.to_dict() == gaussian_fit(series_points(paper_scan, name)).to_dict()
+
+    def test_series_share_the_shape(self, paper_scan):
+        fits = scan_fit(paper_scan)
+        assert list(fits) == ["heralded_rate", "singles2", "coincidence"]
+        assert len({(f.t0, f.sigma, f.n_iterations) for f in fits.values()}) == 1
+        assert fits["heralded_rate"].b > 0 and fits["singles2"].b < 0
+        assert fits["coincidence"].visibility > 0.9
+
+    def test_covariance_blocks_of_the_joint_fit(self, paper_scan):
+        # the weighted Jacobian of all 2 + 2k parameters, built here from
+        # the fitted values; each series' covariance is its block of the
+        # full inverse, so its a and b errors carry the shared shape's
+        fits = scan_fit(paper_scan)
+        k = len(fits)
+        t0, sigma = fits["coincidence"].t0, fits["coincidence"].sigma
+        x = np.array([s.delta_t for s in paper_scan])
+        dx = x - t0
+        e = np.exp(-(dx**2) / (2 * sigma**2))
+        jac = np.zeros((k * x.size, 2 * k + 2))
+        for i, (name, fit) in enumerate(fits.items()):
+            w = 1.0 / np.array([err for _, _, err in series_points(paper_scan, name)])
+            rows = slice(i * x.size, (i + 1) * x.size)
+            jac[rows, 2 * i] = w
+            jac[rows, 2 * i + 1] = e * w
+            jac[rows, 2 * k] = fit.b * e * dx / sigma**2 * w
+            jac[rows, 2 * k + 1] = fit.b * e * dx**2 / sigma**3 * w
+        full = np.linalg.inv(jac.T @ jac)
+        for i, fit in enumerate(fits.values()):
+            block = full[np.ix_([2 * i, 2 * i + 1, 2 * k, 2 * k + 1], [2 * i, 2 * i + 1, 2 * k, 2 * k + 1])]
+            np.testing.assert_allclose(fit.covariance, block, rtol=1e-8)
+            g = np.array([-fit.b / fit.a**2, 1.0 / fit.a])
+            assert fit.cwr_err == pytest.approx(math.sqrt(g @ block[:2, :2] @ g), rel=1e-8)
+
+    def test_floor_width_needs_a_margin(self, paper_scan):
+        # heralded counts alone at this seed: a dip pinned at the width
+        # floor, through two low samples, costs 1.5 less than the peak
+        # near the center, short of the margin of 4, so the peak is fitted
+        pts = series_points(paper_scan, "heralded_rate")
+        fit = gaussian_fit(pts)
+        x, y, err = (np.array(c) for c in zip(*pts))
+        floor = 0.5 * float(np.min(np.diff(x)))
+        needle, needle_sigma = brute_force_fit(x, y, err)
+        assert needle_sigma == pytest.approx(floor)
+        assert fit.b > 0 and fit.sigma > 2 * floor
+        assert needle + 1.0 < fit.residual_norm ** 2 < needle + 4.0
+
+    def test_validation(self, paper_scan):
+        with pytest.raises(ValidationError, match="at least one"):
+            scan_fit(paper_scan, names=())
+        with pytest.raises(ValidationError, match="unknown rate field"):
+            scan_fit(paper_scan, names=("heralded_count",))
+        with pytest.raises(ValidationError, match="at least 5"):
+            scan_fit(paper_scan[:4])
 
 
 class TestEstimateEfficiencies:

@@ -298,14 +298,14 @@ class TestScanCommand:
     def test_scan_outputs_are_pinned(self, tmp_path, cfg_path):
         """SHA-256 of every scan output, computed while cmd_scan still held
         all delays in memory: streaming them one at a time changes no byte.
-        fits.jsonl goes through LAPACK, so its pin assumes the same numpy
-        build."""
+        fits.jsonl holds the shared-shape scan fit and goes through
+        LAPACK, so its pin assumes the same numpy build."""
         out_dir = tmp_path / "scan"
         assert main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
                      "--span", "3e-13", "--points", "7",
                      "--set", "n_pulses=40961", "--set", "dark_prob2=1e-3"]) == 0
         pins = {
-            "fits.jsonl": "13842e68dd276f2e7a06bc28e723831a5e30efa3a97b0f0c17f12910a51dc530",
+            "fits.jsonl": "d3f3d63b95afa82c8d293f3043470e6e1ece1478974a2a337444a46b6c0b26db",
             "rates.csv": "2218ce28e1c763b8950344d3e07ba4ea115c6a5a94767b0c95e8290eda30691c",
             "tags_000.zht": "f14a827565276a9d1e625fadfe5b6266c8834321da9a79815319ca9234f218bc",
             "tags_001.zht": "fa9c1422af956a0b4ab3174f15e3c035ca242283eb85618cb99a30ffc8d46e01",

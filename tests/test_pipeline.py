@@ -6,7 +6,6 @@ sit at known offsets, and the expected per-pulse states are written out
 literally.
 """
 
-import io
 import random
 import tracemalloc
 
@@ -371,19 +370,6 @@ class TestEventTable:
         _, _, table = table_from_stream(s, window=30e-12, dead_pulses1=5,
                                         dead_pulses2=0)
         np.testing.assert_array_equal(table.d1[9:], [C, D])
-
-    def test_csv_emission(self):
-        _, _, table = table_from_stream(
-            ten_pulse_fixture(), window=30e-12, dead_pulses1=2,
-            dead_pulses2=0,
-        )
-        buf = io.StringIO()
-        table.to_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "pulse_index,d1,d2"
-        assert lines[1 + 2] == "2,click,click"
-        assert lines[1 + 3] == "3,dead,no-click"
-        assert len(lines) == 1 + 11
 
 
 class TestGateDeadIndependence:
