@@ -59,17 +59,7 @@ from .pipeline import (
     table_from_stream,
     virtual_gate,
 )
-from .sim import (
-    DeadState,
-    SimConfig,
-    SimResult,
-    SimTruth,
-    TrialOutcome,
-    detect_pulse,
-    run_simulation,
-    sample_trial,
-    scan_delays,
-)
+from .sim import SimConfig, SimResult, SimTruth, run_simulation, scan_delays
 from .analysis import (
     FitResult,
     ModelComparison,

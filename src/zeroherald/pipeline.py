@@ -352,49 +352,41 @@ class PulseEventTable:
         other detector's dead window when that detector's previous click
         is at most its dead length before it. Dead/dead pulses are the
         overlap of the two window sets. The no-click cells follow from
-        each detector's click and dead totals and n_pulses.
+        each detector's click and dead totals and n_pulses. Both click
+        lists are sorted and distinct, so two searches place each list
+        in the other and serve all three counts.
         """
         c1, c2 = self.clicks1, self.clicks2
         # the dead window after click k covers [k+1, min(k+dead, n-1)]
         len1 = np.minimum(self.dead_pulses1, self.n_pulses - 1 - c1)
         len2 = np.minimum(self.dead_pulses2, self.n_pulses - 1 - c2)
         cells = np.zeros((3, 3), dtype=np.int64)
-        cells[1, 1] = np.intersect1d(c1, c2, assume_unique=True).size
-        cells[1, 2] = _count_in_windows(c1, c2, self.dead_pulses2)
-        cells[2, 1] = _count_in_windows(c2, c1, self.dead_pulses1)
-        cells[2, 2] = _window_overlap(c1 + 1, len1, c2 + 1, len2)
+        if c1.size and c2.size:
+            i = np.searchsorted(c2, c1)  # c2[i-1] < c1 <= c2[i]
+            j = np.searchsorted(c1, c2)  # c1[j-1] < c2 <= c1[j]
+            cells[1, 1] = np.count_nonzero(c2[np.minimum(i, c2.size - 1)] == c1)
+            cells[1, 2] = np.count_nonzero((i > 0) & (c1 - c2[i - 1] <= self.dead_pulses2))
+            cells[2, 1] = np.count_nonzero((j > 0) & (c2 - c1[j - 1] <= self.dead_pulses1))
+            end1 = c1 + len1 + 1  # one past each window
+            cum1 = np.concatenate(([0], np.cumsum(len1)))
+
+            def covered_below(x, k):
+                # set-1 pulses below x, given the k windows that start
+                # below x: their lengths, less the last one's part at or
+                # past x
+                overshoot = np.maximum(end1[np.maximum(k - 1, 0)] - x, 0)
+                return cum1[k] - np.where(k > 0, overshoot, 0)
+
+            # detector 2's windows are [c2+1, c2+len2]; c1+1 < c2+1 is
+            # c1 < c2, so j counts the set-1 windows starting below each
+            cells[2, 2] = np.sum(covered_below(c2 + len2 + 1, np.searchsorted(c1, c2 + len2))
+                                 - covered_below(c2 + 1, j))
         cells[1, 0] = c1.size - cells[1, 1] - cells[1, 2]
         cells[2, 0] = len1.sum() - cells[2, 1] - cells[2, 2]
         cells[0, 1] = c2.size - cells[1, 1] - cells[2, 1]
         cells[0, 2] = len2.sum() - cells[1, 2] - cells[2, 2]
         cells[0, 0] = self.n_pulses - cells.sum()
         return cells
-
-
-def _count_in_windows(pulses: np.ndarray, clicks: np.ndarray, dead: int) -> int:
-    """Count the pulses that lie in the dead window after one of clicks."""
-    if not (pulses.size and clicks.size):
-        return 0
-    prev = np.searchsorted(clicks, pulses, side="left") - 1
-    has_prev = prev >= 0
-    return int(np.count_nonzero(pulses[has_prev] - clicks[prev[has_prev]] <= dead))
-
-
-def _window_overlap(start1, len1, start2, len2) -> int:
-    """Pulses inside both window sets; each set is sorted and disjoint."""
-    if not (start1.size and start2.size):
-        return 0
-    end1 = start1 + len1
-    cum1 = np.concatenate(([0], np.cumsum(len1)))
-
-    def covered_before(x):
-        # set-1 pulses below x: whole windows started before x, less the
-        # part of the last one that reaches x or beyond
-        i = np.searchsorted(start1, x, side="left")
-        overshoot = np.maximum(end1[np.maximum(i - 1, 0)] - x, 0)
-        return cum1[i] - np.where(i > 0, overshoot, 0)
-
-    return int(np.sum(covered_before(start2 + len2) - covered_before(start2)))
 
 
 def build_event_table(gate: GateResult, dead_pulses1: int, dead_pulses2: int) -> PulseEventTable:

@@ -13,6 +13,13 @@ darks per channel) is sampled by drawing gaps between successes from
 its geometric law, so runtime scales with the number of events rather
 than the number of pulses.
 
+Each emitted pair is drawn with one uniform. Its class joins the
+photons (m at D1, n at D2) that loss and Hong-Ou-Mandel interference
+leave with whether each detector gets a photon-induced click
+candidate (probability 1-(1-eta)^c for c photons); the 13 class
+probabilities are products of the branch probabilities, and a pair's
+class is the number of cumulative edges at or below its uniform.
+
 Dead time and afterpulsing are applied per detector without a per-click
 loop. For each pulse with candidate events the engine draws the number
 L of afterpulses a click there would chain (geometric, P(L >= l) = p**l
@@ -31,11 +38,10 @@ the reference tags sit on a regular grid, one division places each
 detector tag among them.
 
 All randomness of a run comes from one counter-based Philox generator
-keyed by (seed, 0), so a config is reproducible tag-for-tag. The
-scalar helpers sample_trial and detect_pulse define the per-pulse
-semantics the vectorized engine implements in aggregate; they share
-the physics but not the draw order, so they are statistical twins, not
-bitwise ones.
+keyed by (seed, 0), so a config is reproducible tag-for-tag. The draw
+order is: pair gaps, one uniform per pair, then for D1 its candidate
+jitters, in-gate darks and out-of-gate darks, the same for D2, then
+the dead-time and afterpulse walk of D1 and of D2.
 """
 
 from __future__ import annotations
@@ -51,19 +57,14 @@ from .model import (
     DetectorParams,
     IndistinguishabilityProfile,
     SourceParams,
-    p_noclick_given_n,
 )
 from .pipeline import _first_of_runs, _greedy_chain
 from .tags import Channel, TagStream
 
 __all__ = [
     "SimConfig",
-    "TrialOutcome",
-    "DeadState",
     "SimTruth",
     "SimResult",
-    "sample_trial",
-    "detect_pulse",
     "run_simulation",
     "scan_delays",
     "delay_configs",
@@ -186,73 +187,6 @@ class SimConfig:
         return f"philox4x64 seed={self.seed} delta_t={self.delta_t!r}"
 
 
-class TrialOutcome(NamedTuple):
-    """Photon numbers (m, n) delivered to the two detectors by one pulse."""
-
-    m: int
-    n: int
-
-
-def sample_trial(rng: np.random.Generator, src: SourceParams, nu: float) -> TrialOutcome:
-    """Sample one pulse of the source.
-
-    A pair is emitted with probability gamma; each photon independently
-    survives its channel; two survivors interfere and either split
-    (probability (1-nu)/2) or bunch into one output; a lone survivor
-    picks an output by fair coin.
-    """
-    if rng.random() >= src.gamma:
-        return TrialOutcome(0, 0)
-    s1 = rng.random() < src.kappa1
-    s2 = rng.random() < src.kappa2
-    if s1 and s2:
-        u = rng.random()
-        if u < (1.0 - nu) / 2.0:
-            return TrialOutcome(1, 1)
-        if u < (1.0 - nu) / 2.0 + (1.0 + nu) / 4.0:
-            return TrialOutcome(2, 0)
-        return TrialOutcome(0, 2)
-    if s1 or s2:
-        return TrialOutcome(1, 0) if rng.random() < 0.5 else TrialOutcome(0, 1)
-    return TrialOutcome(0, 0)
-
-
-@dataclass
-class DeadState:
-    """Mutable per-detector state threaded through detect_pulse calls.
-
-    dead_remaining counts pulses still blind; afterpulse_pending marks
-    a spurious click waiting for the first live pulse.
-    """
-
-    dead_remaining: int = 0
-    afterpulse_pending: bool = False
-
-
-def detect_pulse(
-    rng: np.random.Generator,
-    photons: int,
-    det: DetectorParams,
-    state: DeadState,
-) -> bool:
-    """Advance one detector by one pulse; return whether it clicked.
-
-    Call once per pulse in order. While dead the detector ignores
-    arrivals (they do not extend the window). A live detector clicks
-    with probability 1 - (1-d)(1-eta)^photons, or deterministically if
-    an afterpulse is pending; every click re-arms the dead window and
-    schedules a new afterpulse with probability afterpulse_prob.
-    """
-    if state.dead_remaining > 0:
-        state.dead_remaining -= 1
-        return False
-    click = state.afterpulse_pending or (rng.random() >= p_noclick_given_n(det, photons))
-    if click:
-        state.afterpulse_pending = rng.random() < det.afterpulse_prob
-        state.dead_remaining = det.dead_pulses
-    return click
-
-
 @dataclass
 class SimTruth:
     """Ground truth the tag stream cannot reveal on its own.
@@ -313,29 +247,63 @@ def _event_pulses(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     return events[:np.searchsorted(events, n)]
 
 
-# photons at D1 (m) and D2 (n) by pair class: 0 both lost, 1 split,
-# 2 bunched into D1, 3 bunched into D2, 4 lone photon on D1, 5 on D2
-_PAIR_M = np.array([0, 1, 2, 0, 1, 0], dtype=np.uint8)
-_PAIR_N = np.array([0, 1, 0, 2, 0, 1], dtype=np.uint8)
+# pair codes: 0 both photons lost, 1 split, 2 bunched into D1, 3 bunched
+# into D2, 4 lone photon on D1, 5 on D2; as photons (m at D1, n at D2)
+_PAIR_PHOTONS = ((0, 0), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1))
 
 
-def _pair_outcomes(rng: np.random.Generator, src: SourceParams, nu: float, k: int):
-    """Vectorized sample_trial for k emitted pairs; returns (m, n)."""
-    s1 = rng.random(k) < src.kappa1
-    s2 = rng.random(k) < src.kappa2
-    branch = rng.random(k)
-    split = (branch < (1.0 - nu) / 2.0).view(np.uint8)
-    bunched = (branch < (1.0 - nu) / 2.0 + (1.0 + nu) / 4.0).view(np.uint8) | split
-    del branch  # the side draw comes next; one float block alive at a time
-    code = (s1 & s2).view(np.uint8) * (3 - bunched - split)
-    code += (s1 ^ s2).view(np.uint8) * (4 + (rng.random(k) >= 0.5).view(np.uint8))
-    return _PAIR_M.take(code), _PAIR_N.take(code)
+class _PairClasses(NamedTuple):
+    """The joint law of one emitted pair, one entry per class: its
+    probability, the photons m at D1 and n at D2, and whether each
+    detector gets a photon-induced click candidate."""
+
+    prob: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+    hit1: np.ndarray
+    hit2: np.ndarray
 
 
-def _click_candidates(rng: np.random.Generator, photons: np.ndarray, eta: float):
-    """Which pair pulses produce a photon-induced click candidate."""
-    p_by_count = np.array([0.0, eta, 1.0 - (1.0 - eta) ** 2])
-    return rng.random(photons.size) < p_by_count[photons]
+def _pair_classes(src: SourceParams, nu: float, eta1: float, eta2: float) -> _PairClasses:
+    """The 13 classes of an emitted pair, in pair-code order.
+
+    Each photon survives its channel; two survivors split with
+    probability (1-nu)/2 or bunch into either output with (1+nu)/4; a
+    lone survivor picks an output by fair coin. A detector that receives
+    c photons gets a candidate with probability 1-(1-eta)^c. Within a
+    pair code the D1 candidate (no, yes) is the outer loop and the D2
+    candidate the inner one; a detector without photons has only "no".
+    """
+    k1, k2 = src.kappa1, src.kappa2
+    both = k1 * k2
+    lone = (k1 * (1.0 - k2) + k2 * (1.0 - k1)) / 2.0
+    code_prob = ((1.0 - k1) * (1.0 - k2), both * (1.0 - nu) / 2.0,
+                 both * (1.0 + nu) / 4.0, both * (1.0 + nu) / 4.0, lone, lone)
+    rows = []
+    for p, (m, n) in zip(code_prob, _PAIR_PHOTONS):
+        miss1, miss2 = (1.0 - eta1) ** m, (1.0 - eta2) ** n
+        for hit1 in range(1 + (m > 0)):
+            for hit2 in range(1 + (n > 0)):
+                rows.append((p * (1.0 - miss1 if hit1 else miss1)
+                             * (1.0 - miss2 if hit2 else miss2), m, n, hit1, hit2))
+    prob, m, n, hit1, hit2 = zip(*rows)
+    return _PairClasses(np.array(prob), np.array(m, dtype=np.uint8),
+                        np.array(n, dtype=np.uint8), np.array(hit1, dtype=bool),
+                        np.array(hit2, dtype=bool))
+
+
+def _class_codes(rng: np.random.Generator, prob: np.ndarray, k: int) -> np.ndarray:
+    """One class code per pair from one uniform u: the number of
+    cumulative edges at or below u."""
+    edges = np.cumsum(prob)[:-1]
+    # the last class with weight takes every u up to 1, so rounding in
+    # the sum cannot leave room for the empty classes after it
+    edges[np.flatnonzero(prob)[-1]:] = np.inf
+    u = rng.random(k)
+    code = np.zeros(k, dtype=np.uint8)
+    for edge in edges:
+        code += u >= edge
+    return code
 
 
 def _jitter_offsets(rng: np.random.Generator, count: int, cfg: SimConfig) -> np.ndarray:
@@ -349,13 +317,11 @@ def _channel_plan(
     rng: np.random.Generator,
     cfg: SimConfig,
     det: DetectorParams,
-    pair_pulses: np.ndarray,
-    photons: np.ndarray,
+    photon_pulses: np.ndarray,
     n_pulses: int,
 ) -> _ChannelPlan:
-    """Draw all candidate events for one detector over the run."""
-    hit = _click_candidates(rng, photons, det.eta)
-    photon_pulses = pair_pulses[hit]
+    """Draw all candidate events for one detector over the run, given
+    the pair pulses that give it a photon-induced candidate."""
     photon_offsets = _jitter_offsets(rng, photon_pulses.size, cfg)
 
     dark_pulses = _event_pulses(rng, det.dark_prob, n_pulses)
@@ -479,13 +445,13 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     byte-identical streams.
     """
     period = cfg.period_tb
-    # the key's second word stays 0: every stream so far was drawn with
-    # (seed, 0), so keeping it keeps them all bit-identical
     rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64)))
     pair_pulses = _event_pulses(rng, cfg.source.gamma, cfg.n_pulses)
-    m, n = _pair_outcomes(rng, cfg.source, cfg.nu, pair_pulses.size)
-    plan1 = _channel_plan(rng, cfg, cfg.det1, pair_pulses, m, cfg.n_pulses)
-    plan2 = _channel_plan(rng, cfg, cfg.det2, pair_pulses, n, cfg.n_pulses)
+    classes = _pair_classes(cfg.source, cfg.nu, cfg.det1.eta, cfg.det2.eta)
+    code = _class_codes(rng, classes.prob, pair_pulses.size)
+    # lookups index the tables: take would first copy the codes to intp
+    plan1 = _channel_plan(rng, cfg, cfg.det1, pair_pulses[classes.hit1[code]], cfg.n_pulses)
+    plan2 = _channel_plan(rng, cfg, cfg.det2, pair_pulses[classes.hit2[code]], cfg.n_pulses)
     walks = {
         Channel.D1: _detector_walk(rng, cfg, cfg.det1, plan1, cfg.n_pulses),
         Channel.D2: _detector_walk(rng, cfg, cfg.det2, plan2, cfg.n_pulses),
@@ -511,8 +477,8 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     )
     truth = SimTruth(
         pair_pulses=pair_pulses,
-        m=m,
-        n=n,
+        m=classes.m[code],
+        n=classes.n[code],
         clicks1=clicks[Channel.D1],
         clicks2=clicks[Channel.D2],
         ingate_clicks1=ingate[Channel.D1],

@@ -13,10 +13,19 @@ afterpulse_walk is the event-by-event detector the simulator's
 vectorised afterpulse chain stands for. printf_tags_csv is the CSV tag
 writer as one printf-style call per block, the reference for the byte
 matrix tags.write_tags_csv builds.
+
+sample_trial and detect_pulse are the per-pulse scalar twins of the
+simulator: one pulse of the source, and one detector advanced by one
+pulse. They share the physics of run_simulation but not its draw
+order, so they are statistical twins, not bitwise ones.
 """
+
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from zeroherald.model import DetectorParams, SourceParams, p_noclick_given_n
 from zeroherald.pipeline import PulseState
 from zeroherald.tags import Channel
 
@@ -126,3 +135,70 @@ def printf_tags_csv(stream, fh, block=1 << 16):
         fields[0::2] = names[chans].tolist()
         fields[1::2] = stream.timestamps[start:start + block].tolist()
         fh.write("%s,%d\n" * chans.size % tuple(fields))
+
+
+class TrialOutcome(NamedTuple):
+    """Photon numbers (m, n) delivered to the two detectors by one pulse."""
+
+    m: int
+    n: int
+
+
+def sample_trial(rng: np.random.Generator, src: SourceParams, nu: float) -> TrialOutcome:
+    """Sample one pulse of the source.
+
+    A pair is emitted with probability gamma; each photon independently
+    survives its channel; two survivors interfere and either split
+    (probability (1-nu)/2) or bunch into one output; a lone survivor
+    picks an output by fair coin.
+    """
+    if rng.random() >= src.gamma:
+        return TrialOutcome(0, 0)
+    s1 = rng.random() < src.kappa1
+    s2 = rng.random() < src.kappa2
+    if s1 and s2:
+        u = rng.random()
+        if u < (1.0 - nu) / 2.0:
+            return TrialOutcome(1, 1)
+        if u < (1.0 - nu) / 2.0 + (1.0 + nu) / 4.0:
+            return TrialOutcome(2, 0)
+        return TrialOutcome(0, 2)
+    if s1 or s2:
+        return TrialOutcome(1, 0) if rng.random() < 0.5 else TrialOutcome(0, 1)
+    return TrialOutcome(0, 0)
+
+
+@dataclass
+class DeadState:
+    """Mutable per-detector state threaded through detect_pulse calls.
+
+    dead_remaining counts pulses still blind; afterpulse_pending marks
+    a spurious click waiting for the first live pulse.
+    """
+
+    dead_remaining: int = 0
+    afterpulse_pending: bool = False
+
+
+def detect_pulse(
+    rng: np.random.Generator,
+    photons: int,
+    det: DetectorParams,
+    state: DeadState,
+) -> bool:
+    """Advance one detector by one pulse; return whether it clicked.
+
+    Call once per pulse in order. While dead the detector ignores
+    arrivals (they do not extend the window). A live detector clicks
+    with probability 1 - (1-d)(1-eta)^photons, or deterministically if
+    an afterpulse is pending; every click re-arms the dead window and
+    schedules a new afterpulse with probability afterpulse_prob.
+    """
+    if state.dead_remaining > 0:
+        state.dead_remaining -= 1
+        return False
+    click = state.afterpulse_pending or (rng.random() >= p_noclick_given_n(det, photons))
+    if click:
+        state.afterpulse_pending = rng.random() < det.afterpulse_prob
+        state.dead_remaining = det.dead_pulses
+    return click

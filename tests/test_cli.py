@@ -296,24 +296,26 @@ class TestScanCommand:
             assert sha256(tmp_path / "one" / name) == sha256(tmp_path / "two" / name)
 
     def test_scan_outputs_are_pinned(self, tmp_path, cfg_path):
-        """SHA-256 of every scan output, computed while cmd_scan still held
-        all delays in memory: streaming them one at a time changes no byte.
-        fits.jsonl holds the shared-shape scan fit and goes through
-        LAPACK, so its pin assumes the same numpy build."""
+        """SHA-256 of every scan output. Streaming the delays one at a
+        time changed no byte of them; every pin was recomputed when each
+        emitted pair came to be drawn from one uniform over the joint
+        class table of its photons and click candidates (same law, new
+        streams). fits.jsonl holds the shared-shape scan fit and goes
+        through LAPACK, so its pin assumes the same numpy build."""
         out_dir = tmp_path / "scan"
         assert main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
                      "--span", "3e-13", "--points", "7",
                      "--set", "n_pulses=40961", "--set", "dark_prob2=1e-3"]) == 0
         pins = {
-            "fits.jsonl": "d3f3d63b95afa82c8d293f3043470e6e1ece1478974a2a337444a46b6c0b26db",
-            "rates.csv": "2218ce28e1c763b8950344d3e07ba4ea115c6a5a94767b0c95e8290eda30691c",
-            "tags_000.zht": "f14a827565276a9d1e625fadfe5b6266c8834321da9a79815319ca9234f218bc",
-            "tags_001.zht": "fa9c1422af956a0b4ab3174f15e3c035ca242283eb85618cb99a30ffc8d46e01",
-            "tags_002.zht": "d18b19c449e0966455e583db02d4b05684ffc2072921b74b084f55abd67a529b",
-            "tags_003.zht": "2b10cefc1f5fdbd3aad01583c8db25e708246e12b19857e0addb06061519187e",
-            "tags_004.zht": "379022a354d19062c03e3ccb77331092b0a6a674ea23f91f7bbf436af2c88049",
-            "tags_005.zht": "75853d230ce29689dfe0641eccd0709f7447809c60bde6f36c1ca51b76224b66",
-            "tags_006.zht": "61b11ea310a17f4092c88ae4a5970a3095d79deb2756d66e25597d8265313c2e",
+            "fits.jsonl": "4a67e75a775a4a3187b231cfebbff0ed3b51e113c77b66d3ab13bdbdcbe413b0",
+            "rates.csv": "e7d6ab630a81b14cd572499604be4d44d225fdb454c51c315203fb643c95e66d",
+            "tags_000.zht": "e84d7fbb18ba6f86ec8d3ad00f8f099b006a577a6cf4ac58174b787cb6473c58",
+            "tags_001.zht": "1c56cb846d188a33051c873cbc17b0d3a4698bd7c368e65059b35490e7a3dcbf",
+            "tags_002.zht": "a0dee4c411aa9f105f407288e444a643b942090485840205e5baa1fd3993e276",
+            "tags_003.zht": "9ed7ef5830893074b53a0101d617352b70af2b8f7203dc07c46ba1a35dfa284c",
+            "tags_004.zht": "c6c31420e5eb9e20c21084c0d960be5e6b1fdfb704c97e9b5d1affd56317ce4d",
+            "tags_005.zht": "6c7d1200739a8531e9bde705b0b2d0458771b9e0bc4453756392930d3481efab",
+            "tags_006.zht": "4ee273fa8ac4925c5e454bbba9830c68142054f4ee28b682fc757a044126a338",
         }
         manifest = json.loads((out_dir / "scan_manifest.json").read_text())
         assert manifest["outputs"] == {str(out_dir / name): pin for name, pin in pins.items()}

@@ -26,19 +26,19 @@ from zeroherald import (
 )
 from zeroherald.errors import CapacityError, ValidationError
 from zeroherald.pipeline import PulseState, table_from_stream
+from zeroherald.model import p_noclick_given_n
 from zeroherald.sim import (
-    DeadState,
     _afterpulse_chain,
     _ChannelPlan,
+    _class_codes,
     _detector_walk,
     _merge_tags,
+    _pair_classes,
     derive_delay_seed,
-    detect_pulse,
-    sample_trial,
 )
 from zeroherald.tags import Channel, write_tags
 
-from dense_oracle import afterpulse_walk
+from dense_oracle import DeadState, afterpulse_walk, detect_pulse, sample_trial
 
 SRC = SourceParams(gamma=0.3, kappa1=0.7, kappa2=0.55)
 NU = 0.41
@@ -84,6 +84,129 @@ class TestSampleTrial:
         outcomes = {sample_trial(rng, src, 1.0) for _ in range(5000)}
         assert (1, 1) not in outcomes
         assert outcomes == {(2, 0), (0, 2)}
+
+
+def enumerated_classes(src, nu, det1, det2):
+    """Class probabilities of one emitted pair from sample_trial's branches
+    and p_noclick_given_n without darks, keyed by (m, n, hit1, hit2)."""
+    k1, k2 = src.kappa1, src.kappa2
+    split, upto_d1 = (1.0 - nu) / 2.0, (1.0 - nu) / 2.0 + (1.0 + nu) / 4.0
+    lone = k1 * (1.0 - k2) + (1.0 - k1) * k2
+    photons = {
+        (0, 0): (1.0 - k1) * (1.0 - k2),
+        (1, 1): k1 * k2 * split,
+        (2, 0): k1 * k2 * (upto_d1 - split),
+        (0, 2): k1 * k2 * (1.0 - upto_d1),
+        (1, 0): lone * 0.5,
+        (0, 1): lone * 0.5,
+    }
+    quiet1 = dataclasses.replace(det1, dark_prob=0.0)
+    quiet2 = dataclasses.replace(det2, dark_prob=0.0)
+    out = {}
+    for (m, n), p in photons.items():
+        for hit1 in (False, True):
+            for hit2 in (False, True):
+                miss1, miss2 = p_noclick_given_n(quiet1, m), p_noclick_given_n(quiet2, n)
+                out[m, n, hit1, hit2] = (p * (1.0 - miss1 if hit1 else miss1)
+                                         * (1.0 - miss2 if hit2 else miss2))
+    return out
+
+
+def class_keys(classes):
+    return list(zip(classes.m.tolist(), classes.n.tolist(), classes.hit1.tolist(),
+                    classes.hit2.tolist()))
+
+
+# the busy_detectors benchmark point: kappa 0.5, nu_max 0.975 at zero delay
+BUSY_SRC = SourceParams(gamma=0.1, kappa1=0.5, kappa2=0.5)
+BUSY_NU = 0.975
+BUSY_DET1, BUSY_DET2 = DetectorParams(eta=0.32), DetectorParams(eta=0.30)
+
+# (kappa1, kappa2, eta1, eta2, nu); in the last one the last class is
+# empty and the cumulative sum before it rounds to 1 - 2**-53
+EDGE_POINTS = [
+    (kappa1, kappa2, eta1, eta2, nu)
+    for kappa1 in (0.0, 0.6, 1.0) for kappa2 in (0.0, 1.0)
+    for eta1, eta2 in ((1.0, 1.0), (1.0, 0.0), (0.4, 1.0)) for nu in (0.0, 1.0)
+] + [(0.1, 0.1, 0.7, 0.0, 0.0)]
+
+
+class ScriptedUniforms:
+    """Stands in for the generator in _class_codes: fixed uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+class TestPairClasses:
+    """The joint class table of an emitted pair against the scalar law."""
+
+    def test_probabilities_match_the_branches(self):
+        points = [(BUSY_SRC, BUSY_NU, BUSY_DET1, BUSY_DET2),
+                  (SRC, NU, DetectorParams(eta=0.62, dark_prob=1e-3), DetectorParams(eta=0.48))]
+        points += [(SourceParams(gamma=1.0, kappa1=k1, kappa2=k2), nu, DetectorParams(eta=e1),
+                    DetectorParams(eta=e2)) for k1, k2, e1, e2, nu in EDGE_POINTS]
+        for src, nu, det1, det2 in points:
+            classes = _pair_classes(src, nu, det1.eta, det2.eta)
+            want = enumerated_classes(src, nu, det1, det2)
+            # pair codes in order, D1 candidate outer, D2 inner; no
+            # candidate without photons
+            assert class_keys(classes) == [
+                (m, n, h1, h2) for m, n in ((0, 0), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1))
+                for h1 in (False, True)[:1 + (m > 0)] for h2 in (False, True)[:1 + (n > 0)]]
+            for key, p in zip(class_keys(classes), classes.prob):
+                assert abs(p - want.pop(key)) <= 1e-15, (src, nu, det1, det2, key)
+            assert all(p == 0.0 for p in want.values())  # candidates without photons
+            assert abs(classes.prob.sum() - 1.0) <= 1e-15
+
+    def test_engine_draws_follow_the_table(self):
+        # a pair on every pulse, no darks and no dead time: the truth and
+        # the clicks name each pair's class, and 1e6 of them are checked
+        # by chi-square (12 degrees of freedom; 52.2 is p = 5.7e-7, the
+        # two-sided 5-sigma tail)
+        n = 10**6
+        res = run_simulation(config(
+            source=dataclasses.replace(BUSY_SRC, gamma=1.0), det1=BUSY_DET1, det2=BUSY_DET2,
+            profile=IndistinguishabilityProfile(nu_max=BUSY_NU, tau=1e-13),
+            n_pulses=n, seed=21,
+        ))
+        truth = res.truth
+        assert truth.pair_pulses.size == n
+        hit1 = np.zeros(n, dtype=bool)
+        hit1[truth.clicks1] = True
+        hit2 = np.zeros(n, dtype=bool)
+        hit2[truth.clicks2] = True
+        classes = _pair_classes(BUSY_SRC, BUSY_NU, BUSY_DET1.eta, BUSY_DET2.eta)
+        index = {key: i for i, key in enumerate(class_keys(classes))}
+        keys = zip(truth.m.tolist(), truth.n.tolist(), hit1.tolist(), hit2.tolist())
+        counts = np.bincount([index[key] for key in keys], minlength=len(index))
+        expected = n * classes.prob
+        assert np.all(expected > 0)
+        assert np.sum((counts - expected) ** 2 / expected) < 52.2
+
+    def test_empty_classes_are_never_drawn(self):
+        for kappa1, kappa2, eta1, eta2, nu in EDGE_POINTS:
+            src = SourceParams(gamma=1.0, kappa1=kappa1, kappa2=kappa2)
+            prob = _pair_classes(src, nu, eta1, eta2).prob
+            drawn = _class_codes(np.random.default_rng(22), prob, 10**5)
+            assert np.all(prob[np.unique(drawn)] > 0), (kappa1, kappa2, eta1, eta2, nu)
+            # the extreme uniforms and both sides of every cumulative edge
+            edges = np.cumsum(prob)[:-1]
+            u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], edges, np.nextafter(edges, 0.0)))
+            u = u[(u >= 0.0) & (u < 1.0)]
+            codes = _class_codes(ScriptedUniforms(u), prob, u.size)
+            assert np.all(prob[codes] > 0), (kappa1, kappa2, eta1, eta2, nu)
+
+    def test_a_uniform_picks_the_class_whose_interval_holds_it(self):
+        prob = _pair_classes(BUSY_SRC, BUSY_NU, BUSY_DET1.eta, BUSY_DET2.eta).prob
+        edges = np.cumsum(prob)[:-1]
+        u = np.concatenate(([0.0], edges, np.nextafter(edges, 0.0)))
+        want = np.concatenate(([0], np.arange(1, 13), np.arange(12)))
+        assert _class_codes(ScriptedUniforms(u), prob, u.size).tolist() == want.tolist()
 
 
 class TestDetectPulse:
@@ -153,14 +276,19 @@ class TestGoldenStreams:
 
     The no-afterpulse pin was computed before the no-afterpulse path of
     the detector walk moved to the dead-time thinning it shares with the
-    pipeline, and it still holds after the walk became one vectorised
-    afterpulse chain: that stream is bit-identical throughout. The
-    afterpulse pin was recomputed when the chain replaced the per-click
-    walk (24061 tags before, 24129 after): the afterpulse law is the
-    same, but run lengths and jitters are now drawn in two blocks, not
-    interleaved click by click, so that stream changed on purpose. Both
-    runs are busy (about one click in ten pulses at dead length 4), so
-    dead-time chains and same-pulse candidates occur.
+    pipeline, and it held through the walk becoming one vectorised
+    afterpulse chain. The afterpulse pin was recomputed when the chain
+    replaced the per-click walk (24061 tags before, 24129 after): the
+    afterpulse law is the same, but run lengths and jitters are now
+    drawn in two blocks, not interleaved click by click. Both pins were
+    recomputed when each emitted pair came to be drawn from one uniform
+    over the joint class table of its photons and click candidates,
+    where it used to take four uniforms for its photons and one per
+    detector for its candidates (no afterpulses: 22209 tags before,
+    22276 after; afterpulses: 24129 before, 24036 after): the law is the
+    same, the streams changed on purpose. Both runs are busy (about one
+    click in ten pulses at dead length 4), so dead-time chains and
+    same-pulse candidates occur.
     """
 
     @staticmethod
@@ -177,10 +305,11 @@ class TestGoldenStreams:
         )
 
     @pytest.mark.parametrize("afterpulse_prob, jitter_sigma, seed, n_tags, digest", [
-        (0.0, 0.0, 11, 22209,
-         "d80892ed057e33065beb0e091f222a2a3559379b9fc7ad81e58fff5d307e6ceb"),
-        pytest.param(0.1, 30e-12, 12, 24129,
-                     "48e65573e35045a49753f8d04043bf50eec745d9259eb9df79985288505503c7",
+        pytest.param(0.0, 0.0, 11, 22276,
+                     "7c0e859d8eb448d22898cc0686a8307297d805aec6be6e65aa9e48111e2fad7b",
+                     id="no-afterpulses"),
+        pytest.param(0.1, 30e-12, 12, 24036,
+                     "85474961ac7a77f49737d3d8e1d91ed3800b8c2e3296a9f77a2852f1cc5abddf",
                      id="afterpulses-jitter"),
     ])
     def test_stream_digest(self, afterpulse_prob, jitter_sigma, seed, n_tags, digest):
