@@ -85,10 +85,15 @@ class PulseGrid:
 def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
     """Rebuild the pulse grid from a stream's reference tags.
 
-    Needs at least two references. Any reference spacing deviating from
-    the median by more than half a timebin per synthesized pulse (0.5 *
-    divider timebins) is treated as a clock glitch and reported with the
-    offending gap indices.
+    Needs at least two references. The period is the median reference
+    gap over divider. A gap more than divider/2 timebins (half a
+    timebin per synthesized pulse) from the median is a clock glitch:
+    ClockGlitchError lists the indices of every such gap.
+
+    The gaps are taken once: the median comes from partitioning them in
+    place, and the glitch test needs only the largest and the smallest
+    gap, so they are taken again only to list a glitch. At peak this
+    holds the references and their gaps, 16 bytes per reference.
     """
     refs = stream.channel_timestamps(Channel.REF)
     if refs.size < 2:
@@ -96,20 +101,26 @@ def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
             f"need at least 2 reference tags to rebuild the pulse train, got {refs.size}"
         )
     gaps = refs[1:] - refs[:-1]
-    if int(gaps.max()) * stream.divider >= 1 << 63:
+    top, low = gaps.max(), gaps.min()
+    if int(top) * stream.divider >= 1 << 63:
         raise ValidationError(
             "reference spacing times divider must stay below 2**63 for exact gating"
         )
-    diffs = gaps.astype(np.float64)
-    median = float(np.median(diffs))
+    # u64 -> f64 is monotone, so the middle pair of the gaps converts to
+    # the middle pair of their float copy, and mean() adds it as median() does
+    mid = [(gaps.size - 1) // 2, gaps.size // 2]
+    gaps.partition(mid)
+    median = float(np.mean(gaps[mid]))
     if median <= 0:
         raise ClockGlitchError("reference tags do not advance", indices=[0])
-    diffs -= median
-    bad = np.flatnonzero(np.abs(diffs, out=diffs) > 0.5 * stream.divider)
-    if bad.size:
+    # |gap - median| rounds monotonically in the gap: the extremes decide
+    half = 0.5 * stream.divider
+    if float(top) - median > half or median - float(low) > half:
+        deviation = np.abs((refs[1:] - refs[:-1]).astype(np.float64) - median)
+        bad = np.flatnonzero(deviation > half)
         raise ClockGlitchError(
             f"{bad.size} reference gap(s) deviate from the median period "
-            f"{median!r} by more than {0.5 * stream.divider} timebins",
+            f"{median!r} by more than {half} timebins",
             indices=bad.tolist(),
         )
     n_pulses = (refs.size - 1) * stream.divider + 1
@@ -151,41 +162,47 @@ def virtual_gate(stream: TagStream, grid: PulseGrid, window: float) -> GateResul
             f"{grid.period_tb!r})"
         )
     refs = np.asarray(grid.ref_times, dtype=np.uint64)
-    spacings = (refs[1:] - refs[:-1]).astype(np.int64)
-    divider = grid.divider
-    threshold = window_tb * divider
     assigned: dict[Channel, np.ndarray] = {}
     n_rejected: dict[Channel, int] = {}
     for ch in (Channel.D1, Channel.D2):
         t = stream.channel_timestamps(ch)
-        if t.size == 0:
-            assigned[ch] = np.empty(0, dtype=np.int64)
-            n_rejected[ch] = 0
-            continue
-        seg = np.searchsorted(refs, t, side="right") - 1
-        pulse = np.full(t.size, -1, dtype=np.int64)
-        in_gate = np.zeros(t.size, dtype=bool)
-
-        mid = (seg >= 0) & (seg < refs.size - 1)
-        if np.any(mid):
-            s = seg[mid]
-            rel = (t[mid] - refs[s]).astype(np.int64)
-            sp = spacings[s]
-            j = (rel * divider) // sp
-            pulse[mid] = s * divider + j
-            in_gate[mid] = (rel * divider - j * sp) < threshold
-
-        last = seg == refs.size - 1
-        if np.any(last):
-            rel = t[last] - refs[-1]
-            pulse[last] = (refs.size - 1) * divider
-            # float compare: far-out strays would overflow the scaled int test
-            in_gate[last] = rel.astype(np.float64) < window_tb
-
-        assigned[ch] = pulse[in_gate]
-        n_rejected[ch] = int(t.size - in_gate.sum())
+        assigned[ch] = _gated_pulses(t, refs, grid.divider, window_tb)
+        n_rejected[ch] = int(t.size - assigned[ch].size)
     return GateResult(grid=grid, window_tb=window_tb, assigned=assigned,
                       n_rejected=n_rejected)
+
+
+def _gated_pulses(t: np.ndarray, refs: np.ndarray, divider: int, window_tb: float) -> np.ndarray:
+    """Pulse indices of the tag times t that fall in a gate window.
+
+    In reference segment s, with spacing sp, a tag is pulse
+    s * divider + j for j = (t - refs[s]) * divider // sp, and in the
+    gate when the remainder is below window_tb * divider.
+    """
+    seg = np.searchsorted(refs, t, side="right") - 1
+    pulse = np.full(t.size, -1, dtype=np.int64)
+    in_gate = np.zeros(t.size, dtype=bool)
+
+    mid = (seg >= 0) & (seg < refs.size - 1)
+    if np.any(mid):
+        s = seg[mid]
+        start = refs[s]
+        # offset and spacing times divider stay below 2**63 (checked by
+        # reconstruct_pulse_train): exact in int64
+        scaled = (t[mid] - start).view(np.int64)
+        scaled *= divider
+        sp = np.subtract(refs[s + 1], start, out=start).view(np.int64)
+        j = scaled // sp
+        pulse[mid] = s * divider + j
+        in_gate[mid] = (scaled - j * sp) < window_tb * divider
+
+    last = seg == refs.size - 1
+    if np.any(last):
+        rel = t[last] - refs[-1]
+        pulse[last] = (refs.size - 1) * divider
+        # float compare: far-out strays would overflow the scaled int test
+        in_gate[last] = rel.astype(np.float64) < window_tb
+    return pulse[in_gate]
 
 
 def apply_dead_time(click_pulses, dead_pulses: int) -> np.ndarray:
@@ -293,7 +310,7 @@ class PulseEventTable:
     is dead on pulses k+1 .. k+dead_pulses (cut off at the end of the
     train) and idle everywhere else. A pulse is "live" when neither
     detector is dead there. Storage and cell_counts() grow with the
-    number of clicks; only the d1/d2 views hold one entry per pulse.
+    number of clicks, never with the number of pulses.
     """
 
     n_pulses: int
@@ -324,29 +341,8 @@ class PulseEventTable:
             setattr(self, f"dead_pulses{i}", dead)
             setattr(self, f"clicks{i}", clicks)
 
-    def _states(self, clicks: np.ndarray, dead: int) -> np.ndarray:
-        state = np.zeros(self.n_pulses, dtype=np.uint8)
-        state[clicks] = PulseState.CLICK
-        for j in range(1, dead + 1):
-            after = clicks + j
-            state[after[after < self.n_pulses]] = PulseState.DEAD
-        return state
-
-    @property
-    def d1(self) -> np.ndarray:
-        """Detector 1's PulseState code for every pulse, built on each access."""
-        return self._states(self.clicks1, self.dead_pulses1)
-
-    @property
-    def d2(self) -> np.ndarray:
-        """Detector 2's PulseState code for every pulse, built on each access."""
-        return self._states(self.clicks2, self.dead_pulses2)
-
-    def live_mask(self) -> np.ndarray:
-        return (self.d1 != PulseState.DEAD) & (self.d2 != PulseState.DEAD)
-
     def cell_counts(self) -> np.ndarray:
-        """3x3 matrix counting pulses by (d1 state, d2 state).
+        """3x3 matrix counting pulses by (detector 1 state, detector 2 state).
 
         Click/click pulses are the shared clicks. A click sits in the
         other detector's dead window when that detector's previous click

@@ -228,6 +228,10 @@ def _event_pulses(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     """Pulse indices in [0, n) where an independent Bernoulli(p) fired.
 
     Samples gaps from the geometric law so only successes cost time.
+    For tiny p a chunk's gaps can sum past 2**63. So each gap is cut to
+    one past the run, which keeps the sums exact up to the first event
+    past the run, and that event and all after it are put at n. The
+    draws are the same, and so are the events inside the run.
     """
     if p <= 0.0 or n <= 0:
         return np.empty(0, dtype=np.int64)
@@ -236,10 +240,16 @@ def _event_pulses(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     chunks = []
     total = 0
     while total <= n - 1:
-        remaining = (n - total) * p
+        left = n - total  # pulses total .. n-1, at offsets 1 .. left
+        remaining = left * p
         size = int(remaining + 6.0 * math.sqrt(remaining + 1.0) + 16.0)
         idx = rng.geometric(p, size=size)
-        np.cumsum(idx, out=idx)
+        np.minimum(idx, left + 1, out=idx)
+        # u64 sums wrap without fault after the first event past the run
+        sums = np.cumsum(idx.view(np.uint64), out=idx.view(np.uint64))
+        first_out = int(np.argmax(sums > left))
+        if sums[first_out] > left:
+            sums[first_out:] = left + 1
         idx += total - 1
         chunks.append(idx)
         total = int(idx[-1]) + 1
@@ -405,7 +415,7 @@ def _detector_walk(
 
 
 def _merge_tags(ref_times: np.ndarray, ref_step: int, d1: np.ndarray, d2: np.ndarray):
-    """Channels and times of the stream, in time order.
+    """Channels and u64 times of the stream, in time order.
 
     ref_times is the reference grid 0, ref_step, 2*ref_step, ...; d1
     and d2 are detector stamps in click order, almost sorted (jitter and
@@ -427,7 +437,7 @@ def _merge_tags(ref_times: np.ndarray, ref_step: int, d1: np.ndarray, d2: np.nda
     at += np.arange(det.size)
     is_ref = np.ones(ref_times.size + det.size, dtype=bool)
     is_ref[at] = False
-    times = np.empty(is_ref.size, dtype=np.int64)
+    times = np.empty(is_ref.size, dtype=np.uint64)
     times[at] = det
     times[is_ref] = ref_times
     channels = np.zeros(is_ref.size, dtype=np.uint8)
@@ -457,7 +467,8 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         Channel.D2: _detector_walk(rng, cfg, cfg.det2, plan2, cfg.n_pulses),
     }
 
-    ref_times = np.arange(0, cfg.n_pulses, cfg.divider, dtype=np.int64) * period
+    ref_step = cfg.divider * period
+    ref_times = np.arange(0, cfg.n_pulses * period, ref_step, dtype=np.uint64)
     stamps = {}
     clicks = {}
     ingate = {}
@@ -465,8 +476,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         stamps[ch] = pulses * period + offs
         clicks[ch] = pulses
         ingate[ch] = pulses[(offs >= 0) & (offs < cfg.window_tb)]
-    channels, times = _merge_tags(ref_times, cfg.divider * period,
-                                  stamps[Channel.D1], stamps[Channel.D2])
+    channels, times = _merge_tags(ref_times, ref_step, stamps[Channel.D1], stamps[Channel.D2])
     stream = TagStream(
         timebin_ps=cfg.timebin_ps,
         rep_period_ps=cfg.rep_period_ps,

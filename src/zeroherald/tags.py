@@ -103,13 +103,17 @@ class TagStream:
         ts = np.asarray(self.timestamps)
         if ch.ndim != 1 or ts.ndim != 1 or ch.size != ts.size:
             raise ValidationError("channels and timestamps must be 1-d and equal length")
-        if ch.size and (ch.min() < 0 or ch.max() > max(Channel)):
+        # u8 codes are checked on their contiguous copy, wider ones before
+        # the cast, where 257 would wrap to 1; unsigned ones cannot be < 0
+        codes = ch.copy() if ch.dtype == np.uint8 else ch
+        if codes.size and ((codes.dtype.kind != "u" and codes.min() < 0)
+                           or codes.max() > max(Channel)):
             raise ValidationError("channel codes must be 0 (REF), 1 (D1) or 2 (D2)")
         if ts.size and ts.dtype.kind not in "ui":
             raise ValidationError(f"timestamps must be integers, got dtype {ts.dtype}")
         if ts.size and ts.dtype.kind == "i" and ts.min() < 0:
             raise ValidationError("timestamps must be non-negative")
-        self.channels = ch.astype(np.uint8)
+        self.channels = codes.astype(np.uint8, copy=False)
         self.timestamps = ts.astype(np.uint64)
         if np.any(self.timestamps[1:] < self.timestamps[:-1]):
             raise IntegrityError("timestamps must be non-decreasing")
@@ -158,8 +162,9 @@ def write_tags(stream: TagStream, sink) -> None:
 def read_tags(source) -> TagStream:
     """Read a binary tag file; source is a path or file.
 
-    Bad magic, version, or a truncated record raise FormatError;
-    out-of-order timestamps raise IntegrityError.
+    Bad magic, version, header fields, channel codes or a truncated
+    record raise FormatError; out-of-order timestamps raise
+    IntegrityError. Errors in a record name it and its byte offset.
     """
     with _opened(source, "rb") as fh:
         blob = fh.read()
@@ -178,16 +183,8 @@ def read_tags(source) -> TagStream:
             f"({body_size - good} trailing bytes)"
         )
     records = np.frombuffer(blob, dtype=_RECORD_DTYPE, offset=_HEADER.size)
-    if records.size and records["channel"].max() > max(Channel):
-        bad = int(np.argmax(records["channel"] > max(Channel)))
-        raise FormatError(
-            f"unknown channel code {int(records['channel'][bad])} at record "
-            f"{bad} (byte offset {_HEADER.size + bad * _RECORD_DTYPE.itemsize})"
-        )
-    if timebin_ps <= 0 or rep_period_ps <= 0 or divider <= 0:
-        raise FormatError("header fields must be positive")
     try:
-        # the stream copies each column once and checks the order
+        # the stream copies each column once and checks the codes and order
         return TagStream(
             timebin_ps=int(timebin_ps),
             rep_period_ps=int(rep_period_ps),
@@ -196,6 +193,16 @@ def read_tags(source) -> TagStream:
             timestamps=records["timestamp"],
             version=int(version),
         )
+    except ValidationError:
+        # a bad channel code, or a zero timebin, period or divider
+        channels = records["channel"]
+        if channels.size and channels.max() > max(Channel):
+            bad = int(np.argmax(channels > max(Channel)))
+            raise FormatError(
+                f"unknown channel code {int(channels[bad])} at record "
+                f"{bad} (byte offset {_HEADER.size + bad * _RECORD_DTYPE.itemsize})"
+            ) from None
+        raise FormatError("header fields must be positive") from None
     except IntegrityError:
         ts = records["timestamp"]
         bad = int(np.argmax(ts[1:] < ts[:-1])) + 1

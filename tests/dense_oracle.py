@@ -2,10 +2,16 @@
 
 DenseTable keeps one PulseState code per pulse and per detector and
 counts the 3x3 cells with bincount, the obvious way. It is the
-differential oracle for PulseEventTable, and it holds the hand-made
-state fixtures of the rate tests, some of which (a dead row with no
-click before it) have no sparse form. compute_rates reads only
+differential oracle for PulseEventTable and its per-pulse view:
+DenseTable.of(table) gives each detector's state on every pulse, and
+live_mask() the pulses where neither is dead. It also holds the
+hand-made state fixtures of the rate tests, some of which (a dead row
+with no click before it) have no sparse form. compute_rates reads only
 n_pulses and cell_counts(), so it accepts either table.
+
+float_reconstruct is reconstruct_pulse_train as a float median of the
+reference gaps and one float deviation per gap, the reference for the
+in-place median and extremes test the pipeline uses.
 
 greedy_dead_time is the scalar walk that pipeline.apply_dead_time
 vectorises: the differential oracle for the shared dead-time thinning.
@@ -25,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from zeroherald.errors import ClockGlitchError, InsufficientReferenceError, ValidationError
 from zeroherald.model import DetectorParams, SourceParams, p_noclick_given_n
 from zeroherald.pipeline import PulseState
 from zeroherald.tags import Channel
@@ -42,9 +49,19 @@ class DenseTable:
         return cls(dense_states(n_pulses, clicks1, dead1),
                    dense_states(n_pulses, clicks2, dead2))
 
+    @classmethod
+    def of(cls, table):
+        """The per-pulse view of a PulseEventTable, from its accepted clicks."""
+        return cls.from_clicks(table.n_pulses, table.clicks1, table.dead_pulses1,
+                               table.clicks2, table.dead_pulses2)
+
     @property
     def n_pulses(self) -> int:
         return self.d1.size
+
+    def live_mask(self) -> np.ndarray:
+        """Pulses where neither detector is dead."""
+        return (self.d1 != PulseState.DEAD) & (self.d2 != PulseState.DEAD)
 
     def cell_counts(self) -> np.ndarray:
         combined = self.d1.astype(np.int64) * 3 + self.d2
@@ -59,6 +76,32 @@ def dense_states(n_pulses, clicks, dead):
         for j in range(k + 1, min(k + dead, n_pulses - 1) + 1):
             state[j] = PulseState.DEAD
     return np.array(state, dtype=np.uint8)
+
+
+def float_reconstruct(stream):
+    """(period_tb, n_pulses) of the pulse grid, or the error rebuilding it raises."""
+    refs = stream.channel_timestamps(Channel.REF)
+    if refs.size < 2:
+        raise InsufficientReferenceError(
+            f"need at least 2 reference tags to rebuild the pulse train, got {refs.size}"
+        )
+    gaps = refs[1:] - refs[:-1]
+    if int(gaps.max()) * stream.divider >= 1 << 63:
+        raise ValidationError(
+            "reference spacing times divider must stay below 2**63 for exact gating"
+        )
+    diffs = gaps.astype(np.float64)
+    median = float(np.median(diffs))
+    if median <= 0:
+        raise ClockGlitchError("reference tags do not advance", indices=[0])
+    bad = np.flatnonzero(np.abs(diffs - median) > 0.5 * stream.divider)
+    if bad.size:
+        raise ClockGlitchError(
+            f"{bad.size} reference gap(s) deviate from the median period "
+            f"{median!r} by more than {0.5 * stream.divider} timebins",
+            indices=bad.tolist(),
+        )
+    return median / stream.divider, (refs.size - 1) * stream.divider + 1
 
 
 def greedy_dead_time(click_pulses, dead):

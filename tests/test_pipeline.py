@@ -19,6 +19,7 @@ from zeroherald.errors import (
     ClockGlitchError,
     InsufficientReferenceError,
     ValidationError,
+    ZeroHeraldError,
 )
 from zeroherald.pipeline import (
     GateResult,
@@ -35,7 +36,7 @@ from zeroherald.pipeline import (
 )
 from zeroherald.tags import Channel, TagStream
 
-from dense_oracle import DenseTable, greedy_dead_time
+from dense_oracle import DenseTable, float_reconstruct, greedy_dead_time
 
 N, C, D = PulseState.NOCLICK, PulseState.CLICK, PulseState.DEAD
 
@@ -86,6 +87,104 @@ class TestReconstruction:
         grid = reconstruct_pulse_train(make_stream([0, 0], [0, 50]))
         with pytest.raises(ValidationError):
             grid.pulse_times(6)
+
+
+@st.composite
+def reference_trains(draw):
+    """Reference streams for the differential test of the reconstruction.
+
+    Gaps sit around one period, from zero to the 2**63 / divider guard
+    and above 2**53, where u64 gaps round as floats; some gaps are moved
+    by up to a divider (half of that is allowed) and some are replaced
+    by anything in range, zero included. Gap counts are odd and even.
+    """
+    divider = draw(st.one_of(st.sampled_from([1, 2, 3, 5, 512]), st.integers(1, 2**32 - 1)))
+    limit = -(-(1 << 63) // divider)  # the smallest gap the guard rejects
+    period = draw(st.one_of(
+        st.integers(0, 64),
+        st.integers(0, limit),
+        st.integers(max(0, limit - 2 * divider), limit),
+        st.integers(2**53 - 2 * divider, 2**53 + 2 * divider).map(lambda g: min(g, limit)),
+    ))
+    near = st.integers(-divider, divider).map(lambda d: min(max(period + d, 0), limit))
+    gaps = draw(st.lists(st.one_of(st.just(period), near), min_size=1, max_size=24))
+    for index in draw(st.lists(st.integers(0, len(gaps) - 1), max_size=3)):
+        gaps[index] = draw(st.one_of(st.just(0), st.integers(0, limit), near))
+    times = [0]
+    for gap in gaps:
+        if times[-1] + gap >= 1 << 64:
+            break
+        times.append(times[-1] + gap)
+    start = draw(st.integers(0, 2**64 - 1 - times[-1]))
+    times = [start + t for t in times]
+    # detector tags at the reference times must not change the grid
+    with_tags = draw(st.booleans())
+    channels = [0, 1] * len(times) if with_tags else [0] * len(times)
+    timestamps = [t for t in times for _ in range(1 + with_tags)]
+    return TagStream(timebin_ps=10, rep_period_ps=100, divider=divider,
+                     channels=np.array(channels, dtype=np.uint8),
+                     timestamps=np.array(timestamps, dtype=np.uint64))
+
+
+def grid_or_error(rebuild, stream):
+    """Bit pattern of the period and the pulse count, or the error raised."""
+    try:
+        period_tb, n_pulses = rebuild(stream)
+    except ZeroHeraldError as exc:
+        return type(exc), str(exc), getattr(exc, "indices", None)
+    return period_tb.hex(), n_pulses
+
+
+def rebuilt_grid(stream):
+    grid = reconstruct_pulse_train(stream)
+    return grid.period_tb, grid.n_pulses
+
+
+class TestReconstructionMatchesFloatOracle:
+    @given(reference_trains())
+    @example(make_stream([0, 0, 0, 0], [0, 50, 100, 145]))  # glitch at gap 2
+    @example(make_stream([0] * 7, [0, 50, 100, 145, 195, 245, 301]))  # at gaps 2 and 5
+    @example(make_stream([0, 0, 0, 0, 0], [0, 50, 99, 150, 199]))  # even count
+    @example(make_stream([0, 0, 0], [0, 0, 0]))  # the references do not advance
+    @example(make_stream([0, 0, 0], [7, 7, 2**63 + 5]))  # median of one zero, one huge gap
+    @settings(max_examples=400, deadline=None)
+    def test_same_period_pulses_and_errors(self, stream):
+        assert grid_or_error(rebuilt_grid, stream) == grid_or_error(float_reconstruct, stream)
+
+
+class TestReferenceCost:
+    """reconstruct and gate hold the references once: the gaps beside
+    them, and in the gate nothing per reference but a mask byte per tag."""
+
+    def test_peaks_with_two_million_references(self):
+        n_refs, divider, period = 2_000_000, 512, 12
+        refs = np.arange(n_refs, dtype=np.uint64) * np.uint64(divider * period)
+        # pulse 0 in the gate, pulse 7 in, pulse 1000 out, the last pulse in
+        clicks = np.array([1, 7 * period + 2, 1000 * period + 5, refs[-1] + 1], dtype=np.uint64)
+        timestamps = np.concatenate((refs, clicks))
+        channels = np.zeros(timestamps.size, dtype=np.uint8)
+        channels[n_refs:] = [1, 2, 1, 2]
+        order = np.argsort(timestamps, kind="stable")
+        stream = TagStream(timebin_ps=10, rep_period_ps=10 * period, divider=divider,
+                           channels=channels[order], timestamps=timestamps[order])
+        tracemalloc.start()
+        try:
+            grid = reconstruct_pulse_train(stream)
+            _, reconstruct_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            gate = virtual_gate(stream, grid, window=30e-12)
+            _, gate_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.n_pulses == (n_refs - 1) * divider + 1
+        np.testing.assert_array_equal(gate.assigned[Channel.D1], [0])
+        np.testing.assert_array_equal(gate.assigned[Channel.D2], [7, (n_refs - 1) * divider])
+        assert gate.n_rejected == {Channel.D1: 1, Channel.D2: 0}
+        # the references and their gaps, 16 bytes per reference
+        assert reconstruct_peak < 2.5 * 8 * n_refs
+        # one channel mask, then arrays per detector tag
+        assert gate_peak - held < len(stream) + (1 << 20)
 
 
 def ten_pulse_fixture():
@@ -326,11 +425,12 @@ class TestEventTable:
             ten_pulse_fixture(), window=30e-12, dead_pulses1=2,
             dead_pulses2=0,
         )
+        dense = DenseTable.of(table)
         np.testing.assert_array_equal(
-            table.d1, [N, N, C, D, D, N, N, N, N, N, N]
+            dense.d1, [N, N, C, D, D, N, N, N, N, N, N]
         )
         np.testing.assert_array_equal(
-            table.d2, [N, N, C, N, N, N, N, C, N, N, C]
+            dense.d2, [N, N, C, N, N, N, N, C, N, N, C]
         )
 
     def test_fixture_cell_counts(self):
@@ -345,7 +445,7 @@ class TestEventTable:
              [2, 0, 0]],
         )
         np.testing.assert_array_equal(
-            table.live_mask(),
+            DenseTable.of(table).live_mask(),
             [1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1],
         )
 
@@ -354,22 +454,23 @@ class TestEventTable:
         _, _, table = table_from_stream(s, window=30e-12, dead_pulses1=5,
                                         dead_pulses2=5)
         assert table.n_pulses == 11
-        assert np.all(table.d1 == N)
-        assert np.all(table.d2 == N)
+        dense = DenseTable.of(table)
+        assert np.all(dense.d1 == N)
+        assert np.all(dense.d2 == N)
 
     def test_dead_marks_follow_each_accepted_click(self):
         s = make_stream([0, 2, 0, 0], [0, 30, 50, 100])
         _, _, table = table_from_stream(s, window=30e-12, dead_pulses1=0,
                                         dead_pulses2=3)
         np.testing.assert_array_equal(
-            table.d2, [N, N, N, C, D, D, D, N, N, N, N]
+            DenseTable.of(table).d2, [N, N, N, C, D, D, D, N, N, N, N]
         )
 
     def test_dead_window_truncates_at_train_end(self):
         s = make_stream([0, 0, 1, 0], [0, 50, 91, 100])
         _, _, table = table_from_stream(s, window=30e-12, dead_pulses1=5,
                                         dead_pulses2=0)
-        np.testing.assert_array_equal(table.d1[9:], [C, D])
+        np.testing.assert_array_equal(DenseTable.of(table).d1[9:], [C, D])
 
 
 class TestGateDeadIndependence:
@@ -386,7 +487,7 @@ class TestGateDeadIndependence:
         s = make_stream(channels, ts)
         _, _, table = table_from_stream(s, window=30e-12, dead_pulses1=dead,
                                         dead_pulses2=0)
-        n_clicks = int(np.sum(table.d1 == C))
+        n_clicks = int(np.sum(DenseTable.of(table).d1 == C))
         assert n_clicks <= len(pulses)
         if dead == 0:
             assert n_clicks == len(pulses)
@@ -411,14 +512,15 @@ class TestSparseTable:
         table = PulseEventTable(n, clicks1, clicks2, dead1, dead2)
         oracle = DenseTable.from_clicks(n, clicks1, dead1, clicks2, dead2)
         np.testing.assert_array_equal(table.cell_counts(), oracle.cell_counts())
-        np.testing.assert_array_equal(table.d1, oracle.d1)
-        np.testing.assert_array_equal(table.d2, oracle.d2)
+        # the table keeps the clicks it was given, which its dense view reads
+        np.testing.assert_array_equal(table.clicks1, clicks1)
+        np.testing.assert_array_equal(table.clicks2, clicks2)
         assert table.cell_counts().sum() == n
 
     def test_empty_train(self):
         table = PulseEventTable(0, [], [], 3, 3)
         np.testing.assert_array_equal(table.cell_counts(), np.zeros((3, 3)))
-        assert table.d1.size == 0
+        assert DenseTable.of(table).d1.size == 0
 
     @pytest.mark.parametrize("clicks1, dead1", [
         ([5, 2], 0),        # unsorted

@@ -32,13 +32,14 @@ from zeroherald.sim import (
     _ChannelPlan,
     _class_codes,
     _detector_walk,
+    _event_pulses,
     _merge_tags,
     _pair_classes,
     derive_delay_seed,
 )
 from zeroherald.tags import Channel, write_tags
 
-from dense_oracle import DeadState, afterpulse_walk, detect_pulse, sample_trial
+from dense_oracle import DeadState, DenseTable, afterpulse_walk, detect_pulse, sample_trial
 
 SRC = SourceParams(gamma=0.3, kappa1=0.7, kappa2=0.55)
 NU = 0.41
@@ -257,6 +258,46 @@ class TestDetectPulse:
         assert state.afterpulse_pending is True
 
 
+def philox(seed):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+def summed_event_pulses(rng, p, n):
+    """_event_pulses without its guard: sums each chunk's gaps as drawn."""
+    chunks, total = [], 0
+    while total <= n - 1:
+        remaining = (n - total) * p
+        size = int(remaining + 6.0 * math.sqrt(remaining + 1.0) + 16.0)
+        idx = np.cumsum(rng.geometric(p, size=size)) + total - 1
+        chunks.append(idx)
+        total = int(idx[-1]) + 1
+    events = np.concatenate(chunks)
+    return events[:np.searchsorted(events, n)]
+
+
+class TestEventPulses:
+    def test_tiny_probability_stays_inside_the_run(self):
+        # gaps near 1e18 overflowed the chunk's int64 sum: 179 of these
+        # seeds gave events outside [0, n)
+        for seed in range(200):
+            events = _event_pulses(philox(seed), 1e-18, 10**6)
+            assert np.all((events >= 0) & (events < 10**6)), seed
+
+    def test_tiny_dark_probability_runs(self):
+        res = run_simulation(config(det1=DetectorParams(eta=0.8, dark_prob=1e-18),
+                                    n_pulses=10**6, seed=0))
+        assert res.truth.clicks1.size > 0
+        assert np.all(res.truth.clicks1 < 10**6)
+
+    @given(seed=st.integers(0, 2**64 - 1), p=st.floats(1e-15, 0.9),
+           n=st.integers(1, 50_000))
+    @settings(max_examples=200, deadline=None)
+    def test_same_draws_as_plain_sums(self, seed, p, n):
+        rng, plain = philox(seed), philox(seed)
+        np.testing.assert_array_equal(_event_pulses(rng, p, n), summed_event_pulses(plain, p, n))
+        assert rng.random() == plain.random()  # as many draws
+
+
 class TestDeterminism:
     def test_identical_configs_identical_streams(self):
         a = run_simulation(config())
@@ -356,9 +397,10 @@ class TestTruthMatchesPipeline:
             dead_pulses2=0,
         )
         covered = table.n_pulses
+        dense = DenseTable.of(table)
         for states, ingate in (
-            (table.d1, res.truth.ingate_clicks1),
-            (table.d2, res.truth.ingate_clicks2),
+            (dense.d1, res.truth.ingate_clicks1),
+            (dense.d2, res.truth.ingate_clicks2),
         ):
             want = ingate[ingate < covered]
             np.testing.assert_array_equal(
@@ -417,7 +459,7 @@ class TestDarkCounts:
             res.stream, window=cfg.gate_window, dead_pulses1=0,
             dead_pulses2=0,
         )
-        assert np.all(table.d1 != PulseState.CLICK)
+        assert np.all(DenseTable.of(table).d1 != PulseState.CLICK)
         assert gate.n_rejected[Channel.D1] >= n_og * 0.9
 
 
@@ -443,7 +485,7 @@ class TestAfterpulsing:
             res.stream, window=res.config.gate_window, dead_pulses1=5,
             dead_pulses2=5,
         )
-        clicks = np.flatnonzero(table.d1 == PulseState.CLICK)
+        clicks = np.flatnonzero(DenseTable.of(table).d1 == PulseState.CLICK)
         assert np.all(np.diff(clicks) > 5)
 
 
@@ -672,7 +714,7 @@ class TestMergeTags:
         ref_times = np.arange(n_refs, dtype=np.int64) * ref_step
         channels, times = _merge_tags(ref_times, ref_step, d1, d2)
         want_channels, want_times = lexsort_merge(ref_times, d1, d2)
-        assert channels.dtype == np.uint8
+        assert channels.dtype == np.uint8 and times.dtype == np.uint64
         assert channels.tolist() == want_channels.tolist()
         assert times.tolist() == want_times.tolist()
 

@@ -76,6 +76,28 @@ class TestStreamValidation:
         with pytest.raises(ValidationError):
             make_stream([3], [0])
 
+    @pytest.mark.parametrize("dtype, codes", [
+        (np.int16, [0, -1, 1]),
+        (np.int16, [0, 3, 1]),
+        (np.uint16, [0, 257, 1]),  # 257 would pass as 1 once cast to u8
+        (np.uint8, [0, 3, 1]),
+    ])
+    def test_rejects_bad_channel_code_of_any_dtype(self, dtype, codes):
+        with pytest.raises(ValidationError,
+                           match=r"^channel codes must be 0 \(REF\), 1 \(D1\) or 2 \(D2\)$"):
+            TagStream(timebin_ps=81, rep_period_ps=9963, divider=512,
+                      channels=np.array(codes, dtype=dtype),
+                      timestamps=np.array([0, 1, 2], dtype=np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.int64, np.uint8])
+    def test_channel_codes_become_owned_u8(self, dtype):
+        codes = np.array([0, 2, 1], dtype=dtype)
+        s = TagStream(timebin_ps=81, rep_period_ps=9963, divider=512, channels=codes,
+                      timestamps=np.array([0, 1, 2], dtype=np.int64))
+        assert s.channels.dtype == np.uint8 and s.timestamps.dtype == np.uint64
+        assert s.channels.tolist() == [0, 2, 1]
+        assert s.channels.flags.owndata and not np.shares_memory(s.channels, codes)
+
     def test_rejects_zero_header_fields(self):
         with pytest.raises(ValidationError):
             make_stream([], [], timebin_ps=0)
@@ -194,6 +216,28 @@ class TestBinaryCorruption:
         blob = self.good_bytes()
         blob[18 + 9] = 7  # second record's channel byte
         with pytest.raises(FormatError, match="channel code 7 at record 1"):
+            read_tags(io.BytesIO(bytes(blob)))
+
+    def test_unknown_channel_reported_before_backwards_timestamps(self):
+        blob = self.good_bytes()
+        blob[18 + 9] = 7
+        struct.pack_into("<Q", blob, 18 + 2 * 9 + 1, 5)  # now 0, 10, 5
+        with pytest.raises(FormatError,
+                           match=r"^unknown channel code 7 at record 1 \(byte offset 27\)$"):
+            read_tags(io.BytesIO(bytes(blob)))
+
+    def test_unknown_channel_reported_before_zero_header_field(self):
+        blob = self.good_bytes()
+        blob[18 + 2 * 9] = 255
+        struct.pack_into("<I", blob, 14, 0)  # divider
+        with pytest.raises(FormatError,
+                           match=r"^unknown channel code 255 at record 2 \(byte offset 36\)$"):
+            read_tags(io.BytesIO(bytes(blob)))
+
+    def test_zero_header_field_without_records(self):
+        blob = self.good_bytes()[:18]
+        struct.pack_into("<I", blob, 10, 0)  # period
+        with pytest.raises(FormatError, match="^header fields must be positive$"):
             read_tags(io.BytesIO(bytes(blob)))
 
     def test_zero_header_field(self):
