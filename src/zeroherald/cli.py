@@ -5,9 +5,9 @@ Subcommands:
     model      emit closed-form curves over a delay grid as CSV
     simulate   run one simulation from a config file, write a tag file
                plus a JSON run manifest
-    analyze    reduce tag files to rates, a shared-shape scan fit, and optional
-               model z-scores
-    scan       simulate a whole delay grid and analyze it in one go
+    analyze    reduce tag files to rates and a shared-shape scan fit
+    scan       simulate a whole delay grid and analyze it in one go; its
+               virtual gate defaults to the config's gate_window
     compare    z-scores of tag files against a config's closed forms
 
 Exit codes: 0 success; 2 usage errors (bad flags); 3 parameter or
@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config, _overrides(args.set))
     result = sim.run_simulation(cfg)
-    if args.format == "csv" or (args.format == "auto" and args.out.endswith(".csv")):
+    if args.out.endswith(".csv"):
         tags.write_tags_csv(result.stream, args.out)
     else:
         tags.write_tags(result.stream, args.out)
@@ -218,12 +218,6 @@ def cmd_analyze(args) -> int:
                 if fit.visibility is not None:
                     line += f", visibility={fit.visibility:.6f}"
                 print(line, file=sys.stderr)
-    if args.compare_config:
-        cfg = _load_config(args.compare_config)
-        with _out_stream(args.compare_out) as fh:
-            for summary in summaries:
-                report = analysis.compare_to_model(summary, cfg)
-                fh.write(json.dumps(report.to_dict()) + "\n")
     return 0
 
 
@@ -236,6 +230,7 @@ def cmd_scan(args) -> int:
         if args.span is None:
             raise ValidationError("scan needs --delays or --span")
         delays = list(np.linspace(-args.span, args.span, args.points))
+    gate = cfg.gate_window if args.gate is None else args.gate
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # one delay at a time: simulate, write, reduce, then drop the result
@@ -246,7 +241,7 @@ def cmd_scan(args) -> int:
         path = out_dir / f"tags_{index:03d}.zht"
         tags.write_tags(stream, path)
         tag_paths.append(path)
-        summaries += _analyze_streams([stream], [delta_t], args.gate, args.dead_pulses)
+        summaries += _analyze_streams([stream], [delta_t], gate, args.dead_pulses)
         del stream
     rates_path = out_dir / "rates.csv"
     with open(rates_path, "w", newline="") as fh:
@@ -288,9 +283,11 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_gate_flags(parser):
-    parser.add_argument("--gate", type=float, default=2e-9,
-                        help="virtual gate window in seconds (default 2e-9)")
+def _add_gate_flags(parser, gate_default: float | None = 2e-9):
+    """--gate and --dead-pulses; a None gate default means the config's gate_window."""
+    shown = "the config's gate_window" if gate_default is None else repr(gate_default)
+    parser.add_argument("--gate", type=float, default=gate_default,
+                        help=f"virtual gate window in seconds (default {shown})")
     parser.add_argument("--dead-pulses", type=int, default=5,
                         help="software dead window in pulses, both detectors (default 5)")
 
@@ -324,11 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one simulation from a config file")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--out", required=True, help="tag file to write")
+    p_sim.add_argument("--out", required=True,
+                       help="tag file to write: CSV for *.csv paths, else binary")
     p_sim.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
-    p_sim.add_argument("--format", choices=["auto", "binary", "csv"], default="auto",
-                       help="tag format; auto picks csv for *.csv paths")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="rates and fits from tag files")
@@ -338,10 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gate_flags(p_an)
     p_an.add_argument("--rates-out", default="-", help="rate summary CSV (default stdout)")
     p_an.add_argument("--fits-out", default=None, help="fit results JSON-lines path")
-    p_an.add_argument("--compare-config", default=None,
-                      help="config file to compare rates against")
-    p_an.add_argument("--compare-out", default="-",
-                      help="z-score JSON-lines path (default stdout)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_scan = sub.add_parser("scan", help="simulate + analyze a delay grid")
@@ -352,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="symmetric half-width; grid is linspace(-span, span, points)")
     p_scan.add_argument("--points", type=int, default=13)
     p_scan.add_argument("--set", action="append", metavar="KEY=VALUE")
-    _add_gate_flags(p_scan)
+    _add_gate_flags(p_scan, gate_default=None)
     p_scan.set_defaults(func=cmd_scan)
 
     p_cmp = sub.add_parser("compare", help="z-scores of tag files vs closed forms")

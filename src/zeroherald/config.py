@@ -5,58 +5,57 @@ Unknown and duplicate keys are rejected so a typo cannot silently fall
 back to a default. Integer fields accept scientific notation when the
 value is whole (n_pulses = 1e8).
 
-Keys (defaults in parentheses):
+Each key sets one field of SimConfig or of one of its parts: the source
+keys are the SourceParams field names, a detector key is a
+DetectorParams field name plus the detector number (eta1, dark_prob2),
+and the profile keys are nu_max, tau and profile_ plus the other
+IndistinguishabilityProfile field names. Types and defaults are the
+fields' own; a field without a default is a required key.
 
-    gamma, kappa1, kappa2          source parameters, required
-    eta1, eta2                     detector efficiencies, required
-    dark_prob1, dark_prob2         in-gate dark click probability (0)
-    dead_pulses1, dead_pulses2     dead window length in pulses (0)
-    afterpulse_prob1, afterpulse_prob2  (0)
-    profile_shape                  gaussian | triangular | tabulated (gaussian)
-    nu_max, tau                    profile ceiling and width, required
-                                   for gaussian/triangular
-    profile_delays, profile_values comma lists, tabulated shape only
-    delta_t (0), rep_period (10e-9), timebin (81e-12), divider (512)
-    n_pulses, seed                 required
-    jitter_sigma (0), gate_window (2e-9)
-    out_gate_dark_rate (240)       Hz of gate-rejectable darks; an
-                                   engineering default, not a measured
-                                   device value
+    key                 default   meaning
+    gamma               required  per-pulse pair probability
+    kappa1              required  channel 1 transmission
+    kappa2              required  channel 2 transmission
+    eta1                required  detector 1 efficiency
+    dark_prob1          0         detector 1 in-gate dark click probability
+    dead_pulses1        0         detector 1 dead window in pulses
+    afterpulse_prob1    0         detector 1 afterpulse probability per click
+    eta2                required  detector 2 efficiency
+    dark_prob2          0         detector 2 in-gate dark click probability
+    dead_pulses2        0         detector 2 dead window in pulses
+    afterpulse_prob2    0         detector 2 afterpulse probability per click
+    nu_max              unset     profile ceiling; required for gaussian
+                                  and triangular, read off the table at
+                                  delay 0 for tabulated
+    tau                 unset     profile width; required for gaussian
+                                  and triangular
+    profile_shape       gaussian  gaussian | triangular | tabulated
+    profile_delays      unset     comma list, tabulated shape only;
+                                  [brackets] as in a manifest are allowed
+    profile_values      unset     same, the nu value at each delay
+    n_pulses            required  pulses to simulate
+    seed                required  generator seed
+    delta_t             0         delay between the two photons (s)
+    rep_period          10e-9     pulse period (s)
+    timebin             81e-12    tag timebin (s)
+    divider             512       pulses per reference tag
+    jitter_sigma        0         detector timing jitter (s)
+    gate_window         2e-9      in-gate window (s)
+    out_gate_dark_rate  240       Hz of gate-rejectable darks; an
+                                  engineering default, not a measured
+                                  device value
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from dataclasses import MISSING, Field, fields, is_dataclass
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
-from .model import DetectorParams, IndistinguishabilityProfile, SourceParams
 from .sim import SimConfig
 
 __all__ = ["parse_config_text", "build_sim_config", "load_config", "config_dict"]
-
-_FLOAT_KEYS = {
-    "gamma", "kappa1", "kappa2", "eta1", "eta2", "dark_prob1", "dark_prob2",
-    "afterpulse_prob1", "afterpulse_prob2", "nu_max", "tau", "delta_t",
-    "rep_period", "timebin", "jitter_sigma", "gate_window", "out_gate_dark_rate",
-}
-_INT_KEYS = {"dead_pulses1", "dead_pulses2", "divider", "n_pulses", "seed"}
-_STR_KEYS = {"profile_shape"}
-_LIST_KEYS = {"profile_delays", "profile_values"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
-
-_REQUIRED = {"gamma", "kappa1", "kappa2", "eta1", "eta2", "n_pulses", "seed"}
-
-_DEFAULTS = {
-    "dark_prob1": "0", "dark_prob2": "0",
-    "dead_pulses1": "0", "dead_pulses2": "0",
-    "afterpulse_prob1": "0", "afterpulse_prob2": "0",
-    "profile_shape": "gaussian",
-    "delta_t": "0", "rep_period": "10e-9", "timebin": "81e-12",
-    "divider": "512", "jitter_sigma": "0", "gate_window": "2e-9",
-    "out_gate_dark_rate": "240",
-}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -103,72 +102,94 @@ def _parse_float(key: str, text: str) -> float:
     return value
 
 
-def _parse_list(key: str, text: str) -> np.ndarray:
+def _parse_list(key: str, text: str) -> tuple[float, ...]:
+    if text.startswith("[") and text.endswith("]"):  # as a manifest writes it
+        text = text[1:-1]
     try:
-        return np.array([float(part) for part in text.split(",") if part.strip()])
+        return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"{key} must be a comma-separated number list") from None
 
 
+_PARSERS = {int: _parse_int, float: _parse_float, str: lambda key, text: text,
+            tuple: _parse_list}
+
+
+class _Key(NamedTuple):
+    part: str | None  # SimConfig field holding the value; None for the run itself
+    field: Field
+    parse: Callable[[str, str], object]
+
+    @property
+    def required(self) -> bool:
+        return self.field.default is MISSING and self.field.default_factory is MISSING
+
+
+def _parser(hint) -> Callable[[str, str], object]:
+    """Parser for a field annotation: X | None parses as X, tuple[...] as a list."""
+    if type(None) in get_args(hint):
+        (hint,) = (a for a in get_args(hint) if a is not type(None))
+    return _PARSERS[get_origin(hint) or hint]
+
+
+def _key_name(part: str | None, name: str) -> str:
+    if part in ("det1", "det2"):
+        return name + part[-1]
+    if part == "profile" and name in ("shape", "delays", "values"):
+        return "profile_" + name
+    return name
+
+
+_RUN_HINTS = get_type_hints(SimConfig)
+_PARTS = {f.name: _RUN_HINTS[f.name] for f in fields(SimConfig)
+          if is_dataclass(_RUN_HINTS[f.name])}
+
+
+def _key_table() -> dict[str, _Key]:
+    """Every config key and the one field it sets, in SimConfig order."""
+    table = {}
+    for outer in fields(SimConfig):
+        if outer.name in _PARTS:
+            cls = _PARTS[outer.name]
+            part, members, hints = outer.name, fields(cls), get_type_hints(cls)
+        else:
+            part, members, hints = None, (outer,), _RUN_HINTS
+        for f in members:
+            table[_key_name(part, f.name)] = _Key(part, f, _parser(hints[f.name]))
+    return table
+
+
+_KEYS = _key_table()
+
+
 def build_sim_config(raw: dict[str, str], overrides: dict[str, str] | None = None) -> SimConfig:
     """Typed SimConfig from raw strings, with optional flag overrides."""
-    merged = dict(_DEFAULTS)
-    merged.update(raw)
-    if overrides:
-        merged.update(overrides)
-    unknown = sorted(set(merged) - _ALL_KEYS)
+    merged = {**raw, **(overrides or {})}
+    unknown = sorted(set(merged) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted(_REQUIRED - set(merged))
+    missing = sorted(k for k, key in _KEYS.items() if key.required and k not in merged)
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
 
-    values: dict[str, object] = {}
-    for key, text in merged.items():
-        if key in _INT_KEYS:
-            values[key] = _parse_int(key, text)
-        elif key in _FLOAT_KEYS:
-            values[key] = _parse_float(key, text)
-        elif key in _LIST_KEYS:
-            values[key] = _parse_list(key, text)
-        else:
-            values[key] = text
+    values: dict[str | None, dict[str, object]] = {part: {} for part in (None, *_PARTS)}
+    for name, text in merged.items():
+        key = _KEYS[name]
+        values[key.part][key.field.name] = key.parse(name, text)
 
-    shape = values["profile_shape"]
+    profile = values["profile"]
+    shape = profile.get("shape", _PARTS["profile"].shape)
+    tables = "delays" in profile, "values" in profile
     if shape == "tabulated":
-        if "profile_delays" not in values or "profile_values" not in values:
+        if not all(tables):
             raise ConfigError("tabulated profile needs profile_delays and profile_values")
-        profile = IndistinguishabilityProfile(
-            shape="tabulated",
-            delays=values["profile_delays"],
-            values=values["profile_values"],
-            nu_max=values.get("nu_max"),
-        )
-    else:
-        if "profile_delays" in values or "profile_values" in values:
-            raise ConfigError("profile tables are only valid with profile_shape = tabulated")
-        if "nu_max" not in values or "tau" not in values:
-            raise ConfigError(f"{shape} profile needs nu_max and tau")
-        profile = IndistinguishabilityProfile(
-            shape=shape, nu_max=values["nu_max"], tau=values["tau"]
-        )
+    elif any(tables):
+        raise ConfigError("profile tables are only valid with profile_shape = tabulated")
+    elif "nu_max" not in profile or "tau" not in profile:
+        raise ConfigError(f"{shape} profile needs nu_max and tau")
 
-    source = SourceParams(gamma=values["gamma"], kappa1=values["kappa1"],
-                          kappa2=values["kappa2"])
-    det1 = DetectorParams(eta=values["eta1"], dark_prob=values["dark_prob1"],
-                          dead_pulses=values["dead_pulses1"],
-                          afterpulse_prob=values["afterpulse_prob1"])
-    det2 = DetectorParams(eta=values["eta2"], dark_prob=values["dark_prob2"],
-                          dead_pulses=values["dead_pulses2"],
-                          afterpulse_prob=values["afterpulse_prob2"])
-    return SimConfig(
-        source=source, det1=det1, det2=det2, profile=profile,
-        delta_t=values["delta_t"], rep_period=values["rep_period"],
-        timebin=values["timebin"], divider=values["divider"],
-        n_pulses=values["n_pulses"], seed=values["seed"],
-        jitter_sigma=values["jitter_sigma"], gate_window=values["gate_window"],
-        out_gate_dark_rate=values["out_gate_dark_rate"],
-    )
+    parts = {part: cls(**values[part]) for part, cls in _PARTS.items()}
+    return SimConfig(**parts, **values[None])
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> SimConfig:
@@ -179,33 +200,10 @@ def load_config(path, overrides: dict[str, str] | None = None) -> SimConfig:
 
 
 def config_dict(cfg: SimConfig) -> dict:
-    """Flat JSON-friendly snapshot of an effective config."""
-    out = {
-        "gamma": cfg.source.gamma,
-        "kappa1": cfg.source.kappa1,
-        "kappa2": cfg.source.kappa2,
-        "eta1": cfg.det1.eta,
-        "dark_prob1": cfg.det1.dark_prob,
-        "dead_pulses1": cfg.det1.dead_pulses,
-        "afterpulse_prob1": cfg.det1.afterpulse_prob,
-        "eta2": cfg.det2.eta,
-        "dark_prob2": cfg.det2.dark_prob,
-        "dead_pulses2": cfg.det2.dead_pulses,
-        "afterpulse_prob2": cfg.det2.afterpulse_prob,
-        "profile_shape": cfg.profile.shape,
-        "nu_max": cfg.profile.nu_max,
-        "tau": cfg.profile.tau,
-        "delta_t": cfg.delta_t,
-        "rep_period": cfg.rep_period,
-        "timebin": cfg.timebin,
-        "divider": cfg.divider,
-        "n_pulses": cfg.n_pulses,
-        "seed": cfg.seed,
-        "jitter_sigma": cfg.jitter_sigma,
-        "gate_window": cfg.gate_window,
-        "out_gate_dark_rate": cfg.out_gate_dark_rate,
-    }
-    if cfg.profile.shape == "tabulated":
-        out["profile_delays"] = list(map(float, cfg.profile.delays))
-        out["profile_values"] = list(map(float, cfg.profile.values))
+    """Flat JSON-friendly snapshot of an effective config; unset fields are left out."""
+    out = {}
+    for name, key in _KEYS.items():
+        value = getattr(getattr(cfg, key.part) if key.part else cfg, key.field.name)
+        if value is not None:
+            out[name] = list(value) if isinstance(value, tuple) else value
     return out

@@ -117,8 +117,8 @@ class IndistinguishabilityProfile:
     nu_max: float | None = None
     tau: float | None = None
     shape: str = "gaussian"
-    delays: np.ndarray | None = None
-    values: np.ndarray | None = None
+    delays: tuple[float, ...] | None = None
+    values: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.shape in ("gaussian", "triangular"):
@@ -140,8 +140,9 @@ class IndistinguishabilityProfile:
                 raise ValidationError("profile table values must be in [0, 1]")
             if not (d[0] <= 0.0 <= d[-1]):
                 raise ValidationError("profile table must cover delay 0")
-            object.__setattr__(self, "delays", d)
-            object.__setattr__(self, "values", v)
+            # tuples, so that equal tables compare and hash by value
+            object.__setattr__(self, "delays", tuple(map(float, d)))
+            object.__setattr__(self, "values", tuple(map(float, v)))
             at_zero = float(np.interp(0.0, d, v))
             if self.nu_max is None:
                 object.__setattr__(self, "nu_max", at_zero)

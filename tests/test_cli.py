@@ -219,16 +219,6 @@ class TestAnalyzeCommand:
         main(["analyze", str(tag_file), "--fits-out", str(fits_out)])
         assert not fits_out.exists()
 
-    def test_compare_against_own_config(self, tmp_path, tag_file, cfg_path):
-        cmp_out = tmp_path / "cmp.jsonl"
-        code = main(["analyze", str(tag_file), "--compare-config", str(cfg_path),
-                     "--compare-out", str(cmp_out)])
-        assert code == 0
-        report = json.loads(cmp_out.read_text().splitlines()[0])
-        assert report["nu"] == pytest.approx(0.9)
-        for name, score in report["z"].items():
-            assert abs(score) < 5.0, (name, score)
-
     def test_corrupt_tag_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.zht"
         bad.write_bytes(b"not a tag file at all")
@@ -322,6 +312,17 @@ class TestScanCommand:
         for name, pin in pins.items():
             assert sha256(out_dir / name) == pin, name
 
+    def test_gate_defaults_to_the_config_gate_window(self, tmp_path, cfg_path):
+        scan = ["scan", "--config", str(cfg_path), "--delays=0",
+                "--set", "n_pulses=5121", "--set", "gate_window=1e-9",
+                "--set", "out_gate_dark_rate=1e7"]
+        main(scan + ["--out-dir", str(tmp_path / "auto")])
+        main(scan + ["--out-dir", str(tmp_path / "flag"), "--gate", "1e-9"])
+        main(scan + ["--out-dir", str(tmp_path / "wide"), "--gate", "2e-9"])
+        auto = read_csv(tmp_path / "auto" / "rates.csv")
+        assert auto == read_csv(tmp_path / "flag" / "rates.csv")
+        assert auto != read_csv(tmp_path / "wide" / "rates.csv")
+
     def test_scan_needs_a_grid(self, tmp_path, cfg_path, capsys):
         code = main(["scan", "--config", str(cfg_path),
                      "--out-dir", str(tmp_path / "scan")])
@@ -340,6 +341,8 @@ class TestCompareCommand:
         assert "largest |z|" in err
         worst = float(err.rsplit("=", 1)[1])
         assert worst < 5.0
+        report = json.loads((tmp_path / "cmp.jsonl").read_text().splitlines()[0])
+        assert report["nu"] == pytest.approx(0.9)
 
     def test_wrong_efficiency_scores_large(self, tmp_path, capsys):
         big = tmp_path / "big.cfg"

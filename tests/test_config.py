@@ -2,18 +2,24 @@
 
 A config is flat key = value text; the strict parts worth pinning are
 duplicate/unknown/missing key rejection, whole-number scientific
-notation for integer fields, and the profile shape cross-checks.
+notation for integer fields, the profile shape cross-checks, and that
+the key table covers each SimConfig field exactly once.
 """
+
+from dataclasses import fields, is_dataclass
 
 import pytest
 
+from zeroherald import config
 from zeroherald.config import (
+    _KEYS,
     build_sim_config,
     config_dict,
     load_config,
     parse_config_text,
 )
 from zeroherald.errors import ConfigError, ValidationError
+from zeroherald.sim import SimConfig
 
 MINIMAL = """\
 # source
@@ -29,10 +35,24 @@ seed = 7
 """
 
 
+TABULATED = (
+    "profile_shape = tabulated\n"
+    "profile_delays = -1e-13, 0, 1e-13\n"
+    "profile_values = 0, 0.9, 0\n"
+)
+
+
 def raw(extra="", drop=()):
     lines = [l for l in (MINIMAL + extra).splitlines()
              if not any(l.startswith(k + " ") for k in drop)]
     return parse_config_text("\n".join(lines))
+
+
+SHAPES = {
+    "gaussian": raw(),
+    "triangular": raw(extra="profile_shape = triangular\n"),
+    "tabulated": raw(extra=TABULATED, drop=("nu_max", "tau")),
+}
 
 
 class TestParseConfigText:
@@ -127,14 +147,7 @@ class TestBuildSimConfig:
 
 class TestProfiles:
     def test_tabulated_profile(self):
-        cfg = build_sim_config(raw(
-            extra=(
-                "profile_shape = tabulated\n"
-                "profile_delays = -1e-13, 0, 1e-13\n"
-                "profile_values = 0, 0.9, 0\n"
-            ),
-            drop=("nu_max", "tau"),
-        ))
+        cfg = build_sim_config(SHAPES["tabulated"])
         assert cfg.profile.shape == "tabulated"
         assert cfg.profile.nu_max == 0.9
         assert cfg.profile.nu(0.5e-13) == pytest.approx(0.45)
@@ -189,14 +202,50 @@ class TestLoadAndSnapshot:
         assert build_sim_config(snap) == cfg
 
     def test_config_dict_tabulated_lists(self):
-        cfg = build_sim_config(raw(
-            extra=(
-                "profile_shape = tabulated\n"
-                "profile_delays = -1e-13, 0, 1e-13\n"
-                "profile_values = 0, 0.9, 0\n"
-            ),
-            drop=("nu_max", "tau"),
-        ))
-        snap = config_dict(cfg)
+        snap = config_dict(build_sim_config(SHAPES["tabulated"]))
         assert snap["profile_delays"] == [-1e-13, 0.0, 1e-13]
         assert snap["profile_values"] == [0.0, 0.9, 0.0]
+        # an unset width is left out, not written as null
+        assert "tau" not in snap
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_each_shape_compares_hashes_and_round_trips(self, shape):
+        cfg = build_sim_config(SHAPES[shape])
+        assert cfg == build_sim_config(SHAPES[shape])
+        assert hash(cfg) == hash(build_sim_config(SHAPES[shape]))
+        assert cfg != build_sim_config(SHAPES[shape], overrides={"seed": "8"})
+        snap = {k: str(v) for k, v in config_dict(cfg).items()}
+        assert build_sim_config(snap) == cfg
+
+
+class TestKeyTable:
+    def test_each_field_has_exactly_one_key(self):
+        cfg = build_sim_config(raw())
+        expected = []
+        for outer in fields(SimConfig):
+            part = getattr(cfg, outer.name)
+            if is_dataclass(part):
+                expected += [(outer.name, f.name) for f in fields(part)]
+            else:
+                expected.append((None, outer.name))
+        got = [(key.part, key.field.name) for key in _KEYS.values()]
+        assert sorted(got, key=str) == sorted(expected, key=str)
+
+    def test_docstring_lists_every_key_with_its_default(self):
+        documented = {}
+        for line in config.__doc__.splitlines():
+            cols = line.split()
+            if line.startswith("    ") and cols and cols[0] in _KEYS:
+                assert cols[0] not in documented, cols[0]
+                documented[cols[0]] = cols[1]
+        assert set(documented) == set(_KEYS)
+        for name, key in _KEYS.items():
+            default, text = key.field.default, documented[name]
+            if key.required:
+                assert text == "required", name
+            elif default is None:
+                assert text == "unset", name
+            elif isinstance(default, str):
+                assert text == default, name
+            else:
+                assert float(text) == default, name
