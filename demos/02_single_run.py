@@ -29,7 +29,7 @@ def main():
         zh.write_tags(res.stream, path)
         size = os.path.getsize(path)
         stream = zh.read_tags(path)
-    print(f"{CFG.n_pulses:.0e} pulses -> {stream.channels.size} time tags"
+    print(f"{CFG.n_pulses:.0e} pulses -> {len(stream)} time tags"
           f" ({size / 1024:.0f} KiB on disk)")
 
     _, gate, table = zh.table_from_stream(stream, CFG.gate_window, 5, 5)

@@ -51,7 +51,6 @@ __all__ = [
     "RATE_FIELDS",
 ]
 
-FLOAT_FMT = "%.17g"
 
 RATE_FIELDS = ("singles1", "singles2", "coincidence", "heralded_rate", "heralding_success")
 
@@ -508,10 +507,10 @@ def write_rate_csv(summaries: Sequence[RateSummary], sink, rep_rate_hz: float | 
                         + [f for f in float_fields if f != "delta_t"]
                         + [f"{name}_per_s" for name in per_s])
         for s in summaries:
-            row = [FLOAT_FMT % s.delta_t]
+            row = [model.FLOAT_FMT % s.delta_t]
             row += [str(getattr(s, f)) for f in int_fields]
-            row += [FLOAT_FMT % getattr(s, f) for f in float_fields if f != "delta_t"]
-            row += [FLOAT_FMT % (getattr(s, name) * rep_rate_hz) for name in per_s]
+            row += [model.FLOAT_FMT % getattr(s, f) for f in float_fields if f != "delta_t"]
+            row += [model.FLOAT_FMT % (getattr(s, name) * rep_rate_hz) for name in per_s]
             writer.writerow(row)
 
 

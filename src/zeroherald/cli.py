@@ -44,8 +44,6 @@ from .errors import (
 )
 from . import analysis, config as config_mod, model, pipeline, sim, tags
 
-PS_PER_SECOND = 1e12
-
 
 @dataclass
 class RunManifest:
@@ -118,7 +116,7 @@ def _load_config(path, overrides=None):
 
 
 def _rep_rate_hz(stream: tags.TagStream) -> float:
-    return PS_PER_SECOND / stream.rep_period_ps
+    return tags.PS_PER_SECOND / stream.rep_period_ps
 
 
 def cmd_model(args) -> int:
@@ -245,7 +243,7 @@ def cmd_scan(args) -> int:
         del stream
     rates_path = out_dir / "rates.csv"
     with open(rates_path, "w", newline="") as fh:
-        analysis.write_rate_csv(summaries, fh, rep_rate_hz=PS_PER_SECOND / cfg.rep_period_ps)
+        analysis.write_rate_csv(summaries, fh, rep_rate_hz=tags.PS_PER_SECOND / cfg.rep_period_ps)
     fits = _fit_series(summaries)
     outputs = {str(p): _sha256(p) for p in tag_paths}
     outputs[str(rates_path)] = _sha256(rates_path)

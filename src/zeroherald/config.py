@@ -28,7 +28,7 @@ fields' own; a field without a default is a required key.
                                   and triangular, read off the table at
                                   delay 0 for tabulated
     tau                 unset     profile width; required for gaussian
-                                  and triangular
+                                  and triangular, rejected for tabulated
     profile_shape       gaussian  gaussian | triangular | tabulated
     profile_delays      unset     comma list, tabulated shape only;
                                   [brackets] as in a manifest are allowed
@@ -183,6 +183,8 @@ def build_sim_config(raw: dict[str, str], overrides: dict[str, str] | None = Non
     if shape == "tabulated":
         if not all(tables):
             raise ConfigError("tabulated profile needs profile_delays and profile_values")
+        if "tau" in profile:
+            raise ConfigError("tau is only valid with profile_shape = gaussian or triangular")
     elif any(tables):
         raise ConfigError("profile tables are only valid with profile_shape = tabulated")
     elif "nu_max" not in profile or "tau" not in profile:

@@ -111,7 +111,8 @@ class IndistinguishabilityProfile:
     Shapes: "gaussian" gives nu_max * exp(-(dt/tau)^2), "triangular"
     gives nu_max * max(0, 1 - |dt|/tau), and "tabulated" interpolates
     linearly between (delay, nu) samples. Tabulated profiles must cover
-    delay 0; queries outside the table raise rather than extrapolate.
+    delay 0 and take no tau; queries outside the table raise rather than
+    extrapolate.
     """
 
     nu_max: float | None = None
@@ -130,6 +131,8 @@ class IndistinguishabilityProfile:
         elif self.shape == "tabulated":
             if self.delays is None or self.values is None:
                 raise ValidationError("tabulated profile needs delays and values")
+            if self.tau is not None:
+                raise ValidationError("tabulated profile takes no tau")
             d = np.asarray(self.delays, dtype=float)
             v = np.asarray(self.values, dtype=float)
             if d.ndim != 1 or d.shape != v.shape or d.size < 2:

@@ -28,7 +28,7 @@ from .errors import (
     InsufficientReferenceError,
     ValidationError,
 )
-from .tags import Channel, TagStream
+from .tags import PS_PER_SECOND, Channel, TagStream
 
 __all__ = [
     "PulseState",
@@ -41,8 +41,6 @@ __all__ = [
     "build_event_table",
     "table_from_stream",
 ]
-
-PS_PER_SECOND = 1e12
 
 
 class PulseState(IntEnum):
@@ -67,17 +65,6 @@ class PulseGrid:
     n_pulses: int
     period_tb: float
 
-    def pulse_times(self, k) -> np.ndarray:
-        """Times (in timebins, float) of pulse indices k."""
-        k = np.asarray(k, dtype=np.int64)
-        if np.any(k < 0) or np.any(k >= self.n_pulses):
-            raise ValidationError("pulse index out of range")
-        refs = self.ref_times
-        seg = np.minimum(k // self.divider, refs.size - 2)
-        j = k - seg * self.divider
-        spacing = (refs[seg + 1] - refs[seg]).astype(np.int64)
-        return refs[seg] + j * spacing / self.divider
-
     def __len__(self) -> int:
         return self.n_pulses
 
@@ -92,10 +79,10 @@ def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
 
     The gaps are taken once: the median comes from partitioning them in
     place, and the glitch test needs only the largest and the smallest
-    gap, so they are taken again only to list a glitch. At peak this
-    holds the references and their gaps, 16 bytes per reference.
+    gap, so they are taken again only to list a glitch. The grid keeps
+    the stream's references: at peak this adds one gap per reference.
     """
-    refs = stream.channel_timestamps(Channel.REF)
+    refs = stream.refs
     if refs.size < 2:
         raise InsufficientReferenceError(
             f"need at least 2 reference tags to rebuild the pulse train, got {refs.size}"
@@ -125,7 +112,7 @@ def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
         )
     n_pulses = (refs.size - 1) * stream.divider + 1
     return PulseGrid(
-        ref_times=refs,  # channel_timestamps returns a fresh array
+        ref_times=refs,
         divider=stream.divider,
         n_pulses=n_pulses,
         period_tb=median / stream.divider,
@@ -162,12 +149,9 @@ def virtual_gate(stream: TagStream, grid: PulseGrid, window: float) -> GateResul
             f"{grid.period_tb!r})"
         )
     refs = np.asarray(grid.ref_times, dtype=np.uint64)
-    assigned: dict[Channel, np.ndarray] = {}
-    n_rejected: dict[Channel, int] = {}
-    for ch in (Channel.D1, Channel.D2):
-        t = stream.channel_timestamps(ch)
-        assigned[ch] = _gated_pulses(t, refs, grid.divider, window_tb)
-        n_rejected[ch] = int(t.size - assigned[ch].size)
+    tags = {Channel.D1: stream.d1, Channel.D2: stream.d2}
+    assigned = {ch: _gated_pulses(t, refs, grid.divider, window_tb) for ch, t in tags.items()}
+    n_rejected = {ch: int(t.size - assigned[ch].size) for ch, t in tags.items()}
     return GateResult(grid=grid, window_tb=window_tb, assigned=assigned,
                       n_rejected=n_rejected)
 

@@ -33,9 +33,9 @@ pointer doubling follows the chain through the contested rest.
 Every event source is drawn in pulse order, so nothing is sorted from
 scratch. A stable sort merges a channel's three sorted candidate runs
 (photons, in-gate darks, out-of-gate darks) and the earliest offset per
-pulse is kept; the detector tags are merged the same way, and since
-the reference tags sit on a regular grid, one division places each
-detector tag among them.
+pulse is kept. The stream holds each channel's tags apart: the
+reference tags are a regular grid, and each detector's almost-sorted
+stamps need one more stable sort.
 
 All randomness of a run comes from one counter-based Philox generator
 keyed by (seed, 0), so a config is reproducible tag-for-tag. The draw
@@ -59,7 +59,7 @@ from .model import (
     SourceParams,
 )
 from .pipeline import _first_of_runs, _greedy_chain
-from .tags import Channel, TagStream
+from .tags import PS_PER_SECOND, TagStream
 
 __all__ = [
     "SimConfig",
@@ -71,7 +71,6 @@ __all__ = [
     "derive_delay_seed",
 ]
 
-PS_PER_SECOND = 1e12
 MAX_TIMESTAMP = 2**62  # headroom below the u64 ceiling for jitter excursions
 
 
@@ -414,35 +413,11 @@ def _detector_walk(
     return clicks[order], np.concatenate((offsets[keep], after_offsets))[order]
 
 
-def _merge_tags(ref_times: np.ndarray, ref_step: int, d1: np.ndarray, d2: np.ndarray):
-    """Channels and u64 times of the stream, in time order.
-
-    ref_times is the reference grid 0, ref_step, 2*ref_step, ...; d1
-    and d2 are detector stamps in click order, almost sorted (jitter and
-    out-of-gate darks can swap neighbours), and negative ones are
-    dropped: jitter ahead of pulse 0 has nowhere to go. On equal times
-    REF comes first, then D1, then D2. A stable sort of the detector
-    stamps merges their runs; each then lands behind the
-    t // ref_step + 1 references at or before it, and the references
-    fill the other slots in order.
-    """
-    det = np.concatenate((d1, d2))
-    det_channels = np.repeat(np.array([Channel.D1, Channel.D2], dtype=np.uint8),
-                             (d1.size, d2.size))
-    kept = det >= 0
-    det, det_channels = det[kept], det_channels[kept]
-    order = np.argsort(det, kind="stable")
-    det = det[order]
-    at = np.minimum(det // ref_step + 1, ref_times.size)
-    at += np.arange(det.size)
-    is_ref = np.ones(ref_times.size + det.size, dtype=bool)
-    is_ref[at] = False
-    times = np.empty(is_ref.size, dtype=np.uint64)
-    times[at] = det
-    times[is_ref] = ref_times
-    channels = np.zeros(is_ref.size, dtype=np.uint8)
-    channels[at] = det_channels[order]
-    return channels, times
+def _sorted_stamps(stamps: np.ndarray) -> np.ndarray:
+    """A detector's stamps in click order as a stream channel: jitter
+    ahead of pulse 0 has nowhere to go, and the rest is almost sorted
+    (jitter and out-of-gate darks can swap neighbours)."""
+    return np.sort(stamps[stamps >= 0], kind="stable").view(np.uint64)
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -462,37 +437,26 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     # lookups index the tables: take would first copy the codes to intp
     plan1 = _channel_plan(rng, cfg, cfg.det1, pair_pulses[classes.hit1[code]], cfg.n_pulses)
     plan2 = _channel_plan(rng, cfg, cfg.det2, pair_pulses[classes.hit2[code]], cfg.n_pulses)
-    walks = {
-        Channel.D1: _detector_walk(rng, cfg, cfg.det1, plan1, cfg.n_pulses),
-        Channel.D2: _detector_walk(rng, cfg, cfg.det2, plan2, cfg.n_pulses),
-    }
-
-    ref_step = cfg.divider * period
-    ref_times = np.arange(0, cfg.n_pulses * period, ref_step, dtype=np.uint64)
-    stamps = {}
-    clicks = {}
-    ingate = {}
-    for ch, (pulses, offs) in walks.items():
-        stamps[ch] = pulses * period + offs
-        clicks[ch] = pulses
-        ingate[ch] = pulses[(offs >= 0) & (offs < cfg.window_tb)]
-    channels, times = _merge_tags(ref_times, ref_step, stamps[Channel.D1], stamps[Channel.D2])
+    (clicks1, offs1), (clicks2, offs2) = (
+        _detector_walk(rng, cfg, det, plan, cfg.n_pulses)
+        for det, plan in ((cfg.det1, plan1), (cfg.det2, plan2)))
     stream = TagStream(
         timebin_ps=cfg.timebin_ps,
         rep_period_ps=cfg.rep_period_ps,
         divider=cfg.divider,
-        channels=channels,
-        timestamps=times,
+        refs=np.arange(0, cfg.n_pulses * period, cfg.divider * period, dtype=np.uint64),
+        d1=_sorted_stamps(clicks1 * period + offs1),
+        d2=_sorted_stamps(clicks2 * period + offs2),
         provenance=cfg.provenance(),
     )
     truth = SimTruth(
         pair_pulses=pair_pulses,
         m=classes.m[code],
         n=classes.n[code],
-        clicks1=clicks[Channel.D1],
-        clicks2=clicks[Channel.D2],
-        ingate_clicks1=ingate[Channel.D1],
-        ingate_clicks2=ingate[Channel.D2],
+        clicks1=clicks1,
+        clicks2=clicks2,
+        ingate_clicks1=clicks1[(offs1 >= 0) & (offs1 < cfg.window_tb)],
+        ingate_clicks2=clicks2[(offs2 >= 0) & (offs2 < cfg.window_tb)],
     )
     return SimResult(stream=stream, truth=truth, config=cfg)
 

@@ -1,9 +1,16 @@
 """Time-tag streams and their on-disk formats.
 
-A stream is an ordered list of (channel, timestamp) tags plus the header
-needed to interpret it: timebin size, pulse period, and the divider that
-says every how-many pulses a reference tag was recorded. Timestamps are
-unsigned 64-bit counts of timebins since the run started.
+A stream is a header (timebin size, pulse period, and the divider that
+says every how-many pulses a reference tag was recorded) and per channel
+a sorted array of u64 timebin counts since the run started: refs for
+the reference clock, d1 and d2 for the detectors. Streams are equal when
+their headers and each channel's timestamps are.
+
+Both file formats hold one list of (channel, timestamp) records in time
+order, REF then D1 then D2 on equal timestamps: the writers interleave
+the channels a block at a time, the readers check the order across all
+records and split them. A file with equal-timestamp tags in another
+channel order reads to the same stream, written back in the order above.
 
 Binary layout (little-endian), 18-byte header then 9-byte records:
 
@@ -16,13 +23,12 @@ Binary layout (little-endian), 18-byte header then 9-byte records:
     18      9*N   records: u8 channel, u64 timestamp
 
 The CSV form carries the same header as "# key = value" comment lines
-plus a free-text provenance note that the fixed binary header has no
-room for, then the column header "channel,timestamp". Every line after
-it is one record NAME,DIGITS: NAME is REF, D1 or D2 and DIGITS a
-decimal below 2**64 (a plus sign, leading zeros and surrounding ASCII
-blanks are tolerated). Empty lines are skipped; anything else there, a
-"#" line or a character outside ASCII included, is a FormatError naming
-its line.
+plus a free-text provenance note, then the column header
+"channel,timestamp" and a record NAME,DIGITS a line: NAME is REF, D1 or
+D2 and DIGITS a decimal below 2**64 (a plus sign, leading zeros and
+surrounding ASCII blanks are tolerated). Empty lines are skipped;
+anything else, a "#" line or a non-ASCII character included, is a
+FormatError naming its line.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import islice
 
 import numpy as np
 
@@ -42,13 +49,14 @@ from .errors import FormatError, IntegrityError, ValidationError
 __all__ = ["Channel", "TagStream", "write_tags", "read_tags",
            "write_tags_csv", "read_tags_csv"]
 
+PS_PER_SECOND = 1e12
 MAGIC = b"ZHT1"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIII")
-_RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
+_RECORD = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
 _CSV_COLUMNS = "channel,timestamp"
 _CSV_DTYPE = np.dtype([("ch", "U4"), ("ts", "u8")])
-_CSV_BLOCK = 1 << 16
+_BLOCK = 1 << 16  # records per block of the writers' interleave and the readers' split
 _CSV_SCAN = 1 << 20  # characters per block of the NUL scan
 # what np.loadtxt accepts as a record: a known name, one comma, a
 # decimal that may carry a plus sign, leading zeros and surrounding
@@ -66,8 +74,7 @@ class Channel(IntEnum):
 
 # the writer's three-byte name fields, by channel code
 _CSV_NAMES = np.frombuffer(b"REFD1 D2 ", dtype=np.uint8).reshape(len(Channel), 3)
-# the reader's U4 name field as two 64-bit words of code points, and the
-# words of each channel's name
+# the reader's U4 name field as two 64-bit words of code points, and each name's words
 _CSV_NAME_WORDS = np.dtype({"names": ["lo", "hi"], "formats": ["u8", "u8"],
                             "offsets": [0, 8], "itemsize": _CSV_DTYPE.itemsize})
 _CSV_NAME_KEYS = np.array([c.name for c in Channel], dtype="U4").view(np.uint64).reshape(-1, 2)
@@ -75,19 +82,17 @@ _CSV_NAME_KEYS = np.array([c.name for c in Channel], dtype="U4").view(np.uint64)
 
 @dataclass
 class TagStream:
-    """An ordered tag list with the header needed to interpret it.
-
-    provenance is a free-text note (generator, seed); it travels with
-    the CSV form and run manifests but not the binary header, and is
-    excluded from equality.
-    """
+    """A header and three sorted u64 timestamp arrays, one per channel;
+    integer input is cast, u64 input kept as it is. provenance is free
+    text (generator, seed) for the CSV form and run manifests, not the
+    binary header, and is left out of equality."""
 
     timebin_ps: int
     rep_period_ps: int
     divider: int
-    channels: np.ndarray
-    timestamps: np.ndarray
-    version: int = VERSION
+    refs: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
     provenance: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -97,45 +102,128 @@ class TagStream:
                 raise ValidationError(f"{name} must be a positive integer, got {value!r}")
             if value > 0xFFFFFFFF:
                 raise ValidationError(f"{name} does not fit the 32-bit header field")
-        if self.version != VERSION:
-            raise ValidationError(f"unsupported stream version {self.version!r}")
-        ch = np.asarray(self.channels)
-        ts = np.asarray(self.timestamps)
-        if ch.ndim != 1 or ts.ndim != 1 or ch.size != ts.size:
+        for name in _CHANNELS:
+            ts = _u64_timestamps(name, getattr(self, name))
+            if _first_descent(ts) is not None:
+                raise IntegrityError(f"{name} timestamps must be non-decreasing")
+            setattr(self, name, ts)
+
+    @classmethod
+    def from_records(cls, channels, timestamps, **header) -> TagStream:
+        """A stream from (channel, timestamp) records, as both readers
+        split them; header holds the other fields. Codes must be 0 (REF),
+        1 (D1) or 2 (D2) and timestamps may not decrease across records,
+        ties in any channel order. A pass over the blocks sizes the
+        channels and a second fills them, a mask per channel, so beside
+        the records and the result only a block is held."""
+        ch, ts = np.asarray(channels), np.asarray(timestamps)
+        if ch.ndim != 1 or ch.shape != ts.shape:
             raise ValidationError("channels and timestamps must be 1-d and equal length")
-        # u8 codes are checked on their contiguous copy, wider ones before
-        # the cast, where 257 would wrap to 1; unsigned ones cannot be < 0
-        codes = ch.copy() if ch.dtype == np.uint8 else ch
-        if codes.size and ((codes.dtype.kind != "u" and codes.min() < 0)
-                           or codes.max() > max(Channel)):
-            raise ValidationError("channel codes must be 0 (REF), 1 (D1) or 2 (D2)")
-        if ts.size and ts.dtype.kind not in "ui":
-            raise ValidationError(f"timestamps must be integers, got dtype {ts.dtype}")
-        if ts.size and ts.dtype.kind == "i" and ts.min() < 0:
-            raise ValidationError("timestamps must be non-negative")
-        self.channels = codes.astype(np.uint8, copy=False)
-        self.timestamps = ts.astype(np.uint64)
-        if np.any(self.timestamps[1:] < self.timestamps[:-1]):
-            raise IntegrityError("timestamps must be non-decreasing")
+        ts, sizes = _u64_timestamps("timestamps", ts), np.zeros(len(Channel), dtype=np.int64)
+        for start in range(0, ch.size, _BLOCK):
+            codes = ch[start:start + _BLOCK].copy()  # contiguous: it is read four times
+            if codes.dtype.kind not in "ui" or codes.min() < 0 or codes.max() > max(Channel):
+                raise ValidationError("channel codes must be 0 (REF), 1 (D1) or 2 (D2)")
+            nonzero, high = np.count_nonzero(codes), np.count_nonzero(codes > Channel.D1)
+            sizes += (codes.size - nonzero, nonzero - high, high)
+        # header first; records in time order leave each part sorted, unchecked
+        stream = cls(refs=[], d1=[], d2=[], **header)
+        parts, filled = [np.empty(n, dtype=np.uint64) for n in sizes], [0] * len(sizes)
+        for start in range(0, ts.size, _BLOCK):
+            # with the timestamp before it, to check the order across blocks
+            block = ts[max(start - 1, 0):start + _BLOCK].copy()
+            if _first_descent(block) is not None:
+                raise IntegrityError("timestamps must be non-decreasing")
+            block, codes = block[min(start, 1):], ch[start:start + _BLOCK].astype(np.uint8)
+            for code, part in enumerate(parts):
+                taken = block[codes == code]
+                part[filled[code]:filled[code] + taken.size] = taken
+                filled[code] += taken.size
+        stream.refs, stream.d1, stream.d2 = parts
+        return stream
 
     def __eq__(self, other):
         if not isinstance(other, TagStream):
             return NotImplemented
-        return (
-            self.version == other.version
-            and self.timebin_ps == other.timebin_ps
-            and self.rep_period_ps == other.rep_period_ps
-            and self.divider == other.divider
-            and np.array_equal(self.channels, other.channels)
-            and np.array_equal(self.timestamps, other.timestamps)
-        )
+        return ((self.timebin_ps, self.rep_period_ps, self.divider)
+                == (other.timebin_ps, other.rep_period_ps, other.divider)
+                and all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _CHANNELS))
 
     def __len__(self) -> int:
-        return self.channels.size
+        return self.refs.size + self.d1.size + self.d2.size
 
-    def channel_timestamps(self, channel: Channel) -> np.ndarray:
-        """Timestamps of one channel, in stream order."""
-        return self.timestamps[self.channels == int(channel)]
+    @property
+    def channels(self) -> np.ndarray:
+        """Record channel codes in file order, read only by perfbench/workloads.py's
+        tag count; once that reads stream.refs.size (ROADMAP item 1), this can go."""
+        return np.concatenate([r["channel"] for r in _record_blocks(self)] + [np.empty(0, "u1")])
+
+
+_CHANNELS = ("refs", "d1", "d2")  # the TagStream fields, by channel code
+
+
+def _u64_timestamps(name: str, values) -> np.ndarray:
+    """values as u64; ValidationError unless 1-d, integer and non-negative."""
+    ts = np.asarray(values)
+    if ts.ndim != 1 or ts.size and (ts.dtype.kind not in "ui"
+                                    or ts.dtype.kind == "i" and ts.min() < 0):
+        raise ValidationError(f"{name} timestamps must be a 1-d array of non-negative "
+                              f"integers, got {ts.dtype} of shape {ts.shape}")
+    return ts.astype(np.uint64, copy=False)
+
+
+def _first_descent(ts: np.ndarray) -> int | None:
+    """Index of the first timestamp below its predecessor, or None; checked block by block."""
+    for start in range(1, ts.size, _BLOCK):
+        down = ts[start:start + _BLOCK] < ts[start - 1:min(start + _BLOCK, ts.size) - 1]
+        if down.any():
+            return start + int(np.argmax(down))
+    return None
+
+
+def _record_blocks(stream: TagStream):
+    """The records in (timestamp, channel) order, as a stable sort of the
+    channels concatenated gives, in rounds of at most _BLOCK + 2.
+
+    A round takes from each channel's front a share of _BLOCK set by its
+    size. The taken tags at or before the last taken tag (t, c) of any
+    channel with tags left go out, as all tags left behind sort after
+    them. If one channel (the references, as a rule) has nearly all, the
+    others go to their index plus the count of tags ahead of them in the
+    rest, and it fills the slots left; else a stable sort orders them.
+    """
+    parts, at = [stream.refs, stream.d1, stream.d2], [0, 0, 0]
+    shares = [max(1, _BLOCK * part.size // max(len(stream), 1)) for part in parts]
+    while True:
+        heads = [part[i:i + share] for part, i, share in zip(parts, at, shares)]
+        bounds = [(head[-1], code) for code, (part, head, i) in enumerate(zip(parts, heads, at))
+                  if i + head.size < part.size]
+        if bounds:
+            t, c = min(bounds)
+            heads = [head[:np.searchsorted(head, t, side="right" if code <= c else "left")]
+                     for code, head in enumerate(heads)]
+        sizes = [head.size for head in heads]
+        if not any(sizes):
+            return
+        big, total = int(np.argmax(sizes)), sum(sizes)
+        records = np.empty(total, dtype=_RECORD)
+        if 16 * (total - sizes[big]) > total:  # then sorting beats a search per tag
+            stamps = np.concatenate(heads)
+            order = np.argsort(stamps, kind="stable")
+            records["timestamp"] = stamps[order]
+            records["channel"] = np.repeat(np.arange(len(Channel), dtype="u1"), sizes)[order]
+        else:
+            records["channel"], fill = big, np.ones(total, dtype=bool)
+            for code, head in enumerate(heads):
+                if code != big:
+                    slots = np.arange(head.size) + sum(
+                        np.searchsorted(rest, head, "right" if other < code else "left")
+                        for other, rest in enumerate(heads) if other != code)
+                    records["timestamp"][slots], records["channel"][slots] = head, code
+                    fill[slots] = False
+            records["timestamp"][fill] = heads[big]
+        yield records
+        at = [i + size for i, size in zip(at, sizes)]
 
 
 @contextmanager
@@ -149,23 +237,20 @@ def _opened(source, mode: str, newline: str | None = None):
 
 
 def write_tags(stream: TagStream, sink) -> None:
-    """Write a stream in the binary format; sink is a path or file."""
+    """Write a stream in the binary format, a block of records at a
+    time; sink is a path or file."""
     with _opened(sink, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, stream.version, stream.timebin_ps,
+        fh.write(_HEADER.pack(MAGIC, VERSION, stream.timebin_ps,
                               stream.rep_period_ps, stream.divider))
-        records = np.empty(len(stream), dtype=_RECORD_DTYPE)
-        records["channel"] = stream.channels
-        records["timestamp"] = stream.timestamps
-        fh.write(records)
+        for records in _record_blocks(stream):
+            fh.write(records)
 
 
 def read_tags(source) -> TagStream:
-    """Read a binary tag file; source is a path or file.
-
-    Bad magic, version, header fields, channel codes or a truncated
-    record raise FormatError; out-of-order timestamps raise
-    IntegrityError. Errors in a record name it and its byte offset.
-    """
+    """Read a binary tag file; source is a path or file. Bad magic,
+    version, header fields, channel codes or a truncated record raise
+    FormatError, timestamps that go backwards IntegrityError; an error
+    in a record names it and its byte offset."""
     with _opened(source, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -175,74 +260,46 @@ def read_tags(source) -> TagStream:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise FormatError(f"unsupported format version {version}")
-    body_size = len(blob) - _HEADER.size
-    if body_size % _RECORD_DTYPE.itemsize:
-        good = body_size // _RECORD_DTYPE.itemsize * _RECORD_DTYPE.itemsize
-        raise FormatError(
-            f"truncated record at byte offset {_HEADER.size + good} "
-            f"({body_size - good} trailing bytes)"
-        )
-    records = np.frombuffer(blob, dtype=_RECORD_DTYPE, offset=_HEADER.size)
+    trailing = (len(blob) - _HEADER.size) % _RECORD.itemsize
+    if trailing:
+        raise FormatError(f"truncated record at byte offset {len(blob) - trailing} "
+                          f"({trailing} trailing bytes)")
+    records = np.frombuffer(blob, dtype=_RECORD, offset=_HEADER.size)
+    channels, timestamps = records["channel"], records["timestamp"]
     try:
-        # the stream copies each column once and checks the codes and order
-        return TagStream(
-            timebin_ps=int(timebin_ps),
-            rep_period_ps=int(rep_period_ps),
-            divider=int(divider),
-            channels=records["channel"],
-            timestamps=records["timestamp"],
-            version=int(version),
-        )
-    except ValidationError:
-        # a bad channel code, or a zero timebin, period or divider
-        channels = records["channel"]
+        return TagStream.from_records(channels, timestamps, timebin_ps=int(timebin_ps),
+                                      rep_period_ps=int(rep_period_ps), divider=int(divider))
+    except ValidationError:  # a bad channel code, or a zero timebin, period or divider
         if channels.size and channels.max() > max(Channel):
             bad = int(np.argmax(channels > max(Channel)))
-            raise FormatError(
-                f"unknown channel code {int(channels[bad])} at record "
-                f"{bad} (byte offset {_HEADER.size + bad * _RECORD_DTYPE.itemsize})"
-            ) from None
+            raise FormatError(f"unknown channel code {channels[bad]} at record {bad} "
+                              f"(byte offset {_HEADER.size + bad * _RECORD.itemsize})") from None
         raise FormatError("header fields must be positive") from None
     except IntegrityError:
-        ts = records["timestamp"]
-        bad = int(np.argmax(ts[1:] < ts[:-1])) + 1
-        raise IntegrityError(
-            f"timestamps go backwards at record {bad} (byte offset "
-            f"{_HEADER.size + bad * _RECORD_DTYPE.itemsize})"
-        ) from None
+        bad = _first_descent(timestamps)
+        raise IntegrityError(f"timestamps go backwards at record {bad} "
+                             f"(byte offset {_HEADER.size + bad * _RECORD.itemsize})") from None
 
 
 def write_tags_csv(stream: TagStream, sink) -> None:
-    """Write a stream as CSV with '# key = value' header lines.
-
-    Records go out in blocks of _CSV_BLOCK rows, each formatted with
-    array arithmetic by _csv_rows, so memory stays bounded for any
-    stream length.
-    """
+    """Write a stream as CSV with '# key = value' header lines, a block
+    of records at a time, each formatted by _csv_rows. The provenance is
+    advisory free text, flattened to one line."""
+    flat = " ".join(stream.provenance.splitlines())
     with _opened(sink, "w") as fh:
-        fh.write("# zht-csv\n")
-        fh.write(f"# version = {stream.version}\n")
-        fh.write(f"# timebin_ps = {stream.timebin_ps}\n")
-        fh.write(f"# rep_period_ps = {stream.rep_period_ps}\n")
-        fh.write(f"# divider = {stream.divider}\n")
-        # provenance is advisory free text; the format is line-oriented
-        flat = " ".join(stream.provenance.splitlines()) if stream.provenance else ""
-        fh.write(f"# provenance = {flat}\n")
-        fh.write(f"{_CSV_COLUMNS}\n")
-        for start in range(0, len(stream), _CSV_BLOCK):
-            fh.write(_csv_rows(stream.channels[start:start + _CSV_BLOCK],
-                               stream.timestamps[start:start + _CSV_BLOCK]))
+        fh.write(f"# zht-csv\n# version = {VERSION}\n# timebin_ps = {stream.timebin_ps}\n"
+                 f"# rep_period_ps = {stream.rep_period_ps}\n# divider = {stream.divider}\n"
+                 f"# provenance = {flat}\n{_CSV_COLUMNS}\n")
+        for records in _record_blocks(stream):
+            fh.write(_csv_rows(records["channel"], records["timestamp"]))
 
 
 def _csv_rows(channels: np.ndarray, timestamps: np.ndarray) -> str:
-    """NAME,DIGITS lines of one block, built as a byte matrix.
-
-    Each row is a three-byte name field, a comma, the decimal digits
-    right-aligned to the block's widest value and a newline. The digits
-    are peeled off by repeated division by 10, in uint32 once the rest
-    fits. A keep-mask drops the third name byte of D1/D2 and the leading
-    zeros; reading the kept bytes row by row gives the text.
-    """
+    """NAME,DIGITS lines of one block, built as a byte matrix: a row is
+    a three-byte name field, a comma, the decimal digits right-aligned to
+    the block's widest value and a newline. The digits are peeled off by
+    repeated division by 10, in uint32 once the rest fits. A keep-mask
+    drops the blank padding D1/D2 to three bytes and the leading zeros."""
     top = int(timestamps.max())
     width = len(str(top))
     rows = np.empty((channels.size, width + 5), dtype=np.uint8)
@@ -251,7 +308,7 @@ def _csv_rows(channels: np.ndarray, timestamps: np.ndarray) -> str:
     rows[:, 3] = ord(",")
     rows[:, -1] = ord("\n")
     keep = np.ones(rows.shape, dtype=bool)
-    np.equal(channels, Channel.REF, out=keep[:, 2])
+    np.not_equal(rows[:, 2], ord(" "), out=keep[:, 2])
     rest = timestamps
     for col in range(width + 3, 3, -1):  # units digit first
         if top < 2**32:
@@ -267,16 +324,11 @@ def _csv_rows(channels: np.ndarray, timestamps: np.ndarray) -> str:
 def read_tags_csv(source) -> TagStream:
     """Read the CSV form back into a stream.
 
-    Header lines are read one at a time up to the column header; blank
-    lines there are skipped and '#' lines without '=' ignored. The body
-    after it is NAME,DIGITS records only, parsed by one np.loadtxt call
-    (for a path, numpy's chunked reader skips the header lines itself);
-    empty lines are skipped, CRLF line ends are accepted. A comment, an
-    unknown channel name, a missing or extra column, a NUL or non-ASCII
-    character or a timestamp that is not a u64 decimal raises
-    FormatError naming the file line. An unseekable source is copied
-    into memory first, since the body is read twice.
-    """
+    The header lines are read one at a time, '#' lines without '='
+    ignored, and the records after the column header by one np.loadtxt
+    call. A bad record raises FormatError and a timestamp below the one
+    before it IntegrityError, each naming its line. An unseekable source
+    is copied into memory, as the body is read twice."""
     with _opened(source, "r") as fh:
         try:
             return _read_csv(fh, None if fh is source else source)
@@ -296,20 +348,16 @@ def _read_csv(fh, path) -> TagStream:
         if line == _CSV_COLUMNS:
             break
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
+            key, eq, value = line[1:].partition("=")
+            if eq:
                 header[key.strip()] = value.strip()
         elif line:
             raise FormatError(f"line {lineno}: expected column header, got {raw!r}")
-    missing = {"version", "timebin_ps", "rep_period_ps", "divider"} - set(header)
-    if missing:
-        raise FormatError(f"missing header lines: {sorted(missing)}")
     try:
-        version = int(header["version"])
-        timebin_ps = int(header["timebin_ps"])
-        rep_period_ps = int(header["rep_period_ps"])
-        divider = int(header["divider"])
+        version, timebin_ps, rep_period_ps, divider = (
+            int(header[key]) for key in ("version", "timebin_ps", "rep_period_ps", "divider"))
+    except KeyError as exc:
+        raise FormatError(f"missing header line {exc}") from None
     except ValueError as exc:
         raise FormatError(f"bad header value: {exc}") from None
     if version != VERSION:
@@ -318,9 +366,8 @@ def _read_csv(fh, path) -> TagStream:
     if not fh.seekable():
         fh = io.StringIO(fh.read())
     body_at = fh.tell()
-    # records are ASCII, and numpy's parser must see neither a NUL (the
-    # U4 field drops trailing NULs: "D1\0" would read as D1) nor a code
-    # point far past U+FFFF in a number (numpy 2.4 can crash on one)
+    # records are ASCII: numpy's parser must see no NUL (the U4 field drops
+    # trailing NULs) nor a code point far past U+FFFF (numpy 2.4 can crash)
     if any("\x00" in block or not block.isascii()
            for block in iter(lambda: fh.read(_CSV_SCAN), "")):
         raise _record_error(fh, body_at, lineno, "NUL or non-ASCII character")
@@ -338,32 +385,34 @@ def _read_csv(fh, path) -> TagStream:
     channels = np.full(records.size, 0xFF, dtype=np.uint8)
     for c, (lo, hi) in zip(Channel, _CSV_NAME_KEYS):
         channels[(words["lo"] == lo) & (words["hi"] == hi)] = c
-    if np.any(channels == 0xFF):
-        name = str(records["ch"][np.argmax(channels == 0xFF)])
-        raise _record_error(fh, body_at, lineno, f"unknown channel name {name!r}")
-    return TagStream(
-        timebin_ps=timebin_ps,
-        rep_period_ps=rep_period_ps,
-        divider=divider,
-        channels=channels,
-        timestamps=records["ts"],
-        version=version,
-        provenance=header.get("provenance", ""),
-    )
+    if channels.size and channels.max() > max(Channel):
+        raise _record_error(fh, body_at, lineno, "unknown channel name")
+    try:
+        return TagStream.from_records(channels, records["ts"], timebin_ps=timebin_ps,
+                                      rep_period_ps=rep_period_ps, divider=divider,
+                                      provenance=header.get("provenance", ""))
+    except IntegrityError:
+        bad = _first_descent(records["ts"])
+        lineno, line = next(islice(_record_lines(fh, body_at, lineno), bad, None))
+        raise IntegrityError(f"line {lineno}: timestamps go backwards at {line!r}") from None
 
 
-def _record_error(fh, body_at, header_lines: int, what: str) -> FormatError:
-    """FormatError naming the first body line that is not a valid record.
-
-    Only called once parsing has failed: it rereads the body from
-    body_at and checks each line against the record grammar, so the
-    line number is exact even where blank lines shift loadtxt's row
-    count.
-    """
+def _record_lines(fh, body_at, header_lines: int):
+    """(line number, text) of each record of the body from body_at: the
+    non-empty lines, which np.loadtxt reads, so a record's line number
+    is exact even where blank lines shift loadtxt's row count."""
     fh.seek(body_at)
     for lineno, raw in enumerate(fh, start=header_lines + 1):
         line = raw.rstrip("\r\n")
+        if line:
+            yield lineno, line
+
+
+def _record_error(fh, body_at, header_lines: int, what: str) -> FormatError:
+    """FormatError naming the first record line that breaks the record
+    grammar; only called once parsing has failed."""
+    for lineno, line in _record_lines(fh, body_at, header_lines):
         match = _CSV_RECORD.fullmatch(line)
-        if line and (match is None or int(match[1]) >= 1 << 64):
+        if match is None or int(match[1]) >= 1 << 64:
             return FormatError(f"line {lineno}: bad record {line!r}")
     return FormatError(f"bad record: {what}")

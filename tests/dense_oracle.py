@@ -11,7 +11,12 @@ n_pulses and cell_counts(), so it accepts either table.
 
 float_reconstruct is reconstruct_pulse_train as a float median of the
 reference gaps and one float deviation per gap, the reference for the
-in-place median and extremes test the pipeline uses.
+in-place median and extremes test the pipeline uses. pulse_times
+interpolates pulse times on a rebuilt grid.
+
+oracle_records is the record order of a stream by one stable sort of
+its three channels concatenated, the reference for the block-wise
+interleave the tag writers share.
 
 greedy_dead_time is the scalar walk that pipeline.apply_dead_time
 vectorises: the differential oracle for the shared dead-time thinning.
@@ -80,7 +85,7 @@ def dense_states(n_pulses, clicks, dead):
 
 def float_reconstruct(stream):
     """(period_tb, n_pulses) of the pulse grid, or the error rebuilding it raises."""
-    refs = stream.channel_timestamps(Channel.REF)
+    refs = stream.refs
     if refs.size < 2:
         raise InsufficientReferenceError(
             f"need at least 2 reference tags to rebuild the pulse train, got {refs.size}"
@@ -102,6 +107,31 @@ def float_reconstruct(stream):
             indices=bad.tolist(),
         )
     return median / stream.divider, (refs.size - 1) * stream.divider + 1
+
+
+def pulse_times(grid, k) -> np.ndarray:
+    """Times (in timebins, float) of pulse indices k on a PulseGrid."""
+    k = np.asarray(k, dtype=np.int64)
+    if np.any(k < 0) or np.any(k >= grid.n_pulses):
+        raise ValidationError("pulse index out of range")
+    refs = grid.ref_times
+    seg = np.minimum(k // grid.divider, refs.size - 2)
+    j = k - seg * grid.divider
+    spacing = (refs[seg + 1] - refs[seg]).astype(np.int64)
+    return refs[seg] + j * spacing / grid.divider
+
+
+def oracle_records(stream):
+    """(channels, timestamps) of every record in the writers' order.
+
+    A stable sort of refs, d1 and d2 concatenated: time order, and on
+    equal timestamps REF, then D1, then D2.
+    """
+    timestamps = np.concatenate((stream.refs, stream.d1, stream.d2))
+    channels = np.repeat(np.array(list(Channel), dtype=np.uint8),
+                         (stream.refs.size, stream.d1.size, stream.d2.size))
+    order = np.argsort(timestamps, kind="stable")
+    return channels[order], timestamps[order]
 
 
 def greedy_dead_time(click_pulses, dead):
@@ -164,7 +194,7 @@ def afterpulse_walk(pulses, offsets, runs, jitter, dead, n_pulses):
 def printf_tags_csv(stream, fh, block=1 << 16):
     """Write a stream's CSV form to the text file fh, "%s,%d" per record."""
     fh.write("# zht-csv\n")
-    fh.write(f"# version = {stream.version}\n")
+    fh.write("# version = 1\n")
     fh.write(f"# timebin_ps = {stream.timebin_ps}\n")
     fh.write(f"# rep_period_ps = {stream.rep_period_ps}\n")
     fh.write(f"# divider = {stream.divider}\n")
@@ -172,11 +202,12 @@ def printf_tags_csv(stream, fh, block=1 << 16):
     fh.write(f"# provenance = {flat}\n")
     fh.write("channel,timestamp\n")
     names = np.array([c.name for c in Channel], dtype=object)
+    channels, timestamps = oracle_records(stream)
     for start in range(0, len(stream), block):
-        chans = stream.channels[start:start + block]
+        chans = channels[start:start + block]
         fields = [None] * (2 * chans.size)
         fields[0::2] = names[chans].tolist()
-        fields[1::2] = stream.timestamps[start:start + block].tolist()
+        fields[1::2] = timestamps[start:start + block].tolist()
         fh.write("%s,%d\n" * chans.size % tuple(fields))
 
 

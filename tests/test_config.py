@@ -160,6 +160,11 @@ class TestProfiles:
         with pytest.raises(ConfigError, match="only valid with profile_shape"):
             build_sim_config(raw(extra="profile_delays = 0, 1\nprofile_values = 1, 1\n"))
 
+    def test_tau_rejected_for_tabulated(self):
+        # nu() never reads it, so a snapshot would carry a value with no effect
+        with pytest.raises(ConfigError, match="tau is only valid with profile_shape"):
+            build_sim_config(raw(extra=TABULATED, drop=("nu_max",)))
+
     def test_gaussian_needs_width(self):
         with pytest.raises(ConfigError, match="needs nu_max and tau"):
             build_sim_config(raw(drop=("tau",)))

@@ -305,6 +305,11 @@ class TestIndistinguishabilityProfile:
         with pytest.raises(ValidationError):
             prof.nu(2e-13)
 
+    def test_tabulated_rejects_tau(self):
+        with pytest.raises(ValidationError, match="tabulated profile takes no tau"):
+            IndistinguishabilityProfile(shape="tabulated", tau=1e-13,
+                                        delays=[-1e-13, 0.0, 1e-13], values=[0.1, 0.9, 0.1])
+
     def test_vectorized_evaluation(self):
         prof = IndistinguishabilityProfile(nu_max=0.5, tau=1e-13)
         out = prof.nu(np.array([0.0, 1e-13]))

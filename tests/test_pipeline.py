@@ -36,7 +36,7 @@ from zeroherald.pipeline import (
 )
 from zeroherald.tags import Channel, TagStream
 
-from dense_oracle import DenseTable, float_reconstruct, greedy_dead_time
+from dense_oracle import DenseTable, float_reconstruct, greedy_dead_time, pulse_times
 
 N, C, D = PulseState.NOCLICK, PulseState.CLICK, PulseState.DEAD
 
@@ -44,12 +44,12 @@ N, C, D = PulseState.NOCLICK, PulseState.CLICK, PulseState.DEAD
 def make_stream(channels, timestamps, timebin_ps=10, rep_period_ps=100,
                 divider=5):
     order = np.argsort(np.asarray(timestamps, dtype=np.uint64), kind="stable")
-    return TagStream(
+    return TagStream.from_records(
+        np.asarray(channels, dtype=np.uint8)[order],
+        np.asarray(timestamps, dtype=np.uint64)[order],
         timebin_ps=timebin_ps,
         rep_period_ps=rep_period_ps,
         divider=divider,
-        channels=np.asarray(channels, dtype=np.uint8)[order],
-        timestamps=np.asarray(timestamps, dtype=np.uint64)[order],
     )
 
 
@@ -59,14 +59,14 @@ class TestReconstruction:
         grid = reconstruct_pulse_train(s)
         assert grid.n_pulses == 11
         assert grid.period_tb == 10.0
-        np.testing.assert_array_equal(grid.pulse_times([0, 3, 10]),
+        np.testing.assert_array_equal(pulse_times(grid, [0, 3, 10]),
                                       [0.0, 30.0, 100.0])
 
     def test_interpolates_drifting_references(self):
         s = make_stream([0, 0, 0], [0, 50, 99])
         grid = reconstruct_pulse_train(s)
         # second segment spans 49 timebins, so pulses sit 9.8 apart
-        assert grid.pulse_times(7) == pytest.approx(50 + 2 * 49 / 5)
+        assert pulse_times(grid, 7) == pytest.approx(50 + 2 * 49 / 5)
 
     def test_single_reference_is_insufficient(self):
         with pytest.raises(InsufficientReferenceError):
@@ -86,7 +86,7 @@ class TestReconstruction:
     def test_pulse_index_bounds_checked(self):
         grid = reconstruct_pulse_train(make_stream([0, 0], [0, 50]))
         with pytest.raises(ValidationError):
-            grid.pulse_times(6)
+            pulse_times(grid, 6)
 
 
 @st.composite
@@ -119,11 +119,10 @@ def reference_trains(draw):
     times = [start + t for t in times]
     # detector tags at the reference times must not change the grid
     with_tags = draw(st.booleans())
-    channels = [0, 1] * len(times) if with_tags else [0] * len(times)
-    timestamps = [t for t in times for _ in range(1 + with_tags)]
-    return TagStream(timebin_ps=10, rep_period_ps=100, divider=divider,
-                     channels=np.array(channels, dtype=np.uint8),
-                     timestamps=np.array(timestamps, dtype=np.uint64))
+    times = np.array(times, dtype=np.uint64)
+    return TagStream(timebin_ps=10, rep_period_ps=100, divider=divider, refs=times,
+                     d1=times if with_tags else np.empty(0, dtype=np.uint64),
+                     d2=np.empty(0, dtype=np.uint64))
 
 
 def grid_or_error(rebuild, stream):
@@ -153,20 +152,17 @@ class TestReconstructionMatchesFloatOracle:
 
 
 class TestReferenceCost:
-    """reconstruct and gate hold the references once: the gaps beside
-    them, and in the gate nothing per reference but a mask byte per tag."""
+    """reconstruct and gate share the stream's references: reconstruct
+    adds their gaps, and the gate nothing per reference."""
 
     def test_peaks_with_two_million_references(self):
         n_refs, divider, period = 2_000_000, 512, 12
         refs = np.arange(n_refs, dtype=np.uint64) * np.uint64(divider * period)
         # pulse 0 in the gate, pulse 7 in, pulse 1000 out, the last pulse in
-        clicks = np.array([1, 7 * period + 2, 1000 * period + 5, refs[-1] + 1], dtype=np.uint64)
-        timestamps = np.concatenate((refs, clicks))
-        channels = np.zeros(timestamps.size, dtype=np.uint8)
-        channels[n_refs:] = [1, 2, 1, 2]
-        order = np.argsort(timestamps, kind="stable")
         stream = TagStream(timebin_ps=10, rep_period_ps=10 * period, divider=divider,
-                           channels=channels[order], timestamps=timestamps[order])
+                           refs=refs,
+                           d1=np.array([1, 1000 * period + 5], dtype=np.uint64),
+                           d2=np.array([7 * period + 2, refs[-1] + 1], dtype=np.uint64))
         tracemalloc.start()
         try:
             grid = reconstruct_pulse_train(stream)
@@ -181,10 +177,11 @@ class TestReferenceCost:
         np.testing.assert_array_equal(gate.assigned[Channel.D1], [0])
         np.testing.assert_array_equal(gate.assigned[Channel.D2], [7, (n_refs - 1) * divider])
         assert gate.n_rejected == {Channel.D1: 1, Channel.D2: 0}
-        # the references and their gaps, 16 bytes per reference
-        assert reconstruct_peak < 2.5 * 8 * n_refs
-        # one channel mask, then arrays per detector tag
-        assert gate_peak - held < len(stream) + (1 << 20)
+        assert grid.ref_times is stream.refs
+        # one gap, 8 bytes, per reference
+        assert reconstruct_peak < 1.25 * 8 * n_refs
+        # arrays per detector tag only
+        assert gate_peak - held < 1 << 16
 
 
 def ten_pulse_fixture():
@@ -226,9 +223,8 @@ class TestVirtualGate:
     def test_partition_counts(self):
         s = ten_pulse_fixture()
         gate = virtual_gate(s, reconstruct_pulse_train(s), window=30e-12)
-        for ch in (Channel.D1, Channel.D2):
-            total = int(np.sum(s.channels == int(ch)))
-            assert gate.assigned[ch].size + gate.n_rejected[ch] == total
+        for ch, tags in ((Channel.D1, s.d1), (Channel.D2, s.d2)):
+            assert gate.assigned[ch].size + gate.n_rejected[ch] == tags.size
 
 
 class TestWideTimestamps:
@@ -271,7 +267,7 @@ class TestWideTimestamps:
         np.testing.assert_array_equal(gate.assigned[Channel.D1], [0])
         assert gate.n_rejected[Channel.D1] == 1
         np.testing.assert_array_equal(gate.assigned[Channel.D2], [5])
-        assert grid.pulse_times(5) == float(r0 + 50)
+        assert pulse_times(grid, 5) == float(r0 + 50)
 
     def test_spacing_too_wide_for_exact_gating_rejected(self):
         s = make_stream([0, 0], [0, 2**62], divider=2)

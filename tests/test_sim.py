@@ -33,11 +33,11 @@ from zeroherald.sim import (
     _class_codes,
     _detector_walk,
     _event_pulses,
-    _merge_tags,
     _pair_classes,
+    _sorted_stamps,
     derive_delay_seed,
 )
-from zeroherald.tags import Channel, write_tags
+from zeroherald.tags import _RECORD as RECORD, Channel, TagStream, _record_blocks, write_tags
 
 from dense_oracle import DeadState, DenseTable, afterpulse_walk, detect_pulse, sample_trial
 
@@ -364,25 +364,25 @@ class TestGoldenStreams:
 class TestStreamShape:
     def test_reference_cadence(self):
         res = run_simulation(config(n_pulses=1024))
-        refs = res.stream.channel_timestamps(Channel.REF)
+        refs = res.stream.refs
         assert refs.size == 2
         period_tb = res.config.period_tb
         np.testing.assert_array_equal(refs, [0, 512 * period_tb])
 
     def test_reference_on_the_last_pulse(self):
         res = run_simulation(config(n_pulses=1025))
-        refs = res.stream.channel_timestamps(Channel.REF)
-        np.testing.assert_array_equal(refs, np.array([0, 512, 1024]) * res.config.period_tb)
+        np.testing.assert_array_equal(res.stream.refs,
+                                      np.array([0, 512, 1024]) * res.config.period_tb)
 
     def test_detector_stamps_sit_in_their_gates(self):
         res = run_simulation(config())
         period_tb = res.config.period_tb
         window_tb = res.config.window_tb
-        for ch, ingate in (
-            (Channel.D1, res.truth.ingate_clicks1),
-            (Channel.D2, res.truth.ingate_clicks2),
+        for stamps, ingate in (
+            (res.stream.d1, res.truth.ingate_clicks1),
+            (res.stream.d2, res.truth.ingate_clicks2),
         ):
-            t = res.stream.channel_timestamps(ch).astype(np.int64)
+            t = stamps.astype(np.int64)
             offsets = t - (t // period_tb) * period_tb
             assert np.all(offsets < window_tb) == (
                 t.size == ingate.size
@@ -699,8 +699,18 @@ def lexsort_merge(ref_times, d1, d2):
 stamps = st.lists(st.integers(-6, 60), max_size=40)
 
 
+def assembled_records(ref_times, d1, d2):
+    """The simulator's stream of these stamps, as the writers order it."""
+    stream = TagStream(timebin_ps=1, rep_period_ps=1, divider=1,
+                       refs=np.asarray(ref_times, dtype=np.uint64),
+                       d1=_sorted_stamps(d1), d2=_sorted_stamps(d2))
+    records = np.concatenate([np.empty(0, RECORD), *_record_blocks(stream)])
+    return records["channel"], records["timestamp"]
+
+
 class TestMergeTags:
-    """Stream assembly by merging, against a lexsort of every tag."""
+    """Stream assembly, the simulator's per-detector sort and the
+    writers' interleave, against a lexsort of every tag."""
 
     @given(n_refs=st.integers(1, 12), ref_step=st.integers(1, 9), d1=stamps, d2=stamps,
            sort_detectors=st.booleans())
@@ -712,7 +722,7 @@ class TestMergeTags:
             d1, d2 = sorted(d1), sorted(d2)
         d1, d2 = np.asarray(d1, dtype=np.int64), np.asarray(d2, dtype=np.int64)
         ref_times = np.arange(n_refs, dtype=np.int64) * ref_step
-        channels, times = _merge_tags(ref_times, ref_step, d1, d2)
+        channels, times = assembled_records(ref_times, d1, d2)
         want_channels, want_times = lexsort_merge(ref_times, d1, d2)
         assert channels.dtype == np.uint8 and times.dtype == np.uint64
         assert channels.tolist() == want_channels.tolist()
@@ -720,12 +730,12 @@ class TestMergeTags:
 
     def test_no_detector_tags(self):
         empty = np.empty(0, dtype=np.int64)
-        channels, times = _merge_tags(np.arange(5) * 123, 123, empty, np.array([-4, -1]))
+        channels, times = assembled_records(np.arange(5) * 123, empty, np.array([-4, -1]))
         assert channels.tolist() == [0] * 5
         assert times.tolist() == [0, 123, 246, 369, 492]
 
     def test_ties_go_ref_then_d1_then_d2(self):
-        channels, times = _merge_tags(np.array([0, 10]), 10, np.array([10, -2, 0]),
-                                      np.array([0, 10]))
+        channels, times = assembled_records(np.array([0, 10]), np.array([10, -2, 0]),
+                                            np.array([0, 10]))
         assert list(zip(channels.tolist(), times.tolist())) == [
             (0, 0), (1, 0), (2, 0), (0, 10), (1, 10), (2, 10)]

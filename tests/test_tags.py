@@ -15,28 +15,33 @@ from zeroherald.errors import (
     ValidationError,
     ZeroHeraldError,
 )
+from zeroherald import tags
 from zeroherald.tags import (
     MAGIC,
-    Channel,
     TagStream,
+    _record_blocks,
     read_tags,
     read_tags_csv,
     write_tags,
     write_tags_csv,
 )
 
-from dense_oracle import printf_tags_csv
+from dense_oracle import oracle_records, printf_tags_csv
+
+HEADER = dict(timebin_ps=81, rep_period_ps=9963, divider=512)
+RECORD = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
 
 
 def make_stream(channels, timestamps, **kw):
-    kw.setdefault("timebin_ps", 81)
-    kw.setdefault("rep_period_ps", 9963)
-    kw.setdefault("divider", 512)
-    return TagStream(
-        channels=np.asarray(channels, dtype=np.uint8),
-        timestamps=np.asarray(timestamps, dtype=np.uint64),
-        **kw,
+    return TagStream.from_records(
+        np.asarray(channels, dtype=np.uint8),
+        np.asarray(timestamps, dtype=np.uint64),
+        **{**HEADER, **kw},
     )
+
+
+def u64(values):
+    return np.array(values, dtype=np.uint64)
 
 
 records = st.lists(
@@ -85,18 +90,18 @@ class TestStreamValidation:
     def test_rejects_bad_channel_code_of_any_dtype(self, dtype, codes):
         with pytest.raises(ValidationError,
                            match=r"^channel codes must be 0 \(REF\), 1 \(D1\) or 2 \(D2\)$"):
-            TagStream(timebin_ps=81, rep_period_ps=9963, divider=512,
-                      channels=np.array(codes, dtype=dtype),
-                      timestamps=np.array([0, 1, 2], dtype=np.uint64))
+            TagStream.from_records(np.array(codes, dtype=dtype),
+                                   np.array([0, 1, 2], dtype=np.uint64), **HEADER)
 
     @pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.int64, np.uint8])
     def test_channel_codes_become_owned_u8(self, dtype):
         codes = np.array([0, 2, 1], dtype=dtype)
-        s = TagStream(timebin_ps=81, rep_period_ps=9963, divider=512, channels=codes,
-                      timestamps=np.array([0, 1, 2], dtype=np.int64))
-        assert s.channels.dtype == np.uint8 and s.timestamps.dtype == np.uint64
+        s = TagStream.from_records(codes, np.array([0, 1, 2], dtype=np.int64), **HEADER)
+        assert s.channels.dtype == np.uint8
         assert s.channels.tolist() == [0, 2, 1]
         assert s.channels.flags.owndata and not np.shares_memory(s.channels, codes)
+        assert [s.refs.tolist(), s.d1.tolist(), s.d2.tolist()] == [[0], [2], [1]]
+        assert all(part.dtype == np.uint64 for part in (s.refs, s.d1, s.d2))
 
     def test_rejects_zero_header_fields(self):
         with pytest.raises(ValidationError):
@@ -110,22 +115,48 @@ class TestStreamValidation:
 
     def test_rejects_float_timestamps(self):
         with pytest.raises(ValidationError):
-            TagStream(
-                timebin_ps=81, rep_period_ps=9963, divider=512,
-                channels=np.array([1], dtype=np.uint8),
-                timestamps=np.array([1.5]),
-            )
+            TagStream.from_records(np.array([1], dtype=np.uint8), np.array([1.5]), **HEADER)
+        with pytest.raises(ValidationError, match="^d2 timestamps must be a 1-d array of non-neg"):
+            TagStream(refs=u64([]), d1=u64([]), d2=np.array([1.5]), **HEADER)
+
+    @pytest.mark.parametrize("name", ["refs", "d1", "d2"])
+    def test_each_channel_is_checked(self, name):
+        good = dict(refs=u64([0, 4]), d1=u64([1]), d2=u64([]))
+        cases = [
+            (np.array([[1, 2]], dtype=np.uint64), ValidationError, "1-d"),
+            (np.array([3, -1]), ValidationError, "non-negative"),
+            (u64([5, 4]), IntegrityError, "non-decreasing"),
+        ]
+        for values, error, what in cases:
+            with pytest.raises(error, match=f"^{name} .*{what}"):
+                TagStream(**{**good, name: values}, **HEADER)
+
+    def test_u64_channels_are_kept_and_others_cast(self):
+        refs, d1 = u64([0, 4]), np.array([1, 1], dtype=np.int32)
+        s = TagStream(refs=refs, d1=d1, d2=[], **HEADER)
+        assert s.refs is refs
+        assert s.d1.dtype == np.uint64 and s.d2.dtype == np.uint64 and s.d2.size == 0
+        assert len(s) == 4
 
     def test_equality_ignores_provenance(self):
         a = make_stream([1], [7], provenance="one")
         b = make_stream([1], [7], provenance="two")
         assert a == b
 
-    def test_channel_timestamps_filters(self):
+    def test_equality_is_per_channel(self):
+        a = TagStream(refs=u64([0, 4]), d1=u64([4]), d2=u64([]), **HEADER)
+        assert a == TagStream(refs=u64([0, 4]), d1=np.array([4]), d2=u64([]), **HEADER)
+        # the same timestamps on another channel are another stream
+        assert a != TagStream(refs=u64([0, 4]), d1=u64([]), d2=u64([4]), **HEADER)
+
+    def test_from_records_splits_by_channel(self):
         s = make_stream([0, 1, 2, 1], [0, 5, 6, 9])
-        np.testing.assert_array_equal(
-            s.channel_timestamps(Channel.D1), [5, 9]
-        )
+        assert [s.refs.tolist(), s.d1.tolist(), s.d2.tolist()] == [[0], [5, 9], [6]]
+
+    def test_from_records_checks_order_across_channels(self):
+        # each channel alone is sorted; the records are not
+        with pytest.raises(IntegrityError, match="^timestamps must be non-decreasing$"):
+            make_stream([0, 1, 0], [0, 50, 40])
 
 
 class TestBinaryRoundTrip:
@@ -153,25 +184,28 @@ class TestBinaryRoundTrip:
         assert read_tags(path) == s
 
     def test_writer_does_not_copy_the_records(self, tmp_path):
-        # the record array, 9 bytes a record, goes to the file as it is;
-        # a bytes copy of it would double the peak
-        n_rows = 1_000_000
-        stream = make_stream(np.arange(n_rows) % 3, np.arange(n_rows))
-        path = tmp_path / "tags.zht"
-        tracemalloc.start()
-        try:
-            write_tags(stream, path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert path.stat().st_size == 18 + 9 * n_rows
-        assert read_tags(path) == stream
-        assert peak < 12 * n_rows
+        # the records are interleaved and written a block at a time, so
+        # the peak is set by the block, not by the 9 bytes a record the
+        # whole record array would take
+        for n_rows in (1_000_000, 3_000_000):
+            stream = TagStream(refs=np.arange(0, n_rows, 3, dtype=np.uint64),
+                               d1=np.arange(1, n_rows, 3, dtype=np.uint64),
+                               d2=np.arange(2, n_rows, 3, dtype=np.uint64), **HEADER)
+            path = tmp_path / "tags.zht"
+            tracemalloc.start()
+            try:
+                write_tags(stream, path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert path.stat().st_size == 18 + 9 * n_rows
+            assert read_tags(path) == stream
+            assert peak < 4 * 2**20
 
     def test_reader_copies_each_column_once(self, tmp_path):
-        # the file (9 bytes a record) plus one copy of each column, also
-        # 9 bytes a record, and the order check's mask
-        n_rows = 200_000
+        # the file (9 bytes a record), the three channel arrays (8 bytes
+        # a record) and one block of the split
+        n_rows = 1_000_000
         path = tmp_path / "tags.zht"
         write_tags(make_stream(np.arange(n_rows) % 3, np.arange(n_rows)), path)
         tracemalloc.start()
@@ -180,9 +214,9 @@ class TestBinaryRoundTrip:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert back.timestamps.flags.owndata and back.channels.flags.owndata
-        assert back.timestamps.flags.writeable
-        assert peak < 21 * n_rows
+        for part in (back.refs, back.d1, back.d2):
+            assert part.flags.owndata and part.flags.writeable
+        assert peak < 17 * n_rows + 2 * 2**20
 
 
 class TestBinaryCorruption:
@@ -261,6 +295,20 @@ class TestBinaryCorruption:
                                                  r"\(byte offset 36\)$"):
             read_tags(path)
 
+    @pytest.mark.parametrize("at", [3, 4, 5])
+    def test_backwards_timestamps_at_a_block_edge(self, monkeypatch, at):
+        # records 0-3 fill the first block: a step back at record 4 shows
+        # only across the edge, at 3 and 5 inside a block
+        timestamps = list(range(0, 80, 10))
+        timestamps[at] = timestamps[at - 1] - 5
+        blob = io.BytesIO()
+        write_tags(make_stream([0] * 8, sorted(timestamps)), blob)
+        records = np.frombuffer(blob.getvalue(), dtype=RECORD, offset=18).copy()
+        records["timestamp"] = timestamps
+        monkeypatch.setattr(tags, "_BLOCK", 4)
+        with pytest.raises(IntegrityError, match=f"^timestamps go backwards at record {at} "):
+            read_tags(io.BytesIO(blob.getvalue()[:18] + records.tobytes()))
+
     def test_magic_constant(self):
         assert MAGIC == b"ZHT1"
         assert bytes(self.good_bytes()[:4]) == b"ZHT1"
@@ -306,6 +354,69 @@ class TestCsvRoundTrip:
         text = buf.getvalue() + "D1,not_a_number\n"
         with pytest.raises(FormatError, match="line"):
             read_tags_csv(io.StringIO(text))
+
+
+# few distinct values, the u64 extremes among them, so that channels
+# tie with each other and across block edges
+def tag_times(max_size):
+    return st.lists(st.sampled_from([0, 1, 2, 7, 2**63, 2**64 - 2, 2**64 - 1]),
+                    max_size=max_size).map(lambda ts: u64(sorted(ts)))
+
+
+class TestRecordOrder:
+    """The writers' block-wise interleave against oracle_records, a
+    stable sort of the three channels concatenated, in both formats and
+    at block sizes down to three records. Many references beside a few
+    detector tags take the interleave's placing path, the rest its sort."""
+
+    @given(refs=tag_times(60), d1=tag_times(12), d2=tag_times(12),
+           block=st.sampled_from([3, 4, 5, 8, 64]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_sort(self, refs, d1, d2, block):
+        stream = TagStream(refs=refs, d1=d1, d2=d2, **HEADER)
+        want_channels, want_times = oracle_records(stream)
+        binary, text = io.BytesIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tags, "_BLOCK", block)
+            assert all(records.size <= block + 2 for records in _record_blocks(stream))
+            write_tags(stream, binary)
+            write_tags_csv(stream, text)
+            # the readers split in blocks of the same size
+            assert read_tags(io.BytesIO(binary.getvalue())) == stream
+            assert read_tags_csv(io.StringIO(text.getvalue())) == stream
+        records = np.frombuffer(binary.getvalue(), dtype=RECORD, offset=18)
+        assert records["channel"].tolist() == want_channels.tolist()
+        assert records["timestamp"].tolist() == want_times.tolist()
+        assert text.getvalue() == printf_text(stream)
+
+    @pytest.mark.parametrize("block", [3, 64, 1 << 16])
+    def test_references_dominate_with_ties(self, monkeypatch, block):
+        # mostly references, so most rounds place the detector tags among
+        # them; each detector tag ties with references and the other detector
+        stream = TagStream(refs=u64([0, 7, 2**64 - 1]).repeat(40), d1=u64([7, 2**64 - 1]),
+                           d2=u64([0, 7, 2**64 - 1]), **HEADER)
+        monkeypatch.setattr(tags, "_BLOCK", block)
+        buf = io.BytesIO()
+        write_tags(stream, buf)
+        records = np.frombuffer(buf.getvalue(), dtype=RECORD, offset=18)
+        want_channels, want_times = oracle_records(stream)
+        assert records["channel"].tolist() == want_channels.tolist()
+        assert records["timestamp"].tolist() == want_times.tolist()
+
+    def test_foreign_tie_order_reads_equal_and_writes_canonical(self):
+        # equal-timestamp tags as another recorder may order them
+        foreign = [(2, 0), (1, 0), (0, 0), (1, 5), (0, 5), (2, 7)]
+        canonical = [(0, 0), (1, 0), (2, 0), (0, 5), (1, 5), (2, 7)]
+        want = TagStream(refs=u64([0, 5]), d1=u64([0, 5]), d2=u64([0, 7]), **HEADER)
+        head = io.BytesIO()
+        write_tags(want, head)
+        blob = head.getvalue()[:18] + np.array(foreign, dtype=RECORD).tobytes()
+        text = csv_text((), ()) + "".join(f"{('REF', 'D1', 'D2')[c]},{t}\n" for c, t in foreign)
+        for back in (read_tags(io.BytesIO(blob)), read_tags_csv(io.StringIO(text))):
+            assert back == want
+            out = io.BytesIO()
+            write_tags(back, out)
+            assert np.frombuffer(out.getvalue(), dtype=RECORD, offset=18).tolist() == canonical
 
 
 def edge_stream(n_rows, seed=0):
@@ -359,7 +470,8 @@ class TestCsvWriterMatchesPrintf:
 
     def test_edge_values_round_trip(self):
         stream = edge_stream(7)
-        assert stream.timestamps.tolist() == [0, 9, 10, 2**32 - 1, 2**32, 10**19, 2**64 - 1]
+        assert oracle_records(stream)[1].tolist() == [0, 9, 10, 2**32 - 1, 2**32, 10**19,
+                                                      2**64 - 1]
         assert read_tags_csv(io.StringIO(printf_text(stream))) == stream
 
     def test_memory_stays_per_block(self):
@@ -462,7 +574,17 @@ class TestCsvRecordGrammar:
         path.write_bytes(text.replace("\n", "\r\n").encode())
         from_path = read_tags_csv(path)
         assert from_path == read_tags_csv(io.StringIO(text))
-        assert from_path.timestamps.tolist() == [0, 3, 9, 12, 2**64 - 1]
+        assert from_path == TagStream(refs=u64([0, 2**64 - 1]), d1=u64([9, 12]), d2=u64([3]),
+                                      **HEADER)
+
+    @pytest.mark.parametrize("source", ["text", "path"])
+    def test_backwards_timestamp_names_its_line(self, tmp_path, source):
+        # records on lines 8 and 9, two blank lines, the bad record on 12
+        text = csv_text((0, 1), (0, 50)) + "\n\nREF,40\nD2,60\n"
+        path = tmp_path / "tags.csv"
+        path.write_text(text)
+        with pytest.raises(IntegrityError, match="^line 12: timestamps go backwards at 'REF,40'$"):
+            read_tags_csv(path if source == "path" else io.StringIO(text))
 
     def test_undecodable_bytes_are_a_format_error(self, tmp_path):
         path = tmp_path / "tags.csv"
@@ -490,7 +612,7 @@ class TestCsvRecordGrammar:
         assert len(empty) == 0 and empty.divider == 512
         path = tmp_path / "tags.csv"
         path.write_text(csv_text((2,), (2**64 - 1,)))
-        assert read_tags_csv(path).timestamps.tolist() == [2**64 - 1]
+        assert read_tags_csv(path).d2.tolist() == [2**64 - 1]
 
 
 class TestReaderFuzz:
@@ -518,7 +640,7 @@ class TestReaderFuzz:
             stream = read_tags_csv(io.StringIO(csv_text() + body))
         except ZeroHeraldError:
             return
-        assert stream.timestamps.dtype == np.uint64
+        assert all(part.dtype == np.uint64 for part in (stream.refs, stream.d1, stream.d2))
 
     @given(st.binary(max_size=120))
     @settings(max_examples=200, deadline=None)
