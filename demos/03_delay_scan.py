@@ -1,13 +1,13 @@
 """A full delay scan: simulate, fit, and recover the efficiencies.
 
-Thirteen delay points spanning +-3 tau, 10^8 pulses each (about ten
-seconds; the simulator only touches eventful pulses). The
-heralded rate traces a peak, the raw detector-2 singles trace a
-shallow dip, and the coincidences trace the deep two-photon dip. One
-indistinguishability profile drives all three, so scan_fit fits them
-together: one Gaussian delay shape (center and width) shared by the
-three series, each with its own baseline and amplitude. The deep dip
-pins the shape, which keeps the two shallow curves' center-to-wings
+Thirteen delay points spanning +-3 tau, 10^8 pulses each (well under
+a second on a 2-vCPU machine; the simulator only touches eventful
+pulses). The heralded rate traces a peak, the raw detector-2 singles
+trace a shallow dip, and the coincidences trace the deep two-photon
+dip. One indistinguishability profile drives all three, so scan_fit
+fits them together: one Gaussian delay shape (center and width) shared
+by the three series, each with its own baseline and amplitude. The deep
+dip pins the shape, which keeps the two shallow curves' center-to-wings
 ratios well determined, and each ratio's error includes the shape's
 uncertainty. The pair of ratios inverts back into the effective
 efficiencies the scan was generated with.

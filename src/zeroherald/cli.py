@@ -14,10 +14,12 @@ Exit codes: 0 success; 2 usage errors (bad flags); 3 parameter or
 config validation failures; 4 tag-file format or integrity problems;
 5 numerical failures (fits, inversions, degenerate tables).
 
-All outputs that accept a path also accept "-" for stdout. Every
-simulation writes a manifest next to its outputs with the effective
-config, seed, tool version, file digests, and timing, so a published
-number can be traced back to the exact run that produced it.
+"-" means stdout for model --out, analyze --rates-out and --fits-out,
+and compare --out. analyze and compare read and reduce one tag file at
+a time, so memory follows the largest file, not the sum. simulate and
+scan write a manifest next to their outputs with the effective config,
+seed, tool version, file digests, and timing, so a published number can
+be traced back to the exact run that produced it.
 """
 
 from __future__ import annotations
@@ -27,15 +29,12 @@ import hashlib
 import json
 import sys
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import (
-    ConfigError,
     FormatError,
     IntegrityError,
     NumericalError,
@@ -43,24 +42,6 @@ from .errors import (
     ZeroHeraldError,
 )
 from . import analysis, config as config_mod, model, pipeline, sim, tags
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to simulation outputs."""
-
-    tool_version: str
-    command: list
-    config: dict
-    seed: int
-    inputs: dict
-    outputs: dict
-    timing_s: float
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _sha256(path) -> str:
@@ -71,13 +52,25 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-@contextmanager
+def _write_manifest(path, args, cfg, config, outputs, started) -> None:
+    """The JSON record of a simulate or scan run: config, seed, version,
+    command, SHA-256 of the config file and of each output, and timing."""
+    manifest = {
+        "tool_version": __version__,
+        "command": [args.command] + list(args.set or []),
+        "config": config,
+        "seed": cfg.seed,
+        "inputs": {str(args.config): _sha256(args.config)},
+        "outputs": {str(path): _sha256(path) for path in outputs},
+        "timing_s": time.perf_counter() - started,
+    }
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _out_stream(path):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+    return tags._opened(sys.stdout if path == "-" else path, "w", newline="")
 
 
 def _parse_delays(text: str) -> list[float]:
@@ -108,17 +101,6 @@ def _read_tag_file(path: str) -> tags.TagStream:
         raise FormatError(f"cannot read tag file {path}: {exc.strerror or exc}") from None
 
 
-def _load_config(path, overrides=None):
-    try:
-        return config_mod.load_config(path, overrides)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
-
-
-def _rep_rate_hz(stream: tags.TagStream) -> float:
-    return tags.PS_PER_SECOND / stream.rep_period_ps
-
-
 def cmd_model(args) -> int:
     kappa = args.kappa
     if not 0 < kappa <= 1:
@@ -145,83 +127,87 @@ def cmd_model(args) -> int:
     return 0
 
 
+def _simulate_to(cfg, path) -> tags.TagStream:
+    """Simulate cfg into a tag file at path: CSV for *.csv paths, else binary."""
+    stream = sim.run_simulation(cfg).stream
+    if str(path).endswith(".csv"):
+        tags.write_tags_csv(stream, path)
+    else:
+        tags.write_tags(stream, path)
+    return stream
+
+
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
-    cfg = _load_config(args.config, _overrides(args.set))
-    result = sim.run_simulation(cfg)
-    if args.out.endswith(".csv"):
-        tags.write_tags_csv(result.stream, args.out)
-    else:
-        tags.write_tags(result.stream, args.out)
-    manifest = RunManifest(
-        tool_version=__version__,
-        command=["simulate"] + list(args.set or []),
-        config=config_mod.config_dict(cfg),
-        seed=cfg.seed,
-        inputs={str(args.config): _sha256(args.config)},
-        outputs={str(args.out): _sha256(args.out)},
-        timing_s=time.perf_counter() - started,
-    )
-    manifest.write(str(args.out) + ".manifest.json")
+    if args.out == "-":
+        raise ValidationError("simulate --out needs a file path, not '-'")
+    cfg = config_mod.load_config(args.config, _overrides(args.set))
+    _simulate_to(cfg, args.out)
+    _write_manifest(args.out + ".manifest.json", args, cfg, config_mod.config_dict(cfg),
+                    [args.out], started)
     return 0
 
 
-def _analyze_streams(streams, delays, gate, dead_pulses):
+def _reduce(streams, delays, gate, dead_pulses):
+    """Each stream's RateSummary at its delay, and the first stream's
+    repetition rate in Hz. Streams are taken from the iterator one at a
+    time and dropped once reduced, so memory follows the largest one."""
     summaries = []
-    for stream, delta_t in zip(streams, delays):
-        _, _, table = pipeline.table_from_stream(stream, gate, dead_pulses, dead_pulses)
+    for delta_t in delays:
+        stream = next(streams)
+        if not summaries:
+            rep_rate_hz = tags.PS_PER_SECOND / stream.rep_period_ps
+        table = pipeline.table_from_stream(stream, gate, dead_pulses, dead_pulses)[2]
+        del stream  # not held while the next one is read
         summaries.append(analysis.compute_rates(table, delta_t))
-    return summaries
+    return summaries, rep_rate_hz
 
 
-def _fit_series(summaries):
-    """The shared-shape fit of the rate series, with enough points to try."""
+def _write_results(summaries, rep_rate_hz, rates_out, fits_out):
+    """Write the rate CSV, then the shared-shape fit of the rate series,
+    with enough points to try, to fits_out if given; returns the fits."""
+    with _out_stream(rates_out) as fh:
+        analysis.write_rate_csv(summaries, fh, rep_rate_hz=rep_rate_hz)
     if len(summaries) < 5:
         return {}
     try:
-        return analysis.scan_fit(summaries)
+        fits = analysis.scan_fit(summaries)
     except NumericalError as exc:
         print(f"note: scan fit skipped: {exc}", file=sys.stderr)
         return {}
+    if fits_out:
+        with _out_stream(fits_out) as fh:
+            analysis.write_fits_jsonl(fits, fh)
+    return fits
 
 
-def _delays_for_files(args, n_files: int) -> list[float]:
-    if args.delays is not None:
-        delays = _parse_delays(args.delays)
-        if len(delays) != n_files:
-            raise ValidationError(
-                f"got {len(delays)} delays for {n_files} tag files"
-            )
-        return delays
-    if n_files > 1:
+def _delays_for_files(args) -> list[float]:
+    if args.delays is None and len(args.files) > 1:
         raise ValidationError("multiple tag files need --delays")
-    return [0.0]
+    delays = [0.0] if args.delays is None else _parse_delays(args.delays)
+    if len(delays) != len(args.files):
+        raise ValidationError(f"got {len(delays)} delays for {len(args.files)} tag files")
+    return delays
 
 
 def cmd_analyze(args) -> int:
-    delays = _delays_for_files(args, len(args.files))
-    streams = [_read_tag_file(path) for path in args.files]
-    summaries = _analyze_streams(streams, delays, args.gate, args.dead_pulses)
-    with _out_stream(args.rates_out) as fh:
-        analysis.write_rate_csv(summaries, fh, rep_rate_hz=_rep_rate_hz(streams[0]))
-    fits = _fit_series(summaries)
-    if fits:
-        if args.fits_out:
-            with _out_stream(args.fits_out) as fh:
-                analysis.write_fits_jsonl(fits, fh)
-        else:
-            for name, fit in fits.items():
-                line = (f"{name}: cwr={fit.cwr:.6f} +- {fit.cwr_err:.6f}"
-                        f" (baseline {fit.a:.3e}, amplitude {fit.b:.3e})")
-                if fit.visibility is not None:
-                    line += f", visibility={fit.visibility:.6f}"
-                print(line, file=sys.stderr)
+    delays = _delays_for_files(args)
+    summaries, rep_rate_hz = _reduce(map(_read_tag_file, args.files), delays,
+                                     args.gate, args.dead_pulses)
+    fits = _write_results(summaries, rep_rate_hz, args.rates_out, args.fits_out)
+    if not args.fits_out:
+        for name, fit in fits.items():
+            line = (f"{name}: cwr={fit.cwr:.6f} +- {fit.cwr_err:.6f}"
+                    f" (baseline {fit.a:.3e}, amplitude {fit.b:.3e})")
+            if fit.visibility is not None:
+                line += f", visibility={fit.visibility:.6f}"
+            print(line, file=sys.stderr)
     return 0
 
 
 def cmd_scan(args) -> int:
     started = time.perf_counter()
-    cfg = _load_config(args.config, _overrides(args.set))
+    cfg = config_mod.load_config(args.config, _overrides(args.set))
     if args.delays is not None:
         delays = _parse_delays(args.delays)
     else:
@@ -229,47 +215,27 @@ def cmd_scan(args) -> int:
             raise ValidationError("scan needs --delays or --span")
         delays = list(np.linspace(-args.span, args.span, args.points))
     gate = cfg.gate_window if args.gate is None else args.gate
+    delays, subs = zip(*sim.delay_configs(cfg, delays))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # one delay at a time: simulate, write, reduce, then drop the result
-    tag_paths = []
-    summaries = []
-    for index, (delta_t, sub) in enumerate(sim.delay_configs(cfg, delays)):
-        stream = sim.run_simulation(sub).stream
-        path = out_dir / f"tags_{index:03d}.zht"
-        tags.write_tags(stream, path)
-        tag_paths.append(path)
-        summaries += _analyze_streams([stream], [delta_t], gate, args.dead_pulses)
-        del stream
-    rates_path = out_dir / "rates.csv"
-    with open(rates_path, "w", newline="") as fh:
-        analysis.write_rate_csv(summaries, fh, rep_rate_hz=tags.PS_PER_SECOND / cfg.rep_period_ps)
-    fits = _fit_series(summaries)
-    outputs = {str(p): _sha256(p) for p in tag_paths}
-    outputs[str(rates_path)] = _sha256(rates_path)
-    if fits:
-        fits_path = out_dir / "fits.jsonl"
-        with open(fits_path, "w") as fh:
-            analysis.write_fits_jsonl(fits, fh)
-        outputs[str(fits_path)] = _sha256(fits_path)
-    manifest = RunManifest(
-        tool_version=__version__,
-        command=["scan"] + list(args.set or []),
-        config={**config_mod.config_dict(cfg), "scan_delays": delays},
-        seed=cfg.seed,
-        inputs={str(args.config): _sha256(args.config)},
-        outputs=outputs,
-        timing_s=time.perf_counter() - started,
-    )
-    manifest.write(out_dir / "scan_manifest.json")
+    # one delay at a time: simulate, write, reduce, then drop the stream
+    tag_paths = [out_dir / f"tags_{index:03d}.zht" for index in range(len(subs))]
+    summaries, rep_rate_hz = _reduce(map(_simulate_to, subs, tag_paths), delays,
+                                     gate, args.dead_pulses)
+    outputs = [*tag_paths, out_dir / "rates.csv"]
+    fits_path = out_dir / "fits.jsonl"
+    if _write_results(summaries, rep_rate_hz, outputs[-1], fits_path):
+        outputs.append(fits_path)
+    _write_manifest(out_dir / "scan_manifest.json", args, cfg,
+                    {**config_mod.config_dict(cfg), "scan_delays": delays}, outputs, started)
     return 0
 
 
 def cmd_compare(args) -> int:
-    delays = _delays_for_files(args, len(args.files))
-    cfg = _load_config(args.config)
-    streams = [_read_tag_file(path) for path in args.files]
-    summaries = _analyze_streams(streams, delays, args.gate, args.dead_pulses)
+    delays = _delays_for_files(args)
+    cfg = config_mod.load_config(args.config)
+    summaries, _ = _reduce(map(_read_tag_file, args.files), delays,
+                           args.gate, args.dead_pulses)
     worst = 0.0
     with _out_stream(args.out) as fh:
         for summary in summaries:
@@ -281,9 +247,11 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_gate_flags(parser, gate_default: float | None = 2e-9):
-    """--gate and --dead-pulses; a None gate default means the config's gate_window."""
+def _add_reduce_flags(parser, gate_default: float | None = 2e-9):
+    """--delays, --gate and --dead-pulses; a None gate default is the config's gate_window."""
     shown = "the config's gate_window" if gate_default is None else repr(gate_default)
+    parser.add_argument("--delays", default=None,
+                        help="comma list of delta_t values in seconds, one per tag file")
     parser.add_argument("--gate", type=float, default=gate_default,
                         help=f"virtual gate window in seconds (default {shown})")
     parser.add_argument("--dead-pulses", type=int, default=5,
@@ -327,9 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="rates and fits from tag files")
     p_an.add_argument("files", nargs="+", help="tag files (*.zht binary or *.csv)")
-    p_an.add_argument("--delays", default=None,
-                      help="comma list of delta_t values, one per file")
-    _add_gate_flags(p_an)
+    _add_reduce_flags(p_an)
     p_an.add_argument("--rates-out", default="-", help="rate summary CSV (default stdout)")
     p_an.add_argument("--fits-out", default=None, help="fit results JSON-lines path")
     p_an.set_defaults(func=cmd_analyze)
@@ -337,19 +303,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="simulate + analyze a delay grid")
     p_scan.add_argument("--config", required=True)
     p_scan.add_argument("--out-dir", required=True)
-    p_scan.add_argument("--delays", default=None, help="comma list of delays")
     p_scan.add_argument("--span", type=float, default=None,
                         help="symmetric half-width; grid is linspace(-span, span, points)")
     p_scan.add_argument("--points", type=int, default=13)
     p_scan.add_argument("--set", action="append", metavar="KEY=VALUE")
-    _add_gate_flags(p_scan, gate_default=None)
+    _add_reduce_flags(p_scan, gate_default=None)
     p_scan.set_defaults(func=cmd_scan)
 
     p_cmp = sub.add_parser("compare", help="z-scores of tag files vs closed forms")
     p_cmp.add_argument("files", nargs="+")
     p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--delays", default=None)
-    _add_gate_flags(p_cmp)
+    _add_reduce_flags(p_cmp)
     p_cmp.add_argument("--out", default="-")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -195,9 +195,12 @@ def build_sim_config(raw: dict[str, str], overrides: dict[str, str] | None = Non
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> SimConfig:
-    """Parse and type a config file in one step."""
-    with open(path) as fh:
-        raw = parse_config_text(fh.read())
+    """Parse and type a config file in one step; an unreadable file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            raw = parse_config_text(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
     return build_sim_config(raw, overrides)
 
 

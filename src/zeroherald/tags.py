@@ -391,6 +391,8 @@ def _read_csv(fh, path) -> TagStream:
         return TagStream.from_records(channels, records["ts"], timebin_ps=timebin_ps,
                                       rep_period_ps=rep_period_ps, divider=divider,
                                       provenance=header.get("provenance", ""))
+    except ValidationError as exc:  # a header field that is not a positive u32
+        raise FormatError(f"bad header value: {exc}") from None
     except IntegrityError:
         bad = _first_descent(records["ts"])
         lineno, line = next(islice(_record_lines(fh, body_at, lineno), bad, None))

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,22 @@ tau = 1e-13
 n_pulses = 20481
 seed = 7
 out_gate_dark_rate = 0
+"""
+
+
+# the paper's operating point, as in the README quick start
+PAPER_CONFIG = """\
+gamma = 1e-4
+kappa1 = 0.5
+kappa2 = 0.5
+eta1 = 0.32
+eta2 = 0.30
+dead_pulses1 = 5
+dead_pulses2 = 5
+nu_max = 0.975
+tau = 1e-13
+n_pulses = 2e8
+seed = 3
 """
 
 
@@ -150,6 +167,12 @@ class TestSimulateCommand:
         main(["simulate", "--config", str(cfg_path), "--out", str(csv_out)])
         assert tags.read_tags_csv(csv_out) == tags.read_tags(zht)
 
+    def test_stdout_is_not_a_tag_file(self, tmp_path, cfg_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(cfg_path), "--out", "-"]) == 3
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_bad_set_pair(self, tmp_path, cfg_path, capsys):
         code = main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "x.zht"), "--set", "seed"])
@@ -222,6 +245,14 @@ class TestAnalyzeCommand:
     def test_corrupt_tag_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.zht"
         bad.write_bytes(b"not a tag file at all")
+        assert main(["analyze", str(bad)]) == 4
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("divider", ["0", str(2**32)])
+    def test_out_of_range_csv_header(self, tmp_path, tag_file, capsys, divider):
+        bad = tmp_path / "bad.csv"
+        tags.write_tags_csv(tags.read_tags(tag_file), bad)
+        bad.write_text(bad.read_text().replace("# divider = 512", f"# divider = {divider}"))
         assert main(["analyze", str(bad)]) == 4
         assert str(bad) in capsys.readouterr().err
 
@@ -356,3 +387,37 @@ class TestCompareCommand:
         assert code == 0
         report = json.loads((tmp_path / "cmp.jsonl").read_text().splitlines()[0])
         assert report["z"]["singles1"] > 5.0
+
+
+class TestOneStreamAtATime:
+    """analyze and compare read and reduce one tag file at a time, so
+    four files peak at about the allocation of one."""
+
+    @pytest.fixture(scope="class")
+    def paper_files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("paper")
+        cfg = tmp / "paper.cfg"
+        cfg.write_text(PAPER_CONFIG)
+        files = [tmp / f"tags_{seed}.zht" for seed in range(4)]
+        for seed, path in enumerate(files):
+            assert main(["simulate", "--config", str(cfg), "--out", str(path),
+                         "--set", f"seed={seed}"]) == 0
+        return cfg, [str(path) for path in files]
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_four_files_peak_near_one(self, tmp_path, paper_files, command):
+        cfg, files = paper_files
+        flags = ["--rates-out"] if command == "analyze" else ["--config", str(cfg), "--out"]
+
+        def peak(paths):
+            argv = [command, *paths, "--delays", ",".join("0" * len(paths)),
+                    *flags, str(tmp_path / "out.txt")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(files[:1]), peak(files)
+        assert four <= 1.2 * one, f"one file {one / 1e6:.1f} MB, four {four / 1e6:.1f} MB"

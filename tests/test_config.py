@@ -193,6 +193,10 @@ class TestLoadAndSnapshot:
         assert cfg.seed == 11
         assert cfg.source.gamma == 2e-3
 
+    def test_unreadable_config_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path / "missing.cfg")
+
     def test_config_dict_snapshot(self):
         cfg = build_sim_config(raw())
         snap = config_dict(cfg)

@@ -280,6 +280,12 @@ class TestBinaryCorruption:
         with pytest.raises(FormatError, match="positive"):
             read_tags(io.BytesIO(bytes(blob)))
 
+    def test_zero_divider(self):
+        blob = self.good_bytes()
+        struct.pack_into("<I", blob, 14, 0)  # divider
+        with pytest.raises(FormatError, match="^header fields must be positive$"):
+            read_tags(io.BytesIO(bytes(blob)))
+
     def test_backwards_timestamps_report_record(self):
         blob = self.good_bytes()
         struct.pack_into("<Q", blob, 18 + 9 + 1, 25)  # now 0, 25, 20
@@ -340,6 +346,19 @@ class TestCsvRoundTrip:
         ]
         with pytest.raises(FormatError, match="timebin_ps"):
             read_tags_csv(io.StringIO("\n".join(kept)))
+
+    @pytest.mark.parametrize("line, value", [
+        ("# divider = 512", "0"),
+        ("# divider = 512", str(2**32)),
+        ("# timebin_ps = 81", "-81"),
+        ("# rep_period_ps = 9963", "0"),
+    ])
+    def test_out_of_range_header_value_is_a_format_error(self, line, value):
+        text = csv_text()
+        assert line in text
+        bad = text.replace(line, line.rsplit("=", 1)[0] + "= " + value)
+        with pytest.raises(FormatError, match="^bad header value: "):
+            read_tags_csv(io.StringIO(bad))
 
     def test_line_breaks_in_provenance_are_flattened(self):
         s = make_stream([1], [4], provenance="two\nlines")
