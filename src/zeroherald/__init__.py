@@ -24,6 +24,7 @@ from .errors import (
     IntegrityError,
     NoSolutionError,
     NumericalError,
+    OutputError,
     ValidationError,
     WrongShapeError,
     ZeroHeraldError,

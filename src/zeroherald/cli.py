@@ -11,8 +11,10 @@ Subcommands:
     compare    z-scores of tag files against a config's closed forms
 
 Exit codes: 0 success; 2 usage errors (bad flags); 3 parameter or
-config validation failures; 4 tag-file format or integrity problems;
-5 numerical failures (fits, inversions, degenerate tables).
+config validation failures, and output paths that cannot be written;
+4 tag-file format or integrity problems, and tag files of different
+repetition periods analysed together; 5 numerical failures (fits,
+inversions, degenerate tables).
 
 "-" means stdout for model --out, analyze --rates-out and --fits-out,
 and compare --out. analyze and compare read and reduce one tag file at
@@ -29,6 +31,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,7 @@ from .errors import (
     FormatError,
     IntegrityError,
     NumericalError,
+    OutputError,
     ValidationError,
     ZeroHeraldError,
 )
@@ -64,13 +68,33 @@ def _write_manifest(path, args, cfg, config, outputs, started) -> None:
         "outputs": {str(path): _sha256(path) for path in outputs},
         "timing_s": time.perf_counter() - started,
     }
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+@contextmanager
+def _writing(path):
+    """Turn a failure to create or write path into an OutputError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _check_outputs(*paths) -> None:
+    """Fail before the work, not after it, on an output path whose
+    directory does not exist; None and "-" (stdout) pass."""
+    for path in paths:
+        if path not in (None, "-") and not Path(path).parent.is_dir():
+            raise OutputError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
+@contextmanager
 def _out_stream(path):
-    return tags._opened(sys.stdout if path == "-" else path, "w", newline="")
+    with _writing(path), tags._opened(sys.stdout if path == "-" else path, "w",
+                                      newline="") as fh:
+        yield fh
 
 
 def _parse_delays(text: str) -> list[float]:
@@ -130,10 +154,8 @@ def cmd_model(args) -> int:
 def _simulate_to(cfg, path) -> tags.TagStream:
     """Simulate cfg into a tag file at path: CSV for *.csv paths, else binary."""
     stream = sim.run_simulation(cfg).stream
-    if str(path).endswith(".csv"):
-        tags.write_tags_csv(stream, path)
-    else:
-        tags.write_tags(stream, path)
+    with _writing(path):
+        (tags.write_tags_csv if str(path).endswith(".csv") else tags.write_tags)(stream, path)
     return stream
 
 
@@ -141,6 +163,7 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     if args.out == "-":
         raise ValidationError("simulate --out needs a file path, not '-'")
+    _check_outputs(args.out)
     cfg = config_mod.load_config(args.config, _overrides(args.set))
     _simulate_to(cfg, args.out)
     _write_manifest(args.out + ".manifest.json", args, cfg, config_mod.config_dict(cfg),
@@ -148,19 +171,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _reduce(streams, delays, gate, dead_pulses):
-    """Each stream's RateSummary at its delay, and the first stream's
+def _reduce(names, streams, delays, gate, dead_pulses):
+    """Each stream's RateSummary at its delay, and the streams' shared
     repetition rate in Hz. Streams are taken from the iterator one at a
-    time and dropped once reduced, so memory follows the largest one."""
+    time and dropped once reduced, so memory follows the largest one.
+    One rate serves every row of the rate CSV, so a stream whose period
+    differs from the first one's is an IntegrityError naming it."""
     summaries = []
-    for delta_t in delays:
+    for name, delta_t in zip(names, delays):
         stream = next(streams)
         if not summaries:
-            rep_rate_hz = tags.PS_PER_SECOND / stream.rep_period_ps
+            first, period = name, stream.rep_period_ps
+        elif stream.rep_period_ps != period:
+            raise IntegrityError(
+                f"{name}: rep_period_ps {stream.rep_period_ps} differs from {period} in "
+                f"{first}; files analysed together must share one repetition period")
         table = pipeline.table_from_stream(stream, gate, dead_pulses, dead_pulses)[2]
         del stream  # not held while the next one is read
         summaries.append(analysis.compute_rates(table, delta_t))
-    return summaries, rep_rate_hz
+    return summaries, tags.PS_PER_SECOND / period
 
 
 def _write_results(summaries, rep_rate_hz, rates_out, fits_out):
@@ -192,7 +221,8 @@ def _delays_for_files(args) -> list[float]:
 
 def cmd_analyze(args) -> int:
     delays = _delays_for_files(args)
-    summaries, rep_rate_hz = _reduce(map(_read_tag_file, args.files), delays,
+    _check_outputs(args.rates_out, args.fits_out)
+    summaries, rep_rate_hz = _reduce(args.files, map(_read_tag_file, args.files), delays,
                                      args.gate, args.dead_pulses)
     fits = _write_results(summaries, rep_rate_hz, args.rates_out, args.fits_out)
     if not args.fits_out:
@@ -217,10 +247,11 @@ def cmd_scan(args) -> int:
     gate = cfg.gate_window if args.gate is None else args.gate
     delays, subs = zip(*sim.delay_configs(cfg, delays))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     # one delay at a time: simulate, write, reduce, then drop the stream
     tag_paths = [out_dir / f"tags_{index:03d}.zht" for index in range(len(subs))]
-    summaries, rep_rate_hz = _reduce(map(_simulate_to, subs, tag_paths), delays,
+    summaries, rep_rate_hz = _reduce(tag_paths, map(_simulate_to, subs, tag_paths), delays,
                                      gate, args.dead_pulses)
     outputs = [*tag_paths, out_dir / "rates.csv"]
     fits_path = out_dir / "fits.jsonl"
@@ -233,8 +264,9 @@ def cmd_scan(args) -> int:
 
 def cmd_compare(args) -> int:
     delays = _delays_for_files(args)
+    _check_outputs(args.out)
     cfg = config_mod.load_config(args.config)
-    summaries, _ = _reduce(map(_read_tag_file, args.files), delays,
+    summaries, _ = _reduce(args.files, map(_read_tag_file, args.files), delays,
                            args.gate, args.dead_pulses)
     worst = 0.0
     with _out_stream(args.out) as fh:

@@ -195,13 +195,17 @@ def build_sim_config(raw: dict[str, str], overrides: dict[str, str] | None = Non
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> SimConfig:
-    """Parse and type a config file in one step; an unreadable file is a ConfigError."""
+    """Parse and type a config file in one step; a file that cannot be
+    read, or is not UTF-8 text, is a ConfigError."""
     try:
-        with open(path) as fh:
-            raw = parse_config_text(fh.read())
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
-    return build_sim_config(raw, overrides)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text (bad byte at offset {exc.start})"
+                          ) from None
+    return build_sim_config(parse_config_text(text), overrides)
 
 
 def config_dict(cfg: SimConfig) -> dict:

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 Grouped by how the command line maps them to exit codes: parameter and
-config problems (3), tag-file format and integrity problems (4), and
-numerical or degenerate-data problems (5).
+config problems, output paths among them (3), tag-file format and
+integrity problems (4), and numerical or degenerate-data problems (5).
 """
 
 
@@ -18,6 +18,10 @@ class ConfigError(ValidationError):
     """A config file is malformed, has unknown keys, or bad values."""
 
 
+class OutputError(ValidationError):
+    """An output path cannot be opened or written, e.g. its directory is missing."""
+
+
 class CapacityError(ValidationError):
     """A requested run would overflow the 64-bit timestamp range."""
 
@@ -27,7 +31,8 @@ class FormatError(ZeroHeraldError):
 
 
 class IntegrityError(ZeroHeraldError):
-    """A tag stream's content violates its own invariants."""
+    """A tag stream's content violates its own invariants, or disagrees
+    with the streams it is reduced with."""
 
 
 class InsufficientReferenceError(IntegrityError):

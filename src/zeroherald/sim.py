@@ -11,14 +11,23 @@ Pulses where nothing can happen are never visited: every independent
 per-pulse Bernoulli process (pairs, darks per channel, out-of-gate
 darks per channel) is sampled by drawing gaps between successes from
 its geometric law, so runtime scales with the number of events rather
-than the number of pulses.
+than the number of pulses. Below p = 1/3 numpy's Generator.geometric
+draws each gap by inversion, ceil(-E / log1p(-p)) from one standard
+exponential E. The engine draws those exponentials itself and does the
+same arithmetic in place, a block at a time: the gaps are the same
+numbers and the generator ends in the same state, so the stream is the
+one Generator.geometric gives, at about half its cost. From p = 1/3 on
+numpy draws by a search, and the engine leaves those draws to it.
 
 Each emitted pair is drawn with one uniform. Its class joins the
 photons (m at D1, n at D2) that loss and Hong-Ou-Mandel interference
 leave with whether each detector gets a photon-induced click
 candidate (probability 1-(1-eta)^c for c photons); the 13 class
 probabilities are products of the branch probabilities, and a pair's
-class is the number of cumulative edges at or below its uniform.
+class is the number of cumulative edges at or below its uniform. The
+uniforms are drawn in the same order a block of pairs at a time, so the
+passes over a block stay in cache, and a class's flags are bits of a
+u16 mask, read by testing 1 << code.
 
 Dead time and afterpulsing are applied per detector without a per-click
 loop. For each pulse with candidate events the engine draws the number
@@ -72,6 +81,10 @@ __all__ = [
 ]
 
 MAX_TIMESTAMP = 2**62  # headroom below the u64 ceiling for jitter excursions
+
+# draws per block of the per-draw passes: the 256 kB of 32k doubles stay
+# in a core's L2 cache through every pass over them
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -223,6 +236,31 @@ class _ChannelPlan(NamedTuple):
     offsets: np.ndarray
 
 
+def _geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """`rng.geometric(p, size)` for 0 < p < 1, capped at MAX_TIMESTAMP.
+
+    Below p = 1/3 this is numpy's inversion, ceil(-E / log1p(-p)) per
+    standard exponential E, done in place in the output buffer a block
+    at a time: the same values and generator state at about half the
+    cost. From p = 1/3 on numpy searches instead, and draws itself; no
+    value there comes near the cap.
+    """
+    if p >= 1.0 / 3.0:
+        return rng.geometric(p, size=size)
+    scale = -math.log1p(-p)
+    out = np.empty(size, dtype=np.int64)
+    with np.errstate(over="ignore"):  # at tiny p: inf, then the cap
+        for block in _blocks(size):
+            gaps = out[block]
+            e = gaps.view(np.float64)  # the exponentials share the output buffer
+            rng.standard_exponential(out=e)
+            np.divide(e, scale, out=e)
+            np.ceil(e, out=e)
+            np.minimum(e, float(MAX_TIMESTAMP), out=e)
+            gaps[...] = e
+    return out
+
+
 def _event_pulses(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     """Pulse indices in [0, n) where an independent Bernoulli(p) fired.
 
@@ -242,7 +280,7 @@ def _event_pulses(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
         left = n - total  # pulses total .. n-1, at offsets 1 .. left
         remaining = left * p
         size = int(remaining + 6.0 * math.sqrt(remaining + 1.0) + 16.0)
-        idx = rng.geometric(p, size=size)
+        idx = _geometric(rng, p, size)
         np.minimum(idx, left + 1, out=idx)
         # u64 sums wrap without fault after the first event past the run
         sums = np.cumsum(idx.view(np.uint64), out=idx.view(np.uint64))
@@ -315,11 +353,55 @@ def _class_codes(rng: np.random.Generator, prob: np.ndarray, k: int) -> np.ndarr
     return code
 
 
+def _class_mask(flags: np.ndarray) -> int:
+    """The classes whose flag is set, as the bits of a u16 mask: a class
+    code's flag is then 1 << code & mask, one u16 pass where a lookup in
+    the 13-entry table would first copy the codes to intp."""
+    return sum(1 << int(code) for code in np.flatnonzero(flags))
+
+
+def _blocks(k: int):
+    """Slices of at most _BLOCK items that cover range(k) in order."""
+    return (slice(lo, min(lo + _BLOCK, k)) for lo in range(0, k, _BLOCK))
+
+
+def _pair_draws(rng: np.random.Generator, classes: _PairClasses, pair_pulses: np.ndarray):
+    """Each pair's class code, drawn block by block, and a list of the
+    pulses of the pairs that give D1 and D2 a photon-induced candidate."""
+    k = pair_pulses.size
+    code = np.empty(k, dtype=np.uint8)
+    hit1, hit2 = np.empty(k, dtype=bool), np.empty(k, dtype=bool)
+    masks = ((hit1, _class_mask(classes.hit1)), (hit2, _class_mask(classes.hit2)))
+    for block in _blocks(k):
+        code[block] = _class_codes(rng, classes.prob, block.stop - block.start)
+        bits = np.left_shift(1, code[block], dtype=np.uint16)
+        for out, mask in masks:
+            np.not_equal(bits & mask, 0, out=out[block])
+    return code, [np.compress(hit1, pair_pulses), np.compress(hit2, pair_pulses)]
+
+
+def _pair_photons(classes: _PairClasses, code: np.ndarray):
+    """The photons m at D1 and n at D2 of each pair, from its class code
+    by bit tests a block at a time: c photons are (at least one) + (two)."""
+    out = []
+    for c in (classes.m, classes.n):
+        one, two = _class_mask(c >= 1), _class_mask(c == 2)
+        photons = np.empty(code.size, dtype=np.uint8)
+        for block in _blocks(code.size):
+            bits = np.left_shift(1, code[block], dtype=np.uint16)
+            np.add(bits & one != 0, bits & two != 0, out=photons[block], dtype=np.uint8)
+        out.append(photons)
+    return out
+
+
 def _jitter_offsets(rng: np.random.Generator, count: int, cfg: SimConfig) -> np.ndarray:
     if cfg.jitter_sigma <= 0.0 or count == 0:
         return np.zeros(count, dtype=np.int64)
     sigma_tb = cfg.jitter_sigma * PS_PER_SECOND / cfg.timebin_ps
-    return np.rint(rng.normal(0.0, sigma_tb, size=count)).astype(np.int64)
+    jitter = rng.normal(0.0, sigma_tb, size=count)
+    offsets = jitter.view(np.int64)  # rounded in place: no whole-run temporaries
+    offsets[...] = np.rint(jitter, out=jitter)
+    return offsets
 
 
 def _channel_plan(
@@ -369,10 +451,11 @@ def _afterpulse_chain(pulses: np.ndarray, runs: np.ndarray, dead: int, n_pulses:
     step = min(int(dead) + 1, n_pulses)
     runs = np.minimum(runs, (n_pulses - 1 - pulses) // step)
     keep = _greedy_chain(pulses, pulses + (runs + 1) * step - 1)
-    counts = runs[keep]
-    # the afterpulses after keep[i] are 1..counts[i] steps on from it
+    fired = np.flatnonzero(keep & (runs > 0))  # the few kept clicks with afterpulses
+    counts = runs[fired]
+    # the afterpulses after fired[i] are 1..counts[i] steps on from it
     rank = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-    return keep, np.repeat(pulses[keep], counts) + rank * step
+    return keep, np.repeat(pulses[fired], counts) + rank * step
 
 
 def _detector_walk(
@@ -400,7 +483,8 @@ def _detector_walk(
     if p == 0.0:  # no draws: streams without afterpulses keep theirs
         runs = np.zeros(pulses.size, dtype=np.int64)
     elif p < 1.0:
-        runs = rng.geometric(1.0 - p, size=pulses.size) - 1
+        runs = _geometric(rng, 1.0 - p, pulses.size)
+        runs -= 1
     else:  # every click re-arms: the chain runs to the end of the run
         runs = np.full(pulses.size, n_pulses, dtype=np.int64)
     keep, after = _afterpulse_chain(pulses, runs, det.dead_pulses, n_pulses)
@@ -408,9 +492,11 @@ def _detector_walk(
     at = np.minimum(np.searchsorted(pulses, after), pulses.size - 1)
     on = pulses[at] == after
     after_offsets[on] = np.minimum(after_offsets[on], offsets[at[on]])
-    clicks = np.concatenate((pulses[keep], after))
-    order = np.argsort(clicks, kind="stable")
-    return clicks[order], np.concatenate((offsets[keep], after_offsets))[order]
+    # both runs are sorted: each afterpulse goes in after the clicks at or
+    # before its pulse, where a stable sort of clicks then afterpulses puts it
+    clicks = pulses[keep]
+    slots = np.searchsorted(clicks, after, side="right")
+    return np.insert(clicks, slots, after), np.insert(offsets[keep], slots, after_offsets)
 
 
 def _sorted_stamps(stamps: np.ndarray) -> np.ndarray:
@@ -433,13 +519,12 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64)))
     pair_pulses = _event_pulses(rng, cfg.source.gamma, cfg.n_pulses)
     classes = _pair_classes(cfg.source, cfg.nu, cfg.det1.eta, cfg.det2.eta)
-    code = _class_codes(rng, classes.prob, pair_pulses.size)
-    # lookups index the tables: take would first copy the codes to intp
-    plan1 = _channel_plan(rng, cfg, cfg.det1, pair_pulses[classes.hit1[code]], cfg.n_pulses)
-    plan2 = _channel_plan(rng, cfg, cfg.det2, pair_pulses[classes.hit2[code]], cfg.n_pulses)
-    (clicks1, offs1), (clicks2, offs2) = (
-        _detector_walk(rng, cfg, det, plan, cfg.n_pulses)
-        for det, plan in ((cfg.det1, plan1), (cfg.det2, plan2)))
+    dets = (cfg.det1, cfg.det2)
+    code, photon_pulses = _pair_draws(rng, classes, pair_pulses)
+    # popped: each input is dropped once used, so less is held at the walks
+    plans = [_channel_plan(rng, cfg, det, photon_pulses.pop(0), cfg.n_pulses) for det in dets]
+    (clicks1, offs1), (clicks2, offs2) = [
+        _detector_walk(rng, cfg, det, plans.pop(0), cfg.n_pulses) for det in dets]
     stream = TagStream(
         timebin_ps=cfg.timebin_ps,
         rep_period_ps=cfg.rep_period_ps,
@@ -449,10 +534,12 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         d2=_sorted_stamps(clicks2 * period + offs2),
         provenance=cfg.provenance(),
     )
+    # m and n come last: until then the codes hold them in half the memory
+    m, n = _pair_photons(classes, code)
     truth = SimTruth(
         pair_pulses=pair_pulses,
-        m=classes.m[code],
-        n=classes.n[code],
+        m=m,
+        n=n,
         clicks1=clicks1,
         clicks2=clicks2,
         ingate_clicks1=clicks1[(offs1 >= 0) & (offs1 < cfg.window_tb)],

@@ -1,8 +1,8 @@
 """End-to-end command-line tests, driven in-process through main().
 
 Each flow writes real files into tmp_path and checks the documented
-exit codes: 0 success, 2 usage, 3 validation/config, 4 file format or
-integrity, 5 numerical failure.
+exit codes: 0 success, 2 usage, 3 validation/config or an output path
+that cannot be written, 4 file format or integrity, 5 numerical failure.
 """
 
 import csv
@@ -190,6 +190,14 @@ class TestSimulateCommand:
         assert code == 3
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_binary_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.zht")])
+        assert code == 3
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "x.zht").exists()
+
 
 class TestAnalyzeCommand:
     @pytest.fixture
@@ -268,6 +276,20 @@ class TestAnalyzeCommand:
         main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert main(["analyze", str(out)]) == 5
         assert "every live pulse" in capsys.readouterr().err
+
+    def test_mixed_repetition_periods_are_rejected(self, tmp_path, cfg_path, tag_file, capsys):
+        # one rate column serves every row, so a second period would
+        # misstate that file's per-second rates
+        slow = tmp_path / "slow.zht"
+        main(["simulate", "--config", str(cfg_path), "--out", str(slow),
+              "--set", "rep_period=20e-9"])
+        rates_out = tmp_path / "rates.csv"
+        code = main(["analyze", str(tag_file), str(slow), "--delays", "0,1e-13",
+                     "--rates-out", str(rates_out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert str(slow) in err and "repetition period" in err
+        assert not rates_out.exists()
 
     def test_quiet_stream_still_reduces(self, tmp_path, capsys):
         cfg = tmp_path / "quiet.cfg"
@@ -387,6 +409,34 @@ class TestCompareCommand:
         assert code == 0
         report = json.loads((tmp_path / "cmp.jsonl").read_text().splitlines()[0])
         assert report["z"]["singles1"] > 5.0
+
+
+class TestUnwritableOutputs:
+    """An output path in a missing directory is a typed error naming the
+    path (exit 3), raised before the work rather than as a traceback."""
+
+    @pytest.fixture
+    def tag_file(self, tmp_path, cfg_path):
+        out = tmp_path / "run.zht"
+        main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        return out
+
+    @pytest.mark.parametrize("command", [
+        ["model", "--eta1p", "0.1", "--eta2p", "0.1", "--out", "{bad}"],
+        ["simulate", "--config", "{cfg}", "--out", "{bad}"],
+        ["analyze", "{tags}", "--rates-out", "{bad}"],
+        ["analyze", "{tags}", "--fits-out", "{bad}"],
+        ["compare", "{tags}", "--config", "{cfg}", "--out", "{bad}"],
+        ["scan", "--config", "{cfg}", "--out-dir", "{tags}/sub", "--span", "1e-13"],
+    ], ids=["model", "simulate", "analyze-rates", "analyze-fits", "compare", "scan"])
+    def test_missing_directory(self, tmp_path, cfg_path, tag_file, capsys, command):
+        bad = tmp_path / "missing" / "out.txt"
+        argv = [arg.format(bad=bad, cfg=cfg_path, tags=tag_file) for arg in command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert (str(bad) if command[0] != "scan" else f"{tag_file}/sub") in err
+        assert not bad.parent.exists()
 
 
 class TestOneStreamAtATime:

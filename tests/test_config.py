@@ -197,6 +197,12 @@ class TestLoadAndSnapshot:
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(tmp_path / "missing.cfg")
 
+    def test_config_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(MINIMAL.encode() + b"# \xff\xfe\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(path)
+
     def test_config_dict_snapshot(self):
         cfg = build_sim_config(raw())
         snap = config_dict(cfg)

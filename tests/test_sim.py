@@ -28,12 +28,18 @@ from zeroherald.errors import CapacityError, ValidationError
 from zeroherald.pipeline import PulseState, table_from_stream
 from zeroherald.model import p_noclick_given_n
 from zeroherald.sim import (
+    _BLOCK,
+    MAX_TIMESTAMP,
     _afterpulse_chain,
     _ChannelPlan,
     _class_codes,
+    _class_mask,
     _detector_walk,
     _event_pulses,
+    _geometric,
     _pair_classes,
+    _pair_draws,
+    _pair_photons,
     _sorted_stamps,
     derive_delay_seed,
 )
@@ -210,6 +216,43 @@ class TestPairClasses:
         assert _class_codes(ScriptedUniforms(u), prob, u.size).tolist() == want.tolist()
 
 
+class TestClassBits:
+    """Class flags as bit tests, and the blocked class stage, against
+    lookups in the class table."""
+
+    POINTS = [(BUSY_SRC, BUSY_NU, BUSY_DET1.eta, BUSY_DET2.eta), (SRC, NU, 0.62, 0.48)] + [
+        (SourceParams(gamma=1.0, kappa1=k1, kappa2=k2), nu, e1, e2)
+        for k1, k2, e1, e2, nu in EDGE_POINTS]
+
+    def test_bit_tests_equal_the_table_for_every_code(self):
+        codes = np.arange(13, dtype=np.uint8)
+        for point in self.POINTS:
+            classes = _pair_classes(*point)
+            assert classes.prob.size == 13
+            for flags in (classes.hit1, classes.hit2):
+                bits = np.left_shift(np.uint16(1), codes) & _class_mask(flags)
+                assert (bits != 0).tolist() == flags.tolist()
+            m, n = _pair_photons(classes, codes)
+            assert m.dtype == n.dtype == np.uint8
+            assert m.tolist() == classes.m.tolist() and n.tolist() == classes.n.tolist()
+
+    @pytest.mark.parametrize("k", [0, 1, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 7])
+    def test_blocked_stage_equals_one_pass_lookups(self, k):
+        for seed, point in enumerate(self.POINTS[:4]):
+            classes = _pair_classes(*point)
+            pulses = np.sort(np.random.default_rng(seed).choice(10 * k + 1, k, replace=False))
+            rng, plain = philox(seed), philox(seed)
+            code, (hit1, hit2) = _pair_draws(rng, classes, pulses)
+            want = _class_codes(plain, classes.prob, k)
+            np.testing.assert_array_equal(code, want)
+            np.testing.assert_array_equal(hit1, pulses[classes.hit1[want]])
+            np.testing.assert_array_equal(hit2, pulses[classes.hit2[want]])
+            m, n = _pair_photons(classes, code)
+            np.testing.assert_array_equal(m, classes.m[want])
+            np.testing.assert_array_equal(n, classes.n[want])
+            assert rng.random() == plain.random()  # as many draws
+
+
 class TestDetectPulse:
     def test_dead_detector_ignores_photons(self):
         state = DeadState(dead_remaining=2)
@@ -275,6 +318,27 @@ def summed_event_pulses(rng, p, n):
     return events[:np.searchsorted(events, n)]
 
 
+class TestGeometric:
+    """The geometric draws against Generator.geometric, value for value
+    and with the same next draw: inversion from the exponential stream
+    below p = 1/3, numpy's own search from 1/3 on."""
+
+    THIRD = 1.0 / 3.0
+    PROBS = [0.1, 0.2, 0.3, 1e-4, 1.9e-6, 1e-12, 1e-18, 1e-300, 5e-324,
+             np.nextafter(THIRD, 0.0), THIRD, np.nextafter(THIRD, 1.0), 0.5, 0.95]
+
+    @pytest.mark.parametrize("p", PROBS)
+    def test_same_values_and_state_as_numpy(self, p):
+        for seed in range(3):
+            for size in (0, 1, 17, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5):
+                rng, plain = philox(seed), philox(seed)
+                got = _geometric(rng, p, size)
+                want = np.minimum(plain.geometric(p, size=size), MAX_TIMESTAMP)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+                assert rng.random() == plain.random(), (p, seed, size)
+
+
 class TestEventPulses:
     def test_tiny_probability_stays_inside_the_run(self):
         # gaps near 1e18 overflowed the chunk's int64 sum: 179 of these
@@ -313,7 +377,7 @@ class TestDeterminism:
 
 
 class TestGoldenStreams:
-    """SHA-256 of the binary tag file of two small fixed-seed runs.
+    """SHA-256 of the binary tag file of three small fixed-seed runs.
 
     The no-afterpulse pin was computed before the no-afterpulse path of
     the detector walk moved to the dead-time thinning it shares with the
@@ -327,16 +391,19 @@ class TestGoldenStreams:
     where it used to take four uniforms for its photons and one per
     detector for its candidates (no afterpulses: 22209 tags before,
     22276 after; afterpulses: 24129 before, 24036 after): the law is the
-    same, the streams changed on purpose. Both runs are busy (about one
-    click in ten pulses at dead length 4), so dead-time chains and
-    same-pulse candidates occur.
+    same, the streams changed on purpose. The third pin, at gamma = 0.4,
+    was computed before pair gaps below p = 1/3 came to be drawn from
+    the exponential stream: its gaps take numpy's search branch, while
+    the first two take the inversion. Every run is busy (about one click
+    in ten pulses at dead length 4), so dead-time chains and same-pulse
+    candidates occur.
     """
 
     @staticmethod
-    def busy_config(afterpulse_prob, jitter_sigma, seed):
+    def busy_config(afterpulse_prob, jitter_sigma, seed, gamma=0.2):
         det = dict(dark_prob=1e-3, afterpulse_prob=afterpulse_prob, dead_pulses=4)
         return SimConfig(
-            source=SourceParams(gamma=0.2, kappa1=0.8, kappa2=0.8),
+            source=SourceParams(gamma=gamma, kappa1=0.8, kappa2=0.8),
             det1=DetectorParams(eta=0.6, **det),
             det2=DetectorParams(eta=0.5, **det),
             profile=IndistinguishabilityProfile(nu_max=0.9, tau=100e-15),
@@ -345,16 +412,19 @@ class TestGoldenStreams:
             jitter_sigma=jitter_sigma,
         )
 
-    @pytest.mark.parametrize("afterpulse_prob, jitter_sigma, seed, n_tags, digest", [
-        pytest.param(0.0, 0.0, 11, 22276,
+    @pytest.mark.parametrize("afterpulse_prob, jitter_sigma, seed, gamma, n_tags, digest", [
+        pytest.param(0.0, 0.0, 11, 0.2, 22276,
                      "7c0e859d8eb448d22898cc0686a8307297d805aec6be6e65aa9e48111e2fad7b",
                      id="no-afterpulses"),
-        pytest.param(0.1, 30e-12, 12, 24036,
+        pytest.param(0.1, 30e-12, 12, 0.2, 24036,
                      "85474961ac7a77f49737d3d8e1d91ed3800b8c2e3296a9f77a2852f1cc5abddf",
                      id="afterpulses-jitter"),
+        pytest.param(0.1, 30e-12, 13, 0.4, 38223,
+                     "51cce1b1b2d8a9e637e230a0299f714b478440f250dfc2e2cf3d3e1406ac5806",
+                     id="pair-gaps-by-search"),
     ])
-    def test_stream_digest(self, afterpulse_prob, jitter_sigma, seed, n_tags, digest):
-        res = run_simulation(self.busy_config(afterpulse_prob, jitter_sigma, seed))
+    def test_stream_digest(self, afterpulse_prob, jitter_sigma, seed, gamma, n_tags, digest):
+        res = run_simulation(self.busy_config(afterpulse_prob, jitter_sigma, seed, gamma))
         buf = io.BytesIO()
         write_tags(res.stream, buf)
         assert len(res.stream) == n_tags
