@@ -53,7 +53,6 @@ from .pipeline import (
     GateResult,
     PulseEventTable,
     PulseGrid,
-    PulseState,
     apply_dead_time,
     build_event_table,
     reconstruct_pulse_train,

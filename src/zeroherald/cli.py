@@ -2,7 +2,8 @@
 
 Subcommands:
 
-    model      emit closed-form curves over a delay grid as CSV
+    model      emit closed-form curves over a delay grid as CSV, from
+               the effective efficiencies eta1p and eta2p
     simulate   run one simulation from a config file, write a tag file
                plus a JSON run manifest
     analyze    reduce tag files to rates and a shared-shape scan fit
@@ -15,6 +16,10 @@ config validation failures, and output paths that cannot be written;
 4 tag-file format or integrity problems, and tag files of different
 repetition periods analysed together; 5 numerical failures (fits,
 inversions, degenerate tables).
+
+The front end only parses: each parameter is checked by the model type
+that holds it, and --delays is read as a config list is, so a
+non-finite delay fails (exit 3) before any tag file is read or written.
 
 "-" means stdout for model --out, analyze --rates-out and --fits-out,
 and compare --out. analyze and compare read and reduce one tag file at
@@ -97,13 +102,6 @@ def _out_stream(path):
         yield fh
 
 
-def _parse_delays(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValidationError(f"bad delay list {text!r}") from None
-
-
 def _overrides(pairs) -> dict[str, str]:
     out = {}
     for pair in pairs or []:
@@ -126,23 +124,16 @@ def _read_tag_file(path: str) -> tags.TagStream:
 
 
 def cmd_model(args) -> int:
-    kappa = args.kappa
-    if not 0 < kappa <= 1:
-        raise ValidationError("--kappa must be in (0, 1]")
-    eta1 = args.eta1p / kappa
-    eta2 = args.eta2p / kappa
-    if eta1 > 1 or eta2 > 1:
-        raise ValidationError(
-            "effective efficiency exceeds --kappa; raise --kappa or lower eta'"
-        )
-    src = model.SourceParams(gamma=args.gamma, kappa1=kappa, kappa2=kappa)
+    # with kappa1 = kappa2 the curves see the channels only through
+    # eta' = kappa*eta, so lossless channels take eta' as the efficiencies
+    src = model.SourceParams(gamma=args.gamma, kappa1=1.0, kappa2=1.0)
     profile = model.IndistinguishabilityProfile(nu_max=args.numax, tau=args.tau)
     max_delay = args.max_delay if args.max_delay is not None else 3.0 * args.tau
     delays = np.linspace(-max_delay, max_delay, args.points)
-    rows = model.curve_grid(src, eta1, eta2, profile, delays)
+    rows = model.curve_grid(src, args.eta1p, args.eta2p, profile, delays)
     meta = {
         "tool": f"zeroherald {__version__}",
-        "gamma": args.gamma, "kappa": kappa,
+        "gamma": args.gamma,
         "eta1p": args.eta1p, "eta2p": args.eta2p,
         "nu_max": args.numax, "tau": args.tau,
     }
@@ -213,7 +204,7 @@ def _write_results(summaries, rep_rate_hz, rates_out, fits_out):
 def _delays_for_files(args) -> list[float]:
     if args.delays is None and len(args.files) > 1:
         raise ValidationError("multiple tag files need --delays")
-    delays = [0.0] if args.delays is None else _parse_delays(args.delays)
+    delays = [0.0] if args.delays is None else config_mod._parse_list("--delays", args.delays)
     if len(delays) != len(args.files):
         raise ValidationError(f"got {len(delays)} delays for {len(args.files)} tag files")
     return delays
@@ -239,7 +230,7 @@ def cmd_scan(args) -> int:
     started = time.perf_counter()
     cfg = config_mod.load_config(args.config, _overrides(args.set))
     if args.delays is not None:
-        delays = _parse_delays(args.delays)
+        delays = config_mod._parse_list("--delays", args.delays)
     else:
         if args.span is None:
             raise ValidationError("scan needs --delays or --span")
@@ -309,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pair probability per pulse (default 1e-4)")
     p_model.add_argument("--tau", type=float, default=100e-15,
                          help="profile width in seconds (default 100e-15)")
-    p_model.add_argument("--kappa", type=float, default=1.0,
-                         help="shared channel transmission kappa1=kappa2 (default 1)")
     p_model.add_argument("--points", type=int, default=13)
     p_model.add_argument("--max-delay", type=float, default=None,
                          help="half-width of the delay grid (default 3*tau)")

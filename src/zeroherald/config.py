@@ -12,6 +12,11 @@ and the profile keys are nu_max, tau and profile_ plus the other
 IndistinguishabilityProfile field names. Types and defaults are the
 fields' own; a field without a default is a required key.
 
+This module only parses. Each value's rule lives in the type that holds
+it (SimConfig and its parts), and a value that breaks one is a
+ConfigError naming its part: "det2: eta must be in [0, 1], got 1.5".
+Non-finite numbers are rejected, list entries included.
+
     key                 default   meaning
     gamma               required  per-pulse pair probability
     kappa1              required  channel 1 transmission
@@ -52,7 +57,7 @@ import math
 from dataclasses import MISSING, Field, fields, is_dataclass
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .sim import SimConfig
 
 __all__ = ["parse_config_text", "build_sim_config", "load_config", "config_dict"]
@@ -106,9 +111,12 @@ def _parse_list(key: str, text: str) -> tuple[float, ...]:
     if text.startswith("[") and text.endswith("]"):  # as a manifest writes it
         text = text[1:-1]
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
+        values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"{key} must be a comma-separated number list") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{key} entries must be finite, got {text!r}")
+    return values
 
 
 _PARSERS = {int: _parse_int, float: _parse_float, str: lambda key, text: text,
@@ -177,21 +185,14 @@ def build_sim_config(raw: dict[str, str], overrides: dict[str, str] | None = Non
         key = _KEYS[name]
         values[key.part][key.field.name] = key.parse(name, text)
 
-    profile = values["profile"]
-    shape = profile.get("shape", _PARTS["profile"].shape)
-    tables = "delays" in profile, "values" in profile
-    if shape == "tabulated":
-        if not all(tables):
-            raise ConfigError("tabulated profile needs profile_delays and profile_values")
-        if "tau" in profile:
-            raise ConfigError("tau is only valid with profile_shape = gaussian or triangular")
-    elif any(tables):
-        raise ConfigError("profile tables are only valid with profile_shape = tabulated")
-    elif "nu_max" not in profile or "tau" not in profile:
-        raise ConfigError(f"{shape} profile needs nu_max and tau")
-
-    parts = {part: cls(**values[part]) for part, cls in _PARTS.items()}
-    return SimConfig(**parts, **values[None])
+    parts = {}
+    try:
+        for part, cls in _PARTS.items():
+            parts[part] = cls(**values[part])
+        return SimConfig(**parts, **values[None])
+    except ValidationError as exc:
+        failed = next((part for part in _PARTS if part not in parts), None)
+        raise ConfigError(f"{failed}: {exc}" if failed else str(exc)) from None
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> SimConfig:

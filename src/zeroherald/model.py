@@ -110,9 +110,9 @@ class IndistinguishabilityProfile:
 
     Shapes: "gaussian" gives nu_max * exp(-(dt/tau)^2), "triangular"
     gives nu_max * max(0, 1 - |dt|/tau), and "tabulated" interpolates
-    linearly between (delay, nu) samples. Tabulated profiles must cover
-    delay 0 and take no tau; queries outside the table raise rather than
-    extrapolate.
+    linearly between (delay, nu) samples. Only tabulated profiles take
+    delays and values; they must cover delay 0 and take no tau. Queries
+    outside the table raise rather than extrapolate.
     """
 
     nu_max: float | None = None
@@ -123,11 +123,13 @@ class IndistinguishabilityProfile:
 
     def __post_init__(self):
         if self.shape in ("gaussian", "triangular"):
+            if self.delays is not None or self.values is not None:
+                raise ValidationError("delays and values need shape = tabulated")
             if self.nu_max is None or self.tau is None:
                 raise ValidationError(f"{self.shape} profile needs nu_max and tau")
             _check_unit("nu_max", self.nu_max)
-            if not self.tau > 0:
-                raise ValidationError(f"tau must be positive, got {self.tau!r}")
+            if not 0 < self.tau < math.inf:
+                raise ValidationError(f"tau must be positive and finite, got {self.tau!r}")
         elif self.shape == "tabulated":
             if self.delays is None or self.values is None:
                 raise ValidationError("tabulated profile needs delays and values")
@@ -137,9 +139,11 @@ class IndistinguishabilityProfile:
             v = np.asarray(self.values, dtype=float)
             if d.ndim != 1 or d.shape != v.shape or d.size < 2:
                 raise ValidationError("profile table needs two same-length 1-d arrays")
-            if np.any(np.diff(d) <= 0):
-                raise ValidationError("profile table delays must be strictly increasing")
-            if np.any(v < 0) or np.any(v > 1):
+            # written so that NaN fails each test
+            if not (np.all(np.isfinite(d)) and np.all(np.diff(d) > 0)):
+                raise ValidationError(
+                    "profile table delays must be finite and strictly increasing")
+            if not np.all((v >= 0) & (v <= 1)):
                 raise ValidationError("profile table values must be in [0, 1]")
             if not (d[0] <= 0.0 <= d[-1]):
                 raise ValidationError("profile table must cover delay 0")
@@ -149,7 +153,7 @@ class IndistinguishabilityProfile:
             at_zero = float(np.interp(0.0, d, v))
             if self.nu_max is None:
                 object.__setattr__(self, "nu_max", at_zero)
-            elif abs(self.nu_max - at_zero) > 1e-9:
+            elif not abs(self.nu_max - at_zero) <= 1e-9:
                 raise ValidationError(
                     "nu_max disagrees with the tabulated value at delay 0"
                 )

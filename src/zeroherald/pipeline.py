@@ -19,7 +19,6 @@ is placed correctly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .errors import (
 from .tags import PS_PER_SECOND, Channel, TagStream
 
 __all__ = [
-    "PulseState",
     "PulseGrid",
     "GateResult",
     "PulseEventTable",
@@ -41,14 +39,6 @@ __all__ = [
     "build_event_table",
     "table_from_stream",
 ]
-
-
-class PulseState(IntEnum):
-    """Per-pulse detector outcome in an event table."""
-
-    NOCLICK = 0
-    CLICK = 1
-    DEAD = 2
 
 
 @dataclass
@@ -64,9 +54,6 @@ class PulseGrid:
     divider: int
     n_pulses: int
     period_tb: float
-
-    def __len__(self) -> int:
-        return self.n_pulses
 
 
 def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
@@ -130,7 +117,6 @@ class GateResult:
     """
 
     grid: PulseGrid
-    window_tb: float
     assigned: dict
     n_rejected: dict
 
@@ -152,8 +138,7 @@ def virtual_gate(stream: TagStream, grid: PulseGrid, window: float) -> GateResul
     tags = {Channel.D1: stream.d1, Channel.D2: stream.d2}
     assigned = {ch: _gated_pulses(t, refs, grid.divider, window_tb) for ch, t in tags.items()}
     n_rejected = {ch: int(t.size - assigned[ch].size) for ch, t in tags.items()}
-    return GateResult(grid=grid, window_tb=window_tb, assigned=assigned,
-                      n_rejected=n_rejected)
+    return GateResult(grid=grid, assigned=assigned, n_rejected=n_rejected)
 
 
 def _gated_pulses(t: np.ndarray, refs: np.ndarray, divider: int, window_tb: float) -> np.ndarray:

@@ -127,13 +127,15 @@ class SimConfig:
             raise ValidationError(f"divider must be a positive integer, got {self.divider!r}")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
             raise ValidationError("seed must be an unsigned 64-bit integer")
+        # written so that NaN fails each test
+        if not math.isfinite(self.delta_t):
+            raise ValidationError(f"delta_t must be finite, got {self.delta_t!r}")
         for name in ("rep_period", "timebin", "gate_window"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.jitter_sigma < 0:
-            raise ValidationError("jitter_sigma must be >= 0")
-        if self.out_gate_dark_rate < 0:
-            raise ValidationError("out_gate_dark_rate must be >= 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite")
+        for name in ("jitter_sigma", "out_gate_dark_rate"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0")
         tb_ps = round(self.timebin * PS_PER_SECOND)
         if tb_ps < 1 or abs(self.timebin * PS_PER_SECOND - tb_ps) > 1e-6 * tb_ps:
             raise ValidationError(

@@ -32,14 +32,22 @@ order, so they are statistical twins, not bitwise ones.
 """
 
 from dataclasses import dataclass
+from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
 
 from zeroherald.errors import ClockGlitchError, InsufficientReferenceError, ValidationError
 from zeroherald.model import DetectorParams, SourceParams, p_noclick_given_n
-from zeroherald.pipeline import PulseState
 from zeroherald.tags import Channel
+
+
+class PulseState(IntEnum):
+    """Per-pulse detector outcome in a dense table."""
+
+    NOCLICK = 0
+    CLICK = 1
+    DEAD = 2
 
 
 class DenseTable:

@@ -19,9 +19,8 @@ import pytest
 
 import zeroherald as zh
 from zeroherald import model
-from zeroherald.pipeline import PulseState
 
-from dense_oracle import DenseTable
+from dense_oracle import DenseTable, PulseState
 
 N, C, D = PulseState.NOCLICK, PulseState.CLICK, PulseState.DEAD
 

@@ -40,10 +40,10 @@ from zeroherald.errors import (
     WrongShapeError,
 )
 from zeroherald.model import DetectorParams, IndistinguishabilityProfile, SourceParams
-from zeroherald.pipeline import PulseState, table_from_stream
+from zeroherald.pipeline import table_from_stream
 from zeroherald.sim import SimConfig, run_simulation, scan_delays
 
-from dense_oracle import DenseTable
+from dense_oracle import DenseTable, PulseState
 
 N, C, D = PulseState.NOCLICK, PulseState.CLICK, PulseState.DEAD
 

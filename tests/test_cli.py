@@ -14,9 +14,10 @@ import tracemalloc
 
 import pytest
 
-from zeroherald import tags
+from zeroherald import analysis, tags
 from zeroherald.analysis import compute_rates
 from zeroherald.cli import main
+from zeroherald.errors import FitConvergenceError
 from zeroherald.model import cwr_approx
 from zeroherald.pipeline import table_from_stream
 
@@ -123,10 +124,10 @@ class TestModelCommand:
                         "p_c2_given_nc1_exact", "p_c2_given_nc1_approx"):
                 assert float(row[col]) == 0.0
 
-    def test_effective_efficiency_above_channel_is_rejected(self, capsys):
-        code = main(["model", "--eta1p", "0.8", "--eta2p", "0.1", "--kappa", "0.5"])
+    def test_effective_efficiency_above_one_is_rejected(self, capsys):
+        code = main(["model", "--eta1p", "1.5", "--eta2p", "0.1"])
         assert code == 3
-        assert "kappa" in capsys.readouterr().err
+        assert "eta must be in [0, 1], got 1.5" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -244,6 +245,27 @@ class TestAnalyzeCommand:
         code = main(["analyze", str(tag_file), str(tag_file),
                      "--delays", "0,1e-13,2e-13"])
         assert code == 3
+
+    def test_non_finite_delay_fails_before_reading(self, tmp_path, capsys):
+        ghost = tmp_path / "ghost.zht"
+        assert main(["analyze", str(ghost), "--delays", "nan"]) == 3
+        assert "--delays entries must be finite" in capsys.readouterr().err
+
+    def test_fits_go_to_stderr_without_fits_out(self, tmp_path, cfg_path, capsys):
+        out_dir = tmp_path / "scan"
+        assert main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "--span", "3e-13", "--points", "7", "--set", "n_pulses=40961"]) == 0
+        fits = [json.loads(l) for l in (out_dir / "fits.jsonl").read_text().splitlines()]
+        files = [str(p) for p in sorted(out_dir.glob("tags_*.zht"))]
+        delays = ",".join(repr(d) for d in json.loads(
+            (out_dir / "scan_manifest.json").read_text())["config"]["scan_delays"])
+        capsys.readouterr()
+        assert main(["analyze", *files, f"--delays={delays}",
+                     "--rates-out", str(tmp_path / "rates.csv")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [l.split(":")[0] for l in lines] == [fit["series"] for fit in fits]
+        for line, fit in zip(lines, fits):
+            assert f"cwr={fit['cwr']:.6f} +- {fit['cwr_err']:.6f}" in line
 
     def test_no_fits_below_five_points(self, tmp_path, tag_file):
         fits_out = tmp_path / "fits.jsonl"
@@ -375,6 +397,29 @@ class TestScanCommand:
         auto = read_csv(tmp_path / "auto" / "rates.csv")
         assert auto == read_csv(tmp_path / "flag" / "rates.csv")
         assert auto != read_csv(tmp_path / "wide" / "rates.csv")
+
+    def test_non_finite_delay_fails_before_simulating(self, tmp_path, cfg_path, capsys):
+        # "nan,0" used to write a nan row with no clicks at all
+        out_dir = tmp_path / "scan"
+        code = main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "--delays", "nan,0"])
+        assert code == 3
+        assert "--delays entries must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_failed_fit_is_skipped_with_a_note(self, tmp_path, cfg_path, capsys, monkeypatch):
+        def no_fit(summaries):
+            raise FitConvergenceError("baseline went negative")
+
+        monkeypatch.setattr(analysis, "scan_fit", no_fit)
+        out_dir = tmp_path / "scan"
+        assert main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "--span", "3e-13", "--points", "5", "--set", "n_pulses=5121"]) == 0
+        assert "note: scan fit skipped: baseline went negative" in capsys.readouterr().err
+        assert len(read_csv(out_dir / "rates.csv")) == 5
+        assert not (out_dir / "fits.jsonl").exists()
+        manifest = json.loads((out_dir / "scan_manifest.json").read_text())
+        assert str(out_dir / "fits.jsonl") not in manifest["outputs"]
 
     def test_scan_needs_a_grid(self, tmp_path, cfg_path, capsys):
         code = main(["scan", "--config", str(cfg_path),

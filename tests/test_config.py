@@ -144,6 +144,19 @@ class TestBuildSimConfig:
         with pytest.raises(ValidationError, match="eta"):
             build_sim_config(raw(drop=("eta1",)) | {"eta1": "1.5"})
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("eta1", "1.5", "det1: eta must be in [0, 1], got 1.5"),
+        ("eta2", "1.5", "det2: eta must be in [0, 1], got 1.5"),
+        ("gamma", "-1", "source: gamma must be in [0, 1], got -1.0"),
+        ("nu_max", "2", "profile: nu_max must be in [0, 1], got 2.0"),
+        ("jitter_sigma", "1e-9",
+         "jitter_sigma must be well inside the gate window (at most a quarter)"),
+    ])
+    def test_bad_value_is_a_config_error_naming_its_part(self, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            build_sim_config(raw(drop=(key,)) | {key: value})
+        assert str(info.value) == message
+
 
 class TestProfiles:
     def test_tabulated_profile(self):
@@ -153,16 +166,17 @@ class TestProfiles:
         assert cfg.profile.nu(0.5e-13) == pytest.approx(0.45)
 
     def test_tabulated_needs_both_lists(self):
-        with pytest.raises(ConfigError, match="profile_delays and profile_values"):
+        with pytest.raises(ConfigError,
+                           match="profile: tabulated profile needs delays and values"):
             build_sim_config(raw(extra="profile_shape = tabulated\n"))
 
     def test_lists_only_valid_for_tabulated(self):
-        with pytest.raises(ConfigError, match="only valid with profile_shape"):
+        with pytest.raises(ConfigError, match="profile: delays and values need shape = tabulated"):
             build_sim_config(raw(extra="profile_delays = 0, 1\nprofile_values = 1, 1\n"))
 
     def test_tau_rejected_for_tabulated(self):
         # nu() never reads it, so a snapshot would carry a value with no effect
-        with pytest.raises(ConfigError, match="tau is only valid with profile_shape"):
+        with pytest.raises(ConfigError, match="profile: tabulated profile takes no tau"):
             build_sim_config(raw(extra=TABULATED, drop=("nu_max",)))
 
     def test_gaussian_needs_width(self):
@@ -179,6 +193,13 @@ class TestProfiles:
                 ),
                 drop=("nu_max", "tau"),
             ))
+
+    @pytest.mark.parametrize("values", ["0.1, nan, 0.1", "0.1, inf, 0.1"])
+    def test_non_finite_list_entry(self, values):
+        # a NaN entry used to reach the run as nu_max = nan
+        with pytest.raises(ConfigError, match="profile_values entries must be finite"):
+            build_sim_config(raw(
+                extra=TABULATED.replace("0, 0.9, 0", values), drop=("nu_max", "tau")))
 
     def test_triangular_shape(self):
         cfg = build_sim_config(raw(extra="profile_shape = triangular\n"))

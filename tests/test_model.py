@@ -130,6 +130,12 @@ class TestOutputDistribution:
         assert marg[0] == pytest.approx(d.p00 + d.p01 + d.p02, rel=1e-14)
         assert marg[1] == pytest.approx(d.p10 + d.p11, rel=1e-14)
         assert marg[2] == pytest.approx(d.p20, rel=1e-14)
+        marg = d.marginal(2)
+        assert marg[0] == pytest.approx(d.p00 + d.p10 + d.p20, rel=1e-14)
+        assert marg[1] == pytest.approx(d.p01 + d.p11, rel=1e-14)
+        assert marg[2] == pytest.approx(d.p02, rel=1e-14)
+        with pytest.raises(ValidationError, match="arm must be 1 or 2"):
+            d.marginal(3)
 
 
 def brute_force_rates(src, eta1, eta2, nu):
@@ -319,6 +325,34 @@ class TestIndistinguishabilityProfile:
     def test_rejects_nu_above_one(self):
         with pytest.raises(ValidationError):
             IndistinguishabilityProfile(nu_max=1.2, tau=1e-13)
+
+    @pytest.mark.parametrize("shape", ["gaussian", "triangular"])
+    def test_tables_need_tabulated_shape(self, shape):
+        # nu() would never read them
+        with pytest.raises(ValidationError, match="need shape = tabulated"):
+            IndistinguishabilityProfile(nu_max=0.9, tau=1e-13, shape=shape,
+                                        delays=[-1e-13, 0.0, 1e-13], values=[0.1, 0.9, 0.1])
+
+    @pytest.mark.parametrize("tau", [0.0, -1e-13, math.nan, math.inf])
+    def test_rejects_bad_width(self, tau):
+        with pytest.raises(ValidationError, match="tau must be positive and finite"):
+            IndistinguishabilityProfile(nu_max=0.9, tau=tau)
+
+    @pytest.mark.parametrize("delays, values, match", [
+        ([-1e-13, math.nan, 1e-13], [0.1, 0.9, 0.1], "delays must be finite"),
+        ([-math.inf, 0.0, 1e-13], [0.1, 0.9, 0.1], "delays must be finite"),
+        ([-1e-13, 0.0, 1e-13], [0.1, math.nan, 0.1], r"values must be in \[0, 1\]"),
+        ([-1e-13, 0.0, 1e-13], [0.1, 0.9, math.nan], r"values must be in \[0, 1\]"),
+    ])
+    def test_tabulated_rejects_nan(self, delays, values, match):
+        # a NaN entry used to pass and give nu_max = nan
+        with pytest.raises(ValidationError, match=match):
+            IndistinguishabilityProfile(shape="tabulated", delays=delays, values=values)
+
+    def test_tabulated_rejects_nan_ceiling(self):
+        with pytest.raises(ValidationError, match="nu_max disagrees"):
+            IndistinguishabilityProfile(shape="tabulated", nu_max=math.nan,
+                                        delays=[-1e-13, 0.0, 1e-13], values=[0.1, 0.9, 0.1])
 
 
 class TestCurveGrid:

@@ -25,7 +25,6 @@ from zeroherald.pipeline import (
     GateResult,
     PulseEventTable,
     PulseGrid,
-    PulseState,
     _dead_time_keep,
     _greedy_chain,
     apply_dead_time,
@@ -36,7 +35,7 @@ from zeroherald.pipeline import (
 )
 from zeroherald.tags import Channel, TagStream
 
-from dense_oracle import DenseTable, float_reconstruct, greedy_dead_time, pulse_times
+from dense_oracle import DenseTable, PulseState, float_reconstruct, greedy_dead_time, pulse_times
 
 N, C, D = PulseState.NOCLICK, PulseState.CLICK, PulseState.DEAD
 
@@ -538,7 +537,7 @@ class TestSparseTable:
         grid = PulseGrid(ref_times=np.array([0, n - 1], dtype=np.uint64),
                          divider=n - 1, n_pulses=n, period_tb=1.0)
         gate = GateResult(
-            grid=grid, window_tb=0.5,
+            grid=grid,
             assigned={Channel.D1: np.array([0, 3, 10, 200, 500, n - 2]),
                       Channel.D2: np.array([3, 5, 12, 199, 500, n - 1])},
             n_rejected={Channel.D1: 0, Channel.D2: 0},

@@ -25,7 +25,7 @@ from zeroherald import (
     scan_delays,
 )
 from zeroherald.errors import CapacityError, ValidationError
-from zeroherald.pipeline import PulseState, table_from_stream
+from zeroherald.pipeline import table_from_stream
 from zeroherald.model import p_noclick_given_n
 from zeroherald.sim import (
     _BLOCK,
@@ -45,7 +45,9 @@ from zeroherald.sim import (
 )
 from zeroherald.tags import _RECORD as RECORD, Channel, TagStream, _record_blocks, write_tags
 
-from dense_oracle import DeadState, DenseTable, afterpulse_walk, detect_pulse, sample_trial
+from dense_oracle import (
+    DeadState, DenseTable, PulseState, afterpulse_walk, detect_pulse, sample_trial,
+)
 
 SRC = SourceParams(gamma=0.3, kappa1=0.7, kappa2=0.55)
 NU = 0.41
@@ -601,6 +603,18 @@ class TestValidation:
     def test_positive_pulse_count(self):
         with pytest.raises(ValidationError):
             config(n_pulses=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("delta_t", math.nan),  # ran with nu = nan and almost no detector tags
+        ("delta_t", math.inf),
+        ("jitter_sigma", math.nan),  # ran, with a RuntimeWarning from the rounding
+        ("out_gate_dark_rate", math.nan),  # an untyped ValueError in the run
+        ("rep_period", math.inf),  # OverflowError
+        ("timebin", math.inf),  # OverflowError
+    ])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            config(**{field: value})
 
 
 class TestStatisticalEquivalence:
