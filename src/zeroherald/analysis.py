@@ -2,7 +2,10 @@
 
 Rates are defined on live pulses only (neither detector dead). The
 herald signal is a live pulse where detector 1 did not click; the
-heralded rate is how often detector 2 clicked on those pulses.
+heralded rate is how often detector 2 clicked on those pulses. So a
+RateSummary holds just the four live cells, the live pulses split by
+detector 1 state x detector 2 state, and reads every count, rate and
+Poisson error off them by one table.
 
 One indistinguishability profile drives every rate series of a scan,
 so series i is fitted as a_i + b_i*g(delta_t) with one Gaussian g of
@@ -52,88 +55,83 @@ __all__ = [
 ]
 
 
-RATE_FIELDS = ("singles1", "singles2", "coincidence", "heralded_rate", "heralding_success")
+# each count is the sum of these live cells of a RateSummary
+_COUNTS = {
+    "n_live_pulses": ("n00", "n01", "n10", "n11"),
+    "n_herald_pulses": ("n00", "n01"),
+    "singles1_count": ("n10", "n11"),
+    "singles2_count": ("n01", "n11"),
+    "coincidence_count": ("n11",),
+    "heralded_count": ("n01",),
+}
+# each rate is a count and the pulses it is counted over
+_RATES = {
+    "singles1": ("singles1_count", "n_live_pulses"),
+    "singles2": ("singles2_count", "n_live_pulses"),
+    "coincidence": ("coincidence_count", "n_live_pulses"),
+    "heralded_rate": ("heralded_count", "n_herald_pulses"),
+    "heralding_success": ("n_herald_pulses", "n_live_pulses"),
+}
+RATE_FIELDS = tuple(_RATES)
 
 
-def _poisson_err(k: int, n: int) -> float:
-    """sqrt(k)/N with a one-count floor so empty cells keep a scale."""
-    return math.sqrt(max(k, 1)) / n
+def _derived(cls):
+    """Each count, rate and rate_err of the tables as a read-only attribute."""
+    for name, cells in _COUNTS.items():
+        setattr(cls, name, property(lambda s, cells=cells: sum(getattr(s, c) for c in cells)))
+    for name in _RATES:
+        setattr(cls, name, property(lambda s, name=name: s.rate_and_err(name)[0]))
+        setattr(cls, name + "_err", property(lambda s, name=name: s.rate_and_err(name)[1]))
+    return cls
 
 
+@_derived
 @dataclass(frozen=True)
 class RateSummary:
-    """Counting rates of one event table, all per qualifying pulse.
+    """The live cells of one event table at one delay.
 
-    singles and coincidence are per live pulse; heralded_rate is per
-    no-click-herald pulse; heralding_success is the fraction of live
-    pulses that heralded. Standard errors are Poisson, floored at one
-    count so a zero never reports zero uncertainty.
+    nab counts the live pulses (neither detector dead) where detector 1
+    is in state a and detector 2 in state b: 0 no click, 1 click. Every
+    other count, rate and error is read off them: singles and
+    coincidence per live pulse, heralded_rate per herald pulse, and
+    heralding_success the herald share of live pulses. A rate k / n has
+    the Poisson error sqrt(k) / n, floored at one count so a zero never
+    reports zero uncertainty. A cell that is not a non-negative integer
+    is a ValidationError, no live pulse an EmptyTableError, and no
+    herald pulse a HeraldUndefinedError.
     """
 
     delta_t: float
     n_pulses: int
-    n_live_pulses: int
-    n_herald_pulses: int
-    singles1_count: int
-    singles2_count: int
-    coincidence_count: int
-    heralded_count: int
-    singles1: float
-    singles2: float
-    coincidence: float
-    heralded_rate: float
-    heralding_success: float
-    singles1_err: float
-    singles2_err: float
-    coincidence_err: float
-    heralded_rate_err: float
-    heralding_success_err: float
+    n00: int
+    n01: int
+    n10: int
+    n11: int
+
+    def __post_init__(self):
+        for cell in ("n00", "n01", "n10", "n11"):
+            value = getattr(self, cell)
+            if not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValidationError(f"{cell} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, cell, int(value))
+        if self.n_live_pulses == 0:
+            raise EmptyTableError("no live pulses in the event table")
+        if self.n_herald_pulses == 0:
+            raise HeraldUndefinedError("detector 1 clicked on every live pulse")
 
     def rate_and_err(self, name: str) -> tuple[float, float]:
-        return getattr(self, name), getattr(self, name + "_err")
+        count, over = _RATES[name]
+        k, n = getattr(self, count), getattr(self, over)
+        return k / n, math.sqrt(max(k, 1)) / n
 
     def to_dict(self) -> dict:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
 def compute_rates(table: PulseEventTable, delta_t: float = 0.0) -> RateSummary:
-    """Count clicks on live rows and form the conditional herald rate.
-
-    Raises EmptyTableError when no pulse is live and
-    HeraldUndefinedError when detector 1 clicked on every live pulse.
-    """
-    cells = table.cell_counts()
-    live = cells[:2, :2]
-    n_live = int(live.sum())
-    if n_live == 0:
-        raise EmptyTableError("no live pulses in the event table")
-    singles1 = int(live[1, :].sum())
-    singles2 = int(live[:, 1].sum())
-    coinc = int(live[1, 1])
-    n_herald = int(live[0, :].sum())
-    heralded = int(live[0, 1])
-    if n_herald == 0:
-        raise HeraldUndefinedError("detector 1 clicked on every live pulse")
-    return RateSummary(
-        delta_t=float(delta_t),
-        n_pulses=table.n_pulses,
-        n_live_pulses=n_live,
-        n_herald_pulses=n_herald,
-        singles1_count=singles1,
-        singles2_count=singles2,
-        coincidence_count=coinc,
-        heralded_count=heralded,
-        singles1=singles1 / n_live,
-        singles2=singles2 / n_live,
-        coincidence=coinc / n_live,
-        heralded_rate=heralded / n_herald,
-        heralding_success=n_herald / n_live,
-        singles1_err=_poisson_err(singles1, n_live),
-        singles2_err=_poisson_err(singles2, n_live),
-        coincidence_err=_poisson_err(coinc, n_live),
-        heralded_rate_err=_poisson_err(heralded, n_herald),
-        heralding_success_err=_poisson_err(n_herald, n_live),
-    )
+    """The RateSummary of a table's live cells at delay delta_t."""
+    (n00, n01), (n10, n11) = table.cell_counts()[:2, :2].tolist()
+    return RateSummary(float(delta_t), table.n_pulses, n00, n01, n10, n11)
 
 
 def series_points(summaries: Sequence[RateSummary], name: str) -> list[tuple[float, float, float]]:
@@ -427,15 +425,8 @@ class ModelComparison:
     flags: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "delta_t": self.delta_t,
-            "nu": self.nu,
-            "measured": self.measured,
-            "predicted": self.predicted,
-            "stderr": self.stderr,
-            "z": self.z,
-            "flags": list(self.flags),
-        }
+        out = {f: getattr(self, f) for f in self.__dataclass_fields__}
+        return {**out, "flags": list(self.flags)}
 
 
 def compare_to_model(summary: RateSummary, cfg) -> ModelComparison:
@@ -443,9 +434,8 @@ def compare_to_model(summary: RateSummary, cfg) -> ModelComparison:
 
     Predictions neglect dark counts and afterpulsing (the closed forms
     do); configs with those enabled are flagged rather than corrected.
-    A zero standard error with zero deviation scores z = 0; a nonzero
-    deviation with zero standard error is flagged as a deterministic
-    mismatch and scored infinite.
+    Every standard error is positive (RateSummary floors it at one
+    count), so every z-score is finite.
     """
     nu = cfg.profile.nu(summary.delta_t)
     src = cfg.source
@@ -460,22 +450,10 @@ def compare_to_model(summary: RateSummary, cfg) -> ModelComparison:
         flags.append("dark counts present in config but not in predictions")
     if cfg.det1.afterpulse_prob or cfg.det2.afterpulse_prob:
         flags.append("afterpulsing present in config but not in predictions")
-    measured = {}
-    stderr = {}
-    z = {}
-    for name in predicted:
-        value, sig = summary.rate_and_err(name)
-        measured[name] = value
-        stderr[name] = sig
-        dev = value - predicted[name]
-        if sig == 0.0:
-            if dev == 0.0:
-                z[name] = 0.0
-            else:
-                z[name] = math.inf if dev > 0 else -math.inf
-                flags.append(f"deterministic mismatch on {name}")
-        else:
-            z[name] = dev / sig
+    measured, stderr, z = {}, {}, {}
+    for name, expected in predicted.items():
+        measured[name], stderr[name] = summary.rate_and_err(name)
+        z[name] = (measured[name] - expected) / stderr[name]
     return ModelComparison(
         delta_t=summary.delta_t,
         nu=nu,
@@ -494,22 +472,16 @@ def write_rate_csv(summaries: Sequence[RateSummary], sink, rep_rate_hz: float | 
     are appended for the click rates, matching how counting rates are
     usually plotted.
     """
-    int_fields = ["n_pulses", "n_live_pulses", "n_herald_pulses",
-                  "singles1_count", "singles2_count", "coincidence_count", "heralded_count"]
-    float_fields = ["delta_t"]
-    for name in RATE_FIELDS:
-        float_fields += [name, name + "_err"]
     per_s = ["singles1", "singles2", "coincidence", "heralded_rate"] if rep_rate_hz else []
-
     with _opened(sink, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["delta_t"] + int_fields
-                        + [f for f in float_fields if f != "delta_t"]
-                        + [f"{name}_per_s" for name in per_s])
+        writer.writerow(["delta_t", "n_pulses", *_COUNTS,
+                         *(f for name in RATE_FIELDS for f in (name, name + "_err")),
+                         *(f"{name}_per_s" for name in per_s)])
         for s in summaries:
-            row = [model.FLOAT_FMT % s.delta_t]
-            row += [str(getattr(s, f)) for f in int_fields]
-            row += [model.FLOAT_FMT % getattr(s, f) for f in float_fields if f != "delta_t"]
+            row = [model.FLOAT_FMT % s.delta_t, str(s.n_pulses)]
+            row += [str(getattr(s, name)) for name in _COUNTS]
+            row += [model.FLOAT_FMT % v for name in RATE_FIELDS for v in s.rate_and_err(name)]
             row += [model.FLOAT_FMT % (getattr(s, name) * rep_rate_hz) for name in per_s]
             writer.writerow(row)
 

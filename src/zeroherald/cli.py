@@ -20,6 +20,8 @@ inversions, degenerate tables).
 The front end only parses: each parameter is checked by the model type
 that holds it, and --delays is read as a config list is, so a
 non-finite delay fails (exit 3) before any tag file is read or written.
+So does a --points below 1, and scan checks its gate window and dead
+window by the pipeline's own rules before it writes anything.
 
 "-" means stdout for model --out, analyze --rates-out and --fits-out,
 and compare --out. analyze and compare read and reduce one tag file at
@@ -123,13 +125,20 @@ def _read_tag_file(path: str) -> tags.TagStream:
         raise FormatError(f"cannot read tag file {path}: {exc.strerror or exc}") from None
 
 
+def _delay_grid(half_width: float, points: int) -> np.ndarray:
+    """points delays evenly over [-half_width, half_width]."""
+    if points < 1:
+        raise ValidationError(f"--points must be at least 1, got {points}")
+    return np.linspace(-half_width, half_width, points)
+
+
 def cmd_model(args) -> int:
     # with kappa1 = kappa2 the curves see the channels only through
     # eta' = kappa*eta, so lossless channels take eta' as the efficiencies
     src = model.SourceParams(gamma=args.gamma, kappa1=1.0, kappa2=1.0)
     profile = model.IndistinguishabilityProfile(nu_max=args.numax, tau=args.tau)
     max_delay = args.max_delay if args.max_delay is not None else 3.0 * args.tau
-    delays = np.linspace(-max_delay, max_delay, args.points)
+    delays = _delay_grid(max_delay, args.points)
     rows = model.curve_grid(src, args.eta1p, args.eta2p, profile, delays)
     meta = {
         "tool": f"zeroherald {__version__}",
@@ -234,8 +243,12 @@ def cmd_scan(args) -> int:
     else:
         if args.span is None:
             raise ValidationError("scan needs --delays or --span")
-        delays = list(np.linspace(-args.span, args.span, args.points))
+        delays = list(_delay_grid(args.span, args.points))
     gate = cfg.gate_window if args.gate is None else args.gate
+    # the rules the reduction applies, checked before anything is written;
+    # the pipeline's period is a float, a median over the divider
+    pipeline.gate_window_tb(gate, cfg.timebin_ps, float(cfg.period_tb))
+    pipeline.check_dead_pulses(args.dead_pulses)
     delays, subs = zip(*sim.delay_configs(cfg, delays))
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
@@ -263,8 +276,7 @@ def cmd_compare(args) -> int:
     with _out_stream(args.out) as fh:
         for summary in summaries:
             report = analysis.compare_to_model(summary, cfg)
-            finite = [abs(z) for z in report.z.values() if np.isfinite(z)]
-            worst = max(worst, max(finite, default=0.0))
+            worst = max(worst, *map(abs, report.z.values()))
             fh.write(json.dumps(report.to_dict()) + "\n")
     print(f"largest |z| = {worst:.3f}", file=sys.stderr)
     return 0
@@ -300,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pair probability per pulse (default 1e-4)")
     p_model.add_argument("--tau", type=float, default=100e-15,
                          help="profile width in seconds (default 100e-15)")
-    p_model.add_argument("--points", type=int, default=13)
+    p_model.add_argument("--points", type=int, default=13,
+                         help="number of delays, at least 1 (default 13)")
     p_model.add_argument("--max-delay", type=float, default=None,
                          help="half-width of the delay grid (default 3*tau)")
     p_model.add_argument("--out", default="-")
@@ -326,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out-dir", required=True)
     p_scan.add_argument("--span", type=float, default=None,
                         help="symmetric half-width; grid is linspace(-span, span, points)")
-    p_scan.add_argument("--points", type=int, default=13)
+    p_scan.add_argument("--points", type=int, default=13,
+                         help="number of delays, at least 1 (default 13)")
     p_scan.add_argument("--set", action="append", metavar="KEY=VALUE")
     _add_reduce_flags(p_scan, gate_default=None)
     p_scan.set_defaults(func=cmd_scan)

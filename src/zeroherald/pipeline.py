@@ -34,7 +34,9 @@ __all__ = [
     "GateResult",
     "PulseEventTable",
     "reconstruct_pulse_train",
+    "gate_window_tb",
     "virtual_gate",
+    "check_dead_pulses",
     "apply_dead_time",
     "build_event_table",
     "table_from_stream",
@@ -121,6 +123,15 @@ class GateResult:
     n_rejected: dict
 
 
+def gate_window_tb(window: float, timebin_ps: int, period_tb: float) -> float:
+    """window seconds in timebins; ValidationError unless in (0, period_tb)."""
+    window_tb = window * PS_PER_SECOND / timebin_ps
+    if not 0 < window_tb < period_tb:
+        raise ValidationError(
+            f"gate window of {window_tb!r} timebins must sit in (0, period {period_tb!r})")
+    return window_tb
+
+
 def virtual_gate(stream: TagStream, grid: PulseGrid, window: float) -> GateResult:
     """Assign detector tags to pulses; window is in seconds.
 
@@ -128,12 +139,7 @@ def virtual_gate(stream: TagStream, grid: PulseGrid, window: float) -> GateResul
     window. Windows must not overlap (window < pulse period), so each
     tag lands in at most one pulse; everything else is rejected.
     """
-    window_tb = window * PS_PER_SECOND / stream.timebin_ps
-    if not 0 < window_tb < grid.period_tb:
-        raise ValidationError(
-            f"gate window of {window_tb!r} timebins must sit in (0, period "
-            f"{grid.period_tb!r})"
-        )
+    window_tb = gate_window_tb(window, stream.timebin_ps, grid.period_tb)
     refs = np.asarray(grid.ref_times, dtype=np.uint64)
     tags = {Channel.D1: stream.d1, Channel.D2: stream.d2}
     assigned = {ch: _gated_pulses(t, refs, grid.divider, window_tb) for ch, t in tags.items()}
@@ -174,6 +180,12 @@ def _gated_pulses(t: np.ndarray, refs: np.ndarray, divider: int, window_tb: floa
     return pulse[in_gate]
 
 
+def check_dead_pulses(dead_pulses) -> None:
+    """Raise ValidationError unless dead_pulses is a non-negative integer."""
+    if not isinstance(dead_pulses, (int, np.integer)) or dead_pulses < 0:
+        raise ValidationError(f"dead_pulses must be a non-negative integer, got {dead_pulses!r}")
+
+
 def apply_dead_time(click_pulses, dead_pulses: int) -> np.ndarray:
     """Thin a click list through a non-paralyzable dead window.
 
@@ -190,10 +202,7 @@ def apply_dead_time(click_pulses, dead_pulses: int) -> np.ndarray:
     through searchsorted and pointer doubling, so the cost is linear in
     the clicks plus O(m log m) in the m contested ones.
     """
-    if not isinstance(dead_pulses, (int, np.integer)) or dead_pulses < 0:
-        raise ValidationError(
-            f"dead_pulses must be a non-negative integer, got {dead_pulses!r}"
-        )
+    check_dead_pulses(dead_pulses)
     clicks = np.sort(np.asarray(click_pulses, dtype=np.int64), axis=None, kind="stable")
     clicks = clicks[_first_of_runs(clicks)]
     return clicks[_dead_time_keep(clicks, dead_pulses)]

@@ -140,7 +140,43 @@ class TestComputeRates:
         # every live detector-2 click is either heralded or coincident
         assert s.singles2_count == s.heralded_count + s.coincidence_count
         assert s.n_herald_pulses + s.singles1_count == s.n_live_pulses
-        assert s.heralding_success == s.n_herald_pulses / s.n_live_pulses
+        # each rate is k / n with error sqrt(max(k, 1)) / n, k and n
+        # read off the dense table's live cells
+        cells = table(d1, d2).cell_counts()[:2, :2].tolist()
+        live = sum(map(sum, cells))
+        herald = sum(cells[0])
+        expected = {  # rate: (count, pulses it is counted over)
+            "singles1": ("singles1_count", sum(cells[1]), live),
+            "singles2": ("singles2_count", cells[0][1] + cells[1][1], live),
+            "coincidence": ("coincidence_count", cells[1][1], live),
+            "heralded_rate": ("heralded_count", cells[0][1], herald),
+            "heralding_success": ("n_herald_pulses", herald, live),
+        }
+        assert s.n_live_pulses == live
+        for name, (count, k, n) in expected.items():
+            assert getattr(s, count) == k
+            assert getattr(s, name) == k / n
+            assert getattr(s, name + "_err") == math.sqrt(max(k, 1)) / n
+
+    def test_summary_holds_only_its_live_cells(self):
+        s = compute_rates(table(HAND_D1, HAND_D2), delta_t=2.5e-13)
+        assert s.to_dict() == {"delta_t": 2.5e-13, "n_pulses": 10,
+                               "n00": 4, "n01": 2, "n10": 1, "n11": 1}
+        assert all(type(v) is int for k, v in s.to_dict().items() if k != "delta_t")
+
+    def test_no_live_pulse_raises_empty(self):
+        with pytest.raises(EmptyTableError):
+            RateSummary(delta_t=0.0, n_pulses=10, n00=0, n01=0, n10=0, n11=0)
+
+    def test_no_herald_pulse_raises(self):
+        with pytest.raises(HeraldUndefinedError):
+            RateSummary(delta_t=0.0, n_pulses=10, n00=0, n01=0, n10=3, n11=2)
+
+    @pytest.mark.parametrize("cell, value", [("n00", -1), ("n11", -2), ("n01", 0.5)])
+    def test_a_cell_must_be_a_non_negative_integer(self, cell, value):
+        cells = {"n00": 5, "n01": 1, "n10": 1, "n11": 1, cell: value}
+        with pytest.raises(ValidationError, match=f"{cell} must be a non-negative integer"):
+            RateSummary(delta_t=0.0, n_pulses=10, **cells)
 
 
 class TestSeriesPoints:
@@ -545,21 +581,6 @@ class TestCompareToModel:
         cmp = compare_to_model(compute_rates(tab, cfg.delta_t), wrong)
         # data were taken at twice the assumed efficiency
         assert cmp.z["singles1"] > 5.0
-
-    def test_deterministic_mismatch_is_flagged(self):
-        cfg = sim_config(source=SourceParams(gamma=0.0, kappa1=1.0, kappa2=1.0))
-        summary = RateSummary(
-            delta_t=0.0, n_pulses=10, n_live_pulses=10, n_herald_pulses=10,
-            singles1_count=0, singles2_count=0, coincidence_count=0, heralded_count=0,
-            singles1=0.5, singles2=0.0, coincidence=0.0, heralded_rate=0.0,
-            heralding_success=1.0,
-            singles1_err=0.0, singles2_err=0.0, coincidence_err=0.0,
-            heralded_rate_err=0.0, heralding_success_err=0.0,
-        )
-        cmp = compare_to_model(summary, cfg)
-        assert cmp.z["singles1"] == math.inf
-        assert cmp.z["singles2"] == 0.0
-        assert any("deterministic mismatch on singles1" in f for f in cmp.flags)
 
     def test_artifact_configs_are_flagged_not_corrected(self):
         cfg = sim_config(

@@ -129,6 +129,16 @@ class TestModelCommand:
         assert code == 3
         assert "eta must be in [0, 1], got 1.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_points_below_one_fail_before_output(self, tmp_path, capsys, points):
+        # -1 used to end in a ValueError traceback, 0 in a header-only CSV
+        out = tmp_path / "curve.csv"
+        code = main(["model", "--eta1p", "0.1", "--eta2p", "0.1",
+                     "--points", points, "--out", str(out)])
+        assert code == 3
+        assert f"--points must be at least 1, got {points}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_writes_tags_and_manifest(self, tmp_path, cfg_path):
@@ -405,6 +415,23 @@ class TestScanCommand:
                      "--delays", "nan,0"])
         assert code == 3
         assert "--delays entries must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--points", "-2"], "--points must be at least 1, got -2"),
+        (["--gate", "-1"], "timebins must sit in (0, period 123.0)"),
+        (["--gate", "1e-8"], "timebins must sit in (0, period 123.0)"),
+        (["--dead-pulses", "-1"], "dead_pulses must be a non-negative integer, got -1"),
+    ])
+    def test_bad_grid_gate_or_dead_window_fails_before_writing(
+            self, tmp_path, cfg_path, capsys, flags, message):
+        # these used to simulate and write the first delay's tag file,
+        # or end in a traceback, before failing
+        out_dir = tmp_path / "scan"
+        code = main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "--span", "1e-13", *flags])
+        assert code == 3
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_failed_fit_is_skipped_with_a_note(self, tmp_path, cfg_path, capsys, monkeypatch):
