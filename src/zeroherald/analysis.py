@@ -33,6 +33,7 @@ from .errors import (
     NumericalError,
     ValidationError,
     WrongShapeError,
+    check_count,
 )
 from . import model
 from .pipeline import PulseEventTable
@@ -96,7 +97,8 @@ class RateSummary:
     coincidence per live pulse, heralded_rate per herald pulse, and
     heralding_success the herald share of live pulses. A rate k / n has
     the Poisson error sqrt(k) / n, floored at one count so a zero never
-    reports zero uncertainty. A cell that is not a non-negative integer
+    reports zero uncertainty. A delay that is not finite, a cell or
+    n_pulses that is not a count, or n_pulses below the live cells' sum
     is a ValidationError, no live pulse an EmptyTableError, and no
     herald pulse a HeraldUndefinedError.
     """
@@ -109,11 +111,12 @@ class RateSummary:
     n11: int
 
     def __post_init__(self):
-        for cell in ("n00", "n01", "n10", "n11"):
-            value = getattr(self, cell)
-            if not isinstance(value, (int, np.integer)) or value < 0:
-                raise ValidationError(f"{cell} must be a non-negative integer, got {value!r}")
-            object.__setattr__(self, cell, int(value))
+        if not math.isfinite(self.delta_t):
+            raise ValidationError(f"delta_t must be finite, got {self.delta_t!r}")
+        for name in ("n_pulses", "n00", "n01", "n10", "n11"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        if self.n_pulses < self.n_live_pulses:
+            raise ValidationError(f"n_pulses {self.n_pulses} < {self.n_live_pulses} live pulses")
         if self.n_live_pulses == 0:
             raise EmptyTableError("no live pulses in the event table")
         if self.n_herald_pulses == 0:

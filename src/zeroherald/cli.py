@@ -51,6 +51,7 @@ from .errors import (
     OutputError,
     ValidationError,
     ZeroHeraldError,
+    check_count,
 )
 from . import analysis, config as config_mod, model, pipeline, sim, tags
 
@@ -126,10 +127,10 @@ def _read_tag_file(path: str) -> tags.TagStream:
 
 
 def _delay_grid(half_width: float, points: int) -> np.ndarray:
-    """points delays evenly over [-half_width, half_width]."""
+    """points delays evenly over [-half_width, half_width]; one point is 0."""
     if points < 1:
         raise ValidationError(f"--points must be at least 1, got {points}")
-    return np.linspace(-half_width, half_width, points)
+    return np.linspace(-half_width, half_width, points) if points > 1 else np.zeros(1)
 
 
 def cmd_model(args) -> int:
@@ -248,7 +249,7 @@ def cmd_scan(args) -> int:
     # the rules the reduction applies, checked before anything is written;
     # the pipeline's period is a float, a median over the divider
     pipeline.gate_window_tb(gate, cfg.timebin_ps, float(cfg.period_tb))
-    pipeline.check_dead_pulses(args.dead_pulses)
+    check_count("dead_pulses", args.dead_pulses)
     delays, subs = zip(*sim.delay_configs(cfg, delays))
     out_dir = Path(args.out_dir)
     with _writing(out_dir):

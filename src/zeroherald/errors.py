@@ -3,7 +3,12 @@
 Grouped by how the command line maps them to exit codes: parameter and
 config problems, output paths among them (3), tag-file format and
 integrity problems (4), and numerical or degenerate-data problems (5).
+
+check_count is the one count rule: a pulse count, dead window, header
+field or cell tally that is not a whole number is rejected, never truncated.
 """
+
+from numbers import Integral
 
 
 class ZeroHeraldError(Exception):
@@ -77,3 +82,13 @@ class FitConvergenceError(NumericalError):
 
 class WrongShapeError(NumericalError):
     """A fit has the wrong sign of amplitude for the requested quantity."""
+
+
+def check_count(name: str, value, least: int = 0) -> int:
+    """value as an int; ValidationError unless it is a
+    non-negative integer (least=0) or a positive integer (least=1).
+    Python and numpy integers pass; bool, floats, strings and None fail."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, NoSolutionError, ValidationError
+from .errors import DegenerateInputError, NoSolutionError, ValidationError, check_count
 from .tags import _opened
 
 __all__ = [
@@ -98,10 +98,7 @@ class DetectorParams:
         _check_unit("eta", self.eta)
         _check_unit("dark_prob", self.dark_prob)
         _check_unit("afterpulse_prob", self.afterpulse_prob)
-        if not isinstance(self.dead_pulses, (int, np.integer)) or self.dead_pulses < 0:
-            raise ValidationError(
-                f"dead_pulses must be a non-negative integer, got {self.dead_pulses!r}"
-            )
+        object.__setattr__(self, "dead_pulses", check_count("dead_pulses", self.dead_pulses))
 
 
 @dataclass(frozen=True)
@@ -358,6 +355,16 @@ def cwr_approx(eta1p, eta2p, nu_max: float) -> float:
     return (denom + nu_max * (2.0 * e1 - e2)) / denom
 
 
+def _check_attainable(cwr: float, lo: float, hi: float, context: str) -> None:
+    """ValidationError unless cwr is positive and finite, NoSolutionError
+    unless it lies in the attainable band [lo, hi] (to within 1e-12)."""
+    if not math.isfinite(cwr) or cwr <= 0:
+        raise ValidationError(f"cwr must be a positive finite number, got {cwr!r}")
+    if not lo - 1e-12 <= cwr <= hi + 1e-12:
+        raise NoSolutionError(
+            f"cwr {cwr!r} outside the attainable range [{lo!r}, {hi!r}] {context}")
+
+
 def invert_cwr_for_eta1(cwr: float, eta2p, nu_max: float) -> float:
     """Recover eta1' from a measured center-to-wings ratio.
 
@@ -367,16 +374,8 @@ def invert_cwr_for_eta1(cwr: float, eta2p, nu_max: float) -> float:
     """
     e2 = _check_unit("effective efficiency", eta2p)
     _check_unit("nu_max", nu_max)
-    if not math.isfinite(cwr) or cwr <= 0:
-        raise ValidationError(f"cwr must be a positive finite number, got {cwr!r}")
-    lo = cwr_approx(0.0, e2, nu_max)
-    hi = cwr_approx(1.0, e2, nu_max)
-    tol = 1e-12
-    if not (lo - tol <= cwr <= hi + tol):
-        raise NoSolutionError(
-            f"cwr {cwr!r} outside the attainable range [{lo!r}, {hi!r}] "
-            f"for eta2'={e2!r}, nu_max={nu_max!r}"
-        )
+    _check_attainable(cwr, cwr_approx(0.0, e2, nu_max), cwr_approx(1.0, e2, nu_max),
+                      f"for eta2'={e2!r}, nu_max={nu_max!r}")
     denom = 2.0 * (nu_max + cwr - 1.0)
     if denom == 0.0:
         # cwr == 1 - nu_max: only reachable in the degenerate nu_max = 0 band
@@ -392,14 +391,8 @@ def invert_cwr_for_eta2_unheralded(cwr: float, nu_max: float) -> float:
     so eta2' = 4*(1 - cwr)/(nu_max + 1 - cwr).
     """
     _check_unit("nu_max", nu_max)
-    if not math.isfinite(cwr) or cwr <= 0:
-        raise ValidationError(f"cwr must be a positive finite number, got {cwr!r}")
-    lo = cwr_approx(0.0, 1.0, nu_max)
-    tol = 1e-12
-    if not (lo - tol <= cwr <= 1.0 + tol):
-        raise NoSolutionError(
-            f"unheralded cwr {cwr!r} outside the attainable range [{lo!r}, 1.0]"
-        )
+    _check_attainable(cwr, cwr_approx(0.0, 1.0, nu_max), 1.0,
+                      f"of the unheralded curve for nu_max={nu_max!r}")
     denom = nu_max + 1.0 - cwr
     if denom == 0.0:
         raise NoSolutionError("flat curve carries no efficiency information")

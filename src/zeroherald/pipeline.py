@@ -26,6 +26,7 @@ from .errors import (
     ClockGlitchError,
     InsufficientReferenceError,
     ValidationError,
+    check_count,
 )
 from .tags import PS_PER_SECOND, Channel, TagStream
 
@@ -36,7 +37,6 @@ __all__ = [
     "reconstruct_pulse_train",
     "gate_window_tb",
     "virtual_gate",
-    "check_dead_pulses",
     "apply_dead_time",
     "build_event_table",
     "table_from_stream",
@@ -180,12 +180,6 @@ def _gated_pulses(t: np.ndarray, refs: np.ndarray, divider: int, window_tb: floa
     return pulse[in_gate]
 
 
-def check_dead_pulses(dead_pulses) -> None:
-    """Raise ValidationError unless dead_pulses is a non-negative integer."""
-    if not isinstance(dead_pulses, (int, np.integer)) or dead_pulses < 0:
-        raise ValidationError(f"dead_pulses must be a non-negative integer, got {dead_pulses!r}")
-
-
 def apply_dead_time(click_pulses, dead_pulses: int) -> np.ndarray:
     """Thin a click list through a non-paralyzable dead window.
 
@@ -202,7 +196,7 @@ def apply_dead_time(click_pulses, dead_pulses: int) -> np.ndarray:
     through searchsorted and pointer doubling, so the cost is linear in
     the clicks plus O(m log m) in the m contested ones.
     """
-    check_dead_pulses(dead_pulses)
+    dead_pulses = check_count("dead_pulses", dead_pulses)
     clicks = np.sort(np.asarray(click_pulses, dtype=np.int64), axis=None, kind="stable")
     clicks = clicks[_first_of_runs(clicks)]
     return clicks[_dead_time_keep(clicks, dead_pulses)]
@@ -288,7 +282,9 @@ class PulseEventTable:
     is dead on pulses k+1 .. k+dead_pulses (cut off at the end of the
     train) and idle everywhere else. A pulse is "live" when neither
     detector is dead there. Storage and cell_counts() grow with the
-    number of clicks, never with the number of pulses.
+    number of clicks, never with the number of pulses. n_pulses and the
+    dead lengths must be integers: a float, bool or string is rejected,
+    never truncated.
     """
 
     n_pulses: int
@@ -298,13 +294,9 @@ class PulseEventTable:
     dead_pulses2: int
 
     def __post_init__(self):
-        self.n_pulses = int(self.n_pulses)
-        if self.n_pulses < 0:
-            raise ValidationError(f"n_pulses must be >= 0, got {self.n_pulses!r}")
+        self.n_pulses = check_count("n_pulses", self.n_pulses)
         for i in (1, 2):
-            dead = int(getattr(self, f"dead_pulses{i}"))
-            if dead < 0:
-                raise ValidationError(f"dead_pulses{i} must be >= 0, got {dead!r}")
+            dead = check_count(f"dead_pulses{i}", getattr(self, f"dead_pulses{i}"))
             clicks = np.asarray(getattr(self, f"clicks{i}"))
             if clicks.ndim != 1 or (clicks.size and clicks.dtype.kind not in "ui"):
                 raise ValidationError(f"clicks{i} must be a 1-d integer array")

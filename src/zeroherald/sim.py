@@ -61,13 +61,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, check_count
 from .model import (
     DetectorParams,
     IndistinguishabilityProfile,
     SourceParams,
 )
-from .pipeline import _first_of_runs, _greedy_chain
+from .pipeline import _first_of_runs, _greedy_chain, gate_window_tb
 from .tags import PS_PER_SECOND, TagStream
 
 __all__ = [
@@ -121,11 +121,9 @@ class SimConfig:
     out_gate_dark_rate: float = 240.0
 
     def __post_init__(self):
-        if not isinstance(self.n_pulses, (int, np.integer)) or self.n_pulses < 1:
-            raise ValidationError(f"n_pulses must be a positive integer, got {self.n_pulses!r}")
-        if not isinstance(self.divider, (int, np.integer)) or self.divider < 1:
-            raise ValidationError(f"divider must be a positive integer, got {self.divider!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+        for name, least in (("n_pulses", 1), ("divider", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), least))
+        if self.seed >= 2**64:
             raise ValidationError("seed must be an unsigned 64-bit integer")
         # written so that NaN fails each test
         if not math.isfinite(self.delta_t):
@@ -146,11 +144,7 @@ class SimConfig:
             raise ValidationError("rep_period must span at least 2 timebins")
         if self.rep_period_ps > 0xFFFFFFFF:
             raise ValidationError("effective rep_period does not fit the 32-bit header field")
-        if not 0 < self.window_tb < self.period_tb:
-            raise ValidationError(
-                f"gate_window of {self.window_tb!r} timebins must sit inside the "
-                f"{self.period_tb}-timebin period"
-            )
+        self.window_tb  # raises unless the gate window sits inside the period
         if self.jitter_sigma > self.gate_window / 4.0:
             raise ValidationError(
                 "jitter_sigma must be well inside the gate window (at most a quarter)"
@@ -178,7 +172,7 @@ class SimConfig:
 
     @property
     def window_tb(self) -> float:
-        return self.gate_window * PS_PER_SECOND / self.timebin_ps
+        return gate_window_tb(self.gate_window, self.timebin_ps, self.period_tb)
 
     @property
     def ingate_bins(self) -> int:

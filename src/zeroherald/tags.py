@@ -44,7 +44,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import FormatError, IntegrityError, ValidationError
+from .errors import FormatError, IntegrityError, ValidationError, check_count
 
 __all__ = ["Channel", "TagStream", "write_tags", "read_tags",
            "write_tags_csv", "read_tags_csv"]
@@ -97,11 +97,10 @@ class TagStream:
 
     def __post_init__(self):
         for name in ("timebin_ps", "rep_period_ps", "divider"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value <= 0:
-                raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+            value = check_count(name, getattr(self, name), least=1)
             if value > 0xFFFFFFFF:
                 raise ValidationError(f"{name} does not fit the 32-bit header field")
+            setattr(self, name, value)
         for name in _CHANNELS:
             ts = _u64_timestamps(name, getattr(self, name))
             if _first_descent(ts) is not None:

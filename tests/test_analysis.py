@@ -172,11 +172,31 @@ class TestComputeRates:
         with pytest.raises(HeraldUndefinedError):
             RateSummary(delta_t=0.0, n_pulses=10, n00=0, n01=0, n10=3, n11=2)
 
-    @pytest.mark.parametrize("cell, value", [("n00", -1), ("n11", -2), ("n01", 0.5)])
+    @pytest.mark.parametrize("cell, value", [("n11", -2), ("n01", 0.5)] + [
+        (cell, value) for cell in ("n_pulses", "n00", "n01", "n10", "n11")
+        for value in (-1, 2.5, 2.0, True, "3", None)])
     def test_a_cell_must_be_a_non_negative_integer(self, cell, value):
-        cells = {"n00": 5, "n01": 1, "n10": 1, "n11": 1, cell: value}
+        cells = {"n_pulses": 10, "n00": 5, "n01": 1, "n10": 1, "n11": 1, cell: value}
         with pytest.raises(ValidationError, match=f"{cell} must be a non-negative integer"):
-            RateSummary(delta_t=0.0, n_pulses=10, **cells)
+            RateSummary(delta_t=0.0, **cells)
+
+    def test_numpy_integer_cells_are_stored_as_int(self):
+        s = RateSummary(0.0, np.int64(10), np.uint8(5), np.int64(1), np.uint8(1), np.int32(1))
+        assert s.to_dict() == {"delta_t": 0.0, "n_pulses": 10,
+                               "n00": 5, "n01": 1, "n10": 1, "n11": 1}
+        assert all(type(v) is int for k, v in s.to_dict().items() if k != "delta_t")
+
+    @pytest.mark.parametrize("n_pulses", [0, 7])
+    def test_pulses_below_the_live_cells_are_rejected(self, n_pulses):
+        # 8 live pulses out of 0 or 7 used to be accepted
+        with pytest.raises(ValidationError, match=f"n_pulses {n_pulses} < 8 live pulses"):
+            RateSummary(0.0, n_pulses, 5, 1, 1, 1)
+        assert RateSummary(0.0, 8, 5, 1, 1, 1).n_live_pulses == 8
+
+    @pytest.mark.parametrize("delta_t", [math.nan, math.inf, -math.inf])
+    def test_delay_must_be_finite(self, delta_t):
+        with pytest.raises(ValidationError, match="delta_t must be finite"):
+            RateSummary(delta_t, 10, 5, 1, 1, 0)
 
 
 class TestSeriesPoints:

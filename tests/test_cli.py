@@ -139,6 +139,14 @@ class TestModelCommand:
         assert f"--points must be at least 1, got {points}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_point_sits_at_zero_delay(self, capsys):
+        # used to be the grid's left edge, -3 tau
+        code = main(["model", "--eta1p", "0.1", "--eta2p", "0.1", "--points", "1"])
+        assert code == 0
+        rows = read_csv(capsys.readouterr().out)
+        assert [float(row["delta_t"]) for row in rows] == [0.0]
+        assert float(rows[0]["nu"]) == 1.0  # the default --numax
+
 
 class TestSimulateCommand:
     def test_writes_tags_and_manifest(self, tmp_path, cfg_path):
@@ -433,6 +441,14 @@ class TestScanCommand:
         assert code == 3
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_one_point_scan_sits_at_zero_delay(self, tmp_path, cfg_path):
+        out_dir = tmp_path / "scan"
+        assert main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "--span", "1e-13", "--points", "1"]) == 0
+        manifest = json.loads((out_dir / "scan_manifest.json").read_text())
+        assert manifest["config"]["scan_delays"] == [0.0]
+        assert [float(row["delta_t"]) for row in read_csv(out_dir / "rates.csv")] == [0.0]
 
     def test_failed_fit_is_skipped_with_a_note(self, tmp_path, cfg_path, capsys, monkeypatch):
         def no_fit(summaries):

@@ -1,0 +1,101 @@
+"""The one count rule, at every place a count enters the package.
+
+check_count is the only copy of the rule, so each site below must
+reject what it rejects, with its message, and store what it accepts as
+a plain int. apply_dead_time and the RateSummary cells are checked the
+same way in test_pipeline.py and test_analysis.py.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from zeroherald.errors import ValidationError, check_count
+from zeroherald.model import DetectorParams, IndistinguishabilityProfile, SourceParams
+from zeroherald.pipeline import PulseEventTable
+from zeroherald.sim import SimConfig
+from zeroherald.tags import TagStream
+
+# a whole float, a bool and a digit string were each accepted somewhere
+BAD_COUNTS = [-1, 2.5, 2.0, True, "3", None]
+
+
+def detector(**kw):
+    return DetectorParams(**{"eta": 0.5, **kw})
+
+
+def sim_config(**kw):
+    return SimConfig(**{
+        "source": SourceParams(gamma=1e-3, kappa1=1.0, kappa2=1.0),
+        "det1": DetectorParams(eta=0.5), "det2": DetectorParams(eta=0.5),
+        "profile": IndistinguishabilityProfile(nu_max=0.9, tau=1e-13),
+        "n_pulses": 1000, "seed": 1, **kw})
+
+
+def stream(**kw):
+    return TagStream(**{"timebin_ps": 81, "rep_period_ps": 9963, "divider": 512,
+                        "refs": [], "d1": [], "d2": [], **kw})
+
+
+def event_table(**kw):
+    return PulseEventTable(**{"n_pulses": 10, "clicks1": [], "clicks2": [],
+                              "dead_pulses1": 0, "dead_pulses2": 0, **kw})
+
+
+# (constructor, field, least value)
+SITES = [
+    (detector, "dead_pulses", 0),
+    (sim_config, "n_pulses", 1),
+    (sim_config, "divider", 1),
+    (sim_config, "seed", 0),
+    (stream, "timebin_ps", 1),
+    (stream, "rep_period_ps", 1),
+    (stream, "divider", 1),
+    (event_table, "n_pulses", 0),
+    (event_table, "dead_pulses1", 0),
+    (event_table, "dead_pulses2", 0),
+]
+SITE_IDS = [f"{make.__name__}.{name}" for make, name, _ in SITES]
+
+
+def rejects(make, name, value, kind):
+    message = f"{name} must be a {kind} integer, got {value!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        make(**{name: value})
+
+
+@pytest.mark.parametrize("make, name, least", SITES, ids=SITE_IDS)
+@pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+def test_every_site_rejects_what_is_not_a_count(make, name, least, value):
+    rejects(make, name, value, "positive" if least else "non-negative")
+
+
+@pytest.mark.parametrize("make, name, least", SITES, ids=SITE_IDS)
+def test_zero_is_a_count_only_where_none_is_allowed(make, name, least):
+    if least:
+        rejects(make, name, 0, "positive")
+    else:
+        assert getattr(make(**{name: 0}), name) == 0
+
+
+@pytest.mark.parametrize("make, name, least", SITES, ids=SITE_IDS)
+@pytest.mark.parametrize("value", [np.int64(7), np.uint8(7)], ids=repr)
+def test_every_site_stores_a_numpy_integer_as_int(make, name, least, value):
+    stored = getattr(make(**{name: value}), name)
+    assert type(stored) is int and stored == 7
+
+
+class TestCheckCount:
+    def test_returns_a_plain_int(self):
+        assert type(check_count("k", np.uint16(3))) is int
+
+    def test_least_one_asks_for_a_positive_integer(self):
+        with pytest.raises(ValidationError, match="^k must be a positive integer, got 0$"):
+            check_count("k", 0, least=1)
+        assert check_count("k", 1, least=1) == 1
+
+    @pytest.mark.parametrize("value", [np.bool_(True), np.float64(2.0), 3 + 0j])
+    def test_numpy_bool_float_and_complex_are_not_counts(self, value):
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            check_count("k", value)

@@ -291,10 +291,14 @@ class TestDeadTime:
             apply_dead_time([1, 2, 3], 0), [1, 2, 3]
         )
 
-    @pytest.mark.parametrize("dead", [-1, 2.5, 2.0, None])
+    @pytest.mark.parametrize("dead", [-1, 2.5, 2.0, None, True, "3"])
     def test_dead_length_must_be_a_non_negative_integer(self, dead):
         with pytest.raises(ValidationError, match="non-negative integer"):
             apply_dead_time([0, 3, 4, 7], dead)
+
+    @pytest.mark.parametrize("dead", [np.int64(5), np.uint8(5)], ids=repr)
+    def test_numpy_integer_dead_length_is_a_count(self, dead):
+        np.testing.assert_array_equal(apply_dead_time([0, 3, 10], dead), [0, 10])
 
     @given(
         clicks=st.lists(st.integers(0, 400), max_size=60),
@@ -530,6 +534,15 @@ class TestSparseTable:
     def test_rejects_invalid_clicks(self, clicks1, dead1):
         with pytest.raises(ValidationError):
             PulseEventTable(10, np.asarray(clicks1), [], dead1, 0)
+
+    @pytest.mark.parametrize("args", [
+        (10.9, [1], [], 0, 0),           # was a 10-pulse table
+        (100, [1, 5], [2], 2.7, True),   # was dead windows 2 and 1
+        (100, [1, 5], [2], "3", 0),      # was a dead window of 3
+    ])
+    def test_non_integer_counts_are_rejected_not_truncated(self, args):
+        with pytest.raises(ValidationError, match="must be a non-negative integer"):
+            PulseEventTable(*args)
 
     def test_cost_grows_with_clicks_not_pulses(self):
         # a dense view of this train would need about 2 TB
