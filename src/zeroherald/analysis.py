@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
     WrongShapeError,
     check_count,
+    check_real,
 )
 from . import model
 from .pipeline import PulseEventTable
@@ -111,8 +112,7 @@ class RateSummary:
     n11: int
 
     def __post_init__(self):
-        if not math.isfinite(self.delta_t):
-            raise ValidationError(f"delta_t must be finite, got {self.delta_t!r}")
+        check_real("delta_t", self.delta_t)
         for name in ("n_pulses", "n00", "n01", "n10", "n11"):
             object.__setattr__(self, name, check_count(name, getattr(self, name)))
         if self.n_pulses < self.n_live_pulses:

@@ -6,9 +6,13 @@ integrity problems (4), and numerical or degenerate-data problems (5).
 
 check_count is the one count rule: a pulse count, dead window, header
 field or cell tally that is not a whole number is rejected, never truncated.
+check_real is the one rule for real parameters: a delay, period,
+probability or ratio that is not a real number, or falls outside its
+range (NaN outside every one), is rejected.
 """
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class ZeroHeraldError(Exception):
@@ -92,3 +96,29 @@ def check_count(name: str, value, least: int = 0) -> int:
         kind = "positive" if least == 1 else "non-negative"
         raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
+
+
+# check_real's ranges: each test, and how its message states the range
+_REAL_RANGES = {
+    "finite": (math.isfinite, "finite"),
+    "positive": (lambda x: 0 < x < math.inf, "positive and finite"),
+    "non-negative": (lambda x: 0 <= x < math.inf, "finite and >= 0"),
+    "unit": (lambda x: 0 <= x <= 1, "in [0, 1]"),
+}
+
+
+def check_real(name: str, value, within: str = "finite") -> float:
+    """value as a float; ValidationError unless it is a real number in
+    the range within names: finite, positive (and finite), non-negative
+    (and finite) or unit, [0, 1]. Python and numpy reals pass; bool,
+    strings and None fail, and NaN is in no range."""
+    test, text = _REAL_RANGES[within]
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float is in no range
+        number = math.nan
+    if not test(number):
+        raise ValidationError(f"{name} must be {text}, got {number!r}")
+    return number

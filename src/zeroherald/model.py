@@ -24,7 +24,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, NoSolutionError, ValidationError, check_count
+from .errors import (
+    DegenerateInputError,
+    NoSolutionError,
+    ValidationError,
+    check_count,
+    check_real,
+)
 from .tags import _opened
 
 __all__ = [
@@ -51,13 +57,6 @@ __all__ = [
 FLOAT_FMT = "%.17g"
 
 
-def _check_unit(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0 or math.isnan(value):
-        raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class SourceParams:
     """Pair source: per-pulse pair probability and channel transmissions."""
@@ -67,9 +66,9 @@ class SourceParams:
     kappa2: float
 
     def __post_init__(self):
-        _check_unit("gamma", self.gamma)
-        _check_unit("kappa1", self.kappa1)
-        _check_unit("kappa2", self.kappa2)
+        check_real("gamma", self.gamma, "unit")
+        check_real("kappa1", self.kappa1, "unit")
+        check_real("kappa2", self.kappa2, "unit")
 
     @property
     def kappa_bar(self) -> float:
@@ -95,9 +94,9 @@ class DetectorParams:
     afterpulse_prob: float = 0.0
 
     def __post_init__(self):
-        _check_unit("eta", self.eta)
-        _check_unit("dark_prob", self.dark_prob)
-        _check_unit("afterpulse_prob", self.afterpulse_prob)
+        check_real("eta", self.eta, "unit")
+        check_real("dark_prob", self.dark_prob, "unit")
+        check_real("afterpulse_prob", self.afterpulse_prob, "unit")
         object.__setattr__(self, "dead_pulses", check_count("dead_pulses", self.dead_pulses))
 
 
@@ -124,9 +123,8 @@ class IndistinguishabilityProfile:
                 raise ValidationError("delays and values need shape = tabulated")
             if self.nu_max is None or self.tau is None:
                 raise ValidationError(f"{self.shape} profile needs nu_max and tau")
-            _check_unit("nu_max", self.nu_max)
-            if not 0 < self.tau < math.inf:
-                raise ValidationError(f"tau must be positive and finite, got {self.tau!r}")
+            check_real("nu_max", self.nu_max, "unit")
+            check_real("tau", self.tau, "positive")
         elif self.shape == "tabulated":
             if self.delays is None or self.values is None:
                 raise ValidationError("tabulated profile needs delays and values")
@@ -191,7 +189,7 @@ class OutputDistribution:
 
     def __post_init__(self):
         for name, p in self.as_dict().items():
-            _check_unit(name, p)
+            check_real(name, p, "unit")
         if abs(self.total() - 1.0) > 1e-12:
             raise ValidationError(f"output distribution sums to {self.total()!r}, not 1")
 
@@ -274,7 +272,7 @@ def output_distribution(src: SourceParams, nu: float) -> OutputDistribution:
     splits the pair between coincidence (1,1) and bunching (2,0)/(0,2);
     a lone survivor exits either port with equal chance.
     """
-    _check_unit("nu", nu)
+    check_real("nu", nu, "unit")
     g, k1, k2 = src.gamma, src.kappa1, src.kappa2
     both = g * k1 * k2
     one = g * (k1 * (1.0 - k2) + (1.0 - k1) * k2)
@@ -291,8 +289,8 @@ def p_click_single(src: SourceParams, eta: float, nu: float) -> float:
     Either detector obeys the same expression, so pass the efficiency of
     the one you mean: gamma*eta*kappa_bar - (1+nu)*gamma*eta^2*k1*k2/4.
     """
-    _check_unit("eta", eta)
-    _check_unit("nu", nu)
+    check_real("eta", eta, "unit")
+    check_real("nu", nu, "unit")
     g = src.gamma
     return g * eta * src.kappa_bar - (1.0 + nu) * g * eta**2 * src.kappa1 * src.kappa2 / 4.0
 
@@ -303,9 +301,9 @@ def p_coincidence(src: SourceParams, eta1: float, eta2: float, nu: float) -> flo
     Only a split pair can do it: gamma*eta1*eta2*k1*k2*(1-nu)/2. Perfect
     indistinguishability (nu=1) bunches every pair and the rate vanishes.
     """
-    _check_unit("eta1", eta1)
-    _check_unit("eta2", eta2)
-    _check_unit("nu", nu)
+    check_real("eta1", eta1, "unit")
+    check_real("eta2", eta2, "unit")
+    check_real("nu", nu, "unit")
     return src.gamma * eta1 * eta2 * src.kappa1 * src.kappa2 * (1.0 - nu) / 2.0
 
 
@@ -329,10 +327,10 @@ def p_c2_given_nc1_approx(eta1p, eta2p, gamma: float, nu: float) -> float:
     (gamma*eta2'/4) * (4 - eta2' - 2*eta1' + nu*(2*eta1' - eta2')), with
     effective efficiencies eta_i' = sqrt(k1*k2)*eta_i.
     """
-    e1 = _check_unit("effective efficiency", eta1p)
-    e2 = _check_unit("effective efficiency", eta2p)
-    _check_unit("gamma", gamma)
-    _check_unit("nu", nu)
+    e1 = check_real("effective efficiency", eta1p, "unit")
+    e2 = check_real("effective efficiency", eta2p, "unit")
+    check_real("gamma", gamma, "unit")
+    check_real("nu", nu, "unit")
     return (gamma * e2 / 4.0) * (4.0 - e2 - 2.0 * e1 + nu * (2.0 * e1 - e2))
 
 
@@ -344,9 +342,9 @@ def cwr_approx(eta1p, eta2p, nu_max: float) -> float:
     Above 1 the curve is a peak, below 1 a dip; eta1' = eta2'/2 hides the
     structure entirely.
     """
-    e1 = _check_unit("effective efficiency", eta1p)
-    e2 = _check_unit("effective efficiency", eta2p)
-    _check_unit("nu_max", nu_max)
+    e1 = check_real("effective efficiency", eta1p, "unit")
+    e2 = check_real("effective efficiency", eta2p, "unit")
+    check_real("nu_max", nu_max, "unit")
     denom = 4.0 - 2.0 * e1 - e2
     if denom <= 0.0:
         raise DegenerateInputError(f"wing rate vanished (denominator {denom!r})")
@@ -358,8 +356,7 @@ def cwr_approx(eta1p, eta2p, nu_max: float) -> float:
 def _check_attainable(cwr: float, lo: float, hi: float, context: str) -> None:
     """ValidationError unless cwr is positive and finite, NoSolutionError
     unless it lies in the attainable band [lo, hi] (to within 1e-12)."""
-    if not math.isfinite(cwr) or cwr <= 0:
-        raise ValidationError(f"cwr must be a positive finite number, got {cwr!r}")
+    check_real("cwr", cwr, "positive")
     if not lo - 1e-12 <= cwr <= hi + 1e-12:
         raise NoSolutionError(
             f"cwr {cwr!r} outside the attainable range [{lo!r}, {hi!r}] {context}")
@@ -372,8 +369,8 @@ def invert_cwr_for_eta1(cwr: float, eta2p, nu_max: float) -> float:
     attainable band [cwr at eta1'=0, cwr at eta1'=1] for the given eta2'
     and nu_max.
     """
-    e2 = _check_unit("effective efficiency", eta2p)
-    _check_unit("nu_max", nu_max)
+    e2 = check_real("effective efficiency", eta2p, "unit")
+    check_real("nu_max", nu_max, "unit")
     _check_attainable(cwr, cwr_approx(0.0, e2, nu_max), cwr_approx(1.0, e2, nu_max),
                       f"for eta2'={e2!r}, nu_max={nu_max!r}")
     denom = 2.0 * (nu_max + cwr - 1.0)
@@ -390,7 +387,7 @@ def invert_cwr_for_eta2_unheralded(cwr: float, nu_max: float) -> float:
     With no herald (eta1' = 0) the ratio is 1 - nu_max*eta2'/(4 - eta2'),
     so eta2' = 4*(1 - cwr)/(nu_max + 1 - cwr).
     """
-    _check_unit("nu_max", nu_max)
+    check_real("nu_max", nu_max, "unit")
     _check_attainable(cwr, cwr_approx(0.0, 1.0, nu_max), 1.0,
                       f"of the unheralded curve for nu_max={nu_max!r}")
     denom = nu_max + 1.0 - cwr
@@ -424,8 +421,8 @@ def curve_grid(
     The cwr column is the heralded rate normalized to its own wings, so
     it reads the center-to-wings ratio at delay 0 and tends to 1 far out.
     """
-    e1p = src.kappa_tilde * _check_unit("eta", eta1)
-    e2p = src.kappa_tilde * _check_unit("eta", eta2)
+    e1p = src.kappa_tilde * check_real("eta", eta1, "unit")
+    e2p = src.kappa_tilde * check_real("eta", eta2, "unit")
     rows = []
     for dt in delays:
         nu = profile.nu(float(dt))

@@ -27,6 +27,7 @@ from .errors import (
     InsufficientReferenceError,
     ValidationError,
     check_count,
+    check_real,
 )
 from .tags import PS_PER_SECOND, Channel, TagStream
 
@@ -125,7 +126,7 @@ class GateResult:
 
 def gate_window_tb(window: float, timebin_ps: int, period_tb: float) -> float:
     """window seconds in timebins; ValidationError unless in (0, period_tb)."""
-    window_tb = window * PS_PER_SECOND / timebin_ps
+    window_tb = check_real("gate window", window) * PS_PER_SECOND / timebin_ps
     if not 0 < window_tb < period_tb:
         raise ValidationError(
             f"gate window of {window_tb!r} timebins must sit in (0, period {period_tb!r})")
@@ -150,33 +151,54 @@ def virtual_gate(stream: TagStream, grid: PulseGrid, window: float) -> GateResul
 def _gated_pulses(t: np.ndarray, refs: np.ndarray, divider: int, window_tb: float) -> np.ndarray:
     """Pulse indices of the tag times t that fall in a gate window.
 
-    In reference segment s, with spacing sp, a tag is pulse
-    s * divider + j for j = (t - refs[s]) * divider // sp, and in the
-    gate when the remainder is below window_tb * divider.
+    A tag is in reference segment s when refs[s] <= t < refs[s+1], in
+    the last one when refs[-1] <= t, and rejected before refs[0]. In
+    segment s, with spacing sp, a tag is pulse s * divider + j for
+    j = (t - refs[s]) * divider // sp, and in the gate when the
+    remainder is below window_tb * divider.
+
+    Each tag's segment is first estimated on an even grid,
+    (t - refs[0]) // ((refs[-1] - refs[0]) // (len(refs) - 1)), and
+    checked with the offset and spacing the arithmetic needs anyway:
+    only the tags it misses (references that wander, tags before the
+    first reference or past the last) are searched. With one reference,
+    or references that do not advance, every tag is searched.
     """
-    seg = np.searchsorted(refs, t, side="right") - 1
-    pulse = np.full(t.size, -1, dtype=np.int64)
-    in_gate = np.zeros(t.size, dtype=bool)
-
-    mid = (seg >= 0) & (seg < refs.size - 1)
-    if np.any(mid):
-        s = seg[mid]
-        start = refs[s]
-        # offset and spacing times divider stay below 2**63 (checked by
-        # reconstruct_pulse_train): exact in int64
-        scaled = (t[mid] - start).view(np.int64)
-        scaled *= divider
-        sp = np.subtract(refs[s + 1], start, out=start).view(np.int64)
-        j = scaled // sp
-        pulse[mid] = s * divider + j
-        in_gate[mid] = (scaled - j * sp) < window_tb * divider
-
-    last = seg == refs.size - 1
-    if np.any(last):
-        rel = t[last] - refs[-1]
-        pulse[last] = (refs.size - 1) * divider
-        # float compare: far-out strays would overflow the scaled int test
-        in_gate[last] = rel.astype(np.float64) < window_tb
+    last = refs.size - 1
+    step = (int(refs[-1]) - int(refs[0])) // last if last else 0
+    if step:
+        # tags before refs[0] wrap to huge offsets: clipped, then missed
+        seg = np.minimum((t - refs[0]) // np.uint64(step), last - 1).view(np.int64)
+        start = refs[seg]
+        offset, spacing = t - start, np.subtract(refs[seg + 1], start, out=start)
+    else:
+        seg = np.zeros(t.size, dtype=np.int64)
+        offset, spacing = np.zeros(t.size, dtype=np.uint64), np.zeros(t.size, dtype=np.uint64)
+    # below the segment's start the u64 offset wraps past every spacing, so
+    # refs[s] <= t < refs[s+1] exactly when offset < spacing
+    missed = np.flatnonzero(offset >= spacing)
+    if missed.size:
+        found = np.searchsorted(refs, t[missed], side="right") - 1
+        seg[missed] = found
+        inner = (found >= 0) & (found < last)
+        # outside every gap: offset 0 in a one-timebin segment, so the
+        # arithmetic below stays exact; those tags are settled after it
+        start = np.where(inner, refs[found], t[missed])
+        offset[missed] = t[missed] - start
+        spacing[missed] = np.where(inner, refs[np.minimum(found + 1, last)] - start, 1)
+    # offset and spacing times divider stay below 2**63 (checked by
+    # reconstruct_pulse_train): exact in int64
+    scaled = offset.view(np.int64)
+    scaled *= divider
+    spacing = spacing.view(np.int64)
+    j = scaled // spacing
+    in_gate = (scaled - j * spacing) < window_tb * divider
+    pulse = seg * divider + j
+    if missed.size:
+        # before refs[0], rejected; past refs[-1], a float compare, as
+        # far-out strays would overflow the scaled int test
+        after = (t[missed] - refs[-1]).astype(np.float64) < window_tb
+        in_gate[missed] = np.where(found == last, after, in_gate[missed] & (found >= 0))
     return pulse[in_gate]
 
 
@@ -318,9 +340,17 @@ class PulseEventTable:
         other detector's dead window when that detector's previous click
         is at most its dead length before it. Dead/dead pulses are the
         overlap of the two window sets. The no-click cells follow from
-        each detector's click and dead totals and n_pulses. Both click
-        lists are sorted and distinct, so two searches place each list
-        in the other and serve all three counts.
+        each detector's click and dead totals and n_pulses.
+
+        One search places each detector 1 click among the sorted,
+        distinct detector 2 clicks; the other two placements are counted
+        from it. The number of clicks1 below each click2 is a running sum
+        of how many clicks1 have each number of clicks2 at or before
+        them. The spacing rule (clicks more than the dead length apart)
+        ends each detector 2 window before the next detector 2 click, so
+        of the windows starting at or before a click1 only the last one
+        can reach past it: the clicks1 below each window end are counted
+        the same way.
         """
         c1, c2 = self.clicks1, self.clicks2
         # the dead window after click k covers [k+1, min(k+dead, n-1)]
@@ -328,31 +358,52 @@ class PulseEventTable:
         len2 = np.minimum(self.dead_pulses2, self.n_pulses - 1 - c2)
         cells = np.zeros((3, 3), dtype=np.int64)
         if c1.size and c2.size:
-            i = np.searchsorted(c2, c1)  # c2[i-1] < c1 <= c2[i]
-            j = np.searchsorted(c1, c2)  # c1[j-1] < c2 <= c1[j]
-            cells[1, 1] = np.count_nonzero(c2[np.minimum(i, c2.size - 1)] == c1)
-            cells[1, 2] = np.count_nonzero((i > 0) & (c1 - c2[i - 1] <= self.dead_pulses2))
-            cells[2, 1] = np.count_nonzero((j > 0) & (c2 - c1[j - 1] <= self.dead_pulses1))
-            end1 = c1 + len1 + 1  # one past each window
-            cum1 = np.concatenate(([0], np.cumsum(len1)))
+            at = np.searchsorted(c2, c1)  # c2[at-1] < c1 <= c2[at]
+            shared = c2[np.minimum(at, c2.size - 1)] == c1
+            cells[1, 1] = np.count_nonzero(shared)
+            cells[1, 2] = np.count_nonzero((at > 0) & (c1 - c2[at - 1] <= self.dead_pulses2))
+            at += shared  # clicks2 at or before each click1
+            del shared
+            below2 = _running_counts(at, c2.size)  # clicks1 below each click2
+            cells[2, 1] = np.count_nonzero(
+                (below2 > 0) & (c2 - c1[below2 - 1] <= self.dead_pulses1))
+            # now the detector 2 windows that end at or before each click1
+            at -= (at > 0) & (c1 - c2[at - 1] < len2[at - 1])
+            end1 = c1 + len1
+            end1 += 1  # one past each window
+            cum1 = np.zeros(c1.size + 1, dtype=np.int64)
+            np.cumsum(len1, out=cum1[1:])
 
             def covered_below(x, k):
                 # set-1 pulses below x, given the k windows that start
                 # below x: their lengths, less the last one's part at or
                 # past x
-                overshoot = np.maximum(end1[np.maximum(k - 1, 0)] - x, 0)
-                return cum1[k] - np.where(k > 0, overshoot, 0)
+                over = end1[k - 1]  # k = 0 reads the last window: zeroed below
+                over -= x
+                np.maximum(over, 0, out=over)
+                over[k == 0] = 0
+                return int(cum1[k].sum()) - int(over.sum())
 
-            # detector 2's windows are [c2+1, c2+len2]; c1+1 < c2+1 is
-            # c1 < c2, so j counts the set-1 windows starting below each
-            cells[2, 2] = np.sum(covered_below(c2 + len2 + 1, np.searchsorted(c1, c2 + len2))
-                                 - covered_below(c2 + 1, j))
+            # detector 2's windows are [c2+1, c2+len2]; a set-1 window
+            # starts below c2+1 when c1 < c2, and below c2+len2+1 when
+            # c1 < c2+len2, which the running counts give
+            x = c2 + len2
+            x += 1
+            cells[2, 2] = covered_below(x, _running_counts(at, c2.size))
+            del at
+            cells[2, 2] -= covered_below(c2 + 1, below2)
         cells[1, 0] = c1.size - cells[1, 1] - cells[1, 2]
         cells[2, 0] = len1.sum() - cells[2, 1] - cells[2, 2]
         cells[0, 1] = c2.size - cells[1, 1] - cells[2, 1]
         cells[0, 2] = len2.sum() - cells[1, 2] - cells[2, 2]
         cells[0, 0] = self.n_pulses - cells.sum()
         return cells
+
+
+def _running_counts(values: np.ndarray, n: int) -> np.ndarray:
+    """For k in 0..n-1, how many of values (integers in [0, n]) are at most k."""
+    counts = np.bincount(values, minlength=n + 1)[:n]
+    return np.cumsum(counts, out=counts)
 
 
 def build_event_table(gate: GateResult, dead_pulses1: int, dead_pulses2: int) -> PulseEventTable:

@@ -40,11 +40,12 @@ the candidates: those no earlier click can blind are kept outright, and
 pointer doubling follows the chain through the contested rest.
 
 Every event source is drawn in pulse order, so nothing is sorted from
-scratch. A stable sort merges a channel's three sorted candidate runs
-(photons, in-gate darks, out-of-gate darks) and the earliest offset per
-pulse is kept. The stream holds each channel's tags apart: the
-reference tags are a regular grid, and each detector's almost-sorted
-stamps need one more stable sort.
+scratch. A channel's three sorted candidate runs (photons, in-gate
+darks, out-of-gate darks) are merged by a search per candidate, in the
+order a stable sort would give, and the earliest offset per pulse is
+kept. The stream holds each channel's tags apart: the reference tags
+are a regular grid, and each detector's almost-sorted stamps need one
+more stable sort.
 
 All randomness of a run comes from one counter-based Philox generator
 keyed by (seed, 0), so a config is reproducible tag-for-tag. The draw
@@ -61,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, check_count
+from .errors import CapacityError, ValidationError, check_count, check_real
 from .model import (
     DetectorParams,
     IndistinguishabilityProfile,
@@ -125,15 +126,11 @@ class SimConfig:
             object.__setattr__(self, name, check_count(name, getattr(self, name), least))
         if self.seed >= 2**64:
             raise ValidationError("seed must be an unsigned 64-bit integer")
-        # written so that NaN fails each test
-        if not math.isfinite(self.delta_t):
-            raise ValidationError(f"delta_t must be finite, got {self.delta_t!r}")
-        for name in ("rep_period", "timebin", "gate_window"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be positive and finite")
-        for name in ("jitter_sigma", "out_gate_dark_rate"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and >= 0")
+        for name, within in (("delta_t", "finite"), ("rep_period", "positive"),
+                             ("timebin", "positive"), ("gate_window", "positive"),
+                             ("jitter_sigma", "non-negative"),
+                             ("out_gate_dark_rate", "non-negative")):
+            check_real(name, getattr(self, name), within)
         tb_ps = round(self.timebin * PS_PER_SECOND)
         if tb_ps < 1 or abs(self.timebin * PS_PER_SECOND - tb_ps) > 1e-6 * tb_ps:
             raise ValidationError(
@@ -422,13 +419,29 @@ def _channel_plan(
     else:
         og_offsets = np.empty(0, dtype=np.int64)
 
-    # each source is sorted already: a stable sort merges the three runs
-    pulses = np.concatenate([photon_pulses, dark_pulses, og_pulses])
-    order = np.argsort(pulses, kind="stable")
-    pulses = pulses[order]
+    # in the order of a stable sort of photon, dark and out-of-gate
+    # candidates; the small dark runs merge first, so the photon run is
+    # copied once
+    darks = _merge_after(dark_pulses, dark_offsets, og_pulses, og_offsets)
+    pulses, offsets = _merge_after(photon_pulses, photon_offsets, *darks)
     starts = np.flatnonzero(_first_of_runs(pulses))
-    offsets = np.concatenate([photon_offsets, dark_offsets, og_offsets])[order]
     return _ChannelPlan(pulses[starts], np.minimum.reduceat(offsets, starts))
+
+
+def _merge_after(pulses, offsets, more, more_offsets):
+    """Two sorted pulse runs merged, with their offsets: each of more
+    goes in after the pulses at or before its own, where a stable sort
+    of the runs concatenated puts it. One mask places both arrays."""
+    at = np.searchsorted(pulses, more, side="right")
+    at += np.arange(more.size)  # its index in the merged run
+    rest = np.ones(pulses.size + more.size, dtype=bool)
+    rest[at] = False
+    merged = []
+    for run, extra in ((pulses, more), (offsets, more_offsets)):
+        both = np.empty(rest.size, dtype=run.dtype)
+        both[rest], both[at] = run, extra
+        merged.append(both)
+    return merged
 
 
 def _afterpulse_chain(pulses: np.ndarray, runs: np.ndarray, dead: int, n_pulses: int):
@@ -488,11 +501,8 @@ def _detector_walk(
     at = np.minimum(np.searchsorted(pulses, after), pulses.size - 1)
     on = pulses[at] == after
     after_offsets[on] = np.minimum(after_offsets[on], offsets[at[on]])
-    # both runs are sorted: each afterpulse goes in after the clicks at or
-    # before its pulse, where a stable sort of clicks then afterpulses puts it
-    clicks = pulses[keep]
-    slots = np.searchsorted(clicks, after, side="right")
-    return np.insert(clicks, slots, after), np.insert(offsets[keep], slots, after_offsets)
+    # in the order of a stable sort of clicks, then afterpulses
+    return _merge_after(pulses[keep], offsets[keep], after, after_offsets)
 
 
 def _sorted_stamps(stamps: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHIII")
 _RECORD = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
 _CSV_COLUMNS = "channel,timestamp"
-_CSV_DTYPE = np.dtype([("ch", "U4"), ("ts", "u8")])
+_CSV_DTYPE = np.dtype([("ch", "S4"), ("ts", "u8")])
 _BLOCK = 1 << 16  # records per block of the writers' interleave and the readers' split
 _CSV_SCAN = 1 << 20  # characters per block of the NUL scan
 # what np.loadtxt accepts as a record: a known name, one comma, a
@@ -74,10 +74,8 @@ class Channel(IntEnum):
 
 # the writer's three-byte name fields, by channel code
 _CSV_NAMES = np.frombuffer(b"REFD1 D2 ", dtype=np.uint8).reshape(len(Channel), 3)
-# the reader's U4 name field as two 64-bit words of code points, and each name's words
-_CSV_NAME_WORDS = np.dtype({"names": ["lo", "hi"], "formats": ["u8", "u8"],
-                            "offsets": [0, 8], "itemsize": _CSV_DTYPE.itemsize})
-_CSV_NAME_KEYS = np.array([c.name for c in Channel], dtype="U4").view(np.uint64).reshape(-1, 2)
+# the reader's S4 name fields as one u32 each, by channel code
+_CSV_NAME_KEYS = np.array([c.name for c in Channel], dtype="S4").view("<u4")
 
 
 @dataclass
@@ -113,31 +111,40 @@ class TagStream:
         split them; header holds the other fields. Codes must be 0 (REF),
         1 (D1) or 2 (D2) and timestamps may not decrease across records,
         ties in any channel order. A pass over the blocks sizes the
-        channels and a second fills them, a mask per channel, so beside
-        the records and the result only a block is held."""
+        channels and a second fills them, splitting a mixed block
+        (_mixed_block) by one stable counting sort of its codes and any
+        other by a mask per channel, so beside the records and the
+        result only a block is held."""
         ch, ts = np.asarray(channels), np.asarray(timestamps)
         if ch.ndim != 1 or ch.shape != ts.shape:
             raise ValidationError("channels and timestamps must be 1-d and equal length")
-        ts, sizes = _u64_timestamps("timestamps", ts), np.zeros(len(Channel), dtype=np.int64)
+        ts, block_sizes = _u64_timestamps("timestamps", ts), []
         for start in range(0, ch.size, _BLOCK):
             codes = ch[start:start + _BLOCK].copy()  # contiguous: it is read four times
             if codes.dtype.kind not in "ui" or codes.min() < 0 or codes.max() > max(Channel):
                 raise ValidationError("channel codes must be 0 (REF), 1 (D1) or 2 (D2)")
             nonzero, high = np.count_nonzero(codes), np.count_nonzero(codes > Channel.D1)
-            sizes += (codes.size - nonzero, nonzero - high, high)
+            block_sizes.append((codes.size - nonzero, nonzero - high, high))
         # header first; records in time order leave each part sorted, unchecked
         stream = cls(refs=[], d1=[], d2=[], **header)
-        parts, filled = [np.empty(n, dtype=np.uint64) for n in sizes], [0] * len(sizes)
-        for start in range(0, ts.size, _BLOCK):
+        totals = np.array(block_sizes, dtype=np.int64).reshape(-1, len(Channel)).sum(axis=0)
+        parts, filled = [np.empty(n, dtype=np.uint64) for n in totals], [0] * len(Channel)
+        for start, sizes in zip(range(0, ts.size, _BLOCK), block_sizes):
             # with the timestamp before it, to check the order across blocks
             block = ts[max(start - 1, 0):start + _BLOCK].copy()
             if _first_descent(block) is not None:
                 raise IntegrityError("timestamps must be non-decreasing")
             block, codes = block[min(start, 1):], ch[start:start + _BLOCK].astype(np.uint8)
-            for code, part in enumerate(parts):
-                taken = block[codes == code]
-                part[filled[code]:filled[code] + taken.size] = taken
-                filled[code] += taken.size
+            # a stable sort of the codes lists each channel's records in turn
+            order = np.argsort(codes, kind="stable") if _mixed_block(sizes) else None
+            for code, (part, size) in enumerate(zip(parts, sizes)):
+                taken = part[filled[code]:filled[code] + size]
+                if order is None:
+                    taken[:] = block[codes == code]
+                else:
+                    np.take(block, order[:size], out=taken)
+                    order = order[size:]
+                filled[code] += size
         stream.refs, stream.d1, stream.d2 = parts
         return stream
 
@@ -180,6 +187,14 @@ def _first_descent(ts: np.ndarray) -> int | None:
     return None
 
 
+def _mixed_block(sizes) -> bool:
+    """Whether more than 1/16 of a block's tags lie outside its largest
+    channel (the references, as a rule): then one stable sort merges or
+    splits the block faster than a search or a mask per channel."""
+    total = sum(sizes)
+    return 16 * (total - max(sizes)) > total
+
+
 def _record_blocks(stream: TagStream):
     """The records in (timestamp, channel) order, as a stable sort of the
     channels concatenated gives, in rounds of at most _BLOCK + 2.
@@ -189,7 +204,8 @@ def _record_blocks(stream: TagStream):
     channel with tags left go out, as all tags left behind sort after
     them. If one channel (the references, as a rule) has nearly all, the
     others go to their index plus the count of tags ahead of them in the
-    rest, and it fills the slots left; else a stable sort orders them.
+    rest, and it fills the slots left; in a mixed block (_mixed_block) a
+    stable sort orders them.
     """
     parts, at = [stream.refs, stream.d1, stream.d2], [0, 0, 0]
     shares = [max(1, _BLOCK * part.size // max(len(stream), 1)) for part in parts]
@@ -206,7 +222,7 @@ def _record_blocks(stream: TagStream):
             return
         big, total = int(np.argmax(sizes)), sum(sizes)
         records = np.empty(total, dtype=_RECORD)
-        if 16 * (total - sizes[big]) > total:  # then sorting beats a search per tag
+        if _mixed_block(sizes):
             stamps = np.concatenate(heads)
             order = np.argsort(stamps, kind="stable")
             records["timestamp"] = stamps[order]
@@ -365,7 +381,7 @@ def _read_csv(fh, path) -> TagStream:
     if not fh.seekable():
         fh = io.StringIO(fh.read())
     body_at = fh.tell()
-    # records are ASCII: numpy's parser must see no NUL (the U4 field drops
+    # records are ASCII: numpy's parser must see no NUL (the S4 field drops
     # trailing NULs) nor a code point far past U+FFFF (numpy 2.4 can crash)
     if any("\x00" in block or not block.isascii()
            for block in iter(lambda: fh.read(_CSV_SCAN), "")):
@@ -379,12 +395,15 @@ def _read_csv(fh, path) -> TagStream:
                                  skiprows=skip, encoding=getattr(fh, "encoding", None))
     except ValueError as exc:
         raise _record_error(fh, body_at, lineno, str(exc)) from None
-    # integer compares on the name's code points, two 64-bit words each
-    words = records.view(_CSV_NAME_WORDS)
-    channels = np.full(records.size, 0xFF, dtype=np.uint8)
-    for c, (lo, hi) in zip(Channel, _CSV_NAME_KEYS):
-        channels[(words["lo"] == lo) & (words["hi"] == hi)] = c
-    if channels.size and channels.max() > max(Channel):
+    # the name's four bytes (NUL-padded, and no NUL in the body) as one
+    # u32; a record's code adds up the code of each name it equals
+    names = records["ch"].view("<u4")
+    channels, known = np.zeros(records.size, dtype=np.uint8), np.zeros(records.size, dtype=bool)
+    for c, key in zip(Channel, _CSV_NAME_KEYS):
+        named = names == key
+        known |= named
+        channels += named.view(np.uint8) * np.uint8(c)
+    if not known.all():
         raise _record_error(fh, body_at, lineno, "unknown channel name")
     try:
         return TagStream.from_records(channels, records["ts"], timebin_ps=timebin_ps,

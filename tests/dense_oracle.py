@@ -12,7 +12,9 @@ n_pulses and cell_counts(), so it accepts either table.
 float_reconstruct is reconstruct_pulse_train as a float median of the
 reference gaps and one float deviation per gap, the reference for the
 in-place median and extremes test the pipeline uses. pulse_times
-interpolates pulse times on a rebuilt grid.
+interpolates pulse times on a rebuilt grid. searched_gate is the
+virtual gate with one binary search per tag among the references, the
+reference for the estimated segments pipeline.virtual_gate checks.
 
 oracle_records is the record order of a stream by one stable sort of
 its three channels concatenated, the reference for the block-wise
@@ -127,6 +129,36 @@ def pulse_times(grid, k) -> np.ndarray:
     j = k - seg * grid.divider
     spacing = (refs[seg + 1] - refs[seg]).astype(np.int64)
     return refs[seg] + j * spacing / grid.divider
+
+
+def searched_gate(t, refs, divider, window_tb):
+    """Pulse indices of the tag times t in a gate window, each tag's
+    reference segment found by np.searchsorted: in segment s, with
+    spacing sp, a tag is pulse s * divider + (t - refs[s]) * divider // sp,
+    in the gate when the remainder is below window_tb * divider; past
+    the last reference it is pulse (len(refs) - 1) * divider, in the gate
+    when t - refs[-1] < window_tb; before refs[0] it is rejected."""
+    seg = np.searchsorted(refs, t, side="right") - 1
+    pulse = np.full(t.size, -1, dtype=np.int64)
+    in_gate = np.zeros(t.size, dtype=bool)
+
+    mid = (seg >= 0) & (seg < refs.size - 1)
+    if np.any(mid):
+        s = seg[mid]
+        start = refs[s]
+        scaled = (t[mid] - start).view(np.int64)
+        scaled *= divider
+        sp = np.subtract(refs[s + 1], start, out=start).view(np.int64)
+        j = scaled // sp
+        pulse[mid] = s * divider + j
+        in_gate[mid] = (scaled - j * sp) < window_tb * divider
+
+    last = seg == refs.size - 1
+    if np.any(last):
+        rel = t[last] - refs[-1]
+        pulse[last] = (refs.size - 1) * divider
+        in_gate[last] = rel.astype(np.float64) < window_tb
+    return pulse[in_gate]
 
 
 def oracle_records(stream):

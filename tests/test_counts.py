@@ -1,19 +1,32 @@
-"""The one count rule, at every place a count enters the package.
+"""The one count rule and the one real-number rule, at every place a
+count or a real parameter enters the package.
 
-check_count is the only copy of the rule, so each site below must
+check_count is the only copy of the count rule, so each site below must
 reject what it rejects, with its message, and store what it accepts as
 a plain int. apply_dead_time and the RateSummary cells are checked the
-same way in test_pipeline.py and test_analysis.py.
+same way in test_pipeline.py and test_analysis.py. check_real is the
+only copy of the finite, positive, non-negative and unit-interval
+checks, so a value that is not a real number is a ValidationError at
+each real parameter below, never an untyped TypeError.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from zeroherald.errors import ValidationError, check_count
-from zeroherald.model import DetectorParams, IndistinguishabilityProfile, SourceParams
-from zeroherald.pipeline import PulseEventTable
+from zeroherald.analysis import RateSummary
+from zeroherald.errors import ValidationError, check_count, check_real
+from zeroherald.model import (
+    DetectorParams,
+    IndistinguishabilityProfile,
+    SourceParams,
+    cwr_approx,
+    invert_cwr_for_eta1,
+    invert_cwr_for_eta2_unheralded,
+)
+from zeroherald.pipeline import PulseEventTable, gate_window_tb
 from zeroherald.sim import SimConfig
 from zeroherald.tags import TagStream
 
@@ -99,3 +112,50 @@ class TestCheckCount:
     def test_numpy_bool_float_and_complex_are_not_counts(self, value):
         with pytest.raises(ValidationError, match="non-negative integer"):
             check_count("k", value)
+
+
+# each call passes a string where a real number goes: a probability or
+# efficiency was read with float() (and a model type kept the string),
+# anything else ended in an untyped TypeError
+REAL_CALLS = {
+    "RateSummary.delta_t": lambda: RateSummary("0", 10, 5, 1, 1, 1),
+    "SimConfig.delta_t": lambda: sim_config(delta_t="0"),
+    "invert_cwr_for_eta1.cwr": lambda: invert_cwr_for_eta1("1.1", 0.1, 0.9),
+    "invert_cwr_for_eta2_unheralded.cwr": lambda: invert_cwr_for_eta2_unheralded("0.9", 0.9),
+    "SimConfig.jitter_sigma": lambda: sim_config(jitter_sigma="0"),
+    "SimConfig.gate_window": lambda: sim_config(gate_window="2e-9"),
+    "IndistinguishabilityProfile.tau": lambda: IndistinguishabilityProfile(nu_max=0.9, tau="1"),
+    "SourceParams.gamma": lambda: SourceParams(gamma="0.1", kappa1=1.0, kappa2=1.0),
+    "cwr_approx.eta1p": lambda: cwr_approx("0.1", 0.1, 0.9),
+    "gate_window_tb.window": lambda: gate_window_tb("1e-9", 81, 123.0),
+}
+
+
+@pytest.mark.parametrize("call", REAL_CALLS.values(), ids=REAL_CALLS.keys())
+def test_a_string_is_not_a_real_parameter(call):
+    with pytest.raises(ValidationError, match=r"must be a real number, got '"):
+        call()
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", ["0", None, True, np.bool_(True), 1 + 0j, [0.5]], ids=repr)
+    def test_what_is_not_a_real_number_is_rejected(self, value):
+        with pytest.raises(ValidationError, match=r"^x must be a real number, got "):
+            check_real("x", value)
+
+    @pytest.mark.parametrize("within, text, inside, outside", [
+        ("finite", "finite", [-1e300, 0, 7], [math.nan, math.inf, -math.inf, 10**400]),
+        ("positive", "positive and finite", [1e-300, 3], [0, -1.0, math.nan, math.inf]),
+        ("non-negative", "finite and >= 0", [0, 0.0, 2], [-1e-300, math.nan, math.inf]),
+        ("unit", r"in \[0, 1\]", [0, 0.5, 1], [-1e-300, 1 + 1e-15, math.nan, math.inf]),
+    ])
+    def test_each_range(self, within, text, inside, outside):
+        for value in inside:
+            assert check_real("x", value, within) == value
+        for value in outside:
+            with pytest.raises(ValidationError, match=f"^x must be {text}, got "):
+                check_real("x", value, within)
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.int8(0), 0])
+    def test_numpy_reals_and_ints_pass_as_float(self, value):
+        assert type(check_real("x", value, "unit")) is float

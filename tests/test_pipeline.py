@@ -29,13 +29,21 @@ from zeroherald.pipeline import (
     _greedy_chain,
     apply_dead_time,
     build_event_table,
+    gate_window_tb,
     reconstruct_pulse_train,
     table_from_stream,
     virtual_gate,
 )
 from zeroherald.tags import Channel, TagStream
 
-from dense_oracle import DenseTable, PulseState, float_reconstruct, greedy_dead_time, pulse_times
+from dense_oracle import (
+    DenseTable,
+    PulseState,
+    float_reconstruct,
+    greedy_dead_time,
+    pulse_times,
+    searched_gate,
+)
 
 N, C, D = PulseState.NOCLICK, PulseState.CLICK, PulseState.DEAD
 
@@ -272,6 +280,100 @@ class TestWideTimestamps:
         s = make_stream([0, 0], [0, 2**62], divider=2)
         with pytest.raises(ValidationError):
             reconstruct_pulse_train(s)
+
+
+def gate_case(gaps, base, d1, d2, divider, period):
+    """A stream with references base, base + gaps[0], ...: d1 and d2 are
+    offsets from base, cut to the u64 range and sorted."""
+    refs = np.uint64(base) + np.concatenate((np.zeros(1, np.uint64), np.cumsum(gaps)))
+
+    def stamps(offsets):
+        return np.sort(np.array([base + o for o in offsets if 0 <= base + o < 2**64],
+                                dtype=np.uint64))
+    return TagStream(timebin_ps=1, rep_period_ps=period, divider=divider, refs=refs,
+                     d1=stamps(d1), d2=stamps(d2))
+
+
+def ramp_case(n_gaps=100, divider=16, period=2):
+    """Gaps divider/2 long for the first half, exact after: inside the
+    glitch tolerance, but the middle references drift six segments off
+    the even grid the mean spacing gives. Tags sit on, just before and
+    just after every reference and in the middle of every segment."""
+    gaps = np.full(n_gaps, divider * period, dtype=np.uint64)
+    gaps[:n_gaps // 2] += divider // 2
+    at = [0] + np.cumsum(gaps).tolist()
+    d1 = [a + d for a in at for d in (-1, 0, 1)]
+    d2 = [a + int(g) // 2 for a, g in zip(at, gaps)]
+    return gate_case(gaps, 2**64 - 2 - at[-1], d1, d2, divider, period), 0.5
+
+
+@st.composite
+def wandering_gates(draw):
+    """A stream whose reference gaps wander inside the glitch tolerance
+    (one-sided, so every gap is within divider/2 of the median), tags
+    anywhere from before the first reference to past the last one, on
+    references and up to 2**64 - 1, and a window as a share of the period."""
+    divider, period = draw(st.integers(2, 64)), draw(st.integers(2, 8))
+    n_gaps = draw(st.integers(1, 150))
+    wander = draw(st.lists(st.integers(0, divider // 2), min_size=n_gaps, max_size=n_gaps))
+    gaps = np.array(wander, dtype=np.uint64) + np.uint64(divider * period)
+    span, margin = int(gaps.sum()), 3 * divider * period
+    top = 2**64 - 1 - span - margin
+    base = draw(st.one_of(st.integers(margin, 2**20), st.just(top), st.integers(margin, top)))
+    at = [0] + np.cumsum(gaps).tolist()
+    offset = st.integers(-margin, span + margin)
+    on_ref = st.builds(lambda i, d: at[i] + d, st.integers(0, n_gaps), st.integers(-1, 1))
+    d1 = draw(st.lists(st.one_of(offset, on_ref), max_size=40))
+    d2 = draw(st.lists(st.one_of(offset, on_ref, st.just(2**64 - 1 - base)), max_size=20))
+    stream = gate_case(gaps, base, d1, d2, divider, period)
+    return stream, draw(st.floats(0.05, 0.95))
+
+
+class TestGateMatchesSearch:
+    """virtual_gate estimates each tag's segment from the mean reference
+    spacing and searches only the tags it misses; searched_gate searches
+    every tag."""
+
+    def assert_gates_alike(self, stream, grid, window_share):
+        window = window_share * grid.period_tb * stream.timebin_ps / 1e12
+        window_tb = gate_window_tb(window, stream.timebin_ps, grid.period_tb)
+        gate = virtual_gate(stream, grid, window)
+        for ch, t in ((Channel.D1, stream.d1), (Channel.D2, stream.d2)):
+            want = searched_gate(t, grid.ref_times, grid.divider, window_tb)
+            np.testing.assert_array_equal(gate.assigned[ch], want)
+            assert gate.n_rejected[ch] == t.size - want.size
+        return gate
+
+    @given(wandering_gates())
+    @example(ramp_case())
+    @example(ramp_case(n_gaps=1, divider=2))
+    @settings(max_examples=300, deadline=None)
+    def test_wandering_references(self, case):
+        stream, window_share = case
+        self.assert_gates_alike(stream, reconstruct_pulse_train(stream), window_share)
+
+    def test_ramp_defeats_the_estimate(self):
+        # in the example above the estimate misses tags between the first
+        # and the last reference by up to six segments
+        stream, _ = ramp_case()
+        refs, t = stream.refs.astype(object), stream.d1.astype(object)
+        guess = (t - refs[0]) // ((refs[-1] - refs[0]) // (refs.size - 1))
+        found = np.searchsorted(stream.refs, stream.d1, side="right") - 1
+        inner = (found >= 0) & (found < refs.size - 1)
+        assert max(abs(guess - found)[inner]) == 6
+
+    @pytest.mark.parametrize("refs", [[1000], [1000, 1000, 1000]],
+                             ids=["one reference", "references that do not advance"])
+    def test_grid_without_an_estimate(self, refs):
+        refs = np.array(refs, dtype=np.uint64)
+        d1 = np.array([0, 999, 1000, 1005, 1006, 1010, 2**64 - 1], dtype=np.uint64)
+        stream = TagStream(timebin_ps=1, rep_period_ps=10, divider=4, refs=refs, d1=d1, d2=[])
+        grid = PulseGrid(ref_times=refs, divider=4, n_pulses=(refs.size - 1) * 4 + 1,
+                         period_tb=10.0)
+        gate = self.assert_gates_alike(stream, grid, 0.6)
+        # past the last reference: its pulse, in the gate below 6 timebins
+        last = (refs.size - 1) * 4
+        np.testing.assert_array_equal(gate.assigned[Channel.D1], [last, last])
 
 
 class TestDeadTime:
@@ -543,6 +645,24 @@ class TestSparseTable:
     def test_non_integer_counts_are_rejected_not_truncated(self, args):
         with pytest.raises(ValidationError, match="must be a non-negative integer"):
             PulseEventTable(*args)
+
+    def test_cell_counts_peak_per_click(self):
+        # two ~200k-click detectors on a 2e7-pulse train, a tenth shared:
+        # about 40 bytes a click, where a search per placement takes 44.5
+        n, dead = 20_000_000, 8
+        rng = np.random.default_rng(7)
+        shared = rng.integers(0, n, 20_000)
+        clicks1 = apply_dead_time(np.concatenate([shared, rng.integers(0, n, 200_000)]), dead)
+        clicks2 = apply_dead_time(np.concatenate([shared, rng.integers(0, n, 200_000)]), dead)
+        table = PulseEventTable(n, clicks1, clicks2, dead, dead)
+        tracemalloc.start()
+        try:
+            cells = table.cell_counts()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cells.sum() == n and cells[1, 2] > 0 and cells[2, 1] > 0 and cells[2, 2] > 0
+        assert peak < 42 * (clicks1.size + clicks2.size)
 
     def test_cost_grows_with_clicks_not_pulses(self):
         # a dense view of this train would need about 2 TB

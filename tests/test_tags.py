@@ -455,6 +455,89 @@ def printf_text(stream):
     return buf.getvalue()
 
 
+def stable_split(channels, timestamps):
+    """Each channel's timestamps, by one stable argsort of the codes."""
+    order = np.argsort(channels, kind="stable")
+    return np.split(timestamps[order], np.cumsum(np.bincount(channels, minlength=3))[:2])
+
+
+@st.composite
+def block_mixes(draw, block=16):
+    """Records in blocks of one main channel and 0-4 others, so blocks
+    fall on both sides of the 1/16 share; timestamps step by 0-2, so
+    runs of equal ones cross block edges."""
+    channels = []
+    for _ in range(draw(st.integers(1, 5))):
+        codes = [draw(st.integers(0, 2))] * block
+        for at in draw(st.lists(st.integers(0, block - 1), max_size=4)):
+            codes[at] = draw(st.integers(0, 2))
+        channels += codes
+    channels = channels[:len(channels) - draw(st.integers(0, block - 1))]
+    steps = draw(st.lists(st.integers(0, 2), min_size=len(channels), max_size=len(channels)))
+    return np.array(channels, dtype=np.uint8), np.cumsum(steps, dtype=np.uint64)
+
+
+class TestRecordSplit:
+    """from_records splits a block by a stable counting sort of its codes
+    when more than 1/16 of its records lie outside its main channel, and
+    by a mask per channel otherwise; both give a stable argsort's split."""
+
+    @given(block_mixes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort_in_small_blocks(self, mix):
+        channels, timestamps = mix
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tags, "_BLOCK", 16)
+            stream = TagStream.from_records(channels, timestamps, **HEADER)
+        for part, want in zip((stream.refs, stream.d1, stream.d2),
+                              stable_split(channels, timestamps)):
+            np.testing.assert_array_equal(part, want)
+
+    @pytest.mark.parametrize("others", [0, 4096, 4097, 1 << 15],
+                             ids=["none", "one sixteenth", "one more", "half"])
+    def test_full_blocks_on_both_sides_of_the_share(self, others):
+        # three blocks of mostly references, the last one short; runs of
+        # eight equal timestamps cross each block edge
+        rng = np.random.default_rng(others)
+        channels = np.zeros(3 * tags._BLOCK - 100, dtype=np.uint8)
+        for start in range(0, channels.size, tags._BLOCK):
+            block = channels[start:start + tags._BLOCK]
+            block[rng.choice(block.size, min(others, block.size), replace=False)] = (
+                rng.integers(1, 3, min(others, block.size)))
+        timestamps = (np.arange(channels.size, dtype=np.uint64) + 4) // np.uint64(8)
+        stream = TagStream.from_records(channels, timestamps, **HEADER)
+        for part, want in zip((stream.refs, stream.d1, stream.d2),
+                              stable_split(channels, timestamps)):
+            np.testing.assert_array_equal(part, want)
+
+    def test_csv_round_trip_of_a_busy_mix(self, tmp_path, monkeypatch):
+        # a reference-heavy stretch with a few detector tags (mask
+        # splits), then dense detector tags among sparse references, as
+        # in a high-rate run (sort splits)
+        rng = np.random.default_rng(3)
+        quiet = np.arange(80_000, dtype=np.uint64) * np.uint64(100)
+        refs = np.concatenate([quiet, quiet[-1] + np.arange(1, 200, dtype=np.uint64) * 62_976])
+
+        def tags_in(low, high, n):
+            return rng.integers(int(low), int(high), n).astype(np.uint64)
+        d1 = np.sort(np.concatenate([tags_in(0, quiet[-1], 100),
+                                     tags_in(quiet[-1], refs[-1] + 50, 70_000)]))
+        d2 = np.sort(np.concatenate([d1[::7], tags_in(quiet[-1], refs[-1], 60_000)]))
+        stream = TagStream(refs=refs, d1=d1, d2=d2, provenance="busy mix", **HEADER)
+        path = tmp_path / "busy.csv"
+        write_tags_csv(stream, path)
+        mixed, rule = [], tags._mixed_block
+
+        def spy(sizes):  # the reader's split path of each block
+            mixed.append(rule(sizes))
+            return mixed[-1]
+
+        monkeypatch.setattr(tags, "_mixed_block", spy)
+        back = read_tags_csv(path)
+        assert back == stream and back.provenance == "busy mix"
+        assert True in mixed and False in mixed
+
+
 class TestCsvWriterMatchesPrintf:
     """The byte-matrix writer against the printf-style formatter, byte
     for byte: empty, one block, one block and one row, and blocks whose
