@@ -152,9 +152,10 @@ def cmd_model(args) -> int:
     return 0
 
 
-def _simulate_to(cfg, path) -> tags.TagStream:
-    """Simulate cfg into a tag file at path: CSV for *.csv paths, else binary."""
-    stream = sim.run_simulation(cfg).stream
+def _write_run(result, path) -> tags.TagStream:
+    """Write a simulated run's stream to a tag file at path: CSV for
+    *.csv paths, else binary. Returns the stream; the truth is dropped."""
+    stream = result.stream
     with _writing(path):
         (tags.write_tags_csv if str(path).endswith(".csv") else tags.write_tags)(stream, path)
     return stream
@@ -166,7 +167,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError("simulate --out needs a file path, not '-'")
     _check_outputs(args.out)
     cfg = config_mod.load_config(args.config, _overrides(args.set))
-    _simulate_to(cfg, args.out)
+    _write_run(sim.run_simulation(cfg), args.out)
     _write_manifest(args.out + ".manifest.json", args, cfg, config_mod.config_dict(cfg),
                     [args.out], started)
     return 0
@@ -250,14 +251,16 @@ def cmd_scan(args) -> int:
     # the pipeline's period is a float, a median over the divider
     pipeline.gate_window_tb(gate, cfg.timebin_ps, float(cfg.period_tb))
     check_count("dead_pulses", args.dead_pulses)
-    delays, subs = zip(*sim.delay_configs(cfg, delays))
+    runs = sim.delay_configs(cfg, delays)
+    delays = [delta_t for delta_t, _ in runs]
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    # one delay at a time: simulate, write, reduce, then drop the stream
-    tag_paths = [out_dir / f"tags_{index:03d}.zht" for index in range(len(subs))]
-    summaries, rep_rate_hz = _reduce(tag_paths, map(_simulate_to, subs, tag_paths), delays,
-                                     gate, args.dead_pulses)
+    # one delay at a time: simulate over the scan's one grid, write,
+    # reduce, then drop the stream
+    tag_paths = [out_dir / f"tags_{index:03d}.zht" for index in range(len(runs))]
+    summaries, rep_rate_hz = _reduce(tag_paths, map(_write_run, sim._scan(runs), tag_paths),
+                                     delays, gate, args.dead_pulses)
     outputs = [*tag_paths, out_dir / "rates.csv"]
     fits_path = out_dir / "fits.jsonl"
     if _write_results(summaries, rep_rate_hz, outputs[-1], fits_path):

@@ -113,7 +113,9 @@ def check_real(name: str, value, within: str = "finite") -> float:
     (and finite) or unit, [0, 1]. Python and numpy reals pass; bool,
     strings and None fail, and NaN is in no range."""
     test, text = _REAL_RANGES[within]
-    if isinstance(value, bool) or not isinstance(value, Real):
+    # exact floats and ints pass before the slower ABC test; bool is neither
+    if type(value) is not float and type(value) is not int and (
+            isinstance(value, bool) or not isinstance(value, Real)):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     try:
         number = float(value)

@@ -45,7 +45,9 @@ darks, out-of-gate darks) are merged by a search per candidate, in the
 order a stable sort would give, and the earliest offset per pulse is
 kept. The stream holds each channel's tags apart: the reference tags
 are a regular grid, and each detector's almost-sorted stamps need one
-more stable sort.
+more stable sort. The grid is a read-only array, and the runs of a
+delay scan, which share their pulse count, period and divider, all
+hold the one grid the scan builds.
 
 All randomness of a run comes from one counter-based Philox generator
 keyed by (seed, 0), so a config is reproducible tag-for-tag. The draw
@@ -512,6 +514,17 @@ def _sorted_stamps(stamps: np.ndarray) -> np.ndarray:
     return np.sort(stamps[stamps >= 0], kind="stable").view(np.uint64)
 
 
+def _reference_grid(cfg: SimConfig) -> np.ndarray:
+    """The reference tags of a run of cfg, one every divider-th pulse, as
+    a read-only array: runs with the same n_pulses, period and divider
+    can hold one grid, and an in-place edit through any of their streams
+    raises ValueError instead of changing all of them."""
+    step = cfg.divider * cfg.period_tb
+    refs = np.arange(0, cfg.n_pulses * cfg.period_tb, step, dtype=np.uint64)
+    refs.flags.writeable = False
+    return refs
+
+
 def run_simulation(cfg: SimConfig) -> SimResult:
     """Simulate one run and emit its tag stream plus ground truth.
 
@@ -519,8 +532,14 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     one tag per accepted detector click at pulse time + offset (jitter
     for photon-induced and afterpulse clicks, uniform in-gate or
     out-of-gate positions for dark clicks). Identical configs produce
-    byte-identical streams.
+    byte-identical streams. The stream's refs are read-only.
     """
+    return _simulate(cfg, _reference_grid(cfg))
+
+
+def _simulate(cfg: SimConfig, refs: np.ndarray) -> SimResult:
+    """run_simulation, its stream holding refs, the _reference_grid of
+    cfg or of any config with the same n_pulses, period and divider."""
     period = cfg.period_tb
     rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64)))
     pair_pulses = _event_pulses(rng, cfg.source.gamma, cfg.n_pulses)
@@ -535,7 +554,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         timebin_ps=cfg.timebin_ps,
         rep_period_ps=cfg.rep_period_ps,
         divider=cfg.divider,
-        refs=np.arange(0, cfg.n_pulses * period, cfg.divider * period, dtype=np.uint64),
+        refs=refs,
         d1=_sorted_stamps(clicks1 * period + offs1),
         d2=_sorted_stamps(clicks2 * period + offs2),
         provenance=cfg.provenance(),
@@ -584,6 +603,18 @@ def delay_configs(cfg: SimConfig, delays) -> list[tuple[float, SimConfig]]:
             for index, delta_t in enumerate(delays)]
 
 
+def _scan(runs: list[tuple[float, SimConfig]]):
+    """The result of each (delta_t, config) of a delay_configs list,
+    simulated as it is taken. The configs differ only in delta_t and
+    seed, so every run holds one read-only reference grid, built here
+    once."""
+    refs = _reference_grid(runs[0][1])
+    return (_simulate(sub, refs) for _, sub in runs)
+
+
 def scan_delays(cfg: SimConfig, delays) -> list[tuple[float, SimResult]]:
-    """Run one independent simulation per delay of delay_configs."""
-    return [(delta_t, run_simulation(sub)) for delta_t, sub in delay_configs(cfg, delays)]
+    """Run one independent simulation per delay of delay_configs. Each
+    result equals run_simulation of its config, and every stream holds
+    the same read-only refs array: a scan holds one pulse train."""
+    runs = delay_configs(cfg, delays)
+    return [(delta_t, result) for (delta_t, _), result in zip(runs, _scan(runs))]

@@ -15,6 +15,7 @@ import tracemalloc
 import pytest
 
 from zeroherald import analysis, tags
+from zeroherald import sim as sim_mod
 from zeroherald.analysis import compute_rates
 from zeroherald.cli import main
 from zeroherald.errors import FitConvergenceError
@@ -449,6 +450,20 @@ class TestScanCommand:
         manifest = json.loads((out_dir / "scan_manifest.json").read_text())
         assert manifest["config"]["scan_delays"] == [0.0]
         assert [float(row["delta_t"]) for row in read_csv(out_dir / "rates.csv")] == [0.0]
+
+    def test_scan_builds_one_grid(self, tmp_path, cfg_path, monkeypatch):
+        build, grids = sim_mod._reference_grid, []
+
+        def counted(cfg):
+            grids.append(build(cfg))
+            return grids[-1]
+
+        monkeypatch.setattr(sim_mod, "_reference_grid", counted)
+        out_dir = tmp_path / "scan"
+        assert main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "--span", "3e-13", "--points", "5", "--set", "n_pulses=5121"]) == 0
+        assert len(grids) == 1 and not grids[0].flags.writeable
+        assert len(read_csv(out_dir / "rates.csv")) == 5
 
     def test_failed_fit_is_skipped_with_a_note(self, tmp_path, cfg_path, capsys, monkeypatch):
         def no_fit(summaries):

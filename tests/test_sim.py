@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from zeroherald import (
     DetectorParams,
     IndistinguishabilityProfile,
     SimConfig,
+    SimTruth,
     SourceParams,
     output_distribution,
     run_simulation,
@@ -41,6 +43,7 @@ from zeroherald.sim import (
     _pair_draws,
     _pair_photons,
     _sorted_stamps,
+    delay_configs,
     derive_delay_seed,
 )
 from zeroherald.tags import _RECORD as RECORD, Channel, TagStream, _record_blocks, write_tags
@@ -575,6 +578,53 @@ class TestScanDelays:
         assert out[0][1].config.nu == pytest.approx(math.exp(-4.0))
         seeds = {r.config.seed for _, r in out}
         assert len(seeds) == 3
+
+    def test_runs_share_one_read_only_grid(self):
+        """Every run holds one grid, and is still the run of its own config:
+        stream and truth equal run_simulation of its delay_configs entry."""
+        cfg = config(source=SourceParams(gamma=0.05, kappa1=0.8, kappa2=0.7),
+                     det1=DetectorParams(eta=0.6, dark_prob=1e-3, afterpulse_prob=0.1,
+                                         dead_pulses=2),
+                     jitter_sigma=20e-12, out_gate_dark_rate=1e6, seed=5)
+        delays = [-2e-13, 0.0, 1e-13]
+        out = scan_delays(cfg, delays)
+        refs = out[0][1].stream.refs
+        for (delta_t, res), (want_dt, sub) in zip(out, delay_configs(cfg, delays), strict=True):
+            assert res.stream.refs is refs
+            single = run_simulation(sub)
+            assert delta_t == want_dt and res.config == sub
+            assert res.stream == single.stream
+            assert res.stream.provenance == single.stream.provenance
+            for field in dataclasses.fields(SimTruth):
+                got, want = getattr(res.truth, field.name), getattr(single.truth, field.name)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        with pytest.raises(ValueError):
+            refs[0] = 1
+        assert refs[0] == 0
+
+    def test_single_run_refs_are_read_only(self):
+        refs = run_simulation(config()).stream.refs
+        assert not refs.flags.writeable
+        with pytest.raises(ValueError):
+            refs[0] = 1
+
+    def test_scan_holds_one_grid(self):
+        """13 paper-point runs of 1e8 pulses hold about three grids' worth
+        (4.5 MB against 1.49 MB a grid): one grid plus the events; a grid
+        per run would be over 13."""
+        cfg = config(source=SourceParams(gamma=1e-4, kappa1=0.5, kappa2=0.5),
+                     det1=DetectorParams(eta=0.32, dead_pulses=5),
+                     det2=DetectorParams(eta=0.30, dead_pulses=5),
+                     profile=IndistinguishabilityProfile(nu_max=0.975, tau=1e-13),
+                     n_pulses=10**8, seed=3, out_gate_dark_rate=240.0)
+        tracemalloc.start()
+        try:
+            out = scan_delays(cfg, np.linspace(-3e-13, 3e-13, 13))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * out[0][1].stream.refs.nbytes
 
     def test_derived_seeds_are_stable(self):
         assert derive_delay_seed(17, 0) == derive_delay_seed(17, 0)
