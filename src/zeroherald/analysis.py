@@ -75,6 +75,7 @@ _RATES = {
     "heralding_success": ("n_herald_pulses", "n_live_pulses"),
 }
 RATE_FIELDS = tuple(_RATES)
+MIN_FIT_POINTS = 5  # a series' a, b, t0 and sigma, and one degree of freedom
 
 
 def _derived(cls):
@@ -183,8 +184,8 @@ def _fit_points(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     arr = np.asarray(list(points), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValidationError("fit points must be (delta_t, rate, stderr) triples")
-    if arr.shape[0] < 5:
-        raise ValidationError(f"need at least 5 points to fit, got {arr.shape[0]}")
+    if arr.shape[0] < MIN_FIT_POINTS:
+        raise ValidationError(f"need at least {MIN_FIT_POINTS} points to fit, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("fit points must be finite")
     order = np.argsort(arr[:, 0], kind="stable")
@@ -468,14 +469,14 @@ def compare_to_model(summary: RateSummary, cfg) -> ModelComparison:
     )
 
 
-def write_rate_csv(summaries: Sequence[RateSummary], sink, rep_rate_hz: float | None = None) -> None:
+def write_rate_csv(summaries: Sequence[RateSummary], sink, rep_rate_hz: float) -> None:
     """Rate summaries as CSV, one row per delay.
 
-    With rep_rate_hz given, per-second columns (rate x repetition rate)
-    are appended for the click rates, matching how counting rates are
+    Per-second columns (rate x repetition rate rep_rate_hz) follow the
+    per-pulse ones for the click rates, matching how counting rates are
     usually plotted.
     """
-    per_s = ["singles1", "singles2", "coincidence", "heralded_rate"] if rep_rate_hz else []
+    per_s = ["singles1", "singles2", "coincidence", "heralded_rate"]
     with _opened(sink, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["delta_t", "n_pulses", *_COUNTS,

@@ -11,11 +11,8 @@ Subcommands:
                virtual gate defaults to the config's gate_window
     compare    z-scores of tag files against a config's closed forms
 
-Exit codes: 0 success; 2 usage errors (bad flags); 3 parameter or
-config validation failures, and output paths that cannot be written;
-4 tag-file format or integrity problems, and tag files of different
-repetition periods analysed together; 5 numerical failures (fits,
-inversions, degenerate tables).
+Exit codes: 0 success, 2 bad flags, else the exit_code (3, 4 or 5) the
+errors module gives the error raised; a failure in an input file names it.
 
 The front end only parses: each parameter is checked by the model type
 that holds it, and --delays is read as a config list is, so a
@@ -115,15 +112,22 @@ def _overrides(pairs) -> dict[str, str]:
     return out
 
 
+@contextmanager
+def _naming(path):
+    """Prefix a failure in the block with path; an OutputError names its path already."""
+    try:
+        yield
+    except ZeroHeraldError as exc:
+        if not isinstance(exc, OutputError):
+            exc.args = (f"{path}: {exc}",)  # in place: the class and its attributes stay
+        raise
+
+
 def _read_tag_file(path: str) -> tags.TagStream:
     try:
-        if path.endswith(".csv"):
-            return tags.read_tags_csv(path)
-        return tags.read_tags(path)
-    except (FormatError, IntegrityError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        return (tags.read_tags_csv if path.endswith(".csv") else tags.read_tags)(path)
     except OSError as exc:
-        raise FormatError(f"cannot read tag file {path}: {exc.strerror or exc}") from None
+        raise FormatError(f"cannot read tag file: {exc.strerror or exc}") from None
 
 
 def _delay_grid(half_width: float, points: int) -> np.ndarray:
@@ -175,22 +179,23 @@ def cmd_simulate(args) -> int:
 
 def _reduce(names, streams, delays, gate, dead_pulses):
     """Each stream's RateSummary at its delay, and the streams' shared
-    repetition rate in Hz. Streams are taken from the iterator one at a
-    time and dropped once reduced, so memory follows the largest one.
-    One rate serves every row of the rate CSV, so a stream whose period
-    differs from the first one's is an IntegrityError naming it."""
+    repetition rate in Hz. Streams are taken one at a time and dropped
+    once reduced, so memory follows the largest one; a failure names its
+    file. One rate serves every row of the rate CSV, so a period that
+    differs from the first stream's is an IntegrityError."""
     summaries = []
     for name, delta_t in zip(names, delays):
-        stream = next(streams)
-        if not summaries:
-            first, period = name, stream.rep_period_ps
-        elif stream.rep_period_ps != period:
-            raise IntegrityError(
-                f"{name}: rep_period_ps {stream.rep_period_ps} differs from {period} in "
-                f"{first}; files analysed together must share one repetition period")
-        table = pipeline.table_from_stream(stream, gate, dead_pulses, dead_pulses)[2]
-        del stream  # not held while the next one is read
-        summaries.append(analysis.compute_rates(table, delta_t))
+        with _naming(name):
+            stream = next(streams)
+            if not summaries:
+                first, period = name, stream.rep_period_ps
+            elif stream.rep_period_ps != period:
+                raise IntegrityError(
+                    f"rep_period_ps {stream.rep_period_ps} differs from {period} in {first}; "
+                    "files analysed together must share one repetition period")
+            table = pipeline.table_from_stream(stream, gate, dead_pulses, dead_pulses)[2]
+            del stream  # not held while the next one is read
+            summaries.append(analysis.compute_rates(table, delta_t))
     return summaries, tags.PS_PER_SECOND / period
 
 
@@ -199,7 +204,7 @@ def _write_results(summaries, rep_rate_hz, rates_out, fits_out):
     with enough points to try, to fits_out if given; returns the fits."""
     with _out_stream(rates_out) as fh:
         analysis.write_rate_csv(summaries, fh, rep_rate_hz=rep_rate_hz)
-    if len(summaries) < 5:
+    if len(summaries) < analysis.MIN_FIT_POINTS:
         return {}
     try:
         fits = analysis.scan_fit(summaries)
@@ -242,9 +247,9 @@ def cmd_scan(args) -> int:
     cfg = config_mod.load_config(args.config, _overrides(args.set))
     if args.delays is not None:
         delays = config_mod._parse_list("--delays", args.delays)
+    elif args.span is None:
+        raise ValidationError("scan needs --delays or --span")
     else:
-        if args.span is None:
-            raise ValidationError("scan needs --delays or --span")
         delays = list(_delay_grid(args.span, args.points))
     gate = cfg.gate_window if args.gate is None else args.gate
     # the rules the reduction applies, checked before anything is written;
@@ -278,8 +283,9 @@ def cmd_compare(args) -> int:
                            args.gate, args.dead_pulses)
     worst = 0.0
     with _out_stream(args.out) as fh:
-        for summary in summaries:
-            report = analysis.compare_to_model(summary, cfg)
+        for name, summary in zip(args.files, summaries):
+            with _naming(name):
+                report = analysis.compare_to_model(summary, cfg)
             worst = max(worst, *map(abs, report.z.values()))
             fh.write(json.dumps(report.to_dict()) + "\n")
     print(f"largest |z| = {worst:.3f}", file=sys.stderr)
@@ -364,15 +370,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, IntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except ZeroHeraldError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
-Grouped by how the command line maps them to exit codes: parameter and
-config problems, output paths among them (3), tag-file format and
-integrity problems (4), and numerical or degenerate-data problems (5).
+Each class carries its command-line exit code as exit_code, by group: 3
+for parameter, config and output-path problems, 4 for tag-file format and
+integrity problems, and 5 for numerical or degenerate-data problems.
 
 check_count is the one count rule: a pulse count, dead window, header
 field or cell tally that is not a whole number is rejected, never truncated.
@@ -17,6 +17,7 @@ from numbers import Integral, Real
 
 class ZeroHeraldError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 3
 
 
 class ValidationError(ZeroHeraldError):
@@ -37,11 +38,13 @@ class CapacityError(ValidationError):
 
 class FormatError(ZeroHeraldError):
     """A tag file has a bad magic string, version, or record layout."""
+    exit_code = 4
 
 
 class IntegrityError(ZeroHeraldError):
     """A tag stream's content violates its own invariants, or disagrees
     with the streams it is reduced with."""
+    exit_code = 4
 
 
 class InsufficientReferenceError(IntegrityError):
@@ -58,6 +61,7 @@ class ClockGlitchError(IntegrityError):
 
 class NumericalError(ZeroHeraldError):
     """A computation failed or produced an out-of-domain result."""
+    exit_code = 5
 
 
 class DegenerateInputError(NumericalError):

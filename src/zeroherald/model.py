@@ -313,11 +313,9 @@ def p_c2_given_nc1_exact(src: SourceParams, eta1: float, eta2: float, nu: float)
     Bayes on the single and coincidence probabilities:
     (P(C2) - P(C1 and C2)) / (1 - P(C1)).
     """
-    pc1 = p_click_single(src, eta1, nu)
+    pc1 = p_click_single(src, eta1, nu)  # at most 3/4 on the unit cube
     pc2 = p_click_single(src, eta2, nu)
     pcc = p_coincidence(src, eta1, eta2, nu)
-    if pc1 >= 1.0:
-        raise DegenerateInputError("detector 1 clicks every pulse; conditioning impossible")
     return (pc2 - pcc) / (1.0 - pc1)
 
 
@@ -345,9 +343,7 @@ def cwr_approx(eta1p, eta2p, nu_max: float) -> float:
     e1 = check_real("effective efficiency", eta1p, "unit")
     e2 = check_real("effective efficiency", eta2p, "unit")
     check_real("nu_max", nu_max, "unit")
-    denom = 4.0 - 2.0 * e1 - e2
-    if denom <= 0.0:
-        raise DegenerateInputError(f"wing rate vanished (denominator {denom!r})")
+    denom = 4.0 - 2.0 * e1 - e2  # at least 1, as e1 and e2 lie in [0, 1]
     # single fraction so the anchor points land on exact floats:
     # eta1'=1, nu=1 -> 2; eta1'=eta2'/2 -> 1; (0, 1, 1) -> 2/3
     return (denom + nu_max * (2.0 * e1 - e2)) / denom

@@ -181,9 +181,7 @@ class SimConfig:
     @property
     def p_out_gate_dark(self) -> float:
         """Per-pulse probability of a dark tag outside the gate window."""
-        out_bins = self.period_tb - self.ingate_bins
-        if out_bins <= 0:
-            return 0.0
+        out_bins = self.period_tb - self.ingate_bins  # >= 0: the window lies inside the period
         return self.out_gate_dark_rate * out_bins * self.timebin_ps * 1e-12
 
     @property

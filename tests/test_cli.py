@@ -12,15 +12,23 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from zeroherald import analysis, tags
+from zeroherald import analysis, cli, tags
 from zeroherald import sim as sim_mod
 from zeroherald.analysis import compute_rates
 from zeroherald.cli import main
-from zeroherald.errors import FitConvergenceError
+from zeroherald.errors import (
+    ClockGlitchError,
+    FitConvergenceError,
+    FormatError,
+    IntegrityError,
+    NumericalError,
+    ZeroHeraldError,
+)
 from zeroherald.model import cwr_approx
-from zeroherald.pipeline import table_from_stream
+from zeroherald.pipeline import reconstruct_pulse_train, table_from_stream
 
 CONFIG = """\
 gamma = 5e-3
@@ -329,7 +337,7 @@ class TestAnalyzeCommand:
                      "--rates-out", str(rates_out)])
         assert code == 4
         err = capsys.readouterr().err
-        assert str(slow) in err and "repetition period" in err
+        assert err.count(str(slow)) == 1 and "repetition period" in err
         assert not rates_out.exists()
 
     def test_quiet_stream_still_reduces(self, tmp_path, capsys):
@@ -540,6 +548,112 @@ class TestUnwritableOutputs:
         assert err.startswith("error: cannot write ")
         assert (str(bad) if command[0] != "scan" else f"{tag_file}/sub") in err
         assert not bad.parent.exists()
+
+    def test_unwritable_scan_tag_file_is_named_once(self, tmp_path, cfg_path, capsys):
+        out_dir = tmp_path / "scan"
+        blocked = out_dir / "tags_001.zht"
+        blocked.mkdir(parents=True)
+        code = main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "--delays", "0,1e-13"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocked}: ")
+        assert err.count(str(blocked)) == 1
+
+
+class TestFailingFileIsNamed:
+    """A failure in one tag file of analyze or compare exits with its
+    error group's code and names that file, once, on stderr."""
+
+    # each fault the second file carries, and the exit code it gives
+    FAULTS = {"glitch": 4, "one_ref": 4, "wide_gate": 3, "no_herald": 5}
+
+    @pytest.fixture
+    def ok(self, tmp_path, cfg_path):
+        out = tmp_path / "ok.zht"
+        main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        return out
+
+    @staticmethod
+    def faulty(tmp_path, ok, fault):
+        """A tag file of ok's period with one fault; the wide gate is a
+        pulse train of 20 timebins, under the 2 ns gate's 24.7."""
+        path = tmp_path / f"{fault}.zht"
+        if fault == "no_herald":
+            cfg = tmp_path / "dark.cfg"
+            cfg.write_text(CONFIG.replace("gamma = 5e-3", "gamma = 0") + "dark_prob1 = 1\n")
+            assert main(["simulate", "--config", str(cfg), "--out", str(path)]) == 0
+            return path
+        stream = tags.read_tags(ok)
+        refs = stream.refs.copy()
+        if fault == "glitch":
+            refs[10:] += 1000  # gap 9 is 1000 timebins long, over the 256 allowed
+        elif fault == "one_ref":
+            refs = refs[:1]
+        else:
+            refs = np.arange(refs.size, dtype=np.uint64) * np.uint64(20 * stream.divider)
+        tags.write_tags(tags.TagStream(stream.timebin_ps, stream.rep_period_ps,
+                                       stream.divider, refs, stream.d1, stream.d2), path)
+        return path
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_second_file_is_named_once(self, tmp_path, cfg_path, ok, capsys, command, fault):
+        bad = self.faulty(tmp_path, ok, fault)
+        flags = (["--rates-out"] if command == "analyze"
+                 else ["--config", str(cfg_path), "--out"])
+        capsys.readouterr()
+        code = main([command, str(ok), str(bad), "--delays", "0,1e-13",
+                     *flags, str(tmp_path / "out.txt")])
+        assert code == self.FAULTS[fault]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert err.count(str(bad)) == 1 and str(ok) not in err
+
+    def test_compare_names_the_file_the_model_fails_on(self, tmp_path, ok, capsys):
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(CONFIG.replace("nu_max = 0.9\ntau = 1e-13\n", (
+            "profile_shape = tabulated\n"
+            "profile_delays = -1e-13, 0, 1e-13\n"
+            "profile_values = 0, 0.9, 0\n")))
+        other = tmp_path / "other.zht"
+        other.write_bytes(ok.read_bytes())
+        code = main(["compare", str(ok), str(other), "--delays", "0,5e-13",
+                     "--config", str(cfg), "--out", str(tmp_path / "cmp.jsonl")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {other}: delay outside the tabulated profile range")
+        assert err.count(str(other)) == 1
+
+    def test_named_error_keeps_its_class_and_attributes(self, tmp_path, ok):
+        bad = self.faulty(tmp_path, ok, "glitch")
+        with pytest.raises(ClockGlitchError) as direct:
+            reconstruct_pulse_train(tags.read_tags(bad))
+        names = [str(ok), str(bad)]
+        with pytest.raises(ClockGlitchError) as named:
+            cli._reduce(names, map(cli._read_tag_file, names), [0.0, 1e-13], 2e-9, 5)
+        assert named.value.indices == direct.value.indices == (9,)
+        assert str(named.value) == f"{bad}: {direct.value}"
+
+
+def all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from all_subclasses(sub)
+
+
+@pytest.mark.parametrize("error", [ZeroHeraldError, *all_subclasses(ZeroHeraldError)],
+                         ids=lambda error: error.__name__)
+def test_each_error_exits_with_its_group_code(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_model", fail)
+    group = (4 if issubclass(error, (FormatError, IntegrityError))
+             else 5 if issubclass(error, NumericalError) else 3)
+    assert error.exit_code == group
+    assert main(["model", "--eta1p", "0.1", "--eta2p", "0.1"]) == group
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestOneStreamAtATime:

@@ -109,6 +109,10 @@ class TestBuildSimConfig:
         with pytest.raises(ConfigError, match="whole number"):
             build_sim_config(raw(drop=("n_pulses",)) | {"n_pulses": "2.5e0"})
 
+    def test_non_numeric_int_rejected(self):
+        with pytest.raises(ConfigError, match="^n_pulses must be an integer, got 'many'$"):
+            build_sim_config(raw(drop=("n_pulses",)) | {"n_pulses": "many"})
+
     def test_non_numeric_float_rejected(self):
         with pytest.raises(ConfigError, match="gamma must be a number"):
             build_sim_config(raw(drop=("gamma",)) | {"gamma": "lots"})

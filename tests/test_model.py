@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from zeroherald import (
     DetectorParams,
     IndistinguishabilityProfile,
+    OutputDistribution,
     SourceParams,
     curve_grid,
     cwr_approx,
@@ -101,6 +102,14 @@ class TestSuccessAndFidelity:
         with pytest.raises(ValidationError):
             success_probability([0.5, 0.6], DetectorParams(eta=0.3))
 
+    @pytest.mark.parametrize("probs, match", [
+        ([], "non-empty 1-d"),
+        ([-0.5, 1.5], "negative or NaN"),
+    ])
+    def test_rejects_empty_or_negative_distribution(self, probs, match):
+        with pytest.raises(ValidationError, match=match):
+            success_probability(probs, DetectorParams(eta=0.3))
+
 
 class TestOutputDistribution:
     def test_frozen_values(self):
@@ -123,6 +132,10 @@ class TestOutputDistribution:
         vals = list(d.as_dict().values())
         assert all(v >= 0.0 for v in vals)
         assert math.fsum(vals) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValidationError, match="sums to 0.5, not 1"):
+            OutputDistribution(p00=0.5, p10=0.0, p01=0.0, p11=0.0, p20=0.0, p02=0.0)
 
     def test_marginal_sums_one_arm(self):
         d = output_distribution(SRC, NU)
@@ -284,6 +297,8 @@ class TestCwrInversion:
     def test_no_interference_ratio_is_uninvertible(self):
         with pytest.raises(NoSolutionError):
             invert_cwr_for_eta1(1.0, 0.15, 0.0)
+        with pytest.raises(NoSolutionError, match="flat curve"):
+            invert_cwr_for_eta2_unheralded(1.0, 0.0)
 
 
 class TestIndistinguishabilityProfile:
@@ -348,6 +363,17 @@ class TestIndistinguishabilityProfile:
         # a NaN entry used to pass and give nu_max = nan
         with pytest.raises(ValidationError, match=match):
             IndistinguishabilityProfile(shape="tabulated", delays=delays, values=values)
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(shape="tabulated", delays=[-1e-13, 0.0, 1e-13], values=[0.1, 0.9]),
+         "two same-length 1-d arrays"),
+        (dict(shape="tabulated", delays=[1e-13, 2e-13], values=[0.9, 0.1]),
+         "must cover delay 0"),
+        (dict(shape="lorentzian", nu_max=0.9, tau=1e-13), "unknown profile shape 'lorentzian'"),
+    ])
+    def test_rejects_bad_table_or_shape(self, kw, match):
+        with pytest.raises(ValidationError, match=match):
+            IndistinguishabilityProfile(**kw)
 
     def test_tabulated_rejects_nan_ceiling(self):
         with pytest.raises(ValidationError, match="nu_max disagrees"):

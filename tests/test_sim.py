@@ -654,6 +654,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             config(n_pulses=0)
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(seed=2**64), "seed must be an unsigned 64-bit integer"),
+        (dict(rep_period=100e-12, gate_window=50e-12), "at least 2 timebins"),
+        (dict(rep_period=5e-3), "does not fit the 32-bit header field"),
+    ])
+    def test_seed_and_period_ranges(self, kw, match):
+        with pytest.raises(ValidationError, match=match):
+            config(**kw)
+
+    def test_scan_needs_a_delay(self):
+        with pytest.raises(ValidationError, match="at least one delay"):
+            delay_configs(config(), [])
+
     @pytest.mark.parametrize("field, value", [
         ("delta_t", math.nan),  # ran with nu = nan and almost no detector tags
         ("delta_t", math.inf),

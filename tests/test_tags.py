@@ -143,6 +143,11 @@ class TestStreamValidation:
         b = make_stream([1], [7], provenance="two")
         assert a == b
 
+    def test_equality_with_a_non_stream(self):
+        s = make_stream([1], [7])
+        assert s.__eq__(7) is NotImplemented
+        assert s != 7 and s != None  # noqa: E711
+
     def test_equality_is_per_channel(self):
         a = TagStream(refs=u64([0, 4]), d1=u64([4]), d2=u64([]), **HEADER)
         assert a == TagStream(refs=u64([0, 4]), d1=np.array([4]), d2=u64([]), **HEADER)
@@ -693,6 +698,15 @@ class TestCsvRecordGrammar:
         path.write_bytes(csv_text().encode() + b"D1,\xff\n")
         with pytest.raises(FormatError, match="decode"):
             read_tags_csv(path)
+
+    @pytest.mark.parametrize("old, new, error", [
+        ("# version = 1", "version = 1", "^line 2: expected column header, got 'version = 1"),
+        ("# divider = 512", "# divider = lots", "^bad header value: "),
+        ("# version = 1", "# version = 2", "^unsupported format version 2$"),
+    ])
+    def test_bad_header_lines_rejected(self, old, new, error):
+        with pytest.raises(FormatError, match=error):
+            read_tags_csv(io.StringIO(csv_text().replace(old, new)))
 
     def test_missing_column_header_rejected(self):
         text = csv_text()
