@@ -201,10 +201,14 @@ def _reduce(names, streams, delays, gate, dead_pulses):
 
 def _write_results(summaries, rep_rate_hz, rates_out, fits_out):
     """Write the rate CSV, then the shared-shape fit of the rate series,
-    with enough points to try, to fits_out if given; returns the fits."""
+    with enough points to try, to fits_out if given; returns the fits.
+    A fit over one delay, or one that fails, is skipped with a note."""
     with _out_stream(rates_out) as fh:
         analysis.write_rate_csv(summaries, fh, rep_rate_hz=rep_rate_hz)
     if len(summaries) < analysis.MIN_FIT_POINTS:
+        return {}
+    if len({s.delta_t for s in summaries}) < 2:
+        print("note: scan fit skipped: fit needs a spread of delays", file=sys.stderr)
         return {}
     try:
         fits = analysis.scan_fit(summaries)

@@ -6,29 +6,46 @@ a sorted array of u64 timebin counts since the run started: refs for
 the reference clock, d1 and d2 for the detectors. Streams are equal when
 their headers and each channel's timestamps are.
 
-Both file formats hold one list of (channel, timestamp) records in time
-order, REF then D1 then D2 on equal timestamps: the writers interleave
-the channels a block at a time, the readers check the order across all
-records and split them. A file with equal-timestamp tags in another
-channel order reads to the same stream, written back in the order above.
-
-Binary layout (little-endian), 18-byte header then 9-byte records:
+The binary writer writes format version 2, each channel's array whole;
+the binary reader reads versions 1 and 2. Both share an 18-byte prefix
+(little-endian):
 
     offset  size  field
     0       4     magic "ZHT1"
-    4       2     u16 format version (currently 1)
+    4       2     u16 format version (1 or 2)
     6       4     u32 timebin in picoseconds
     10      4     u32 pulse period in picoseconds
     14      4     u32 reference divider
-    18      9*N   records: u8 channel, u64 timestamp
 
-The CSV form carries the same header as "# key = value" comment lines
-plus a free-text provenance note, then the column header
-"channel,timestamp" and a record NAME,DIGITS a line: NAME is REF, D1 or
-D2 and DIGITS a decimal below 2**64 (a plus sign, leading zeros and
-surrounding ASCII blanks are tolerated). Empty lines are skipped;
-anything else, a "#" line or a non-ASCII character included, is a
-FormatError naming its line.
+Version 2 then holds three u64 counts and the three sections:
+
+    18      24    u64 counts of refs, d1 and d2
+    42      8*R   refs timestamps, u64 each
+    42+8R   8*D1  d1 timestamps
+    ...     8*D2  d2 timestamps
+
+The counts are checked against the file size before anything is
+allocated: a section that runs past the end of the file, or bytes left
+after the d2 section, is a FormatError naming the section (or the
+trailing bytes) and its byte offset. A timestamp below the one before
+it in its channel is an IntegrityError naming the channel, the index
+and the byte offset of the timestamp.
+
+Version 1, which is read but no longer written, holds one list of
+9-byte records (u8 channel, u64 timestamp) in time order from offset
+18, REF then D1 then D2 on equal timestamps. Its reader checks the order
+across all records and splits them; an error in a record names it and
+its byte offset. A file with equal-timestamp tags in another channel
+order reads to the same stream.
+
+The CSV form stays interleaved, as the text a time-tagger exports: it
+carries the header as "# key = value" comment lines plus a free-text
+provenance note, then the column header "channel,timestamp" and a
+record NAME,DIGITS a line in the record order above, written a block at
+a time: NAME is REF, D1 or D2 and DIGITS a decimal below 2**64 (a plus
+sign, leading zeros and surrounding ASCII blanks are tolerated). Empty
+lines are skipped; anything else, a "#" line or a non-ASCII character
+included, is a FormatError naming its line.
 """
 
 from __future__ import annotations
@@ -51,12 +68,15 @@ __all__ = ["Channel", "TagStream", "write_tags", "read_tags",
 
 PS_PER_SECOND = 1e12
 MAGIC = b"ZHT1"
-VERSION = 1
-_HEADER = struct.Struct("<4sHIII")
+VERSION = 2  # of the binary files written; version 1 is still read
+_CSV_VERSION = 1
+_HEADER = struct.Struct("<4sHIII")  # the prefix both binary versions share
+_COUNTS = struct.Struct("<QQQ")  # version 2: tags in refs, d1 and d2
+_STAMP = np.dtype("<u8")
 _RECORD = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
 _CSV_COLUMNS = "channel,timestamp"
 _CSV_DTYPE = np.dtype([("ch", "S4"), ("ts", "u8")])
-_BLOCK = 1 << 16  # records per block of the writers' interleave and the readers' split
+_BLOCK = 1 << 16  # records per block of the CSV interleave and the record split
 _CSV_SCAN = 1 << 20  # characters per block of the NUL scan
 # what np.loadtxt accepts as a record: a known name, one comma, a
 # decimal that may carry a plus sign, leading zeros and surrounding
@@ -107,10 +127,10 @@ class TagStream:
 
     @classmethod
     def from_records(cls, channels, timestamps, **header) -> TagStream:
-        """A stream from (channel, timestamp) records, as both readers
-        split them; header holds the other fields. Codes must be 0 (REF),
-        1 (D1) or 2 (D2) and timestamps may not decrease across records,
-        ties in any channel order. A pass over the blocks sizes the
+        """A stream from (channel, timestamp) records, as the version 1
+        and CSV readers split them; header holds the other fields. Codes
+        must be 0 (REF), 1 (D1) or 2 (D2) and timestamps may not decrease
+        across records, ties in any channel order. A pass over the blocks sizes the
         channels and a second fills them, splitting a mixed block
         (_mixed_block) by one stable counting sort of its codes and any
         other by a mask per channel, so beside the records and the
@@ -252,38 +272,92 @@ def _opened(source, mode: str, newline: str | None = None):
 
 
 def write_tags(stream: TagStream, sink) -> None:
-    """Write a stream in the binary format, a block of records at a
-    time; sink is a path or file."""
+    """Write a stream in binary format version 2: the header and the
+    three counts, then each channel's array as it is; sink is a path or
+    file."""
+    parts = [np.ascontiguousarray(getattr(stream, name), dtype=_STAMP) for name in _CHANNELS]
     with _opened(sink, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, stream.timebin_ps,
-                              stream.rep_period_ps, stream.divider))
-        for records in _record_blocks(stream):
-            fh.write(records)
+        fh.write(_HEADER.pack(MAGIC, VERSION, stream.timebin_ps, stream.rep_period_ps,
+                              stream.divider) + _COUNTS.pack(*(part.size for part in parts)))
+        for part in parts:
+            fh.write(part)
 
 
 def read_tags(source) -> TagStream:
-    """Read a binary tag file; source is a path or file. Bad magic,
-    version, header fields, channel codes or a truncated record raise
-    FormatError, timestamps that go backwards IntegrityError; an error
-    in a record names it and its byte offset."""
+    """Read a binary tag file of version 1 or 2; source is a path or
+    file, and an unseekable one is read whole first. Bad magic, version
+    or header fields raise FormatError, as do a v2 section that does not
+    fit the file and a v1 record with a bad channel code or cut short;
+    timestamps that go backwards raise IntegrityError."""
     with _opened(source, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"file too short for a header ({len(blob)} bytes)")
-    magic, version, timebin_ps, rep_period_ps, divider = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    trailing = (len(blob) - _HEADER.size) % _RECORD.itemsize
+        if not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"file too short for a header ({len(head)} bytes)")
+        magic, version, timebin_ps, rep_period_ps, divider = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        header = dict(timebin_ps=timebin_ps, rep_period_ps=rep_period_ps, divider=divider)
+        if version == 1:
+            return _read_records(fh.read(), header)
+        if version == 2:
+            return _read_sections(fh, header)
+    raise FormatError(f"unsupported format version {version}")
+
+
+def _read_sections(fh, header: dict) -> TagStream:
+    """The three sections of a version 2 file, fh just past the 18-byte
+    prefix: the counts are checked against the bytes left, then each
+    section is read into its own array and TagStream checks each
+    channel's order."""
+    raw, start = fh.read(_COUNTS.size), _HEADER.size + _COUNTS.size
+    if len(raw) < _COUNTS.size:
+        raise FormatError(f"file too short for a version 2 header "
+                          f"({_HEADER.size + len(raw)} bytes)")
+    counts, at = _COUNTS.unpack(raw), fh.tell()
+    size = start + fh.seek(0, io.SEEK_END) - at
+    fh.seek(at)
+    offsets, end = [], start
+    for name, count in zip(_CHANNELS, counts):
+        if count > (size - end) // _STAMP.itemsize:
+            raise FormatError(f"{name} section at byte offset {end} runs past the end of the "
+                              f"file ({count} tags, {size - end} bytes left)")
+        offsets.append(end)
+        end += count * _STAMP.itemsize
+    if end < size:
+        raise FormatError(f"{size - end} trailing bytes at byte offset {end}, "
+                          f"after the d2 section")
+    parts = []
+    for name, offset, count in zip(_CHANNELS, offsets, counts):
+        part = np.empty(count, dtype=_STAMP)
+        if fh.readinto(part) != part.nbytes:  # the file shrank since it was sized
+            raise FormatError(f"{name} section at byte offset {offset} is cut short")
+        parts.append(part)
+    try:
+        return TagStream(refs=parts[0], d1=parts[1], d2=parts[2], **header)
+    except ValidationError:  # a zero timebin, period or divider
+        raise FormatError("header fields must be positive") from None
+    except IntegrityError:
+        for name, offset, part in zip(_CHANNELS, offsets, parts):
+            bad = _first_descent(part)
+            if bad is not None:
+                raise IntegrityError(f"{name} timestamps go backwards at index {bad} (byte "
+                                     f"offset {offset + bad * _STAMP.itemsize})") from None
+        raise
+
+
+def _read_records(body: bytes, header: dict) -> TagStream:
+    """The 9-byte records of a version 1 file after its 18-byte header,
+    split by TagStream.from_records."""
+    trailing = len(body) % _RECORD.itemsize
     if trailing:
-        raise FormatError(f"truncated record at byte offset {len(blob) - trailing} "
+        raise FormatError(f"truncated record at byte offset {_HEADER.size + len(body) - trailing} "
                           f"({trailing} trailing bytes)")
-    records = np.frombuffer(blob, dtype=_RECORD, offset=_HEADER.size)
+    records = np.frombuffer(body, dtype=_RECORD)
     channels, timestamps = records["channel"], records["timestamp"]
     try:
-        return TagStream.from_records(channels, timestamps, timebin_ps=int(timebin_ps),
-                                      rep_period_ps=int(rep_period_ps), divider=int(divider))
+        return TagStream.from_records(channels, timestamps, **header)
     except ValidationError:  # a bad channel code, or a zero timebin, period or divider
         if channels.size and channels.max() > max(Channel):
             bad = int(np.argmax(channels > max(Channel)))
@@ -302,7 +376,7 @@ def write_tags_csv(stream: TagStream, sink) -> None:
     advisory free text, flattened to one line."""
     flat = " ".join(stream.provenance.splitlines())
     with _opened(sink, "w") as fh:
-        fh.write(f"# zht-csv\n# version = {VERSION}\n# timebin_ps = {stream.timebin_ps}\n"
+        fh.write(f"# zht-csv\n# version = {_CSV_VERSION}\n# timebin_ps = {stream.timebin_ps}\n"
                  f"# rep_period_ps = {stream.rep_period_ps}\n# divider = {stream.divider}\n"
                  f"# provenance = {flat}\n{_CSV_COLUMNS}\n")
         for records in _record_blocks(stream):
@@ -375,7 +449,7 @@ def _read_csv(fh, path) -> TagStream:
         raise FormatError(f"missing header line {exc}") from None
     except ValueError as exc:
         raise FormatError(f"bad header value: {exc}") from None
-    if version != VERSION:
+    if version != _CSV_VERSION:
         raise FormatError(f"unsupported format version {version}")
 
     if not fh.seekable():

@@ -18,7 +18,9 @@ reference for the estimated segments pipeline.virtual_gate checks.
 
 oracle_records is the record order of a stream by one stable sort of
 its three channels concatenated, the reference for the block-wise
-interleave the tag writers share.
+interleave of the CSV tag writer. v1_bytes encodes a stream as a
+version 1 binary tag file, 9-byte records in that order, which
+tags.read_tags still reads and tags.write_tags no longer writes.
 
 greedy_dead_time is the scalar walk that pipeline.apply_dead_time
 vectorises: the differential oracle for the shared dead-time thinning.
@@ -33,6 +35,7 @@ pulse. They share the physics of run_simulation but not its draw
 order, so they are statistical twins, not bitwise ones.
 """
 
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -172,6 +175,16 @@ def oracle_records(stream):
                          (stream.refs.size, stream.d1.size, stream.d2.size))
     order = np.argsort(timestamps, kind="stable")
     return channels[order], timestamps[order]
+
+
+def v1_bytes(stream) -> bytes:
+    """A stream's binary tag file in format version 1: the 18-byte header,
+    then a (u8 channel, u64 timestamp) record a tag in oracle_records order."""
+    channels, timestamps = oracle_records(stream)
+    records = np.empty(channels.size, dtype=[("channel", "u1"), ("timestamp", "<u8")])
+    records["channel"], records["timestamp"] = channels, timestamps
+    return struct.pack("<4sHIII", b"ZHT1", 1, stream.timebin_ps, stream.rep_period_ps,
+                       stream.divider) + records.tobytes()
 
 
 def greedy_dead_time(click_pulses, dead):

@@ -30,6 +30,8 @@ from zeroherald.errors import (
 from zeroherald.model import cwr_approx
 from zeroherald.pipeline import reconstruct_pulse_train, table_from_stream
 
+from dense_oracle import v1_bytes
+
 CONFIG = """\
 gamma = 5e-3
 kappa1 = 1
@@ -299,6 +301,19 @@ class TestAnalyzeCommand:
         main(["analyze", str(tag_file), "--fits-out", str(fits_out)])
         assert not fits_out.exists()
 
+    @pytest.mark.parametrize("fits_out", [False, True])
+    def test_fit_over_one_delay_is_skipped_with_a_note(self, tmp_path, tag_file, capsys,
+                                                        fits_out):
+        rates_out, fits_path = tmp_path / "rates.csv", tmp_path / "fits.jsonl"
+        flags = ["--fits-out", str(fits_path)] if fits_out else []
+        capsys.readouterr()
+        assert main(["analyze", *[str(tag_file)] * 5, "--delays=1e-13,1e-13,1e-13,1e-13,1e-13",
+                     "--rates-out", str(rates_out), *flags]) == 0
+        err = capsys.readouterr().err
+        assert err == "note: scan fit skipped: fit needs a spread of delays\n"
+        assert len(read_csv(rates_out)) == 5
+        assert not fits_path.exists()
+
     def test_corrupt_tag_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.zht"
         bad.write_bytes(b"not a tag file at all")
@@ -392,7 +407,9 @@ class TestScanCommand:
         time changed no byte of them; every pin was recomputed when each
         emitted pair came to be drawn from one uniform over the joint
         class table of its photons and click candidates (same law, new
-        streams). fits.jsonl holds the shared-shape scan fit and goes
+        streams). The tag files moved to format version 2 with the same
+        streams: each one's version 1 encoding (v1_bytes) keeps its old
+        pin. fits.jsonl holds the shared-shape scan fit and goes
         through LAPACK, so its pin assumes the same numpy build."""
         out_dir = tmp_path / "scan"
         assert main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
@@ -401,6 +418,15 @@ class TestScanCommand:
         pins = {
             "fits.jsonl": "4a67e75a775a4a3187b231cfebbff0ed3b51e113c77b66d3ab13bdbdcbe413b0",
             "rates.csv": "e7d6ab630a81b14cd572499604be4d44d225fdb454c51c315203fb643c95e66d",
+            "tags_000.zht": "23df519e151afd4c92f933481444fcace884f377cca39307853ab49c7b617add",
+            "tags_001.zht": "7ee35ab97073b18057891e11c56c535c3c560c5e71d3df640dbae82b36da8c57",
+            "tags_002.zht": "1929921a767fd643e348df7e5fb02162033ef7d0140e0ccb512f795e3b1812c3",
+            "tags_003.zht": "962656a08e2c752dbf95ec59219cb8f4cc3668878ad435cc3430352af7c21ca1",
+            "tags_004.zht": "d91a0afec986fbc8e491cbbab7e478f5f16668863f4a33b11e5638fac16b9637",
+            "tags_005.zht": "9de62014e252d6c05a4578e0111e759fb5a88c10907adc99867a185796b25f78",
+            "tags_006.zht": "17a247424d1da52bcab50107e3db308f6556b8f58c73a017088616b9dd1189ec",
+        }
+        v1_pins = {
             "tags_000.zht": "e84d7fbb18ba6f86ec8d3ad00f8f099b006a577a6cf4ac58174b787cb6473c58",
             "tags_001.zht": "1c56cb846d188a33051c873cbc17b0d3a4698bd7c368e65059b35490e7a3dcbf",
             "tags_002.zht": "a0dee4c411aa9f105f407288e444a643b942090485840205e5baa1fd3993e276",
@@ -413,6 +439,11 @@ class TestScanCommand:
         assert manifest["outputs"] == {str(out_dir / name): pin for name, pin in pins.items()}
         for name, pin in pins.items():
             assert sha256(out_dir / name) == pin, name
+        for name, pin in v1_pins.items():
+            stream = tags.read_tags(out_dir / name)
+            v1 = v1_bytes(stream)
+            assert hashlib.sha256(v1).hexdigest() == pin, name
+            assert tags.read_tags(io.BytesIO(v1)) == stream, name
 
     def test_gate_defaults_to_the_config_gate_window(self, tmp_path, cfg_path):
         scan = ["scan", "--config", str(cfg_path), "--delays=0",

@@ -46,10 +46,11 @@ from zeroherald.sim import (
     delay_configs,
     derive_delay_seed,
 )
-from zeroherald.tags import _RECORD as RECORD, Channel, TagStream, _record_blocks, write_tags
+from zeroherald.tags import (_RECORD as RECORD, Channel, TagStream, _record_blocks,
+                              read_tags, write_tags)
 
 from dense_oracle import (
-    DeadState, DenseTable, PulseState, afterpulse_walk, detect_pulse, sample_trial,
+    DeadState, DenseTable, PulseState, afterpulse_walk, detect_pulse, sample_trial, v1_bytes,
 )
 
 SRC = SourceParams(gamma=0.3, kappa1=0.7, kappa2=0.55)
@@ -382,7 +383,8 @@ class TestDeterminism:
 
 
 class TestGoldenStreams:
-    """SHA-256 of the binary tag file of three small fixed-seed runs.
+    """SHA-256 of the binary tag files of three small fixed-seed runs: the
+    version 1 file (v1_bytes) and the version 2 file write_tags writes.
 
     The no-afterpulse pin was computed before the no-afterpulse path of
     the detector walk moved to the dead-time thinning it shares with the
@@ -401,7 +403,9 @@ class TestGoldenStreams:
     the exponential stream: its gaps take numpy's search branch, while
     the first two take the inversion. Every run is busy (about one click
     in ten pulses at dead length 4), so dead-time chains and same-pulse
-    candidates occur.
+    candidates occur. The v2 pins were added when write_tags moved to
+    version 2, the same streams stored channel by channel; each v1 file
+    still reads back to its stream.
     """
 
     @staticmethod
@@ -417,23 +421,29 @@ class TestGoldenStreams:
             jitter_sigma=jitter_sigma,
         )
 
-    @pytest.mark.parametrize("afterpulse_prob, jitter_sigma, seed, gamma, n_tags, digest", [
+    @pytest.mark.parametrize("afterpulse_prob, jitter_sigma, seed, gamma, n_tags, digest, v2", [
         pytest.param(0.0, 0.0, 11, 0.2, 22276,
                      "7c0e859d8eb448d22898cc0686a8307297d805aec6be6e65aa9e48111e2fad7b",
+                     "cae9fa949b8c6a2129d41b6310a9c77fd3258eca711e7bdb5e4982713ee376ba",
                      id="no-afterpulses"),
         pytest.param(0.1, 30e-12, 12, 0.2, 24036,
                      "85474961ac7a77f49737d3d8e1d91ed3800b8c2e3296a9f77a2852f1cc5abddf",
+                     "57175de6e7bca5747e351820f407b5a438d80f320f8663a89c39e751ec116786",
                      id="afterpulses-jitter"),
         pytest.param(0.1, 30e-12, 13, 0.4, 38223,
                      "51cce1b1b2d8a9e637e230a0299f714b478440f250dfc2e2cf3d3e1406ac5806",
+                     "7abd26bf13329aca0c6263673910761b0dd21ccb6fc4a7d7ade32e4e20a2db38",
                      id="pair-gaps-by-search"),
     ])
-    def test_stream_digest(self, afterpulse_prob, jitter_sigma, seed, gamma, n_tags, digest):
+    def test_stream_digest(self, afterpulse_prob, jitter_sigma, seed, gamma, n_tags, digest, v2):
         res = run_simulation(self.busy_config(afterpulse_prob, jitter_sigma, seed, gamma))
         buf = io.BytesIO()
         write_tags(res.stream, buf)
+        v1 = v1_bytes(res.stream)
         assert len(res.stream) == n_tags
-        assert hashlib.sha256(buf.getvalue()).hexdigest() == digest
+        assert hashlib.sha256(v1).hexdigest() == digest
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == v2
+        assert read_tags(io.BytesIO(v1)) == res.stream
 
 
 class TestStreamShape:

@@ -26,7 +26,7 @@ from zeroherald.tags import (
     write_tags_csv,
 )
 
-from dense_oracle import oracle_records, printf_tags_csv
+from dense_oracle import oracle_records, printf_tags_csv, v1_bytes
 
 HEADER = dict(timebin_ps=81, rep_period_ps=9963, divider=512)
 RECORD = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
@@ -177,10 +177,17 @@ class TestBinaryRoundTrip:
         assert back.divider == stream.divider
 
     def test_record_layout_is_nine_bytes(self):
+        # version 1, which is read but no longer written
         s = make_stream([1, 2], [3, 4])
+        assert len(v1_bytes(s)) == 18 + 2 * 9
+        assert read_tags(io.BytesIO(v1_bytes(s))) == s
+
+    def test_v2_layout_is_header_counts_and_sections(self):
+        s = TagStream(refs=u64([5, 2**64 - 1]), d1=u64([]), d2=u64([7]), **HEADER)
         buf = io.BytesIO()
         write_tags(s, buf)
-        assert len(buf.getvalue()) == 18 + 2 * 9
+        assert buf.getvalue() == (struct.pack("<4sHIIIQQQ", b"ZHT1", 2, 81, 9963, 512, 2, 0, 1)
+                                  + struct.pack("<QQQ", 5, 2**64 - 1, 7))
 
     def test_file_round_trip(self, tmp_path):
         s = make_stream([0, 1], [0, 42], provenance="unit test")
@@ -189,9 +196,8 @@ class TestBinaryRoundTrip:
         assert read_tags(path) == s
 
     def test_writer_does_not_copy_the_records(self, tmp_path):
-        # the records are interleaved and written a block at a time, so
-        # the peak is set by the block, not by the 9 bytes a record the
-        # whole record array would take
+        # each channel's array is written as it is, so nothing of the
+        # size of the stream is allocated
         for n_rows in (1_000_000, 3_000_000):
             stream = TagStream(refs=np.arange(0, n_rows, 3, dtype=np.uint64),
                                d1=np.arange(1, n_rows, 3, dtype=np.uint64),
@@ -203,13 +209,29 @@ class TestBinaryRoundTrip:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert path.stat().st_size == 18 + 9 * n_rows
+            assert path.stat().st_size == 42 + 8 * n_rows
             assert read_tags(path) == stream
-            assert peak < 4 * 2**20
+            assert peak < 2**20
 
     def test_reader_copies_each_column_once(self, tmp_path):
-        # the file (9 bytes a record), the three channel arrays (8 bytes
-        # a record) and one block of the split
+        # version 1: the file (9 bytes a record), the three channel
+        # arrays (8 bytes a record) and one block of the split
+        n_rows = 1_000_000
+        path = tmp_path / "tags.zht"
+        path.write_bytes(v1_bytes(make_stream(np.arange(n_rows) % 3, np.arange(n_rows))))
+        tracemalloc.start()
+        try:
+            back = read_tags(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for part in (back.refs, back.d1, back.d2):
+            assert part.flags.owndata and part.flags.writeable
+        assert peak < 17 * n_rows + 2 * 2**20
+
+    def test_v2_reader_holds_only_the_channels(self, tmp_path):
+        # version 2: the three channel arrays (8 bytes a tag), read in
+        # place, and the order check's blocks
         n_rows = 1_000_000
         path = tmp_path / "tags.zht"
         write_tags(make_stream(np.arange(n_rows) % 3, np.arange(n_rows)), path)
@@ -221,14 +243,14 @@ class TestBinaryRoundTrip:
             tracemalloc.stop()
         for part in (back.refs, back.d1, back.d2):
             assert part.flags.owndata and part.flags.writeable
-        assert peak < 17 * n_rows + 2 * 2**20
+        assert peak < 8.1 * n_rows + 2**20
 
 
 class TestBinaryCorruption:
+    """Version 1 files, built by v1_bytes."""
+
     def good_bytes(self):
-        buf = io.BytesIO()
-        write_tags(make_stream([0, 1, 2], [0, 10, 20]), buf)
-        return bytearray(buf.getvalue())
+        return bytearray(v1_bytes(make_stream([0, 1, 2], [0, 10, 20])))
 
     def test_short_file(self):
         with pytest.raises(FormatError, match="too short"):
@@ -312,17 +334,129 @@ class TestBinaryCorruption:
         # only across the edge, at 3 and 5 inside a block
         timestamps = list(range(0, 80, 10))
         timestamps[at] = timestamps[at - 1] - 5
-        blob = io.BytesIO()
-        write_tags(make_stream([0] * 8, sorted(timestamps)), blob)
-        records = np.frombuffer(blob.getvalue(), dtype=RECORD, offset=18).copy()
+        blob = v1_bytes(make_stream([0] * 8, sorted(timestamps)))
+        records = np.frombuffer(blob, dtype=RECORD, offset=18).copy()
         records["timestamp"] = timestamps
         monkeypatch.setattr(tags, "_BLOCK", 4)
         with pytest.raises(IntegrityError, match=f"^timestamps go backwards at record {at} "):
-            read_tags(io.BytesIO(blob.getvalue()[:18] + records.tobytes()))
+            read_tags(io.BytesIO(blob[:18] + records.tobytes()))
 
     def test_magic_constant(self):
         assert MAGIC == b"ZHT1"
         assert bytes(self.good_bytes()[:4]) == b"ZHT1"
+
+
+def v2_blob(counts, *sections, header=(81, 9963, 512)):
+    """A version 2 file of these counts and u64 sections, as given."""
+    return struct.pack("<4sHIIIQQQ", b"ZHT1", 2, *header, *counts) + u64(
+        [t for part in sections for t in part]).tobytes()
+
+
+u64_lists = st.lists(st.sampled_from([0, 1, 7, 2**32, 2**63, 2**64 - 2, 2**64 - 1])
+                     | st.integers(0, 2**64 - 1), max_size=40).map(lambda ts: u64(sorted(ts)))
+
+
+class TestV2Sections:
+    """Version 2 files: each channel a section of u64s after the counts."""
+
+    @given(refs=u64_lists, d1=u64_lists, d2=u64_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_with_empty_channels_and_extremes(self, refs, d1, d2):
+        stream = TagStream(refs=refs, d1=d1, d2=d2, **HEADER)
+        buf = io.BytesIO()
+        write_tags(stream, buf)
+        assert len(buf.getvalue()) == 42 + 8 * len(stream)
+        back = read_tags(io.BytesIO(buf.getvalue()))
+        assert back == stream
+        assert all(part.dtype == np.uint64 for part in (back.refs, back.d1, back.d2))
+
+    def test_strided_channels_are_written_whole(self):
+        refs = np.arange(20, dtype=np.uint64)[::2]
+        stream = TagStream(refs=refs, d1=u64([3]), d2=u64([]), **HEADER)
+        buf = io.BytesIO()
+        write_tags(stream, buf)
+        assert read_tags(io.BytesIO(buf.getvalue())).refs.tolist() == refs.tolist()
+
+    @pytest.mark.parametrize("counts, sections, match", [
+        ((2**61, 0, 0), (), r"^refs section at byte offset 42 runs past the end of the file "
+                            r"\(2305843009213693952 tags, 0 bytes left\)$"),
+        ((0, 2**64 - 1, 0), ([1],), r"^d1 section at byte offset 42 runs past the end"),
+        ((1, 5, 0), ([1, 2, 3],), r"^d1 section at byte offset 50 runs past the end of the "
+                                  r"file \(5 tags, 16 bytes left\)$"),
+        ((1, 1, 1), ([1, 2],), r"^d2 section at byte offset 58 runs past the end"),
+        ((1, 0, 1), ([1, 2, 3],), r"^8 trailing bytes at byte offset 58, after the d2 section$"),
+        ((0, 0, 0), ([1],), r"^8 trailing bytes at byte offset 42"),
+    ], ids=["count-bytes-overflow", "largest-count", "past-the-end", "last-section-short",
+            "trailing-tag", "trailing-after-empty"])
+    def test_counts_are_checked_against_the_file_size(self, counts, sections, match):
+        with pytest.raises(FormatError, match=match):
+            read_tags(io.BytesIO(v2_blob(counts, *sections)))
+
+    def test_trailing_partial_tag(self):
+        with pytest.raises(FormatError, match=r"^3 trailing bytes at byte offset 50,"):
+            read_tags(io.BytesIO(v2_blob((1, 0, 0), [4]) + b"abc"))
+
+    def test_a_section_cut_short_after_sizing(self):
+        class Shrinking(io.BytesIO):  # the file loses its tail once it is sized
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer).cast("B")[:-8])
+
+        with pytest.raises(FormatError, match=r"^refs section at byte offset 42 is cut short$"):
+            read_tags(Shrinking(v2_blob((2, 0, 0), [1, 2])))
+
+    @pytest.mark.parametrize("cut", [18, 30, 41])
+    def test_cut_counts(self, cut):
+        with pytest.raises(FormatError, match=f"^file too short for a version 2 header "
+                                              f"\\({cut} bytes\\)$"):
+            read_tags(io.BytesIO(v2_blob((0, 0, 0))[:cut]))
+
+    @pytest.mark.parametrize("header", [(0, 9963, 512), (81, 0, 512), (81, 9963, 0)],
+                             ids=["timebin", "period", "divider"])
+    @pytest.mark.parametrize("tags_in_file", [0, 3])
+    def test_zero_header_field(self, header, tags_in_file):
+        counts, sections = ((1, 1, 1), ([1], [2], [3])) if tags_in_file else ((0, 0, 0), ())
+        with pytest.raises(FormatError, match="^header fields must be positive$"):
+            read_tags(io.BytesIO(v2_blob(counts, *sections, header=header)))
+
+    def test_backwards_timestamp_names_channel_index_and_offset(self, tmp_path):
+        path = tmp_path / "tags.zht"
+        path.write_bytes(v2_blob((2, 1, 3), [0, 10], [5], [3, 9, 8]))
+        # d2 starts at 42 + 8 * (2 + 1) = 66; its index 2 at 82
+        with pytest.raises(IntegrityError, match=r"^d2 timestamps go backwards at index 2 "
+                                                 r"\(byte offset 82\)$"):
+            read_tags(path)
+
+    @pytest.mark.parametrize("at", [3, 4, 5])
+    def test_backwards_timestamp_at_a_block_edge(self, monkeypatch, at):
+        # indices 1-4 are compared in the first block: a step back at 5
+        # shows only across the edge
+        refs = list(range(0, 80, 10))
+        refs[at] = refs[at - 1] - 5
+        monkeypatch.setattr(tags, "_BLOCK", 4)
+        with pytest.raises(IntegrityError, match=f"^refs timestamps go backwards at index {at} "
+                                                 f"\\(byte offset {42 + 8 * at}\\)$"):
+            read_tags(io.BytesIO(v2_blob((8, 0, 0), refs)))
+
+    @pytest.mark.parametrize("encode", ["v1", "v2"])
+    def test_unseekable_source_reads_equal_to_a_seekable_one(self, encode):
+        class Unseekable(io.BytesIO):
+            def seekable(self):
+                return False
+
+            def seek(self, *args):
+                raise io.UnsupportedOperation("seek")
+
+            def tell(self):
+                raise io.UnsupportedOperation("tell")
+
+        stream = make_stream([0, 1, 0, 2, 0], [0, 3, 10, 12, 20])
+        if encode == "v1":
+            blob = v1_bytes(stream)
+        else:
+            buf = io.BytesIO()
+            write_tags(stream, buf)
+            blob = buf.getvalue()
+        assert read_tags(Unseekable(blob)) == read_tags(io.BytesIO(blob)) == stream
 
 
 class TestCsvRoundTrip:
@@ -387,11 +521,17 @@ def tag_times(max_size):
                     max_size=max_size).map(lambda ts: u64(sorted(ts)))
 
 
+def interleaved(stream):
+    """The records of the block-wise interleave, as one array."""
+    return np.concatenate([np.empty(0, RECORD), *_record_blocks(stream)])
+
+
 class TestRecordOrder:
-    """The writers' block-wise interleave against oracle_records, a
-    stable sort of the three channels concatenated, in both formats and
-    at block sizes down to three records. Many references beside a few
-    detector tags take the interleave's placing path, the rest its sort."""
+    """The block-wise interleave against oracle_records, a stable sort of
+    the three channels concatenated, as records and as the CSV writer's
+    text, at block sizes down to three records; both readers split
+    blocks of the same size. Many references beside a few detector tags
+    take the interleave's placing path, the rest its sort."""
 
     @given(refs=tag_times(60), d1=tag_times(12), d2=tag_times(12),
            block=st.sampled_from([3, 4, 5, 8, 64]))
@@ -399,16 +539,15 @@ class TestRecordOrder:
     def test_matches_stable_sort(self, refs, d1, d2, block):
         stream = TagStream(refs=refs, d1=d1, d2=d2, **HEADER)
         want_channels, want_times = oracle_records(stream)
-        binary, text = io.BytesIO(), io.StringIO()
+        text = io.StringIO()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tags, "_BLOCK", block)
             assert all(records.size <= block + 2 for records in _record_blocks(stream))
-            write_tags(stream, binary)
+            records = interleaved(stream)
             write_tags_csv(stream, text)
             # the readers split in blocks of the same size
-            assert read_tags(io.BytesIO(binary.getvalue())) == stream
+            assert read_tags(io.BytesIO(v1_bytes(stream))) == stream
             assert read_tags_csv(io.StringIO(text.getvalue())) == stream
-        records = np.frombuffer(binary.getvalue(), dtype=RECORD, offset=18)
         assert records["channel"].tolist() == want_channels.tolist()
         assert records["timestamp"].tolist() == want_times.tolist()
         assert text.getvalue() == printf_text(stream)
@@ -420,9 +559,7 @@ class TestRecordOrder:
         stream = TagStream(refs=u64([0, 7, 2**64 - 1]).repeat(40), d1=u64([7, 2**64 - 1]),
                            d2=u64([0, 7, 2**64 - 1]), **HEADER)
         monkeypatch.setattr(tags, "_BLOCK", block)
-        buf = io.BytesIO()
-        write_tags(stream, buf)
-        records = np.frombuffer(buf.getvalue(), dtype=RECORD, offset=18)
+        records = interleaved(stream)
         want_channels, want_times = oracle_records(stream)
         assert records["channel"].tolist() == want_channels.tolist()
         assert records["timestamp"].tolist() == want_times.tolist()
@@ -432,15 +569,11 @@ class TestRecordOrder:
         foreign = [(2, 0), (1, 0), (0, 0), (1, 5), (0, 5), (2, 7)]
         canonical = [(0, 0), (1, 0), (2, 0), (0, 5), (1, 5), (2, 7)]
         want = TagStream(refs=u64([0, 5]), d1=u64([0, 5]), d2=u64([0, 7]), **HEADER)
-        head = io.BytesIO()
-        write_tags(want, head)
-        blob = head.getvalue()[:18] + np.array(foreign, dtype=RECORD).tobytes()
+        blob = v1_bytes(want)[:18] + np.array(foreign, dtype=RECORD).tobytes()
         text = csv_text((), ()) + "".join(f"{('REF', 'D1', 'D2')[c]},{t}\n" for c, t in foreign)
         for back in (read_tags(io.BytesIO(blob)), read_tags_csv(io.StringIO(text))):
             assert back == want
-            out = io.BytesIO()
-            write_tags(back, out)
-            assert np.frombuffer(out.getvalue(), dtype=RECORD, offset=18).tolist() == canonical
+            assert interleaved(back).tolist() == canonical
 
 
 def edge_stream(n_rows, seed=0):
@@ -737,14 +870,24 @@ class TestReaderFuzz:
     @given(st.binary(max_size=200))
     @settings(max_examples=300, deadline=None)
     def test_binary_body(self, body):
-        buf = io.BytesIO()
-        write_tags(make_stream([0, 1], [0, 5]), buf)
-        header = buf.getvalue()[:18]
+        header = v1_bytes(make_stream([0, 1], [0, 5]))[:18]
         try:
             stream = read_tags(io.BytesIO(header + body))
         except ZeroHeraldError:
             return
         assert len(stream) == len(body) // 9
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_v2_body(self, body):
+        # the counts and sections after a valid version 2 prefix
+        buf = io.BytesIO()
+        write_tags(make_stream([0, 1], [0, 5]), buf)
+        try:
+            stream = read_tags(io.BytesIO(buf.getvalue()[:18] + body))
+        except ZeroHeraldError:
+            return
+        assert 24 + 8 * len(stream) == len(body)
 
     @given(st.one_of(
         st.text(max_size=120),
