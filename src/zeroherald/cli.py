@@ -73,7 +73,7 @@ def _write_manifest(path, args, cfg, config, outputs, started) -> None:
         "outputs": {str(path): _sha256(path) for path in outputs},
         "timing_s": time.perf_counter() - started,
     }
-    with _writing(path), open(path, "w") as fh:
+    with _writing(path), tags._opened(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -67,27 +67,38 @@ def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
     timebin per synthesized pulse) from the median is a clock glitch:
     ClockGlitchError lists the indices of every such gap.
 
-    The gaps are taken once: the median comes from partitioning them in
-    place, and the glitch test needs only the largest and the smallest
-    gap, so they are taken again only to list a glitch. The grid keeps
-    the stream's references: at peak this adds one gap per reference.
+    One pass over the gaps, a block at a time in one reused buffer,
+    finds the smallest and the largest. If they differ by at most one,
+    the gaps, which add up to the span of the references, give the
+    median by a count. Otherwise the gaps are taken whole and
+    partitioned for it: only then does the peak add one gap per
+    reference. The glitch test needs only the extremes, so the gaps are
+    taken again only to list a glitch. The grid keeps the stream's
+    references.
     """
     refs = stream.refs
     if refs.size < 2:
         raise InsufficientReferenceError(
             f"need at least 2 reference tags to rebuild the pulse train, got {refs.size}"
         )
-    gaps = refs[1:] - refs[:-1]
-    top, low = gaps.max(), gaps.min()
+    low, top = _gap_extremes(refs)
     if int(top) * stream.divider >= 1 << 63:
         raise ValidationError(
             "reference spacing times divider must stay below 2**63 for exact gating"
         )
+    n_gaps = refs.size - 1
+    mid = [(n_gaps - 1) // 2, n_gaps // 2]
+    if top - low <= 1:
+        # the gaps above low add one each to n_gaps * low: the span tells them
+        n_low = n_gaps - (int(refs[-1]) - int(refs[0]) - n_gaps * int(low))
+        pair = np.array([low if i < n_low else top for i in mid], dtype=np.uint64)
+    else:
+        gaps = refs[1:] - refs[:-1]
+        gaps.partition(mid)
+        pair = gaps[mid]
     # u64 -> f64 is monotone, so the middle pair of the gaps converts to
     # the middle pair of their float copy, and mean() adds it as median() does
-    mid = [(gaps.size - 1) // 2, gaps.size // 2]
-    gaps.partition(mid)
-    median = float(np.mean(gaps[mid]))
+    median = float(np.mean(pair))
     if median <= 0:
         raise ClockGlitchError("reference tags do not advance", indices=[0])
     # |gap - median| rounds monotonically in the gap: the extremes decide
@@ -100,13 +111,30 @@ def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
             f"{median!r} by more than {half} timebins",
             indices=bad.tolist(),
         )
-    n_pulses = (refs.size - 1) * stream.divider + 1
+    n_pulses = n_gaps * stream.divider + 1
     return PulseGrid(
         ref_times=refs,
         divider=stream.divider,
         n_pulses=n_pulses,
         period_tb=median / stream.divider,
     )
+
+
+def _gap_extremes(refs: np.ndarray):
+    """The smallest and the largest gap between neighbouring references,
+    taken a block of _GAP_BLOCK at a time into one buffer."""
+    n_gaps = refs.size - 1
+    buffer = np.empty(min(n_gaps, _GAP_BLOCK), dtype=np.uint64)
+    lows, tops = [], []
+    for start in range(0, n_gaps, _GAP_BLOCK):
+        stop = min(start + _GAP_BLOCK, n_gaps)
+        gaps = np.subtract(refs[start + 1:stop + 1], refs[start:stop], out=buffer[:stop - start])
+        lows.append(gaps.min())
+        tops.append(gaps.max())
+    return min(lows), max(tops)
+
+
+_GAP_BLOCK = 1 << 16  # reference gaps per block of _gap_extremes
 
 
 @dataclass

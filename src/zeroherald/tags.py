@@ -46,18 +46,23 @@ a time: NAME is REF, D1 or D2 and DIGITS a decimal below 2**64 (a plus
 sign, leading zeros and surrounding ASCII blanks are tolerated). Empty
 lines are skipped; anything else, a "#" line or a non-ASCII character
 included, is a FormatError naming its line.
+
+Every file the package writes to a path goes through _opened, which
+writes it beside the path and renames it into place, so a failed write
+leaves the old file as it was.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import re
 import struct
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -263,12 +268,53 @@ def _record_blocks(stream: TagStream):
 
 @contextmanager
 def _opened(source, mode: str, newline: str | None = None):
-    """A file object as it is, or a path opened in mode and closed after."""
+    """A file object as it is, or a path opened in mode and closed after.
+
+    The one place the package opens a file to write. A path opened in
+    "w" or "wb" is replaced, not truncated: the block writes a new file
+    .<name>.<pid>.<n>.tmp beside it, made with the umask's mode, and once
+    the block ends the path is unlinked and the new file renamed into
+    place. Truncating a file in place makes the next truncate wait for
+    the writeback of the last close on ext4 (auto_da_alloc), and so does
+    a rename over it; unlinking first does not. If anything fails, the
+    new file is removed and the path left as it was, and an OSError from
+    making, unlinking or renaming names the path."""
     if hasattr(source, "read") or hasattr(source, "write"):
         yield source
-    else:
+        return
+    if "w" not in mode:
         with open(source, mode, newline=newline) as fh:
             yield fh
+        return
+    path = os.fspath(source)
+    folder, name = os.path.split(path)
+    while True:  # past any file a killed write left under the same name
+        temp = os.path.join(folder, f".{name}.{os.getpid()}.{next(_TEMP_NUMBERS)}.tmp")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            exc.filename, exc.filename2 = path, None
+            raise
+    try:
+        with open(fd, mode, newline=newline) as fh:
+            yield fh
+        try:
+            with suppress(FileNotFoundError):
+                os.unlink(path)
+            os.rename(temp, path)
+        except OSError as exc:
+            exc.filename, exc.filename2 = path, None
+            raise
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise
+
+
+_TEMP_NUMBERS = count()  # the <n> of _opened's new files
 
 
 def write_tags(stream: TagStream, sink) -> None:

@@ -122,6 +122,38 @@ def float_reconstruct(stream):
     return median / stream.divider, (refs.size - 1) * stream.divider + 1
 
 
+def partition_reconstruct(stream):
+    """(period_tb, n_pulses) as partitioning every reference gap gives
+    them: the reconstruction before it took one or two gap values by a
+    count, kept as the exact reference for that count."""
+    refs = stream.refs
+    if refs.size < 2:
+        raise InsufficientReferenceError(
+            f"need at least 2 reference tags to rebuild the pulse train, got {refs.size}"
+        )
+    gaps = refs[1:] - refs[:-1]
+    top, low = gaps.max(), gaps.min()
+    if int(top) * stream.divider >= 1 << 63:
+        raise ValidationError(
+            "reference spacing times divider must stay below 2**63 for exact gating"
+        )
+    mid = [(gaps.size - 1) // 2, gaps.size // 2]
+    gaps.partition(mid)
+    median = float(np.mean(gaps[mid]))
+    if median <= 0:
+        raise ClockGlitchError("reference tags do not advance", indices=[0])
+    half = 0.5 * stream.divider
+    if float(top) - median > half or median - float(low) > half:
+        deviation = np.abs((refs[1:] - refs[:-1]).astype(np.float64) - median)
+        bad = np.flatnonzero(deviation > half)
+        raise ClockGlitchError(
+            f"{bad.size} reference gap(s) deviate from the median period "
+            f"{median!r} by more than {half} timebins",
+            indices=bad.tolist(),
+        )
+    return median / stream.divider, (refs.size - 1) * stream.divider + 1
+
+
 def pulse_times(grid, k) -> np.ndarray:
     """Times (in timebins, float) of pulse indices k on a PulseGrid."""
     k = np.asarray(k, dtype=np.int64)

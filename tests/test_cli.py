@@ -11,6 +11,7 @@ import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +113,12 @@ class TestModelCommand:
             cwr_approx(0.16, 0.15, 0.975), rel=1e-12
         )
         assert out.read_text().startswith("# tool = zeroherald")
+
+    def test_dash_writes_stdout_and_no_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["model", "--eta1p", "0.16", "--eta2p", "0.15", "--out", "-"]) == 0
+        assert capsys.readouterr().out.startswith("# tool = zeroherald")
+        assert list(tmp_path.iterdir()) == []
 
     def test_perfect_herald_ratio_reads_two(self, capsys):
         code = main(["model", "--eta1p", "1", "--eta2p", "0.15",
@@ -393,6 +400,21 @@ class TestScanCommand:
         for path in tag_paths:
             assert manifest["outputs"][str(path)] == sha256(path)
         assert str(out_dir / "rates.csv") in manifest["outputs"]
+
+    def test_rerun_replaces_every_output(self, tmp_path, cfg_path):
+        out_dir = tmp_path / "scan"
+        argv = ["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                "--delays=-1e-13,0,1e-13", "--set", "n_pulses=5121"]
+        assert main(argv) == 0
+        first = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        assert main(argv + ["--set", "seed=8"]) == 0
+        second = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        assert sorted(second) == sorted(first)
+        assert not any(name.endswith(".tmp") for name in second)
+        assert second["tags_000.zht"] != first["tags_000.zht"]
+        manifest = json.loads(second["scan_manifest.json"])
+        for path, digest in manifest["outputs"].items():
+            assert digest == sha256(Path(path))
 
     def test_scan_is_deterministic_across_directories(self, tmp_path, cfg_path):
         kwargs = ["--config", str(cfg_path), "--delays=-1e-13,0,1e-13",

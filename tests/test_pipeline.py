@@ -41,6 +41,7 @@ from dense_oracle import (
     PulseState,
     float_reconstruct,
     greedy_dead_time,
+    partition_reconstruct,
     pulse_times,
     searched_gate,
 )
@@ -158,9 +159,95 @@ class TestReconstructionMatchesFloatOracle:
         assert grid_or_error(rebuilt_grid, stream) == grid_or_error(float_reconstruct, stream)
 
 
+@st.composite
+def gap_blocks(draw):
+    """Reference streams for the differential test of the median by count.
+
+    The gaps take one value, two adjacent values, or those two and more
+    within or past the glitch tolerance, in any share and order. Counts
+    are 1 and 2 gaps, odd and even, at 2**16 (the block of the gap pass)
+    plus or minus one, and anything up to three blocks; the smallest gap
+    runs from 0 up to the 2**63 / divider guard, and one gap of the last
+    block, or at the edge of a block, may be anything in range.
+    """
+    divider = draw(st.sampled_from([1, 2, 3, 512, 2**20, 2**32 - 1]))
+    limit = -(-(1 << 63) // divider)  # the smallest gap the guard rejects
+    n_gaps = draw(st.one_of(
+        st.sampled_from([1, 2, 3, 4, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 1]),
+        st.integers(1, 3 * 2**16)))
+    low = draw(st.one_of(st.integers(0, 64), st.integers(0, 2**40),
+                         st.integers(max(0, limit - 3), limit)))
+    kind = draw(st.sampled_from(["one", "two", "more"]))
+    values = [low] if kind == "one" else [low, low + 1]
+    if kind == "more":
+        values += draw(st.lists(st.integers(low + 2, low + 2 * divider + 2),
+                                min_size=1, max_size=3))
+    glitch = draw(st.none() | st.integers(0, 2**41) | st.integers(0, limit))
+    top = max(values + [glitch or 0])
+    n_gaps = min(n_gaps, max(1, (2**64 - 1) // max(top, 1)))  # the times fit a u64
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = np.full(n_gaps, low, dtype=np.uint64)
+    for value in values[1:]:
+        gaps[rng.permutation(n_gaps)[:draw(st.integers(0, n_gaps))]] = value
+    if glitch is not None:  # in the last block or at the edge of a block
+        at = draw(st.one_of(st.integers((n_gaps - 1) & -2**16, n_gaps - 1),
+                            st.sampled_from([2**16 - 1, 2**16, n_gaps - 1])))
+        gaps[min(at, n_gaps - 1)] = glitch
+    return stream_of_gaps(gaps, divider, start=draw(st.integers(0, 2**64 - 1 - int(gaps.sum()))))
+
+
+def stream_of_gaps(gaps, divider, start=0):
+    """A stream with no detector tags whose references start at start and have these gaps."""
+    times = np.full(len(gaps) + 1, start, dtype=np.uint64)
+    times[1:] += np.cumsum(gaps, dtype=np.uint64)
+    return TagStream(timebin_ps=10, rep_period_ps=100, divider=divider, refs=times,
+                     d1=[], d2=[])
+
+
+def regular_gaps(n_gaps, value, changed):
+    """n_gaps gaps of value, but for changed, a dict from index to gap."""
+    gaps = np.full(n_gaps, value, dtype=np.uint64)
+    gaps[list(changed)] = list(changed.values())
+    return gaps
+
+
+class TestMedianByCountMatchesPartition:
+    @given(gap_blocks())
+    # a glitch or a gap value at the last gap of a block and the first of the next
+    @example(stream_of_gaps(regular_gaps(2**16 + 1, 6144, {65535: 9000}), 512))
+    @example(stream_of_gaps(regular_gaps(2**16 + 1, 6144, {65536: 9000}), 512))
+    @example(stream_of_gaps(regular_gaps(2**17, 6144, {131071: 3000}), 512))
+    @example(stream_of_gaps(regular_gaps(2**16 + 2, 6144, {65535: 6145}), 512))
+    @example(make_stream([0, 0], [3, 8]))  # one gap
+    @example(make_stream([0, 0, 0], [0, 5, 11]))  # two gaps, two values
+    @example(make_stream([0, 0, 0, 0], [0, 5, 11, 16]))  # the middle pair is 5 and 5
+    @example(make_stream([0, 0, 0, 0, 0], [0, 5, 11, 17, 22]))  # the middle pair is 5 and 6
+    @settings(max_examples=150, deadline=None)
+    def test_same_period_pulses_and_errors(self, stream):
+        assert grid_or_error(rebuilt_grid, stream) == grid_or_error(partition_reconstruct, stream)
+
+
 class TestReferenceCost:
     """reconstruct and gate share the stream's references: reconstruct
-    adds their gaps, and the gate nothing per reference."""
+    adds one block of gaps when they take one or two adjacent values,
+    one gap per reference otherwise, and the gate nothing per
+    reference."""
+
+    def test_three_gap_values_take_every_gap(self):
+        n_refs, divider = 2_000_000, 512
+        gaps = np.full(n_refs - 1, 12 * divider, dtype=np.uint64)
+        gaps[1::3] += np.uint64(1)
+        gaps[2::3] += np.uint64(2)
+        stream = stream_of_gaps(gaps, divider)
+        tracemalloc.start()
+        try:
+            grid = reconstruct_pulse_train(stream)
+            _, reconstruct_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.period_tb == (12 * divider + 1) / divider
+        # one gap, 8 bytes, per reference
+        assert reconstruct_peak < 1.25 * 8 * n_refs
 
     def test_peaks_with_two_million_references(self):
         n_refs, divider, period = 2_000_000, 512, 12
@@ -185,8 +272,8 @@ class TestReferenceCost:
         np.testing.assert_array_equal(gate.assigned[Channel.D2], [7, (n_refs - 1) * divider])
         assert gate.n_rejected == {Channel.D1: 1, Channel.D2: 0}
         assert grid.ref_times is stream.refs
-        # one gap, 8 bytes, per reference
-        assert reconstruct_peak < 1.25 * 8 * n_refs
+        # one block of 2**16 gaps, 8 bytes each, whatever the references
+        assert reconstruct_peak < 1 << 20
         # arrays per detector tag only
         assert gate_peak - held < 1 << 16
 

@@ -1,6 +1,10 @@
 """Round-trip and corruption tests for the time-tag file formats."""
 
+import errno
 import io
+import itertools
+import os
+import stat
 import struct
 import tracemalloc
 
@@ -244,6 +248,132 @@ class TestBinaryRoundTrip:
         for part in (back.refs, back.d1, back.d2):
             assert part.flags.owndata and part.flags.writeable
         assert peak < 8.1 * n_rows + 2**20
+
+
+def files_beside(path):
+    return sorted(entry.name for entry in path.parent.iterdir())
+
+
+class TestReplacingWrites:
+    """A path is written as a new file beside it, renamed into place: an
+    old file stays whole until then, and a failed write leaves it as it
+    was with no new file behind. Errors name the path."""
+
+    OLD = make_stream([0, 1, 0, 2, 0], [0, 3, 10, 14, 20])
+    # 13 tags, which the CSV writer takes as 9 and 4 at a block of 10
+    NEW = TagStream(refs=np.arange(11) * 10, d1=[21], d2=[75], **HEADER)
+
+    def test_open_handle_keeps_reading_the_old_file(self, tmp_path):
+        path = tmp_path / "run.zht"
+        write_tags(self.OLD, path)
+        old = path.read_bytes()
+        with open(path, "rb") as fh:
+            write_tags(self.NEW, path)
+            assert fh.read() == old
+        assert read_tags(path) == self.NEW
+        assert files_beside(path) == ["run.zht"]
+
+    def test_failed_csv_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.csv"
+        write_tags_csv(self.OLD, path)
+        old = path.read_bytes()
+        monkeypatch.setattr(tags, "_BLOCK", 10)
+        rows, blocks = tags._csv_rows, []
+
+        def failing_rows(channels, timestamps):
+            if blocks:
+                raise RuntimeError("write failed")
+            blocks.append(rows(channels, timestamps))
+            return blocks[-1]
+
+        monkeypatch.setattr(tags, "_csv_rows", failing_rows)
+        with pytest.raises(RuntimeError, match="write failed"):
+            write_tags_csv(self.NEW, path)
+        assert path.read_bytes() == old
+        assert files_beside(path) == ["run.csv"]
+        # a file cut after the first block, as writing in place leaves
+        # it, reads without an error as a shorter stream
+        header = io.StringIO()
+        write_tags_csv(TagStream(refs=[], d1=[], d2=[], **HEADER), header)
+        torn = read_tags_csv(io.StringIO(header.getvalue() + blocks[0]))
+        assert (len(torn), len(self.NEW)) == (9, 13)
+
+    def test_failed_binary_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "run.zht"
+        write_tags(self.OLD, path)
+        old = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with tags._opened(path, "wb") as fh:
+                fh.write(b"ZHT1")
+                raise RuntimeError("write failed")
+        assert path.read_bytes() == old
+        assert files_beside(path) == ["run.zht"]
+
+    @pytest.mark.parametrize("write", [write_tags, write_tags_csv])
+    def test_missing_directory_is_named(self, tmp_path, write):
+        path = tmp_path / "missing" / "run.zht"
+        with pytest.raises(FileNotFoundError) as err:
+            write(self.NEW, path)
+        assert (err.value.filename, err.value.filename2) == (str(path), None)
+        assert ".tmp" not in str(err.value)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("write", [write_tags, write_tags_csv])
+    def test_directory_destination_is_named(self, tmp_path, write):
+        path = tmp_path / "run.zht"
+        path.mkdir()
+        with pytest.raises(OSError) as err:
+            write(self.NEW, path)
+        assert (err.value.filename, err.value.filename2) == (str(path), None)
+        assert path.is_dir() and files_beside(path) == ["run.zht"]
+
+    def test_failed_rename_is_named(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.zht"
+
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, dst)
+
+        monkeypatch.setattr(tags.os, "rename", refuse)
+        with pytest.raises(OSError) as err:
+            write_tags(self.NEW, path)
+        assert (err.value.filename, err.value.filename2) == (str(path), None)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mode_follows_the_umask(self, tmp_path):
+        path = tmp_path / "run.zht"
+        umask = os.umask(0o027)
+        try:
+            write_tags(self.NEW, path)
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_symlink_is_replaced(self, tmp_path):
+        target, link = tmp_path / "target.zht", tmp_path / "link.zht"
+        write_tags(self.OLD, target)
+        link.symlink_to(target)
+        write_tags(self.NEW, link)
+        assert not link.is_symlink() and read_tags(link) == self.NEW
+        assert read_tags(target) == self.OLD
+
+    def test_left_temporary_file_is_kept(self, tmp_path, monkeypatch):
+        # a killed write's file under the name the next write would take
+        monkeypatch.setattr(tags, "_TEMP_NUMBERS", itertools.count())
+        left = tmp_path / f".run.zht.{os.getpid()}.0.tmp"
+        left.write_bytes(b"killed")
+        write_tags(self.NEW, tmp_path / "run.zht")
+        assert left.read_bytes() == b"killed"
+        assert files_beside(left) == [left.name, "run.zht"]
+
+    def test_file_objects_pass_through(self):
+        binary, text = io.BytesIO(), io.StringIO()
+        write_tags(self.NEW, binary)
+        write_tags_csv(self.NEW, text)
+        assert not binary.closed and not text.closed
+        assert read_tags(io.BytesIO(binary.getvalue())) == self.NEW
+        assert read_tags_csv(io.StringIO(text.getvalue())) == self.NEW
+        with tags._opened(binary, "wb") as fh:
+            assert fh is binary
 
 
 class TestBinaryCorruption:
