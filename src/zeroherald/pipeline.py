@@ -70,32 +70,37 @@ def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
     One pass over the gaps, a block at a time in one reused buffer,
     finds the smallest and the largest. If they differ by at most one,
     the gaps, which add up to the span of the references, give the
-    median by a count. Otherwise the gaps are taken whole and
-    partitioned for it: only then does the peak add one gap per
-    reference. The glitch test needs only the extremes, so the gaps are
-    taken again only to list a glitch. The grid keeps the stream's
-    references.
+    median by a count. The pass stops at the first block where they
+    differ by more: then the gaps are taken whole, for their extremes
+    and a partition for the median, and only then does the peak add one
+    gap per reference. The glitch test needs only the extremes, so the
+    gaps are taken again only to list a glitch. The grid keeps the
+    stream's references.
     """
     refs = stream.refs
     if refs.size < 2:
         raise InsufficientReferenceError(
             f"need at least 2 reference tags to rebuild the pulse train, got {refs.size}"
         )
-    low, top = _gap_extremes(refs)
-    if int(top) * stream.divider >= 1 << 63:
+    extremes = _narrow_gap_extremes(refs)
+    if extremes is None:
+        gaps = refs[1:] - refs[:-1]
+        low, top = int(gaps.min()), int(gaps.max())
+    else:
+        low, top = extremes
+    if top * stream.divider >= 1 << 63:
         raise ValidationError(
             "reference spacing times divider must stay below 2**63 for exact gating"
         )
     n_gaps = refs.size - 1
     mid = [(n_gaps - 1) // 2, n_gaps // 2]
-    if top - low <= 1:
-        # the gaps above low add one each to n_gaps * low: the span tells them
-        n_low = n_gaps - (int(refs[-1]) - int(refs[0]) - n_gaps * int(low))
-        pair = np.array([low if i < n_low else top for i in mid], dtype=np.uint64)
-    else:
-        gaps = refs[1:] - refs[:-1]
+    if extremes is None:
         gaps.partition(mid)
         pair = gaps[mid]
+    else:
+        # the gaps above low add one each to n_gaps * low: the span tells them
+        n_low = n_gaps - (int(refs[-1]) - int(refs[0]) - n_gaps * low)
+        pair = np.array([low if i < n_low else top for i in mid], dtype=np.uint64)
     # u64 -> f64 is monotone, so the middle pair of the gaps converts to
     # the middle pair of their float copy, and mean() adds it as median() does
     median = float(np.mean(pair))
@@ -120,21 +125,23 @@ def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
     )
 
 
-def _gap_extremes(refs: np.ndarray):
+def _narrow_gap_extremes(refs: np.ndarray):
     """The smallest and the largest gap between neighbouring references,
-    taken a block of _GAP_BLOCK at a time into one buffer."""
+    taken a block of _GAP_BLOCK at a time into one buffer, or None as
+    soon as they differ by more than one."""
     n_gaps = refs.size - 1
     buffer = np.empty(min(n_gaps, _GAP_BLOCK), dtype=np.uint64)
-    lows, tops = [], []
+    low, top = 1 << 64, 0
     for start in range(0, n_gaps, _GAP_BLOCK):
         stop = min(start + _GAP_BLOCK, n_gaps)
         gaps = np.subtract(refs[start + 1:stop + 1], refs[start:stop], out=buffer[:stop - start])
-        lows.append(gaps.min())
-        tops.append(gaps.max())
-    return min(lows), max(tops)
+        low, top = min(low, int(gaps.min())), max(top, int(gaps.max()))
+        if top - low > 1:
+            return None
+    return low, top
 
 
-_GAP_BLOCK = 1 << 16  # reference gaps per block of _gap_extremes
+_GAP_BLOCK = 1 << 16  # reference gaps per block of _narrow_gap_extremes
 
 
 @dataclass

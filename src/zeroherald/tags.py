@@ -48,8 +48,9 @@ lines are skipped; anything else, a "#" line or a non-ASCII character
 included, is a FormatError naming its line.
 
 Every file the package writes to a path goes through _opened, which
-writes it beside the path and renames it into place, so a failed write
-leaves the old file as it was.
+writes a regular file beside the path and renames it into place, so a
+failed write leaves the old file as it was; a device or a FIFO is
+written in place.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from __future__ import annotations
 import io
 import os
 import re
+import stat
 import struct
 import warnings
 from contextlib import contextmanager, suppress
@@ -270,23 +272,27 @@ def _record_blocks(stream: TagStream):
 def _opened(source, mode: str, newline: str | None = None):
     """A file object as it is, or a path opened in mode and closed after.
 
-    The one place the package opens a file to write. A path opened in
-    "w" or "wb" is replaced, not truncated: the block writes a new file
+    The one place the package opens a file to write. A path in "w" or
+    "wb" mode that names a regular file or nothing (a symlink is
+    followed) is replaced, not truncated: the block writes a new file
     .<name>.<pid>.<n>.tmp beside it, made with the umask's mode, and once
     the block ends the path is unlinked and the new file renamed into
     place. Truncating a file in place makes the next truncate wait for
     the writeback of the last close on ext4 (auto_da_alloc), and so does
-    a rename over it; unlinking first does not. If anything fails, the
-    new file is removed and the path left as it was, and an OSError from
-    making, unlinking or renaming names the path."""
+    a rename over it; unlinking first does not. If the block or the
+    unlink fails, the new file is removed and the path left as it was;
+    if the rename fails once the old file is gone, the new file is kept
+    and the error says where. An OSError from making, unlinking or
+    renaming names the path. Anything else at the path, a device, a FIFO
+    or a directory, is opened in place."""
     if hasattr(source, "read") or hasattr(source, "write"):
         yield source
         return
-    if "w" not in mode:
-        with open(source, mode, newline=newline) as fh:
+    path = os.fspath(source)
+    if "w" not in mode or not _replaceable(path):
+        with open(path, mode, newline=newline) as fh:
             yield fh
         return
-    path = os.fspath(source)
     folder, name = os.path.split(path)
     while True:  # past any file a killed write left under the same name
         temp = os.path.join(folder, f".{name}.{os.getpid()}.{next(_TEMP_NUMBERS)}.tmp")
@@ -302,9 +308,10 @@ def _opened(source, mode: str, newline: str | None = None):
         with open(fd, mode, newline=newline) as fh:
             yield fh
         try:
-            with suppress(FileNotFoundError):
-                os.unlink(path)
-            os.rename(temp, path)
+            os.unlink(path)
+            unlinked = True
+        except FileNotFoundError:
+            unlinked = False
         except OSError as exc:
             exc.filename, exc.filename2 = path, None
             raise
@@ -312,6 +319,25 @@ def _opened(source, mode: str, newline: str | None = None):
         with suppress(OSError):
             os.unlink(temp)
         raise
+    try:
+        os.rename(temp, path)
+    except OSError as exc:
+        if unlinked:  # the old file is gone: the new one is all there is
+            exc.strerror = f"{exc.strerror}; the new file is left at {temp}"
+        else:
+            with suppress(OSError):
+                os.unlink(temp)
+        exc.filename, exc.filename2 = path, None
+        raise
+
+
+def _replaceable(path: str) -> bool:
+    """Whether _opened replaces path: it names a regular file, through
+    any symlink, or nothing that can be looked at."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        return True
 
 
 _TEMP_NUMBERS = count()  # the <n> of _opened's new files

@@ -6,6 +6,7 @@ import itertools
 import os
 import stat
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -338,6 +339,49 @@ class TestReplacingWrites:
             write_tags(self.NEW, path)
         assert (err.value.filename, err.value.filename2) == (str(path), None)
         assert list(tmp_path.iterdir()) == []
+
+    def test_rename_failing_after_the_unlink_keeps_the_new_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.zht"
+        write_tags(self.OLD, path)
+
+        def refuse(src, dst):
+            raise OSError(errno.EIO, os.strerror(errno.EIO), src, dst)
+
+        monkeypatch.setattr(tags.os, "rename", refuse)
+        with pytest.raises(OSError) as err:
+            write_tags(self.NEW, path)
+        assert (err.value.filename, err.value.filename2) == (str(path), None)
+        # the old file is gone, so the new one stays and the error names it
+        (left,) = tmp_path.iterdir()
+        assert left.name.startswith(".run.zht.") and left.name.endswith(".tmp")
+        assert err.value.strerror.endswith(f"; the new file is left at {left}")
+        assert read_tags(left) == self.NEW
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        path = tmp_path / "run.fifo"
+        os.mkfifo(path)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
+        reader.start()
+        write_tags(self.NEW, path)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(path).st_mode)
+        assert files_beside(path) == ["run.fifo"]
+        assert read_tags(io.BytesIO(received[0])) == self.NEW
+
+    def test_symlink_to_a_fifo_is_followed(self, tmp_path):
+        fifo, link = tmp_path / "run.fifo", tmp_path / "link"
+        os.mkfifo(fifo)
+        link.symlink_to(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_tags_csv(self.NEW, link)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert link.is_symlink() and stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert read_tags_csv(io.StringIO(received[0].decode())) == self.NEW
 
     def test_mode_follows_the_umask(self, tmp_path):
         path = tmp_path / "run.zht"
