@@ -491,9 +491,17 @@ def write_rate_csv(summaries: Sequence[RateSummary], sink, rep_rate_hz: float) -
 
 
 def write_fits_jsonl(fits: dict, sink) -> None:
-    """One JSON object per line: {"series": name, ...fit fields}."""
+    """One JSON object per line: {"series": name, ...fit fields}, in
+    strict JSON: a value that is not finite, as the cwr of an all-zero
+    series, is null."""
     with _opened(sink, "w") as fh:
         for name, fit in fits.items():
-            record = {"series": name}
-            record.update(fit.to_dict())
-            fh.write(json.dumps(record) + "\n")
+            record = {key: _finite_or_null(value) for key, value in fit.to_dict().items()}
+            fh.write(json.dumps({"series": name, **record}, allow_nan=False) + "\n")
+
+
+def _finite_or_null(value):
+    """value, or None for a float that is not finite; a list item by item."""
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value

@@ -88,11 +88,20 @@ def _writing(path):
 
 
 def _check_outputs(*paths) -> None:
-    """Fail before the work, not after it, on an output path whose
-    directory does not exist; None and "-" (stdout) pass."""
-    for path in paths:
-        if path not in (None, "-") and not Path(path).parent.is_dir():
-            raise OutputError(f"cannot write {path}: no directory {Path(path).parent}")
+    """Fail before the work, not after it, on an output path that is a
+    directory or whose directory does not exist, and on two outputs of
+    one command that resolve to the same file; None and "-" (stdout) pass."""
+    seen = {}
+    for path in (p for p in paths if p not in (None, "-")):
+        target = Path(path)
+        if target.is_dir():
+            raise OutputError(f"cannot write {path}: it is a directory")
+        if not target.parent.is_dir():
+            raise OutputError(f"cannot write {path}: no directory {target.parent}")
+        key = target.resolve()
+        if key in seen:
+            raise OutputError(f"cannot write {path}: it is the same file as {seen[key]}")
+        seen[key] = path
 
 
 @contextmanager
@@ -169,11 +178,11 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     if args.out == "-":
         raise ValidationError("simulate --out needs a file path, not '-'")
-    _check_outputs(args.out)
+    manifest = args.out + ".manifest.json"
+    _check_outputs(args.out, manifest)
     cfg = config_mod.load_config(args.config, _overrides(args.set))
     _write_run(sim.run_simulation(cfg), args.out)
-    _write_manifest(args.out + ".manifest.json", args, cfg, config_mod.config_dict(cfg),
-                    [args.out], started)
+    _write_manifest(manifest, args, cfg, config_mod.config_dict(cfg), [args.out], started)
     return 0
 
 
@@ -268,14 +277,16 @@ def cmd_scan(args) -> int:
     # one delay at a time: simulate over the scan's one grid, write,
     # reduce, then drop the stream
     tag_paths = [out_dir / f"tags_{index:03d}.zht" for index in range(len(runs))]
+    fits_path, manifest = out_dir / "fits.jsonl", out_dir / "scan_manifest.json"
+    _check_outputs(*tag_paths, out_dir / "rates.csv", fits_path, manifest)
     summaries, rep_rate_hz = _reduce(tag_paths, map(_write_run, sim._scan(runs), tag_paths),
                                      delays, gate, args.dead_pulses)
     outputs = [*tag_paths, out_dir / "rates.csv"]
-    fits_path = out_dir / "fits.jsonl"
     if _write_results(summaries, rep_rate_hz, outputs[-1], fits_path):
         outputs.append(fits_path)
-    _write_manifest(out_dir / "scan_manifest.json", args, cfg,
-                    {**config_mod.config_dict(cfg), "scan_delays": delays}, outputs, started)
+    _write_manifest(manifest, args, cfg,
+                    {**config_mod.config_dict(cfg), "scan_delays": delays, "scan_gate": gate,
+                     "scan_dead_pulses": args.dead_pulses}, outputs, started)
     return 0
 
 

@@ -194,14 +194,7 @@ class OutputDistribution:
             raise ValidationError(f"output distribution sums to {self.total()!r}, not 1")
 
     def as_dict(self) -> dict:
-        return {
-            "p00": self.p00,
-            "p10": self.p10,
-            "p01": self.p01,
-            "p11": self.p11,
-            "p20": self.p20,
-            "p02": self.p02,
-        }
+        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
     def total(self) -> float:
         return self.p00 + self.p10 + self.p01 + self.p11 + self.p20 + self.p02

@@ -39,13 +39,16 @@ its byte offset. A file with equal-timestamp tags in another channel
 order reads to the same stream.
 
 The CSV form stays interleaved, as the text a time-tagger exports: it
-carries the header as "# key = value" comment lines plus a free-text
-provenance note, then the column header "channel,timestamp" and a
-record NAME,DIGITS a line in the record order above, written a block at
-a time: NAME is REF, D1 or D2 and DIGITS a decimal below 2**64 (a plus
-sign, leading zeros and surrounding ASCII blanks are tolerated). Empty
-lines are skipped; anything else, a "#" line or a non-ASCII character
-included, is a FormatError naming its line.
+carries the header and the record count as "# key = value" comment
+lines plus a free-text provenance note, then the column header
+"channel,timestamp" and a record NAME,DIGITS a line in the record order
+above, written a block at a time: NAME is REF, D1 or D2 and DIGITS a
+decimal below 2**64 (a plus sign, leading zeros and surrounding ASCII
+blanks are tolerated). Empty lines are skipped; anything else, a "#"
+line or a non-ASCII character included, is a FormatError naming its
+line. A record count other than the header's, as in a file cut at a
+line boundary, is a FormatError too; a file without the count line is
+read unchecked.
 
 Every file the package writes to a path goes through _opened, which
 writes a regular file beside the path and renames it into place, so a
@@ -137,11 +140,10 @@ class TagStream:
         """A stream from (channel, timestamp) records, as the version 1
         and CSV readers split them; header holds the other fields. Codes
         must be 0 (REF), 1 (D1) or 2 (D2) and timestamps may not decrease
-        across records, ties in any channel order. A pass over the blocks sizes the
-        channels and a second fills them, splitting a mixed block
-        (_mixed_block) by one stable counting sort of its codes and any
-        other by a mask per channel, so beside the records and the
-        result only a block is held."""
+        across records, ties in any channel order. A pass over the blocks
+        sizes the channels and a second fills them, splitting each block
+        by one stable counting sort of its codes, so beside the records
+        and the result only a block is held."""
         ch, ts = np.asarray(channels), np.asarray(timestamps)
         if ch.ndim != 1 or ch.shape != ts.shape:
             raise ValidationError("channels and timestamps must be 1-d and equal length")
@@ -161,16 +163,12 @@ class TagStream:
             block = ts[max(start - 1, 0):start + _BLOCK].copy()
             if _first_descent(block) is not None:
                 raise IntegrityError("timestamps must be non-decreasing")
-            block, codes = block[min(start, 1):], ch[start:start + _BLOCK].astype(np.uint8)
+            block = block[min(start, 1):]
             # a stable sort of the codes lists each channel's records in turn
-            order = np.argsort(codes, kind="stable") if _mixed_block(sizes) else None
+            order = np.argsort(ch[start:start + _BLOCK].astype(np.uint8), kind="stable")
             for code, (part, size) in enumerate(zip(parts, sizes)):
-                taken = part[filled[code]:filled[code] + size]
-                if order is None:
-                    taken[:] = block[codes == code]
-                else:
-                    np.take(block, order[:size], out=taken)
-                    order = order[size:]
+                np.take(block, order[:size], out=part[filled[code]:filled[code] + size])
+                order = order[size:]
                 filled[code] += size
         stream.refs, stream.d1, stream.d2 = parts
         return stream
@@ -189,7 +187,7 @@ class TagStream:
     def channels(self) -> np.ndarray:
         """Record channel codes in file order, read only by perfbench/workloads.py's
         tag count; once that reads stream.refs.size (ROADMAP item 1), this can go."""
-        return np.concatenate([r["channel"] for r in _record_blocks(self)] + [np.empty(0, "u1")])
+        return np.concatenate([codes for codes, _ in _record_blocks(self)] + [np.empty(0, "u1")])
 
 
 _CHANNELS = ("refs", "d1", "d2")  # the TagStream fields, by channel code
@@ -214,25 +212,15 @@ def _first_descent(ts: np.ndarray) -> int | None:
     return None
 
 
-def _mixed_block(sizes) -> bool:
-    """Whether more than 1/16 of a block's tags lie outside its largest
-    channel (the references, as a rule): then one stable sort merges or
-    splits the block faster than a search or a mask per channel."""
-    total = sum(sizes)
-    return 16 * (total - max(sizes)) > total
-
-
 def _record_blocks(stream: TagStream):
     """The records in (timestamp, channel) order, as a stable sort of the
-    channels concatenated gives, in rounds of at most _BLOCK + 2.
+    channels concatenated gives, in rounds of at most _BLOCK + 2, each a
+    pair of arrays: the channel codes and the timestamps.
 
     A round takes from each channel's front a share of _BLOCK set by its
     size. The taken tags at or before the last taken tag (t, c) of any
     channel with tags left go out, as all tags left behind sort after
-    them. If one channel (the references, as a rule) has nearly all, the
-    others go to their index plus the count of tags ahead of them in the
-    rest, and it fills the slots left; in a mixed block (_mixed_block) a
-    stable sort orders them.
+    them, ordered by one stable sort of their timestamps.
     """
     parts, at = [stream.refs, stream.d1, stream.d2], [0, 0, 0]
     shares = [max(1, _BLOCK * part.size // max(len(stream), 1)) for part in parts]
@@ -247,24 +235,9 @@ def _record_blocks(stream: TagStream):
         sizes = [head.size for head in heads]
         if not any(sizes):
             return
-        big, total = int(np.argmax(sizes)), sum(sizes)
-        records = np.empty(total, dtype=_RECORD)
-        if _mixed_block(sizes):
-            stamps = np.concatenate(heads)
-            order = np.argsort(stamps, kind="stable")
-            records["timestamp"] = stamps[order]
-            records["channel"] = np.repeat(np.arange(len(Channel), dtype="u1"), sizes)[order]
-        else:
-            records["channel"], fill = big, np.ones(total, dtype=bool)
-            for code, head in enumerate(heads):
-                if code != big:
-                    slots = np.arange(head.size) + sum(
-                        np.searchsorted(rest, head, "right" if other < code else "left")
-                        for other, rest in enumerate(heads) if other != code)
-                    records["timestamp"][slots], records["channel"][slots] = head, code
-                    fill[slots] = False
-            records["timestamp"][fill] = heads[big]
-        yield records
+        stamps = np.concatenate(heads)
+        order = np.argsort(stamps, kind="stable")
+        yield np.repeat(np.arange(len(Channel), dtype="u1"), sizes)[order], stamps[order]
         at = [i + size for i, size in zip(at, sizes)]
 
 
@@ -450,9 +423,9 @@ def write_tags_csv(stream: TagStream, sink) -> None:
     with _opened(sink, "w") as fh:
         fh.write(f"# zht-csv\n# version = {_CSV_VERSION}\n# timebin_ps = {stream.timebin_ps}\n"
                  f"# rep_period_ps = {stream.rep_period_ps}\n# divider = {stream.divider}\n"
-                 f"# provenance = {flat}\n{_CSV_COLUMNS}\n")
-        for records in _record_blocks(stream):
-            fh.write(_csv_rows(records["channel"], records["timestamp"]))
+                 f"# records = {len(stream)}\n# provenance = {flat}\n{_CSV_COLUMNS}\n")
+        for codes, stamps in _record_blocks(stream):
+            fh.write(_csv_rows(codes, stamps))
 
 
 def _csv_rows(channels: np.ndarray, timestamps: np.ndarray) -> str:
@@ -517,6 +490,7 @@ def _read_csv(fh, path) -> TagStream:
     try:
         version, timebin_ps, rep_period_ps, divider = (
             int(header[key]) for key in ("version", "timebin_ps", "rep_period_ps", "divider"))
+        n_records = int(header["records"]) if "records" in header else None
     except KeyError as exc:
         raise FormatError(f"missing header line {exc}") from None
     except ValueError as exc:
@@ -551,6 +525,8 @@ def _read_csv(fh, path) -> TagStream:
         channels += named.view(np.uint8) * np.uint8(c)
     if not known.all():
         raise _record_error(fh, body_at, lineno, "unknown channel name")
+    if n_records not in (None, records.size):
+        raise FormatError(f"the header gives {n_records} records but the file holds {records.size}")
     try:
         return TagStream.from_records(channels, records["ts"], timebin_ps=timebin_ps,
                                       rep_period_ps=rep_period_ps, divider=divider,

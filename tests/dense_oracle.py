@@ -283,6 +283,7 @@ def printf_tags_csv(stream, fh, block=1 << 16):
     fh.write(f"# timebin_ps = {stream.timebin_ps}\n")
     fh.write(f"# rep_period_ps = {stream.rep_period_ps}\n")
     fh.write(f"# divider = {stream.divider}\n")
+    fh.write(f"# records = {len(stream)}\n")
     flat = " ".join(stream.provenance.splitlines()) if stream.provenance else ""
     fh.write(f"# provenance = {flat}\n")
     fh.write("channel,timestamp\n")

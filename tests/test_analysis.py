@@ -666,3 +666,16 @@ class TestWriters:
         path = tmp_path / "fits.jsonl"
         write_fits_jsonl({"heralded_rate": peak}, path)
         assert json.loads(path.read_text().splitlines()[0])["series"] == "heralded_rate"
+
+    def test_fits_jsonl_is_strict_json(self):
+        # an all-zero series, as the coincidences of a short scan, has no cwr
+        zero = gaussian_fit([(x, 0.0, 1e-3) for x in np.linspace(-3e-13, 3e-13, 7)])
+        assert math.isnan(zero.cwr)
+        sink = io.StringIO()
+        write_fits_jsonl({"coincidence": zero}, sink)
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        record = json.loads(sink.getvalue(), parse_constant=no_constant)
+        assert record["cwr"] is None and record["a"] == 0.0

@@ -478,6 +478,17 @@ class TestScanCommand:
         assert auto == read_csv(tmp_path / "flag" / "rates.csv")
         assert auto != read_csv(tmp_path / "wide" / "rates.csv")
 
+    def test_manifest_records_the_reduction_settings(self, tmp_path, cfg_path):
+        # the gate and the dead window both shape rates.csv
+        scan = ["scan", "--config", str(cfg_path), "--delays=0",
+                "--set", "n_pulses=5121", "--set", "gate_window=1e-9"]
+        assert main(scan + ["--out-dir", str(tmp_path / "auto")]) == 0
+        assert main(scan + ["--out-dir", str(tmp_path / "flags"),
+                            "--gate", "2e-9", "--dead-pulses", "3"]) == 0
+        for name, gate, dead_pulses in (("auto", 1e-9, 5), ("flags", 2e-9, 3)):
+            config = json.loads((tmp_path / name / "scan_manifest.json").read_text())["config"]
+            assert (config["scan_gate"], config["scan_dead_pulses"]) == (gate, dead_pulses)
+
     def test_non_finite_delay_fails_before_simulating(self, tmp_path, cfg_path, capsys):
         # "nan,0" used to write a nan row with no clicks at all
         out_dir = tmp_path / "scan"
@@ -602,6 +613,39 @@ class TestUnwritableOutputs:
         assert (str(bad) if command[0] != "scan" else f"{tag_file}/sub") in err
         assert not bad.parent.exists()
 
+    @pytest.mark.parametrize("command, blocked", [
+        (["simulate", "--config", "{cfg}", "--out", "{tmp}/out.zht"], "out.zht"),
+        (["simulate", "--config", "{cfg}", "--out", "{tmp}/out.zht"], "out.zht.manifest.json"),
+        (["analyze", "{tags}", "--rates-out", "{tmp}/rates.csv"], "rates.csv"),
+        (["analyze", "{tags}", "--fits-out", "{tmp}/fits.jsonl"], "fits.jsonl"),
+        (["compare", "{tags}", "--config", "{cfg}", "--out", "{tmp}/cmp.jsonl"], "cmp.jsonl"),
+        (["scan", "--config", "{cfg}", "--out-dir", "{tmp}/scan", "--span", "1e-13"],
+         "scan/rates.csv"),
+    ], ids=["simulate", "simulate-manifest", "analyze-rates", "analyze-fits", "compare", "scan"])
+    def test_directory_in_place_of_an_output_fails_before_the_work(
+            self, tmp_path, cfg_path, tag_file, capsys, monkeypatch, command, blocked):
+        for module, name in ((sim_mod, "run_simulation"), (sim_mod, "_scan"), (cli, "_reduce")):
+            monkeypatch.setattr(module, name, no_work)
+        (tmp_path / blocked).mkdir(parents=True)
+        argv = [arg.format(tmp=tmp_path, cfg=cfg_path, tags=tag_file) for arg in command]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot write {tmp_path / blocked}: it is a directory\n")
+
+    @pytest.mark.parametrize("link", [False, True], ids=["one path", "symlink"])
+    def test_two_outputs_to_one_file_fail_before_the_work(
+            self, tmp_path, tag_file, capsys, monkeypatch, link):
+        # the fits used to replace the rate CSV without a word
+        monkeypatch.setattr(cli, "_reduce", no_work)
+        rates, fits = tmp_path / "out.txt", tmp_path / ("link.txt" if link else "out.txt")
+        if link:
+            fits.symlink_to(rates)
+        assert main(["analyze", str(tag_file), "--rates-out", str(rates),
+                     "--fits-out", str(fits)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot write {fits}: it is the same file as {rates}\n")
+        assert not rates.exists()
+
     def test_unwritable_scan_tag_file_is_named_once(self, tmp_path, cfg_path, capsys):
         out_dir = tmp_path / "scan"
         blocked = out_dir / "tags_001.zht"
@@ -612,6 +656,10 @@ class TestUnwritableOutputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {blocked}: ")
         assert err.count(str(blocked)) == 1
+
+
+def no_work(*args):
+    raise AssertionError("the work started")
 
 
 class TestFailingFileIsNamed:

@@ -46,8 +46,7 @@ from zeroherald.sim import (
     delay_configs,
     derive_delay_seed,
 )
-from zeroherald.tags import (_RECORD as RECORD, Channel, TagStream, _record_blocks,
-                              read_tags, write_tags)
+from zeroherald.tags import Channel, TagStream, _record_blocks, read_tags, write_tags
 
 from dense_oracle import (
     DeadState, DenseTable, PulseState, afterpulse_walk, detect_pulse, sample_trial, v1_bytes,
@@ -861,8 +860,9 @@ def assembled_records(ref_times, d1, d2):
     stream = TagStream(timebin_ps=1, rep_period_ps=1, divider=1,
                        refs=np.asarray(ref_times, dtype=np.uint64),
                        d1=_sorted_stamps(d1), d2=_sorted_stamps(d2))
-    records = np.concatenate([np.empty(0, RECORD), *_record_blocks(stream)])
-    return records["channel"], records["timestamp"]
+    rounds = list(_record_blocks(stream))
+    return (np.concatenate([np.empty(0, "u1"), *(codes for codes, _ in rounds)]),
+            np.concatenate([np.empty(0, "u8"), *(ts for _, ts in rounds)]))
 
 
 class TestMergeTags:

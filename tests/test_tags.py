@@ -278,6 +278,9 @@ class TestReplacingWrites:
         path = tmp_path / "run.csv"
         write_tags_csv(self.OLD, path)
         old = path.read_bytes()
+        whole = io.StringIO()
+        write_tags_csv(self.NEW, whole)
+        header = whole.getvalue()[:whole.getvalue().index("channel,timestamp\n") + 18]
         monkeypatch.setattr(tags, "_BLOCK", 10)
         rows, blocks = tags._csv_rows, []
 
@@ -293,11 +296,9 @@ class TestReplacingWrites:
         assert path.read_bytes() == old
         assert files_beside(path) == ["run.csv"]
         # a file cut after the first block, as writing in place leaves
-        # it, reads without an error as a shorter stream
-        header = io.StringIO()
-        write_tags_csv(TagStream(refs=[], d1=[], d2=[], **HEADER), header)
-        torn = read_tags_csv(io.StringIO(header.getvalue() + blocks[0]))
-        assert (len(torn), len(self.NEW)) == (9, 13)
+        # it, fails on its record count
+        with pytest.raises(FormatError, match="gives 13 records but the file holds 9"):
+            read_tags_csv(io.StringIO(header + blocks[0]))
 
     def test_failed_binary_write_leaves_the_old_file(self, tmp_path):
         path = tmp_path / "run.zht"
@@ -680,6 +681,21 @@ class TestCsvRoundTrip:
         back = read_tags_csv(io.StringIO(buf.getvalue()))
         assert back.provenance == "two lines"
 
+    @pytest.mark.parametrize("dropped", [1, 2, 13])
+    def test_file_cut_at_a_line_boundary_is_a_format_error(self, tmp_path, dropped):
+        path = tmp_path / "tags.csv"
+        write_tags_csv(make_stream(np.arange(13) % 3, np.arange(13) * 5), path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert "# records = 13\n" in lines
+        path.write_text("".join(lines[:-dropped]))
+        with pytest.raises(FormatError, match=f"^the header gives 13 records but the file "
+                                              f"holds {13 - dropped}$"):
+            read_tags_csv(path)
+        # a file without the count line reads as the records it holds
+        path.write_text("".join(line for line in lines[:-dropped]
+                                if not line.startswith("# records")))
+        assert len(read_tags_csv(path)) == 13 - dropped
+
     def test_bad_row_rejected_with_line_number(self):
         buf = io.StringIO()
         write_tags_csv(make_stream([1], [4]), buf)
@@ -697,15 +713,19 @@ def tag_times(max_size):
 
 def interleaved(stream):
     """The records of the block-wise interleave, as one array."""
-    return np.concatenate([np.empty(0, RECORD), *_record_blocks(stream)])
+    rounds = list(_record_blocks(stream))
+    records = np.empty(sum(codes.size for codes, _ in rounds), dtype=RECORD)
+    records["channel"] = np.concatenate([np.empty(0, "u1"), *(codes for codes, _ in rounds)])
+    records["timestamp"] = np.concatenate([np.empty(0, "u8"), *(ts for _, ts in rounds)])
+    return records
 
 
 class TestRecordOrder:
     """The block-wise interleave against oracle_records, a stable sort of
     the three channels concatenated, as records and as the CSV writer's
     text, at block sizes down to three records; both readers split
-    blocks of the same size. Many references beside a few detector tags
-    take the interleave's placing path, the rest its sort."""
+    blocks of the same size. Inputs range from many references beside a
+    few detector tags to channels of equal size."""
 
     @given(refs=tag_times(60), d1=tag_times(12), d2=tag_times(12),
            block=st.sampled_from([3, 4, 5, 8, 64]))
@@ -716,7 +736,7 @@ class TestRecordOrder:
         text = io.StringIO()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tags, "_BLOCK", block)
-            assert all(records.size <= block + 2 for records in _record_blocks(stream))
+            assert all(codes.size <= block + 2 for codes, _ in _record_blocks(stream))
             records = interleaved(stream)
             write_tags_csv(stream, text)
             # the readers split in blocks of the same size
@@ -728,7 +748,7 @@ class TestRecordOrder:
 
     @pytest.mark.parametrize("block", [3, 64, 1 << 16])
     def test_references_dominate_with_ties(self, monkeypatch, block):
-        # mostly references, so most rounds place the detector tags among
+        # mostly references, so most rounds hold a detector tag or two among
         # them; each detector tag ties with references and the other detector
         stream = TagStream(refs=u64([0, 7, 2**64 - 1]).repeat(40), d1=u64([7, 2**64 - 1]),
                            d2=u64([0, 7, 2**64 - 1]), **HEADER)
@@ -775,9 +795,10 @@ def stable_split(channels, timestamps):
 
 @st.composite
 def block_mixes(draw, block=16):
-    """Records in blocks of one main channel and 0-4 others, so blocks
-    fall on both sides of the 1/16 share; timestamps step by 0-2, so
-    runs of equal ones cross block edges."""
+    """Records in blocks of one main channel and 0-4 others, so a block
+    holds from none to a quarter of its records outside its main
+    channel; timestamps step by 0-2, so runs of equal ones cross block
+    edges."""
     channels = []
     for _ in range(draw(st.integers(1, 5))):
         codes = [draw(st.integers(0, 2))] * block
@@ -790,9 +811,9 @@ def block_mixes(draw, block=16):
 
 
 class TestRecordSplit:
-    """from_records splits a block by a stable counting sort of its codes
-    when more than 1/16 of its records lie outside its main channel, and
-    by a mask per channel otherwise; both give a stable argsort's split."""
+    """from_records splits each block by a stable counting sort of its
+    codes, giving a stable argsort's split whatever share of the block
+    lies outside its main channel."""
 
     @given(block_mixes())
     @settings(max_examples=300, deadline=None)
@@ -808,8 +829,9 @@ class TestRecordSplit:
     @pytest.mark.parametrize("others", [0, 4096, 4097, 1 << 15],
                              ids=["none", "one sixteenth", "one more", "half"])
     def test_full_blocks_on_both_sides_of_the_share(self, others):
-        # three blocks of mostly references, the last one short; runs of
-        # eight equal timestamps cross each block edge
+        # three blocks of references, the last one short, with no, 4096,
+        # 4097 or 2**15 detector tags in each; runs of eight equal
+        # timestamps cross each block edge
         rng = np.random.default_rng(others)
         channels = np.zeros(3 * tags._BLOCK - 100, dtype=np.uint8)
         for start in range(0, channels.size, tags._BLOCK):
@@ -822,10 +844,9 @@ class TestRecordSplit:
                               stable_split(channels, timestamps)):
             np.testing.assert_array_equal(part, want)
 
-    def test_csv_round_trip_of_a_busy_mix(self, tmp_path, monkeypatch):
-        # a reference-heavy stretch with a few detector tags (mask
-        # splits), then dense detector tags among sparse references, as
-        # in a high-rate run (sort splits)
+    def test_csv_round_trip_of_a_busy_mix(self, tmp_path):
+        # a reference-heavy stretch with a few detector tags, then dense
+        # detector tags among sparse references, as in a high-rate run
         rng = np.random.default_rng(3)
         quiet = np.arange(80_000, dtype=np.uint64) * np.uint64(100)
         refs = np.concatenate([quiet, quiet[-1] + np.arange(1, 200, dtype=np.uint64) * 62_976])
@@ -838,16 +859,8 @@ class TestRecordSplit:
         stream = TagStream(refs=refs, d1=d1, d2=d2, provenance="busy mix", **HEADER)
         path = tmp_path / "busy.csv"
         write_tags_csv(stream, path)
-        mixed, rule = [], tags._mixed_block
-
-        def spy(sizes):  # the reader's split path of each block
-            mixed.append(rule(sizes))
-            return mixed[-1]
-
-        monkeypatch.setattr(tags, "_mixed_block", spy)
         back = read_tags_csv(path)
         assert back == stream and back.provenance == "busy mix"
-        assert True in mixed and False in mixed
 
 
 class TestCsvWriterMatchesPrintf:
@@ -912,10 +925,12 @@ class TestCsvWriterMatchesPrintf:
 
 
 def csv_text(channels=(0, 1), timestamps=(0, 5)):
-    """A valid CSV file: 7 header lines, then one record per tag."""
+    """A valid CSV file without its record count line, so that records
+    can be appended: 7 header lines, then one record per tag."""
     buf = io.StringIO()
     write_tags_csv(make_stream(list(channels), list(timestamps)), buf)
-    return buf.getvalue()
+    return "".join(line for line in io.StringIO(buf.getvalue())
+                   if not line.startswith("# records"))
 
 
 class TestCsvRecordGrammar:
