@@ -442,13 +442,8 @@ def compare_to_model(summary: RateSummary, cfg) -> ModelComparison:
     count), so every z-score is finite.
     """
     nu = cfg.profile.nu(summary.delta_t)
-    src = cfg.source
-    predicted = {
-        "singles1": model.p_click_single(src, cfg.det1.eta, nu),
-        "singles2": model.p_click_single(src, cfg.det2.eta, nu),
-        "coincidence": model.p_coincidence(src, cfg.det1.eta, cfg.det2.eta, nu),
-        "heralded_rate": model.p_c2_given_nc1_exact(src, cfg.det1.eta, cfg.det2.eta, nu),
-    }
+    predicted = dict(zip(("singles1", "singles2", "coincidence", "heralded_rate"),
+                         model._click_rates(cfg.source, cfg.det1.eta, cfg.det2.eta, nu)))
     flags = []
     if cfg.det1.dark_prob or cfg.det2.dark_prob:
         flags.append("dark counts present in config but not in predictions")

@@ -17,8 +17,11 @@ errors module gives the error raised; a failure in an input file names it.
 The front end only parses: each parameter is checked by the model type
 that holds it, and --delays is read as a config list is, so a
 non-finite delay fails (exit 3) before any tag file is read or written.
-So does a --points below 1, and scan checks its gate window and dead
-window by the pipeline's own rules before it writes anything.
+So does a --points below 1, and scan checks its gate and dead windows by
+the pipeline's own rules, and that each run holds two reference tags,
+before it writes anything. An output that resolves to another output or
+to an input (--config, a tag file) fails (exit 3) before any work; a
+skipped fit leaves a note and no regular file at a named fits path.
 
 "-" means stdout for model --out, analyze --rates-out and --fits-out,
 and compare --out. analyze and compare read and reduce one tag file at
@@ -87,11 +90,12 @@ def _writing(path):
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _check_outputs(*paths) -> None:
+def _check_outputs(inputs, *paths) -> None:
     """Fail before the work, not after it, on an output path that is a
-    directory or whose directory does not exist, and on two outputs of
-    one command that resolve to the same file; None and "-" (stdout) pass."""
-    seen = {}
+    directory or whose directory does not exist, and on an output that
+    resolves (symlinks followed) to another output or to one of the
+    command's input files; None and "-" (stdout) pass."""
+    seen = {Path(path).resolve(): f"the input {path}" for path in inputs}
     for path in (p for p in paths if p not in (None, "-")):
         target = Path(path)
         if target.is_dir():
@@ -179,7 +183,7 @@ def cmd_simulate(args) -> int:
     if args.out == "-":
         raise ValidationError("simulate --out needs a file path, not '-'")
     manifest = args.out + ".manifest.json"
-    _check_outputs(args.out, manifest)
+    _check_outputs([args.config], args.out, manifest)
     cfg = config_mod.load_config(args.config, _overrides(args.set))
     _write_run(sim.run_simulation(cfg), args.out)
     _write_manifest(manifest, args, cfg, config_mod.config_dict(cfg), [args.out], started)
@@ -209,24 +213,29 @@ def _reduce(names, streams, delays, gate, dead_pulses):
 
 
 def _write_results(summaries, rep_rate_hz, rates_out, fits_out):
-    """Write the rate CSV, then the shared-shape fit of the rate series,
-    with enough points to try, to fits_out if given; returns the fits.
-    A fit over one delay, or one that fails, is skipped with a note."""
+    """Write the rate CSV, then the shared-shape fit to fits_out if given;
+    returns the fits. A skipped fit gets a note (too few delays only when
+    fits_out is named) and leaves no regular file at fits_out."""
     with _out_stream(rates_out) as fh:
         analysis.write_rate_csv(summaries, fh, rep_rate_hz=rep_rate_hz)
+    fits, skipped = {}, None
     if len(summaries) < analysis.MIN_FIT_POINTS:
-        return {}
-    if len({s.delta_t for s in summaries}) < 2:
-        print("note: scan fit skipped: fit needs a spread of delays", file=sys.stderr)
-        return {}
-    try:
-        fits = analysis.scan_fit(summaries)
-    except NumericalError as exc:
-        print(f"note: scan fit skipped: {exc}", file=sys.stderr)
-        return {}
-    if fits_out:
+        skipped = fits_out and f"fit needs at least {analysis.MIN_FIT_POINTS} delays"
+    elif len({s.delta_t for s in summaries}) < 2:
+        skipped = "fit needs a spread of delays"
+    else:
+        try:
+            fits = analysis.scan_fit(summaries)
+        except NumericalError as exc:
+            skipped = str(exc)
+    if skipped:
+        print(f"note: scan fit skipped: {skipped}", file=sys.stderr)
+    if fits and fits_out:
         with _out_stream(fits_out) as fh:
             analysis.write_fits_jsonl(fits, fh)
+    elif fits_out not in (None, "-") and tags._replaceable(fits_out):
+        with _writing(fits_out):  # a device, a FIFO or /dev/fd/N is left alone
+            Path(fits_out).unlink(missing_ok=True)
     return fits
 
 
@@ -241,7 +250,7 @@ def _delays_for_files(args) -> list[float]:
 
 def cmd_analyze(args) -> int:
     delays = _delays_for_files(args)
-    _check_outputs(args.rates_out, args.fits_out)
+    _check_outputs(args.files, args.rates_out, args.fits_out)
     summaries, rep_rate_hz = _reduce(args.files, map(_read_tag_file, args.files), delays,
                                      args.gate, args.dead_pulses)
     fits = _write_results(summaries, rep_rate_hz, args.rates_out, args.fits_out)
@@ -269,6 +278,9 @@ def cmd_scan(args) -> int:
     # the pipeline's period is a float, a median over the divider
     pipeline.gate_window_tb(gate, cfg.timebin_ps, float(cfg.period_tb))
     check_count("dead_pulses", args.dead_pulses)
+    if sim._reference_count(cfg) < 2:
+        raise ValidationError(f"n_pulses {cfg.n_pulses} must exceed divider {cfg.divider}: "
+                              "a run needs 2 reference tags to rebuild its pulse train")
     runs = sim.delay_configs(cfg, delays)
     delays = [delta_t for delta_t, _ in runs]
     out_dir = Path(args.out_dir)
@@ -278,7 +290,7 @@ def cmd_scan(args) -> int:
     # reduce, then drop the stream
     tag_paths = [out_dir / f"tags_{index:03d}.zht" for index in range(len(runs))]
     fits_path, manifest = out_dir / "fits.jsonl", out_dir / "scan_manifest.json"
-    _check_outputs(*tag_paths, out_dir / "rates.csv", fits_path, manifest)
+    _check_outputs([args.config], *tag_paths, out_dir / "rates.csv", fits_path, manifest)
     summaries, rep_rate_hz = _reduce(tag_paths, map(_write_run, sim._scan(runs), tag_paths),
                                      delays, gate, args.dead_pulses)
     outputs = [*tag_paths, out_dir / "rates.csv"]
@@ -292,7 +304,7 @@ def cmd_scan(args) -> int:
 
 def cmd_compare(args) -> int:
     delays = _delays_for_files(args)
-    _check_outputs(args.out)
+    _check_outputs([*args.files, args.config], args.out)
     cfg = config_mod.load_config(args.config)
     summaries, _ = _reduce(args.files, map(_read_tag_file, args.files), delays,
                            args.gate, args.dead_pulses)

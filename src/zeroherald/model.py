@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,10 +69,6 @@ class SourceParams:
         check_real("gamma", self.gamma, "unit")
         check_real("kappa1", self.kappa1, "unit")
         check_real("kappa2", self.kappa2, "unit")
-
-    @property
-    def kappa_bar(self) -> float:
-        return 0.5 * (self.kappa1 + self.kappa2)
 
     @property
     def kappa_tilde(self) -> float:
@@ -258,34 +254,94 @@ def heralded_fidelity(photon_probs: Sequence[float], det: DetectorParams) -> flo
     return float(p[0] / denom)
 
 
+# pair codes: 0 both photons lost, 1 split, 2 bunched into D1, 3 bunched
+# into D2, 4 lone photon on D1, 5 on D2; as photons (m at D1, n at D2)
+_PAIR_PHOTONS = ((0, 0), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1))
+# the 13 classes as (pair code, m, n, D1 candidate, D2 candidate): within
+# a pair code the D1 candidate (no, yes) is the outer loop and the D2
+# candidate the inner one; a detector without photons has only "no"
+_CLASSES = tuple((code, m, n, hit1, hit2) for code, (m, n) in enumerate(_PAIR_PHOTONS)
+                 for hit1 in range(1 + (m > 0)) for hit2 in range(1 + (n > 0)))
+
+
+class _PairClasses(NamedTuple):
+    """The joint law of one emitted pair, one entry per class: its
+    probability, the photons m at D1 and n at D2, and whether each
+    detector gets a photon-induced click candidate."""
+
+    prob: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+    hit1: np.ndarray
+    hit2: np.ndarray
+
+
+def _class_probs(src: SourceParams, nu: float, eta1: float, eta2: float) -> list[float]:
+    """The probabilities of the 13 classes of an emitted pair, in the
+    order of _CLASSES.
+
+    Each photon survives its channel; two survivors split with
+    probability (1-nu)/2 or bunch into either output with (1+nu)/4; a
+    lone survivor picks an output by fair coin. A detector that receives
+    c photons gets a candidate with probability 1-(1-eta)^c, formed as
+    eta*(c-(c-1)*eta) for c <= 2 so that a small eta keeps its digits.
+    """
+    k1, k2 = src.kappa1, src.kappa2
+    both = k1 * k2
+    lone = (k1 * (1.0 - k2) + k2 * (1.0 - k1)) / 2.0
+    code_prob = ((1.0 - k1) * (1.0 - k2), both * (1.0 - nu) / 2.0,
+                 both * (1.0 + nu) / 4.0, both * (1.0 + nu) / 4.0, lone, lone)
+    return [code_prob[code] * (eta1 * (m - (m - 1) * eta1) if hit1 else (1.0 - eta1) ** m)
+            * (eta2 * (n - (n - 1) * eta2) if hit2 else (1.0 - eta2) ** n)
+            for code, m, n, hit1, hit2 in _CLASSES]
+
+
+def _pair_classes(src: SourceParams, nu: float, eta1: float, eta2: float) -> _PairClasses:
+    """The 13 classes of an emitted pair as arrays the simulator draws from."""
+    _, m, n, hit1, hit2 = zip(*_CLASSES)
+    return _PairClasses(np.array(_class_probs(src, nu, eta1, eta2)),
+                        np.array(m, dtype=np.uint8), np.array(n, dtype=np.uint8),
+                        np.array(hit1, dtype=bool), np.array(hit2, dtype=bool))
+
+
+def _click_rates(src: SourceParams, eta1: float, eta2: float, nu: float):
+    """P(C1), P(C2), P(C1 and C2) and P(C2 | no C1) per pulse, all read
+    off one pair table: a pulse emits a pair with probability gamma, and
+    a detector clicks on the classes that give it a candidate."""
+    e1, e2 = check_real("eta1", eta1, "unit"), check_real("eta2", eta2, "unit")
+    p1 = p2 = both = 0.0
+    for p, (_, _, _, hit1, hit2) in zip(_class_probs(src, check_real("nu", nu, "unit"), e1, e2),
+                                        _CLASSES):
+        p1, p2, both = p1 + p * hit1, p2 + p * hit2, both + p * hit1 * hit2
+    p1, p2, both = src.gamma * p1, src.gamma * p2, src.gamma * both
+    return p1, p2, both, (p2 - both) / (1.0 - p1)  # p1 is at most 3/4 on the unit cube
+
+
 def output_distribution(src: SourceParams, nu: float) -> OutputDistribution:
     """Joint output photon numbers for one pulse of a weak pair source.
 
     With both photons surviving their channels, indistinguishability nu
     splits the pair between coincidence (1,1) and bunching (2,0)/(0,2);
-    a lone survivor exits either port with equal chance.
+    a lone survivor exits either port with equal chance. That is gamma
+    times the pair table at eta = 0, where each pair code is one class,
+    plus 1 - gamma at (0, 0).
     """
     check_real("nu", nu, "unit")
-    g, k1, k2 = src.gamma, src.kappa1, src.kappa2
-    both = g * k1 * k2
-    one = g * (k1 * (1.0 - k2) + (1.0 - k1) * k2)
-    p11 = both * (1.0 - nu) / 2.0
-    p20 = both * (1.0 + nu) / 4.0
-    p10 = one / 2.0
-    p00 = 1.0 - g * (k1 + k2 - k1 * k2)
-    return OutputDistribution(p00=p00, p10=p10, p01=p10, p11=p11, p20=p20, p02=p20)
+    quiet = [p for p, (*_, hit1, hit2) in zip(_class_probs(src, nu, 0.0, 0.0), _CLASSES)
+             if not (hit1 or hit2)]  # each pair code's one class, in code order
+    p = {f"p{m}{n}": src.gamma * q for (m, n), q in zip(_PAIR_PHOTONS, quiet)}
+    p["p00"] += 1.0 - src.gamma
+    return OutputDistribution(**p)
 
 
 def p_click_single(src: SourceParams, eta: float, nu: float) -> float:
     """Per-pulse click probability at one detector (no darks, no herald).
 
     Either detector obeys the same expression, so pass the efficiency of
-    the one you mean: gamma*eta*kappa_bar - (1+nu)*gamma*eta^2*k1*k2/4.
+    the one you mean: gamma*eta*(k1+k2)/2 - (1+nu)*gamma*eta^2*k1*k2/4.
     """
-    check_real("eta", eta, "unit")
-    check_real("nu", nu, "unit")
-    g = src.gamma
-    return g * eta * src.kappa_bar - (1.0 + nu) * g * eta**2 * src.kappa1 * src.kappa2 / 4.0
+    eta = check_real("eta", eta, "unit")
+    return _click_rates(src, eta, eta, nu)[0]
 
 
 def p_coincidence(src: SourceParams, eta1: float, eta2: float, nu: float) -> float:
@@ -294,10 +350,7 @@ def p_coincidence(src: SourceParams, eta1: float, eta2: float, nu: float) -> flo
     Only a split pair can do it: gamma*eta1*eta2*k1*k2*(1-nu)/2. Perfect
     indistinguishability (nu=1) bunches every pair and the rate vanishes.
     """
-    check_real("eta1", eta1, "unit")
-    check_real("eta2", eta2, "unit")
-    check_real("nu", nu, "unit")
-    return src.gamma * eta1 * eta2 * src.kappa1 * src.kappa2 * (1.0 - nu) / 2.0
+    return _click_rates(src, eta1, eta2, nu)[2]
 
 
 def p_c2_given_nc1_exact(src: SourceParams, eta1: float, eta2: float, nu: float) -> float:
@@ -306,10 +359,7 @@ def p_c2_given_nc1_exact(src: SourceParams, eta1: float, eta2: float, nu: float)
     Bayes on the single and coincidence probabilities:
     (P(C2) - P(C1 and C2)) / (1 - P(C1)).
     """
-    pc1 = p_click_single(src, eta1, nu)  # at most 3/4 on the unit cube
-    pc2 = p_click_single(src, eta2, nu)
-    pcc = p_coincidence(src, eta1, eta2, nu)
-    return (pc2 - pcc) / (1.0 - pc1)
+    return _click_rates(src, eta1, eta2, nu)[3]
 
 
 def p_c2_given_nc1_approx(eta1p, eta2p, gamma: float, nu: float) -> float:
@@ -415,18 +465,9 @@ def curve_grid(
     rows = []
     for dt in delays:
         nu = profile.nu(float(dt))
-        rows.append(
-            {
-                "delta_t": float(dt),
-                "nu": nu,
-                "p_click1": p_click_single(src, eta1, nu),
-                "p_click2": p_click_single(src, eta2, nu),
-                "p_coincidence": p_coincidence(src, eta1, eta2, nu),
-                "p_c2_given_nc1_exact": p_c2_given_nc1_exact(src, eta1, eta2, nu),
-                "p_c2_given_nc1_approx": p_c2_given_nc1_approx(e1p, e2p, src.gamma, nu),
-                "cwr": cwr_approx(e1p, e2p, nu),
-            }
-        )
+        rows.append(dict(zip(CURVE_COLUMNS, (
+            float(dt), nu, *_click_rates(src, eta1, eta2, nu),
+            p_c2_given_nc1_approx(e1p, e2p, src.gamma, nu), cwr_approx(e1p, e2p, nu)))))
     return rows
 
 

@@ -23,7 +23,8 @@ Each emitted pair is drawn with one uniform. Its class joins the
 photons (m at D1, n at D2) that loss and Hong-Ou-Mandel interference
 leave with whether each detector gets a photon-induced click
 candidate (probability 1-(1-eta)^c for c photons); the 13 class
-probabilities are products of the branch probabilities, and a pair's
+probabilities are products of the branch probabilities, the table
+model._pair_classes that the closed forms read too, and a pair's
 class is the number of cumulative edges at or below its uniform. The
 uniforms are drawn in the same order a block of pairs at a time, so the
 passes over a block stay in cache, and a class's flags are bits of a
@@ -65,11 +66,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ValidationError, check_count, check_real
-from .model import (
-    DetectorParams,
-    IndistinguishabilityProfile,
-    SourceParams,
-)
+from .model import (DetectorParams, IndistinguishabilityProfile, SourceParams, _PairClasses,
+                    _pair_classes)
 from .pipeline import _first_of_runs, _greedy_chain, gate_window_tb
 from .tags import PS_PER_SECOND, TagStream
 
@@ -287,51 +285,6 @@ def _event_pulses(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     return events[:np.searchsorted(events, n)]
 
 
-# pair codes: 0 both photons lost, 1 split, 2 bunched into D1, 3 bunched
-# into D2, 4 lone photon on D1, 5 on D2; as photons (m at D1, n at D2)
-_PAIR_PHOTONS = ((0, 0), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1))
-
-
-class _PairClasses(NamedTuple):
-    """The joint law of one emitted pair, one entry per class: its
-    probability, the photons m at D1 and n at D2, and whether each
-    detector gets a photon-induced click candidate."""
-
-    prob: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
-    hit1: np.ndarray
-    hit2: np.ndarray
-
-
-def _pair_classes(src: SourceParams, nu: float, eta1: float, eta2: float) -> _PairClasses:
-    """The 13 classes of an emitted pair, in pair-code order.
-
-    Each photon survives its channel; two survivors split with
-    probability (1-nu)/2 or bunch into either output with (1+nu)/4; a
-    lone survivor picks an output by fair coin. A detector that receives
-    c photons gets a candidate with probability 1-(1-eta)^c. Within a
-    pair code the D1 candidate (no, yes) is the outer loop and the D2
-    candidate the inner one; a detector without photons has only "no".
-    """
-    k1, k2 = src.kappa1, src.kappa2
-    both = k1 * k2
-    lone = (k1 * (1.0 - k2) + k2 * (1.0 - k1)) / 2.0
-    code_prob = ((1.0 - k1) * (1.0 - k2), both * (1.0 - nu) / 2.0,
-                 both * (1.0 + nu) / 4.0, both * (1.0 + nu) / 4.0, lone, lone)
-    rows = []
-    for p, (m, n) in zip(code_prob, _PAIR_PHOTONS):
-        miss1, miss2 = (1.0 - eta1) ** m, (1.0 - eta2) ** n
-        for hit1 in range(1 + (m > 0)):
-            for hit2 in range(1 + (n > 0)):
-                rows.append((p * (1.0 - miss1 if hit1 else miss1)
-                             * (1.0 - miss2 if hit2 else miss2), m, n, hit1, hit2))
-    prob, m, n, hit1, hit2 = zip(*rows)
-    return _PairClasses(np.array(prob), np.array(m, dtype=np.uint8),
-                        np.array(n, dtype=np.uint8), np.array(hit1, dtype=bool),
-                        np.array(hit2, dtype=bool))
-
-
 def _class_codes(rng: np.random.Generator, prob: np.ndarray, k: int) -> np.ndarray:
     """One class code per pair from one uniform u: the number of
     cumulative edges at or below u."""
@@ -512,13 +465,18 @@ def _sorted_stamps(stamps: np.ndarray) -> np.ndarray:
     return np.sort(stamps[stamps >= 0], kind="stable").view(np.uint64)
 
 
+def _reference_count(cfg: SimConfig) -> int:
+    """The reference tags of a run of cfg, one every divider-th pulse."""
+    return -(-cfg.n_pulses // cfg.divider)
+
+
 def _reference_grid(cfg: SimConfig) -> np.ndarray:
     """The reference tags of a run of cfg, one every divider-th pulse, as
     a read-only array: runs with the same n_pulses, period and divider
     can hold one grid, and an in-place edit through any of their streams
     raises ValueError instead of changing all of them."""
     step = cfg.divider * cfg.period_tb
-    refs = np.arange(0, cfg.n_pulses * cfg.period_tb, step, dtype=np.uint64)
+    refs = np.arange(0, _reference_count(cfg) * step, step, dtype=np.uint64)
     refs.flags.writeable = False
     return refs
 

@@ -10,6 +10,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
 import tracemalloc
 from pathlib import Path
 
@@ -321,6 +323,42 @@ class TestAnalyzeCommand:
         assert len(read_csv(rates_out)) == 5
         assert not fits_path.exists()
 
+    @pytest.mark.parametrize("delays, note", [
+        ("0,1e-13", "fit needs at least 5 delays"),
+        ("1e-13,1e-13,1e-13,1e-13,1e-13", "fit needs a spread of delays"),
+        ("0,1e-13,2e-13,3e-13,4e-13", "baseline went negative"),
+    ], ids=["too few", "one delay", "failed"])
+    def test_skipped_fit_removes_an_older_fits_file(self, tmp_path, tag_file, capsys,
+                                                     monkeypatch, delays, note):
+        # an earlier run's fits used to stay beside the new rates, silently
+        def no_fit(summaries):
+            raise FitConvergenceError("baseline went negative")
+
+        monkeypatch.setattr(analysis, "scan_fit", no_fit)
+        fits_out = tmp_path / "fits.jsonl"
+        fits_out.write_text('{"series": "heralded_rate"}\n')
+        files = [str(tag_file)] * len(delays.split(","))
+        capsys.readouterr()
+        assert main(["analyze", *files, f"--delays={delays}", "--rates-out",
+                     str(tmp_path / "rates.csv"), "--fits-out", str(fits_out)]) == 0
+        assert capsys.readouterr().err == f"note: scan fit skipped: {note}\n"
+        assert not fits_out.exists()
+
+    @pytest.mark.parametrize("link", [False, True], ids=["fifo", "symlink to a fifo"])
+    def test_skipped_fit_leaves_a_fifo_alone(self, tmp_path, tag_file, capsys, link):
+        # only a regular file is removed: a skipped fit used to unlink
+        # whatever the fits path named, /dev/null run as root included
+        fifo = tmp_path / "fits.fifo"
+        os.mkfifo(fifo)
+        fits_out = tmp_path / "link" if link else fifo
+        if link:
+            fits_out.symlink_to(fifo)
+        assert main(["analyze", str(tag_file), "--rates-out", str(tmp_path / "rates.csv"),
+                     "--fits-out", str(fits_out)]) == 0
+        assert "note: scan fit skipped: fit needs at least 5 delays" in capsys.readouterr().err
+        assert stat.S_ISFIFO(os.stat(fits_out).st_mode)
+        assert fits_out.is_symlink() == link
+
     def test_corrupt_tag_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.zht"
         bad.write_bytes(b"not a tag file at all")
@@ -515,6 +553,31 @@ class TestScanCommand:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_shorter_scan_leaves_no_older_fits_file(self, tmp_path, cfg_path, capsys):
+        # a 3-point scan used to keep the 7-point scan's fits.jsonl
+        out_dir = tmp_path / "scan"
+        scan = ["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                "--span", "3e-13", "--set", "n_pulses=40961", "--points"]
+        assert main(scan + ["7"]) == 0
+        assert (out_dir / "fits.jsonl").exists()
+        capsys.readouterr()
+        assert main(scan + ["3"]) == 0
+        assert capsys.readouterr().err == "note: scan fit skipped: fit needs at least 5 delays\n"
+        assert not (out_dir / "fits.jsonl").exists()
+        assert len(read_csv(out_dir / "rates.csv")) == 3
+
+    @pytest.mark.parametrize("n_pulses, code", [("400", 3), ("512", 3), ("513", 0)])
+    def test_each_run_needs_two_reference_tags(self, tmp_path, cfg_path, capsys,
+                                               n_pulses, code):
+        # n_pulses 400 under divider 512 used to write tags_000.zht, then exit 4
+        out_dir = tmp_path / "scan"
+        assert main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "--delays=0", "--set", f"n_pulses={n_pulses}"]) == code
+        if code:
+            assert (f"error: n_pulses {n_pulses} must exceed divider 512"
+                    in capsys.readouterr().err)
+            assert not out_dir.exists()
+
     def test_one_point_scan_sits_at_zero_delay(self, tmp_path, cfg_path):
         out_dir = tmp_path / "scan"
         assert main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
@@ -645,6 +708,47 @@ class TestUnwritableOutputs:
         assert capsys.readouterr().err == (
             f"error: cannot write {fits}: it is the same file as {rates}\n")
         assert not rates.exists()
+
+    @pytest.mark.parametrize("command, replaced", [
+        (["analyze", "{tags}", "--rates-out", "{out}"], "tags"),
+        (["analyze", "{tags}", "--fits-out", "{out}"], "tags"),
+        (["compare", "{tags}", "--config", "{cfg}", "--out", "{out}"], "tags"),
+        (["compare", "{tags}", "--config", "{cfg}", "--out", "{out}"], "cfg"),
+        (["simulate", "--config", "{cfg}", "--out", "{out}"], "cfg"),
+    ], ids=["analyze-rates", "analyze-fits", "compare-tags", "compare-config", "simulate"])
+    @pytest.mark.parametrize("link", [False, True], ids=["one path", "symlink"])
+    def test_an_output_may_not_replace_an_input(
+            self, tmp_path, cfg_path, tag_file, capsys, monkeypatch, command, replaced, link):
+        # analyze a.zht --rates-out a.zht used to replace the tag file with
+        # the rate CSV, and simulate --out c.cfg the config it recorded
+        for module, name in ((sim_mod, "run_simulation"), (cli, "_reduce")):
+            monkeypatch.setattr(module, name, no_work)
+        target = {"tags": tag_file, "cfg": cfg_path}[replaced]
+        out, before = tmp_path / "link" if link else target, target.read_bytes()
+        if link:
+            out.symlink_to(target)
+        assert main([arg.format(tags=tag_file, cfg=cfg_path, out=out) for arg in command]) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: it is the same file as the input {target}\n")
+        assert target.read_bytes() == before
+
+    @pytest.mark.parametrize("link", [False, True], ids=["one path", "symlink"])
+    def test_scan_may_not_replace_its_config(self, tmp_path, cfg_path, capsys, monkeypatch,
+                                             link):
+        monkeypatch.setattr(sim_mod, "_scan", no_work)
+        out_dir = tmp_path / "scan"
+        out_dir.mkdir()
+        rates = out_dir / "rates.csv"
+        if link:
+            rates.symlink_to(cfg_path)
+        else:
+            rates.write_text(CONFIG)
+        config = cfg_path if link else rates
+        assert main(["scan", "--config", str(config), "--out-dir", str(out_dir),
+                     "--span", "1e-13"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot write {rates}: it is the same file as the input {config}\n")
+        assert config.read_text() == CONFIG
 
     def test_unwritable_scan_tag_file_is_named_once(self, tmp_path, cfg_path, capsys):
         out_dir = tmp_path / "scan"

@@ -6,6 +6,7 @@ by hand), not by running the code under test.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -166,6 +167,16 @@ def brute_force_rates(src, eta1, eta2, nu):
     return p1, p2, pc, num / den
 
 
+def paper_rates(src, eta1, eta2, nu):
+    """The paper's closed forms, written out here rather than read off the
+    package's pair table: the two singles, the coincidences, and Bayes
+    over them for the heralded click probability."""
+    g, k1, k2 = src.gamma, src.kappa1, src.kappa2
+    single = lambda eta: g * eta * (k1 + k2) / 2 - (1 + nu) * g * eta**2 * k1 * k2 / 4
+    pc = g * eta1 * eta2 * k1 * k2 * (1 - nu) / 2
+    return single(eta1), single(eta2), pc, (single(eta2) - pc) / (1 - single(eta1))
+
+
 class TestClickRates:
     def test_single_click_frozen_value(self):
         assert p_click_single(SRC, ETA2, NU) == pytest.approx(
@@ -195,6 +206,17 @@ class TestClickRates:
         assert p_c2_given_nc1_exact(src, e1, e2, nu) == pytest.approx(
             cond, abs=1e-14
         )
+
+    @given(g=unit_open, k1=unit, k2=unit, e1=unit, e2=unit, nu=unit)
+    @settings(max_examples=300)
+    def test_agrees_with_the_paper_formulas(self, g, k1, k2, e1, e2, nu):
+        src = SourceParams(g, k1, k2)
+        got = (p_click_single(src, e1, nu), p_click_single(src, e2, nu),
+               p_coincidence(src, e1, e2, nu), p_c2_given_nc1_exact(src, e1, e2, nu))
+        for value, want in zip(got, paper_rates(src, e1, e2, nu)):
+            # 1e-14 relative; a result below the normal floats has no
+            # relative digits to keep and is held to 1e-14 of the smallest
+            assert abs(value - want) <= 1e-14 * max(want, sys.float_info.min)
 
     def test_zero_pair_rate_means_zero_rates(self):
         src = SourceParams(0.0, 0.5, 0.5)

@@ -28,7 +28,7 @@ from zeroherald import (
 )
 from zeroherald.errors import CapacityError, ValidationError
 from zeroherald.pipeline import table_from_stream
-from zeroherald.model import p_noclick_given_n
+from zeroherald.model import _pair_classes, p_noclick_given_n
 from zeroherald.sim import (
     _BLOCK,
     MAX_TIMESTAMP,
@@ -39,7 +39,6 @@ from zeroherald.sim import (
     _detector_walk,
     _event_pulses,
     _geometric,
-    _pair_classes,
     _pair_draws,
     _pair_photons,
     _sorted_stamps,
