@@ -9,7 +9,8 @@ Subcommands:
     analyze    reduce tag files to rates and a shared-shape scan fit
     scan       simulate a whole delay grid and analyze it in one go; its
                virtual gate defaults to the config's gate_window
-    compare    z-scores of tag files against a config's closed forms
+    compare    z-scores of tag files against a config's closed forms; its
+               virtual gate defaults to that config's gate_window
 
 Exit codes: 0 success, 2 bad flags, else the exit_code (3, 4 or 5) the
 errors module gives the error raised; a failure in an input file names it.
@@ -21,7 +22,8 @@ So does a --points below 1, and scan checks its gate and dead windows by
 the pipeline's own rules, and that each run holds two reference tags,
 before it writes anything. An output that resolves to another output or
 to an input (--config, a tag file) fails (exit 3) before any work; a
-skipped fit leaves a note and no regular file at a named fits path.
+skipped fit leaves a note and no regular file at a named fits path, and
+scan removes, with a note, the tag files a longer scan left behind.
 
 "-" means stdout for model --out, analyze --rates-out and --fits-out,
 and compare --out. analyze and compare read and reduce one tag file at
@@ -264,6 +266,20 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _remove_stale_tags(out_dir: Path, count: int) -> None:
+    """Remove, with a note, each regular file in out_dir named as a scan
+    names its tag file at an index at or past count: a longer scan's."""
+    indices = {path: path.name[5:-4] for path in out_dir.glob("tags_*.zht")}
+    stale = [path for path, index in indices.items() if index.isdecimal()
+             and int(index) >= count and path.name == f"tags_{int(index):03d}.zht"
+             and tags._replaceable(path)]  # a device, a FIFO or a directory stays
+    for path in stale:
+        with _writing(path):
+            path.unlink(missing_ok=True)
+    if stale:
+        print(f"note: removed {len(stale)} tag files of a longer scan", file=sys.stderr)
+
+
 def cmd_scan(args) -> int:
     started = time.perf_counter()
     cfg = config_mod.load_config(args.config, _overrides(args.set))
@@ -296,6 +312,7 @@ def cmd_scan(args) -> int:
     outputs = [*tag_paths, out_dir / "rates.csv"]
     if _write_results(summaries, rep_rate_hz, outputs[-1], fits_path):
         outputs.append(fits_path)
+    _remove_stale_tags(out_dir, len(runs))
     _write_manifest(manifest, args, cfg,
                     {**config_mod.config_dict(cfg), "scan_delays": delays, "scan_gate": gate,
                      "scan_dead_pulses": args.dead_pulses}, outputs, started)
@@ -306,8 +323,9 @@ def cmd_compare(args) -> int:
     delays = _delays_for_files(args)
     _check_outputs([*args.files, args.config], args.out)
     cfg = config_mod.load_config(args.config)
+    gate = cfg.gate_window if args.gate is None else args.gate
     summaries, _ = _reduce(args.files, map(_read_tag_file, args.files), delays,
-                           args.gate, args.dead_pulses)
+                           gate, args.dead_pulses)
     worst = 0.0
     with _out_stream(args.out) as fh:
         for name, summary in zip(args.files, summaries):
@@ -385,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="z-scores of tag files vs closed forms")
     p_cmp.add_argument("files", nargs="+")
     p_cmp.add_argument("--config", required=True)
-    _add_reduce_flags(p_cmp)
+    _add_reduce_flags(p_cmp, gate_default=None)
     p_cmp.add_argument("--out", default="-")
     p_cmp.set_defaults(func=cmd_compare)
 

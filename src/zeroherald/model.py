@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -259,21 +259,10 @@ def heralded_fidelity(photon_probs: Sequence[float], det: DetectorParams) -> flo
 _PAIR_PHOTONS = ((0, 0), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1))
 # the 13 classes as (pair code, m, n, D1 candidate, D2 candidate): within
 # a pair code the D1 candidate (no, yes) is the outer loop and the D2
-# candidate the inner one; a detector without photons has only "no"
+# candidate the inner one; a detector without photons has only "no". A
+# class's code, which the simulator draws, is its index here
 _CLASSES = tuple((code, m, n, hit1, hit2) for code, (m, n) in enumerate(_PAIR_PHOTONS)
                  for hit1 in range(1 + (m > 0)) for hit2 in range(1 + (n > 0)))
-
-
-class _PairClasses(NamedTuple):
-    """The joint law of one emitted pair, one entry per class: its
-    probability, the photons m at D1 and n at D2, and whether each
-    detector gets a photon-induced click candidate."""
-
-    prob: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
-    hit1: np.ndarray
-    hit2: np.ndarray
 
 
 def _class_probs(src: SourceParams, nu: float, eta1: float, eta2: float) -> list[float]:
@@ -294,14 +283,6 @@ def _class_probs(src: SourceParams, nu: float, eta1: float, eta2: float) -> list
     return [code_prob[code] * (eta1 * (m - (m - 1) * eta1) if hit1 else (1.0 - eta1) ** m)
             * (eta2 * (n - (n - 1) * eta2) if hit2 else (1.0 - eta2) ** n)
             for code, m, n, hit1, hit2 in _CLASSES]
-
-
-def _pair_classes(src: SourceParams, nu: float, eta1: float, eta2: float) -> _PairClasses:
-    """The 13 classes of an emitted pair as arrays the simulator draws from."""
-    _, m, n, hit1, hit2 = zip(*_CLASSES)
-    return _PairClasses(np.array(_class_probs(src, nu, eta1, eta2)),
-                        np.array(m, dtype=np.uint8), np.array(n, dtype=np.uint8),
-                        np.array(hit1, dtype=bool), np.array(hit2, dtype=bool))
 
 
 def _click_rates(src: SourceParams, eta1: float, eta2: float, nu: float):

@@ -24,11 +24,12 @@ photons (m at D1, n at D2) that loss and Hong-Ou-Mandel interference
 leave with whether each detector gets a photon-induced click
 candidate (probability 1-(1-eta)^c for c photons); the 13 class
 probabilities are products of the branch probabilities, the table
-model._pair_classes that the closed forms read too, and a pair's
-class is the number of cumulative edges at or below its uniform. The
-uniforms are drawn in the same order a block of pairs at a time, so the
-passes over a block stay in cache, and a class's flags are bits of a
-u16 mask, read by testing 1 << code.
+model._CLASSES that the closed forms read too, and a pair's class is
+the number of cumulative edges at or below its uniform. The uniforms
+are drawn in the same order a block of pairs at a time, so the passes
+over a block stay in cache, and a class's flags are bits of a u16 mask,
+read by testing 1 << code. The truth keeps each pair's class, and
+reads its photons off the table.
 
 Dead time and afterpulsing are applied per detector without a per-click
 loop. For each pulse with candidate events the engine draws the number
@@ -66,8 +67,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ValidationError, check_count, check_real
-from .model import (DetectorParams, IndistinguishabilityProfile, SourceParams, _PairClasses,
-                    _pair_classes)
+from .model import (_CLASSES, DetectorParams, IndistinguishabilityProfile, SourceParams,
+                    _class_probs)
 from .pipeline import _first_of_runs, _greedy_chain, gate_window_tb
 from .tags import PS_PER_SECOND, TagStream
 
@@ -86,6 +87,12 @@ MAX_TIMESTAMP = 2**62  # headroom below the u64 ceiling for jitter excursions
 # draws per block of the per-draw passes: the 256 kB of 32k doubles stay
 # in a core's L2 cache through every pass over them
 _BLOCK = 1 << 15
+
+# the class table's columns by class code, built once: the photons at D1
+# and D2, and each detector's candidate flags as a u16 mask, so a flag is
+# 1 << code & mask, one u16 pass where a table lookup would copy to intp
+_M, _N = (np.array(column, dtype=np.uint8) for column in list(zip(*_CLASSES))[1:3])
+_HIT1, _HIT2 = (sum(1 << code for code, row in enumerate(_CLASSES) if row[at]) for at in (3, 4))
 
 
 @dataclass(frozen=True)
@@ -194,20 +201,23 @@ class SimConfig:
 class SimTruth:
     """Ground truth the tag stream cannot reveal on its own.
 
-    Pairs are recorded even when both photons are lost; m and n are the
-    photon numbers that actually reached the detectors. clicks1/clicks2
-    are the pulses where each detector really clicked (post dead time,
-    any cause), and ingate_clicks1/2 the subset whose tag falls inside
-    the gate window, i.e. what a perfect analysis should recover.
+    Pairs are recorded even when both photons are lost; pair_class is
+    the uint8 class code of each pair in model._CLASSES, and m and n,
+    the photon numbers that actually reached the detectors, are read off
+    it (a new array at each read). clicks1/clicks2 are the pulses where
+    each detector really clicked (post dead time, any cause), and
+    ingate_clicks1/2 the subset whose tag falls inside the gate window,
+    i.e. what a perfect analysis should recover.
     """
 
     pair_pulses: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
+    pair_class: np.ndarray
     clicks1: np.ndarray
     clicks2: np.ndarray
     ingate_clicks1: np.ndarray
     ingate_clicks2: np.ndarray
+    m = property(lambda self: _M[self.pair_class])
+    n = property(lambda self: _N[self.pair_class])
 
 
 @dataclass
@@ -299,45 +309,24 @@ def _class_codes(rng: np.random.Generator, prob: np.ndarray, k: int) -> np.ndarr
     return code
 
 
-def _class_mask(flags: np.ndarray) -> int:
-    """The classes whose flag is set, as the bits of a u16 mask: a class
-    code's flag is then 1 << code & mask, one u16 pass where a lookup in
-    the 13-entry table would first copy the codes to intp."""
-    return sum(1 << int(code) for code in np.flatnonzero(flags))
-
-
 def _blocks(k: int):
     """Slices of at most _BLOCK items that cover range(k) in order."""
     return (slice(lo, min(lo + _BLOCK, k)) for lo in range(0, k, _BLOCK))
 
 
-def _pair_draws(rng: np.random.Generator, classes: _PairClasses, pair_pulses: np.ndarray):
-    """Each pair's class code, drawn block by block, and a list of the
-    pulses of the pairs that give D1 and D2 a photon-induced candidate."""
+def _pair_draws(rng: np.random.Generator, prob: np.ndarray, pair_pulses: np.ndarray):
+    """Each pair's class code, drawn block by block from the class
+    probabilities prob, and a list of the pulses of the pairs that give
+    D1 and D2 a photon-induced candidate."""
     k = pair_pulses.size
     code = np.empty(k, dtype=np.uint8)
     hit1, hit2 = np.empty(k, dtype=bool), np.empty(k, dtype=bool)
-    masks = ((hit1, _class_mask(classes.hit1)), (hit2, _class_mask(classes.hit2)))
     for block in _blocks(k):
-        code[block] = _class_codes(rng, classes.prob, block.stop - block.start)
+        code[block] = _class_codes(rng, prob, block.stop - block.start)
         bits = np.left_shift(1, code[block], dtype=np.uint16)
-        for out, mask in masks:
+        for out, mask in ((hit1, _HIT1), (hit2, _HIT2)):
             np.not_equal(bits & mask, 0, out=out[block])
     return code, [np.compress(hit1, pair_pulses), np.compress(hit2, pair_pulses)]
-
-
-def _pair_photons(classes: _PairClasses, code: np.ndarray):
-    """The photons m at D1 and n at D2 of each pair, from its class code
-    by bit tests a block at a time: c photons are (at least one) + (two)."""
-    out = []
-    for c in (classes.m, classes.n):
-        one, two = _class_mask(c >= 1), _class_mask(c == 2)
-        photons = np.empty(code.size, dtype=np.uint8)
-        for block in _blocks(code.size):
-            bits = np.left_shift(1, code[block], dtype=np.uint16)
-            np.add(bits & one != 0, bits & two != 0, out=photons[block], dtype=np.uint8)
-        out.append(photons)
-    return out
 
 
 def _jitter_offsets(rng: np.random.Generator, count: int, cfg: SimConfig) -> np.ndarray:
@@ -499,9 +488,9 @@ def _simulate(cfg: SimConfig, refs: np.ndarray) -> SimResult:
     period = cfg.period_tb
     rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64)))
     pair_pulses = _event_pulses(rng, cfg.source.gamma, cfg.n_pulses)
-    classes = _pair_classes(cfg.source, cfg.nu, cfg.det1.eta, cfg.det2.eta)
+    prob = np.array(_class_probs(cfg.source, cfg.nu, cfg.det1.eta, cfg.det2.eta))
     dets = (cfg.det1, cfg.det2)
-    code, photon_pulses = _pair_draws(rng, classes, pair_pulses)
+    pair_class, photon_pulses = _pair_draws(rng, prob, pair_pulses)
     # popped: each input is dropped once used, so less is held at the walks
     plans = [_channel_plan(rng, cfg, det, photon_pulses.pop(0), cfg.n_pulses) for det in dets]
     (clicks1, offs1), (clicks2, offs2) = [
@@ -515,12 +504,9 @@ def _simulate(cfg: SimConfig, refs: np.ndarray) -> SimResult:
         d2=_sorted_stamps(clicks2 * period + offs2),
         provenance=cfg.provenance(),
     )
-    # m and n come last: until then the codes hold them in half the memory
-    m, n = _pair_photons(classes, code)
     truth = SimTruth(
         pair_pulses=pair_pulses,
-        m=m,
-        n=n,
+        pair_class=pair_class,
         clicks1=clicks1,
         clicks2=clicks2,
         ingate_clicks1=clicks1[(offs1 >= 0) & (offs1 < cfg.window_tb)],

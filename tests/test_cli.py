@@ -562,9 +562,32 @@ class TestScanCommand:
         assert (out_dir / "fits.jsonl").exists()
         capsys.readouterr()
         assert main(scan + ["3"]) == 0
-        assert capsys.readouterr().err == "note: scan fit skipped: fit needs at least 5 delays\n"
+        assert capsys.readouterr().err == ("note: scan fit skipped: fit needs at least 5 delays\n"
+                                           "note: removed 4 tag files of a longer scan\n")
         assert not (out_dir / "fits.jsonl").exists()
         assert len(read_csv(out_dir / "rates.csv")) == 3
+
+    def test_shorter_scan_leaves_no_older_tag_files(self, tmp_path, cfg_path):
+        # a 3-point scan used to keep tags_003.zht to tags_006.zht of the
+        # 7-point scan, which `compare scan/tags_*.zht` then read
+        out_dir = tmp_path / "scan"
+        scan = ["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                "--span", "3e-13", "--set", "n_pulses=40961", "--points"]
+        assert main(scan + ["7"]) == 0
+        # not named as a scan names a tag file, or not a regular file: kept
+        kept = ["tags_7.zht", "tags_0008.zht", "tags_009.csv", "tags_x.zht", "elsewhere.zht"]
+        for name in kept:
+            (out_dir / name).write_bytes(b"")
+        (out_dir / "tags_010.zht").mkdir()
+        os.mkfifo(out_dir / "tags_011.zht")
+        (out_dir / "tags_012.zht").symlink_to(out_dir / "elsewhere.zht")  # the link goes
+        assert main(scan + ["3"]) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(
+            ["tags_000.zht", "tags_001.zht", "tags_002.zht", "rates.csv",
+             "scan_manifest.json", *kept, "tags_010.zht", "tags_011.zht"])
+        manifest = json.loads((out_dir / "scan_manifest.json").read_text())
+        assert sorted(Path(path).name for path in manifest["outputs"]) == [
+            "rates.csv", "tags_000.zht", "tags_001.zht", "tags_002.zht"]
 
     @pytest.mark.parametrize("n_pulses, code", [("400", 3), ("512", 3), ("513", 0)])
     def test_each_run_needs_two_reference_tags(self, tmp_path, cfg_path, capsys,
@@ -647,6 +670,23 @@ class TestCompareCommand:
         assert code == 0
         report = json.loads((tmp_path / "cmp.jsonl").read_text().splitlines()[0])
         assert report["z"]["singles1"] > 5.0
+
+    def test_gate_defaults_to_the_config_gate_window(self, tmp_path):
+        # compare used to gate at 2e-9 whatever the config's gate_window
+        narrow = tmp_path / "narrow.cfg"
+        narrow.write_text(CONFIG.replace("out_gate_dark_rate = 0", "out_gate_dark_rate = 1e7")
+                          + "gate_window = 1e-9\n")
+        run = tmp_path / "run.zht"
+        assert main(["simulate", "--config", str(narrow), "--out", str(run),
+                     "--set", "n_pulses=5121"]) == 0
+        reports = {}
+        for name, gate in (("auto", []), ("flag", ["--gate", "1e-9"]), ("wide", ["--gate", "2e-9"])):
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["compare", str(run), "--config", str(narrow), "--out", str(out),
+                         *gate]) == 0
+            reports[name] = json.loads(out.read_text())
+        assert reports["auto"] == reports["flag"]
+        assert reports["auto"]["measured"] != reports["wide"]["measured"]
 
 
 class TestUnwritableOutputs:

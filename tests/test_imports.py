@@ -1,11 +1,13 @@
 """Guards on the package's source.
 
 Every absolute import in the package's modules must name a standard
-library module or numpy; relative imports stay inside the package. Only
-tags._opened opens a file to write.
+library module or numpy; relative imports stay inside the package.
+Importing the package after numpy loads no module outside it beyond a
+known few. Only tags._opened opens a file to write.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,6 +37,25 @@ def test_imports_are_standard_library_or_numpy():
     foreign = {name: where for name, where in top.items()
                if name not in sys.stdlib_module_names}
     assert set(foreign) == {"numpy"}, foreign
+
+
+# what importing the package loads beyond numpy and the package itself:
+# a fresh interpreter pays for each at start-up, so a new one is a choice
+# made here, not a side effect
+IMPORTED_AFTER_NUMPY = {"__future__", "_csv", "_json", "copy", "csv", "dataclasses", "json",
+                        "json.decoder", "json.encoder", "json.scanner"}
+
+
+def test_import_loads_only_known_modules_beyond_numpy():
+    src = str(Path(zeroherald.__file__).parent.parent)
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import numpy; "
+             "before = set(sys.modules); import zeroherald; "
+             "print(*sorted(set(sys.modules) - before))")
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "zeroherald.sim" in loaded
+    added = {name for name in loaded if name.partition(".")[0] != "zeroherald"}
+    assert added <= IMPORTED_AFTER_NUMPY, sorted(added - IMPORTED_AFTER_NUMPY)
 
 
 # calls that open a file, by name: ".name" is a method of any object

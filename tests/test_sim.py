@@ -28,19 +28,19 @@ from zeroherald import (
 )
 from zeroherald.errors import CapacityError, ValidationError
 from zeroherald.pipeline import table_from_stream
-from zeroherald.model import _pair_classes, p_noclick_given_n
+from zeroherald.model import _CLASSES, _class_probs, p_noclick_given_n
 from zeroherald.sim import (
     _BLOCK,
+    _HIT1,
+    _HIT2,
     MAX_TIMESTAMP,
     _afterpulse_chain,
     _ChannelPlan,
     _class_codes,
-    _class_mask,
     _detector_walk,
     _event_pulses,
     _geometric,
     _pair_draws,
-    _pair_photons,
     _sorted_stamps,
     delay_configs,
     derive_delay_seed,
@@ -123,9 +123,12 @@ def enumerated_classes(src, nu, det1, det2):
     return out
 
 
-def class_keys(classes):
-    return list(zip(classes.m.tolist(), classes.n.tolist(), classes.hit1.tolist(),
-                    classes.hit2.tolist()))
+def class_prob(src, nu, eta1, eta2):
+    return np.array(_class_probs(src, nu, eta1, eta2))
+
+
+# each class as (m, n, D1 candidate, D2 candidate), in class-code order
+CLASS_KEYS = [(m, n, bool(hit1), bool(hit2)) for _, m, n, hit1, hit2 in _CLASSES]
 
 
 # the busy_detectors benchmark point: kappa 0.5, nu_max 0.975 at zero delay
@@ -161,18 +164,18 @@ class TestPairClasses:
                   (SRC, NU, DetectorParams(eta=0.62, dark_prob=1e-3), DetectorParams(eta=0.48))]
         points += [(SourceParams(gamma=1.0, kappa1=k1, kappa2=k2), nu, DetectorParams(eta=e1),
                     DetectorParams(eta=e2)) for k1, k2, e1, e2, nu in EDGE_POINTS]
+        # pair codes in order, D1 candidate outer, D2 inner; no candidate
+        # without photons
+        assert CLASS_KEYS == [
+            (m, n, h1, h2) for m, n in ((0, 0), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1))
+            for h1 in (False, True)[:1 + (m > 0)] for h2 in (False, True)[:1 + (n > 0)]]
         for src, nu, det1, det2 in points:
-            classes = _pair_classes(src, nu, det1.eta, det2.eta)
+            prob = class_prob(src, nu, det1.eta, det2.eta)
             want = enumerated_classes(src, nu, det1, det2)
-            # pair codes in order, D1 candidate outer, D2 inner; no
-            # candidate without photons
-            assert class_keys(classes) == [
-                (m, n, h1, h2) for m, n in ((0, 0), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1))
-                for h1 in (False, True)[:1 + (m > 0)] for h2 in (False, True)[:1 + (n > 0)]]
-            for key, p in zip(class_keys(classes), classes.prob):
+            for key, p in zip(CLASS_KEYS, prob, strict=True):
                 assert abs(p - want.pop(key)) <= 1e-15, (src, nu, det1, det2, key)
             assert all(p == 0.0 for p in want.values())  # candidates without photons
-            assert abs(classes.prob.sum() - 1.0) <= 1e-15
+            assert abs(prob.sum() - 1.0) <= 1e-15
 
     def test_engine_draws_follow_the_table(self):
         # a pair on every pulse, no darks and no dead time: the truth and
@@ -191,18 +194,17 @@ class TestPairClasses:
         hit1[truth.clicks1] = True
         hit2 = np.zeros(n, dtype=bool)
         hit2[truth.clicks2] = True
-        classes = _pair_classes(BUSY_SRC, BUSY_NU, BUSY_DET1.eta, BUSY_DET2.eta)
-        index = {key: i for i, key in enumerate(class_keys(classes))}
+        index = {key: i for i, key in enumerate(CLASS_KEYS)}
         keys = zip(truth.m.tolist(), truth.n.tolist(), hit1.tolist(), hit2.tolist())
         counts = np.bincount([index[key] for key in keys], minlength=len(index))
-        expected = n * classes.prob
+        expected = n * class_prob(BUSY_SRC, BUSY_NU, BUSY_DET1.eta, BUSY_DET2.eta)
         assert np.all(expected > 0)
         assert np.sum((counts - expected) ** 2 / expected) < 52.2
 
     def test_empty_classes_are_never_drawn(self):
         for kappa1, kappa2, eta1, eta2, nu in EDGE_POINTS:
             src = SourceParams(gamma=1.0, kappa1=kappa1, kappa2=kappa2)
-            prob = _pair_classes(src, nu, eta1, eta2).prob
+            prob = class_prob(src, nu, eta1, eta2)
             drawn = _class_codes(np.random.default_rng(22), prob, 10**5)
             assert np.all(prob[np.unique(drawn)] > 0), (kappa1, kappa2, eta1, eta2, nu)
             # the extreme uniforms and both sides of every cumulative edge
@@ -213,7 +215,7 @@ class TestPairClasses:
             assert np.all(prob[codes] > 0), (kappa1, kappa2, eta1, eta2, nu)
 
     def test_a_uniform_picks_the_class_whose_interval_holds_it(self):
-        prob = _pair_classes(BUSY_SRC, BUSY_NU, BUSY_DET1.eta, BUSY_DET2.eta).prob
+        prob = class_prob(BUSY_SRC, BUSY_NU, BUSY_DET1.eta, BUSY_DET2.eta)
         edges = np.cumsum(prob)[:-1]
         u = np.concatenate(([0.0], edges, np.nextafter(edges, 0.0)))
         want = np.concatenate(([0], np.arange(1, 13), np.arange(12)))
@@ -221,40 +223,57 @@ class TestPairClasses:
 
 
 class TestClassBits:
-    """Class flags as bit tests, and the blocked class stage, against
-    lookups in the class table."""
+    """Class flags as bit tests, the blocked class stage, and the truth's
+    photons against lookups in the class table."""
 
     POINTS = [(BUSY_SRC, BUSY_NU, BUSY_DET1.eta, BUSY_DET2.eta), (SRC, NU, 0.62, 0.48)] + [
         (SourceParams(gamma=1.0, kappa1=k1, kappa2=k2), nu, e1, e2)
         for k1, k2, e1, e2, nu in EDGE_POINTS]
+    FLAGS1, FLAGS2 = (np.array([key[at] for key in CLASS_KEYS]) for at in (2, 3))
 
     def test_bit_tests_equal_the_table_for_every_code(self):
-        codes = np.arange(13, dtype=np.uint8)
-        for point in self.POINTS:
-            classes = _pair_classes(*point)
-            assert classes.prob.size == 13
-            for flags in (classes.hit1, classes.hit2):
-                bits = np.left_shift(np.uint16(1), codes) & _class_mask(flags)
-                assert (bits != 0).tolist() == flags.tolist()
-            m, n = _pair_photons(classes, codes)
-            assert m.dtype == n.dtype == np.uint8
-            assert m.tolist() == classes.m.tolist() and n.tolist() == classes.n.tolist()
+        codes = np.arange(len(_CLASSES), dtype=np.uint8)
+        for mask, flags in ((_HIT1, self.FLAGS1), (_HIT2, self.FLAGS2)):
+            bits = np.left_shift(np.uint16(1), codes) & mask
+            assert (bits != 0).tolist() == flags.tolist()
+        none = np.empty(0, dtype=np.int64)
+        truth = SimTruth(none, codes, none, none, none, none)
+        assert truth.m.dtype == truth.n.dtype == np.uint8
+        assert list(zip(truth.m.tolist(), truth.n.tolist())) == [key[:2] for key in CLASS_KEYS]
 
     @pytest.mark.parametrize("k", [0, 1, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 7])
     def test_blocked_stage_equals_one_pass_lookups(self, k):
         for seed, point in enumerate(self.POINTS[:4]):
-            classes = _pair_classes(*point)
+            prob = class_prob(*point)
             pulses = np.sort(np.random.default_rng(seed).choice(10 * k + 1, k, replace=False))
             rng, plain = philox(seed), philox(seed)
-            code, (hit1, hit2) = _pair_draws(rng, classes, pulses)
-            want = _class_codes(plain, classes.prob, k)
+            code, (hit1, hit2) = _pair_draws(rng, prob, pulses)
+            want = _class_codes(plain, prob, k)
             np.testing.assert_array_equal(code, want)
-            np.testing.assert_array_equal(hit1, pulses[classes.hit1[want]])
-            np.testing.assert_array_equal(hit2, pulses[classes.hit2[want]])
-            m, n = _pair_photons(classes, code)
-            np.testing.assert_array_equal(m, classes.m[want])
-            np.testing.assert_array_equal(n, classes.n[want])
+            np.testing.assert_array_equal(hit1, pulses[self.FLAGS1[want]])
+            np.testing.assert_array_equal(hit2, pulses[self.FLAGS2[want]])
             assert rng.random() == plain.random()  # as many draws
+
+    def test_truth_photons_are_the_table_rows_of_each_class(self):
+        """On the busy_detectors benchmark run at seed 3, m and n equal a
+        plain lookup of each pair's class in the table, and their
+        digest is the one the run gave when the truth stored m and n
+        (2002318 pairs)."""
+        det = dict(dark_prob=1e-4, afterpulse_prob=0.05, dead_pulses=5)
+        truth = run_simulation(SimConfig(
+            source=BUSY_SRC, det1=dataclasses.replace(BUSY_DET1, **det),
+            det2=dataclasses.replace(BUSY_DET2, **det),
+            profile=IndistinguishabilityProfile(nu_max=BUSY_NU, tau=100e-15),
+            n_pulses=2 * 10**7, seed=3, jitter_sigma=30e-12,
+        )).truth
+        m, n = truth.m, truth.n
+        assert truth.pair_class.dtype == m.dtype == n.dtype == np.uint8
+        assert m.size == n.size == truth.pair_pulses.size == 2002318
+        rows = [_CLASSES[code] for code in truth.pair_class.tolist()]
+        assert m.tolist() == [row[1] for row in rows]
+        assert n.tolist() == [row[2] for row in rows]
+        assert hashlib.sha256(m.tobytes() + n.tobytes()).hexdigest() == (
+            "ca80e07fc3c71f42a7a1864e343cf7dc05486e095f1f164b17655d35763b364d")
 
 
 class TestDetectPulse:
