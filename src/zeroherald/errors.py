@@ -6,6 +6,8 @@ integrity problems, and 5 for numerical or degenerate-data problems.
 
 check_count is the one count rule: a pulse count, dead window, header
 field or cell tally that is not a whole number is rejected, never truncated.
+check_counts is its rule for arrays: pulse indices, timestamps and channel
+codes that are not 1-d, integer and in range are rejected, never cast.
 check_real is the one rule for real parameters: a delay, period,
 probability or ratio that is not a real number, or falls outside its
 range (NaN outside every one), is rejected.
@@ -13,6 +15,8 @@ range (NaN outside every one), is rejected.
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class ZeroHeraldError(Exception):
@@ -100,6 +104,20 @@ def check_count(name: str, value, least: int = 0) -> int:
         kind = "positive" if least == 1 else "non-negative"
         raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
+
+
+def check_counts(name: str, values, below: int | None = None) -> np.ndarray:
+    """values as a 1-d array, its dtype kept; ValidationError unless, when not
+    empty, its dtype is integer and no entry is negative or, given below, at or
+    above below. A float, bool or string array fails, as does a list of them."""
+    counts = np.asarray(values)
+    if counts.ndim != 1 or counts.size and (
+            counts.dtype.kind not in "ui" or counts.dtype.kind == "i" and counts.min() < 0
+            or below is not None and counts.max() >= below):
+        bound = "" if below is None else f" below {below}"
+        raise ValidationError(f"{name} must be a 1-d array of non-negative integers{bound}, "
+                              f"got {counts.dtype} of shape {counts.shape}")
+    return counts
 
 
 # check_real's ranges: each test, and how its message states the range

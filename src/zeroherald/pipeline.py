@@ -27,6 +27,7 @@ from .errors import (
     InsufficientReferenceError,
     ValidationError,
     check_count,
+    check_counts,
     check_real,
 )
 from .tags import PS_PER_SECOND, Channel, TagStream
@@ -176,7 +177,7 @@ def virtual_gate(stream: TagStream, grid: PulseGrid, window: float) -> GateResul
     tag lands in at most one pulse; everything else is rejected.
     """
     window_tb = gate_window_tb(window, stream.timebin_ps, grid.period_tb)
-    refs = np.asarray(grid.ref_times, dtype=np.uint64)
+    refs = check_counts("ref_times", grid.ref_times).astype(np.uint64, copy=False)
     tags = {Channel.D1: stream.d1, Channel.D2: stream.d2}
     assigned = {ch: _gated_pulses(t, refs, grid.divider, window_tb) for ch, t in tags.items()}
     n_rejected = {ch: int(t.size - assigned[ch].size) for ch, t in tags.items()}
@@ -242,7 +243,9 @@ def apply_dead_time(click_pulses, dead_pulses: int) -> np.ndarray:
 
     After an accepted click at pulse k the next dead_pulses pulses are
     blind; clicks there are dropped and do not extend the window. Input
-    order does not matter; duplicates collapse. Idempotent.
+    order does not matter; duplicates collapse. Idempotent. The clicks
+    are pulse indices in [0, 2**63), a 1-d integer array or a list of
+    them; anything else is a ValidationError, never cast.
 
     The clicks are sorted (a stable sort, linear on input that is
     already in order) and deduplicated, then thinned greedily without a
@@ -254,9 +257,12 @@ def apply_dead_time(click_pulses, dead_pulses: int) -> np.ndarray:
     the clicks plus O(m log m) in the m contested ones.
     """
     dead_pulses = check_count("dead_pulses", dead_pulses)
-    clicks = np.sort(np.asarray(click_pulses, dtype=np.int64), axis=None, kind="stable")
+    clicks = check_counts("click pulses", click_pulses, below=1 << 63)
+    clicks = np.sort(clicks, kind="stable").astype(np.int64, copy=False)
     clicks = clicks[_first_of_runs(clicks)]
-    return clicks[_dead_time_keep(clicks, dead_pulses)]
+    # a window to 2**63 - 1 blinds every later click: no end reaches 2**64
+    starts = clicks.view(np.uint64)
+    return clicks[_greedy_chain(starts, starts + np.uint64(min(dead_pulses, 2**63 - 1)))]
 
 
 def _first_of_runs(values: np.ndarray) -> np.ndarray:
@@ -264,25 +270,6 @@ def _first_of_runs(values: np.ndarray) -> np.ndarray:
     first = np.ones(values.size, dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return first
-
-
-def _dead_time_keep(pulses: np.ndarray, dead: int) -> np.ndarray:
-    """Mask of the pulses a non-paralyzable dead window keeps.
-
-    pulses must be sorted and distinct (int64). The first pulse is kept,
-    then, after each kept pulse k, the first pulse past k + dead, the
-    last pulse its window blinds; _greedy_chain follows that chain.
-    """
-    keep = np.zeros(pulses.size, dtype=bool)
-    keep[:1] = True
-    if pulses.size == 0 or dead >= int(pulses[-1]) - int(pulses[0]):
-        return keep
-    # offsets from the first pulse are exact in uint64 for any int64 input;
-    # dead is below the last offset here, and the window ends saturate
-    offsets = pulses.view(np.uint64) - pulses[:1].view(np.uint64)
-    ends = np.minimum(offsets, np.uint64(2**64 - 1 - dead))
-    ends += np.uint64(dead)
-    return _greedy_chain(offsets, ends)
 
 
 def _greedy_chain(positions: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -352,19 +339,15 @@ class PulseEventTable:
 
     def __post_init__(self):
         self.n_pulses = check_count("n_pulses", self.n_pulses)
+        if self.n_pulses >= 1 << 63:  # every pulse index is an int64
+            raise ValidationError(f"n_pulses must be below 2**63, got {self.n_pulses}")
         for i in (1, 2):
             dead = check_count(f"dead_pulses{i}", getattr(self, f"dead_pulses{i}"))
-            clicks = np.asarray(getattr(self, f"clicks{i}"))
-            if clicks.ndim != 1 or (clicks.size and clicks.dtype.kind not in "ui"):
-                raise ValidationError(f"clicks{i} must be a 1-d integer array")
-            if clicks.size and (clicks.min() < 0 or clicks.max() >= self.n_pulses):
-                raise ValidationError("click pulse index outside the pulse grid")
+            clicks = check_counts(f"clicks{i}", getattr(self, f"clicks{i}"), below=self.n_pulses)
             clicks = clicks.astype(np.int64)
             if np.any(np.diff(clicks) <= dead):
-                raise ValidationError(
-                    f"clicks{i} must be sorted and more than dead_pulses{i} = "
-                    f"{dead} apart"
-                )
+                raise ValidationError(f"clicks{i} must be sorted and more than "
+                                      f"dead_pulses{i} = {dead} apart")
             setattr(self, f"dead_pulses{i}", dead)
             setattr(self, f"clicks{i}", clicks)
 

@@ -110,8 +110,9 @@ class SimConfig:
     gate window of a pulse, while out_gate_dark_rate (Hz) spreads extra
     dark tags uniformly over the rest of the period, to be rejected by
     virtual gating downstream. Neither value comes from a measured
-    device; the defaults mimic a uniform ~300/s dark floor of which a
-    2 ns gate at 10 ns period keeps about a fifth.
+    device, and the two are not tied: the defaults put 240 Hz of darks
+    outside the gate and none inside (a real 240 Hz floor would give a
+    2 ns gate dark_prob ~ 4.8e-7).
     """
 
     source: SourceParams
@@ -146,8 +147,7 @@ class SimConfig:
             )
         if self.period_tb < 2:
             raise ValidationError("rep_period must span at least 2 timebins")
-        if self.rep_period_ps > 0xFFFFFFFF:
-            raise ValidationError("effective rep_period does not fit the 32-bit header field")
+        TagStream(self.timebin_ps, self.rep_period_ps, self.divider, [], [], [])  # fits a tag header
         self.window_tb  # raises unless the gate window sits inside the period
         if self.jitter_sigma > self.gate_window / 4.0:
             raise ValidationError(

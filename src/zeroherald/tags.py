@@ -71,7 +71,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .errors import FormatError, IntegrityError, ValidationError, check_count
+from .errors import FormatError, IntegrityError, ValidationError, check_count, check_counts
 
 __all__ = ["Channel", "TagStream", "write_tags", "read_tags",
            "write_tags_csv", "read_tags_csv"]
@@ -130,7 +130,8 @@ class TagStream:
                 raise ValidationError(f"{name} does not fit the 32-bit header field")
             setattr(self, name, value)
         for name in _CHANNELS:
-            ts = _u64_timestamps(name, getattr(self, name))
+            ts = check_counts(f"{name} timestamps", getattr(self, name))
+            ts = ts.astype(np.uint64, copy=False)
             if _first_descent(ts) is not None:
                 raise IntegrityError(f"{name} timestamps must be non-decreasing")
             setattr(self, name, ts)
@@ -144,14 +145,15 @@ class TagStream:
         sizes the channels and a second fills them, splitting each block
         by one stable counting sort of its codes, so beside the records
         and the result only a block is held."""
-        ch, ts = np.asarray(channels), np.asarray(timestamps)
-        if ch.ndim != 1 or ch.shape != ts.shape:
-            raise ValidationError("channels and timestamps must be 1-d and equal length")
-        ts, block_sizes = _u64_timestamps("timestamps", ts), []
+        ts, block_sizes = check_counts("timestamps", timestamps).astype(np.uint64, copy=False), []
+        try:  # one message for every code outside 0..2, a negative one too
+            ch = check_counts("channel codes", channels, below=len(Channel))
+        except ValidationError:
+            raise ValidationError("channel codes must be 0 (REF), 1 (D1) or 2 (D2)") from None
+        if ch.shape != ts.shape:
+            raise ValidationError("channels and timestamps must be of equal length")
         for start in range(0, ch.size, _BLOCK):
-            codes = ch[start:start + _BLOCK].copy()  # contiguous: it is read four times
-            if codes.dtype.kind not in "ui" or codes.min() < 0 or codes.max() > max(Channel):
-                raise ValidationError("channel codes must be 0 (REF), 1 (D1) or 2 (D2)")
+            codes = ch[start:start + _BLOCK].copy()  # contiguous: it is read twice
             nonzero, high = np.count_nonzero(codes), np.count_nonzero(codes > Channel.D1)
             block_sizes.append((codes.size - nonzero, nonzero - high, high))
         # header first; records in time order leave each part sorted, unchecked
@@ -191,16 +193,6 @@ class TagStream:
 
 
 _CHANNELS = ("refs", "d1", "d2")  # the TagStream fields, by channel code
-
-
-def _u64_timestamps(name: str, values) -> np.ndarray:
-    """values as u64; ValidationError unless 1-d, integer and non-negative."""
-    ts = np.asarray(values)
-    if ts.ndim != 1 or ts.size and (ts.dtype.kind not in "ui"
-                                    or ts.dtype.kind == "i" and ts.min() < 0):
-        raise ValidationError(f"{name} timestamps must be a 1-d array of non-negative "
-                              f"integers, got {ts.dtype} of shape {ts.shape}")
-    return ts.astype(np.uint64, copy=False)
 
 
 def _first_descent(ts: np.ndarray) -> int | None:
@@ -459,10 +451,11 @@ def read_tags_csv(source) -> TagStream:
     """Read the CSV form back into a stream.
 
     The header lines are read one at a time, '#' lines without '='
-    ignored, and the records after the column header by one np.loadtxt
-    call. A bad record raises FormatError and a timestamp below the one
-    before it IntegrityError, each naming its line. An unseekable source
-    is copied into memory, as the body is read twice."""
+    ignored and a key given twice a FormatError naming both lines, and
+    the records after the column header by one np.loadtxt call. A bad
+    record raises FormatError and a timestamp below the one before it
+    IntegrityError, each naming its line. An unseekable source is copied
+    into memory, as the body is read twice."""
     with _opened(source, "r") as fh:
         try:
             return _read_csv(fh, None if fh is source else source)
@@ -471,7 +464,7 @@ def read_tags_csv(source) -> TagStream:
 
 
 def _read_csv(fh, path) -> TagStream:
-    header: dict[str, str] = {}
+    header: dict[str, tuple[int, str]] = {}  # key: (its line number, value)
     lineno = 0
     while True:
         raw = fh.readline()
@@ -482,15 +475,17 @@ def _read_csv(fh, path) -> TagStream:
         if line == _CSV_COLUMNS:
             break
         if line.startswith("#"):
-            key, eq, value = line[1:].partition("=")
+            key, eq, value = (part.strip() for part in line[1:].partition("="))
+            if eq and key in header:
+                raise FormatError(f"line {lineno}: key {key!r} repeats line {header[key][0]}")
             if eq:
-                header[key.strip()] = value.strip()
+                header[key] = lineno, value
         elif line:
             raise FormatError(f"line {lineno}: expected column header, got {raw!r}")
     try:
         version, timebin_ps, rep_period_ps, divider = (
-            int(header[key]) for key in ("version", "timebin_ps", "rep_period_ps", "divider"))
-        n_records = int(header["records"]) if "records" in header else None
+            int(header[key][1]) for key in ("version", "timebin_ps", "rep_period_ps", "divider"))
+        n_records = int(header["records"][1]) if "records" in header else None
     except KeyError as exc:
         raise FormatError(f"missing header line {exc}") from None
     except ValueError as exc:
@@ -530,7 +525,7 @@ def _read_csv(fh, path) -> TagStream:
     try:
         return TagStream.from_records(channels, records["ts"], timebin_ps=timebin_ps,
                                       rep_period_ps=rep_period_ps, divider=divider,
-                                      provenance=header.get("provenance", ""))
+                                      provenance=header.get("provenance", (0, ""))[1])
     except ValidationError as exc:  # a header field that is not a positive u32
         raise FormatError(f"bad header value: {exc}") from None
     except IntegrityError:

@@ -218,6 +218,12 @@ class TestLoadAndSnapshot:
         assert cfg.seed == 11
         assert cfg.source.gamma == 2e-3
 
+    def test_divider_past_the_tag_header_fails_at_load(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(MINIMAL + f"divider = {2**32}\n")
+        with pytest.raises(ConfigError, match="^divider does not fit the 32-bit header field$"):
+            load_config(path)
+
     def test_unreadable_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(tmp_path / "missing.cfg")

@@ -4,7 +4,10 @@ count or a real parameter enters the package.
 check_count is the only copy of the count rule, so each site below must
 reject what it rejects, with its message, and store what it accepts as
 a plain int. apply_dead_time and the RateSummary cells are checked the
-same way in test_pipeline.py and test_analysis.py. check_real is the
+same way in test_pipeline.py and test_analysis.py. check_counts is the
+same rule for arrays of pulse indices, timestamps and channel codes, so
+each array below must reject what is not a 1-d integer array of counts
+in its range. check_real is the
 only copy of the finite, positive, non-negative and unit-interval
 checks, so a value that is not a real number is a ValidationError at
 each real parameter below, never an untyped TypeError.
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 
 from zeroherald.analysis import RateSummary
-from zeroherald.errors import ValidationError, check_count, check_real
+from zeroherald.errors import ValidationError, check_count, check_counts, check_real
 from zeroherald.model import (
     DetectorParams,
     IndistinguishabilityProfile,
@@ -26,7 +29,13 @@ from zeroherald.model import (
     invert_cwr_for_eta1,
     invert_cwr_for_eta2_unheralded,
 )
-from zeroherald.pipeline import PulseEventTable, gate_window_tb
+from zeroherald.pipeline import (
+    PulseEventTable,
+    PulseGrid,
+    apply_dead_time,
+    gate_window_tb,
+    virtual_gate,
+)
 from zeroherald.sim import SimConfig
 from zeroherald.tags import TagStream
 
@@ -112,6 +121,85 @@ class TestCheckCount:
     def test_numpy_bool_float_and_complex_are_not_counts(self, value):
         with pytest.raises(ValidationError, match="non-negative integer"):
             check_count("k", value)
+
+
+def gate(refs):
+    """virtual_gate over a hand-built grid with these reference times."""
+    tags = TagStream(timebin_ps=1, rep_period_ps=10, divider=4, refs=[0, 40], d1=[5], d2=[])
+    return virtual_gate(tags, PulseGrid(ref_times=refs, divider=4, n_pulses=5, period_tb=10.0),
+                        window=5e-12)
+
+
+def records(channels=(0, 1), timestamps=(3, 4)):
+    return TagStream.from_records(channels, timestamps, timebin_ps=1, rep_period_ps=10, divider=4)
+
+
+# every entry point that takes an integer array, by the array it takes;
+# the first three take pulse indices, which are int64 and so below 2**63
+PULSE_SITES = {
+    "apply_dead_time": lambda v: apply_dead_time(v, 0),
+    "PulseEventTable.clicks1": lambda v: event_table(n_pulses=2**63 - 1, clicks1=v),
+    "PulseEventTable.clicks2": lambda v: event_table(n_pulses=2**63 - 1, clicks2=v),
+}
+ARRAY_SITES = {
+    **PULSE_SITES,
+    "TagStream.refs": lambda v: stream(refs=v),
+    "TagStream.d1": lambda v: stream(d1=v),
+    "TagStream.d2": lambda v: stream(d2=v),
+    "from_records.channels": lambda v: records(channels=v, timestamps=[3] * np.size(v)),
+    "from_records.timestamps": lambda v: records(channels=[0] * np.size(v), timestamps=v),
+    "virtual_gate.ref_times": gate,
+}
+BAD_ARRAYS = {
+    "float": [1.5, 2.0],
+    "bool": [True, False],
+    "string": ["3", "1"],
+    "0-d": np.array(3),
+    "2-d": [[1, 2]],
+    "negative": [-5, 995],
+}
+
+
+@pytest.mark.parametrize("call", ARRAY_SITES.values(), ids=ARRAY_SITES.keys())
+@pytest.mark.parametrize("values", BAD_ARRAYS.values(), ids=BAD_ARRAYS.keys())
+def test_every_array_site_rejects_what_is_not_counts(call, values):
+    with pytest.raises(ValidationError):
+        call(values)
+
+
+@pytest.mark.parametrize("call", PULSE_SITES.values(), ids=PULSE_SITES.keys())
+def test_a_pulse_index_at_or_past_2_to_63_is_rejected(call):
+    with pytest.raises(ValidationError):
+        call(np.array([5, 2**63 + 5], dtype=np.uint64))
+
+
+@pytest.mark.parametrize("call", ARRAY_SITES.values(), ids=ARRAY_SITES.keys())
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.uint64], ids=str)
+def test_every_array_site_takes_counts_of_any_integer_dtype(call, dtype):
+    call(np.array([0, 2], dtype=dtype))
+
+
+class TestCheckCounts:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+    def test_returns_the_array_with_its_dtype(self, dtype):
+        values = np.array([0, 7], dtype=dtype)
+        assert check_counts("k", values) is values
+
+    def test_a_list_and_an_empty_array_pass(self):
+        assert check_counts("k", [3, 1]).tolist() == [3, 1]
+        assert check_counts("k", [], below=0).size == 0
+
+    def test_below_bounds_every_entry(self):
+        assert check_counts("k", [0, 2], below=3).tolist() == [0, 2]
+        message = "^k must be a 1-d array of non-negative integers below 3, got int64 of shape"
+        with pytest.raises(ValidationError, match=message):
+            check_counts("k", [0, 3], below=3)
+
+    def test_u64_entries_past_int64_are_counts(self):
+        values = np.array([0, 2**64 - 1], dtype=np.uint64)
+        assert check_counts("k", values) is values
+        with pytest.raises(ValidationError, match="below 9223372036854775808"):
+            check_counts("k", values, below=2**63)
 
 
 # each call passes a string where a real number goes: a probability or

@@ -3,14 +3,19 @@
 Every absolute import in the package's modules must name a standard
 library module or numpy; relative imports stay inside the package.
 Importing the package after numpy loads no module outside it beyond a
-known few. Only tags._opened opens a file to write.
+known few. Only tags._opened opens a file to write. No function casts
+an argument to an integer dtype: an integer array it is given goes
+through errors.check_counts, which rejects what a cast would round,
+parse or wrap.
 """
 
 import ast
+import builtins
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zeroherald
@@ -120,3 +125,72 @@ def test_one_helper_opens_files_to_write():
 ])
 def test_write_opens_are_recognised(source, writes):
     assert opened_to_write(ast.parse(source).body[0].value) is writes
+
+
+def integer_dtype(node) -> bool:
+    """Whether node names an integer dtype: int, np.<name> or a dtype string."""
+    if isinstance(node, ast.Name):
+        kind = getattr(builtins, node.id, None)
+    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        kind = getattr(np, node.attr, None) if node.value.id in ("np", "numpy") else None
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        kind = node.value
+    else:
+        return False
+    try:
+        return kind is not None and np.dtype(kind).kind in "ui"
+    except TypeError:
+        return False
+
+
+def argument_casts(node, params=frozenset()):
+    """Line of each np.asarray or np.array call under node with an integer
+    dtype whose first argument is a parameter of the enclosing function,
+    or an attribute of one."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = child.args
+            inner = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            yield from argument_casts(child, frozenset(a.arg for a in inner if a is not None))
+            continue
+        func = child.func if isinstance(child, ast.Call) else None
+        if (isinstance(func, ast.Attribute) and func.attr in ("asarray", "array")
+                and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+                and child.args):
+            dtype = next((kw.value for kw in child.keywords if kw.arg == "dtype"),
+                         child.args[1] if len(child.args) > 1 else None)
+            root = child.args[0]
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if (dtype is not None and integer_dtype(dtype) and isinstance(root, ast.Name)
+                    and root.id in params):
+                yield child.lineno
+        yield from argument_casts(child, params)
+
+
+def test_no_function_casts_an_argument_to_integers():
+    """An integer array a function is given goes through check_counts:
+    np.asarray(x, dtype=np.int64) would truncate 1.5, parse "3" and wrap
+    2**63 + 5 where check_counts rejects each."""
+    found = [(path.name, line) for path in MODULES
+             for line in argument_casts(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, casts", [
+    ("def f(x): np.asarray(x, dtype=np.int64)", True),
+    ("def f(grid): np.asarray(grid.ref_times, dtype=np.uint64)", True),
+    ("def f(self): np.array(self.a.b, 'u8')", True),
+    ("def f(*xs): np.array(xs, dtype=int)", True),
+    ("f = lambda x: np.asarray(x, dtype='<i4')", True),
+    ("def f(x): np.asarray(x, dtype=float)", False),
+    ("def f(self): np.asarray(self.delays, dtype=np.float64)", False),
+    ("def f(x): np.asarray(x)", False),
+    ("def f(x): np.asarray(x[0], dtype=np.int64)", False),
+    ("def f(x): y = x; np.asarray(y, dtype=np.int64)", False),
+    ("def f(x):\n def g(y): np.asarray(x, dtype=np.int64)", False),
+    ("def f(x): np.array([x, 0], dtype=np.uint64)", False),
+    ("def f(x): np.asarray(x, dtype=STAMP)", False),
+])
+def test_integer_casts_of_arguments_are_recognised(source, casts):
+    assert bool(list(argument_casts(ast.parse(source)))) is casts

@@ -25,7 +25,6 @@ from zeroherald.pipeline import (
     GateResult,
     PulseEventTable,
     PulseGrid,
-    _dead_time_keep,
     _greedy_chain,
     apply_dead_time,
     build_event_table,
@@ -534,10 +533,19 @@ class TestDeadTimeOracle:
 
     @pytest.mark.parametrize("dead", [0, 1, 2**62, 2**63, 2**64 - 2, 2**70])
     def test_extreme_pulses_and_dead_lengths(self, dead):
-        clicks = [2**63 - 1, -(2**63), 0, -(2**63) + 1, 2**63 - 3, 5]
+        clicks = [2**63 - 1, 2**62, 0, 1, 2**63 - 3, 5, 2**63 - 1]
         np.testing.assert_array_equal(
             apply_dead_time(clicks, dead), greedy_dead_time(clicks, dead)
         )
+
+    @pytest.mark.parametrize("clicks", [
+        [-(2**63), 0, 5],
+        [0, -1],
+        np.array([5, 2**63 + 5], dtype=np.uint64),  # was -(2**63) + 5 once cast
+    ], ids=["int64 minimum", "minus one", "wraps in int64"])
+    def test_pulse_outside_int64_counts_is_rejected(self, clicks):
+        with pytest.raises(ValidationError, match="^click pulses must be a 1-d array"):
+            apply_dead_time(clicks, 1)
 
 
 def chain_walk(positions, ends):
@@ -589,18 +597,22 @@ class TestGreedyChain:
 
     def test_all_free(self):
         clicks = np.cumsum(np.random.default_rng(8).integers(4, 40, 10_000))
-        assert _dead_time_keep(clicks, 3).all()
+        assert _greedy_chain(clicks, clicks + 3).all()
         np.testing.assert_array_equal(apply_dead_time(clicks, 3), clicks)
 
     @pytest.mark.parametrize("clicks, dead", [
-        # the window ends saturate at the top of uint64: the last click,
-        # 2**63 - 2 past the second, stays blind
-        ([-(2**63), 1, 2**63 - 1], 2**63),
-        ([-(2**63), -(2**63) + 1, -(2**63) + 2, 0, 2**63 - 2, 2**63 - 1], 1),
-        ([-(2**63), -(2**63) + 3, 2**62, 2**63 - 3, 2**63 - 1], 2**62),
-        ([-(2**63), 2**63 - 1], 2**64 - 2),
-        ([-(2**63), 2**63 - 1], 2**64 - 1),
-        ([-(2**63), 0, 2**63 - 1], 2**70),
+        # a window longer than the pulse range: the last click, 2**63 - 2
+        # past the second, stays blind
+        ([0, 1, 2**63 - 1], 2**63),
+        ([0, 1, 2, 2**62, 2**63 - 2, 2**63 - 1], 1),
+        ([0, 3, 2**62, 2**63 - 3, 2**63 - 1], 2**62),
+        ([0, 2**63 - 1], 2**64 - 2),
+        ([0, 2**63 - 1], 2**64 - 1),
+        ([0, 2**62, 2**63 - 1], 2**70),
+        # the window from 0 ends one short of the last click, or on it
+        ([0, 2**63 - 1], 2**63 - 2),
+        ([0, 2**63 - 1], 2**63 - 1),
+        ([1, 2**63 - 2, 2**63 - 1], 2**63 - 3),
     ])
     def test_extreme_int64_pulses(self, clicks, dead):
         np.testing.assert_array_equal(apply_dead_time(clicks, dead),
@@ -732,6 +744,15 @@ class TestSparseTable:
     def test_non_integer_counts_are_rejected_not_truncated(self, args):
         with pytest.raises(ValidationError, match="must be a non-negative integer"):
             PulseEventTable(*args)
+
+    @pytest.mark.parametrize("n", [2**63, 2**64])
+    def test_pulse_count_below_2_to_63(self, n):
+        # a 2**64-pulse table took a click at 2**63 + 1, which wrapped
+        # negative in the int64 cast
+        with pytest.raises(ValidationError, match=r"^n_pulses must be below 2\*\*63"):
+            PulseEventTable(n, np.array([2**63 + 1], dtype=np.uint64), [], 0, 0)
+        table = PulseEventTable(2**63 - 1, np.array([2**63 - 2], dtype=np.uint64), [], 0, 0)
+        assert table.cell_counts()[1, 0] == 1
 
     def test_cell_counts_peak_per_click(self):
         # two ~200k-click detectors on a 2e7-pulse train, a tenth shared:

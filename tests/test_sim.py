@@ -685,6 +685,8 @@ class TestValidation:
         (dict(seed=2**64), "seed must be an unsigned 64-bit integer"),
         (dict(rep_period=100e-12, gate_window=50e-12), "at least 2 timebins"),
         (dict(rep_period=5e-3), "does not fit the 32-bit header field"),
+        # was accepted here, and failed only once run_simulation had drawn the run
+        (dict(divider=2**32), "divider does not fit the 32-bit header field"),
     ])
     def test_seed_and_period_ranges(self, kw, match):
         with pytest.raises(ValidationError, match=match):

@@ -674,6 +674,26 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError, match="^bad header value: "):
             read_tags_csv(io.StringIO(bad))
 
+    @pytest.mark.parametrize("key, first, again", [
+        ("divider", "512", "8"),
+        ("records", "5", "5"),  # even the same value: the header says it twice
+        ("provenance", "a", "b"),
+    ])
+    def test_repeated_header_key_is_a_format_error(self, key, first, again):
+        buf = io.StringIO()
+        write_tags_csv(make_stream([0, 1, 2, 0, 1], [0, 1, 2, 3, 4], provenance="a"), buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"# {key} ="))
+        assert lines[at] == f"# {key} = {first}\n"
+        lines.insert(at + 1, f"# {key} = {again}\n")
+        with pytest.raises(FormatError,
+                           match=f"^line {at + 2}: key '{key}' repeats line {at + 1}$"):
+            read_tags_csv(io.StringIO("".join(lines)))
+
+    def test_unknown_header_keys_are_ignored(self):
+        text = csv_text().replace("# version", "# comment = x\n# version", 1)
+        assert read_tags_csv(io.StringIO(text)) == make_stream([0, 1], [0, 5])
+
     def test_line_breaks_in_provenance_are_flattened(self):
         s = make_stream([1], [4], provenance="two\nlines")
         buf = io.StringIO()
