@@ -149,33 +149,43 @@ def series_points(summaries: Sequence[RateSummary], name: str) -> list[tuple[flo
 class FitResult:
     """Gaussian fit a + b*exp(-(x-t0)^2/(2 sigma^2)) of a rate series.
 
-    cwr is the fitted center-to-wings ratio (a+b)/a. visibility is
-    |b|/a and only set for dips (b < 0). covariance is the (a, b, t0,
+    Stores the fitted a, b, t0, sigma, residual norm, points, rounds of
+    the shape search (n_iterations) and covariance, the (a, b, t0,
     sigma) block of the unscaled inverse weighted normal matrix of the
-    whole fit, which for k series sharing t0 and sigma has 2 + 2k
+    whole fit: for k series sharing t0 and sigma it has 2 + 2k
     parameters, so the errors of a, b and cwr carry the shared shape's
-    uncertainty. n_iterations counts the rounds of the shape search.
+    uncertainty. The rest is read off them: each *_err is sqrt(max(C[i,
+    i], 0)); cwr = (a+b)/a, the center-to-wings ratio, and its error by
+    the gradient (-b/a^2, 1/a) are NaN unless a > 0; visibility = -b/a,
+    with cwr's error, is set only for dips (b < 0).
     """
 
     a: float
     b: float
     t0: float
     sigma: float
-    a_err: float
-    b_err: float
-    t0_err: float
-    sigma_err: float
-    cwr: float
-    cwr_err: float
-    visibility: float | None
-    visibility_err: float | None
     residual_norm: float
     n_points: int
     n_iterations: int
     covariance: np.ndarray = field(repr=False)
 
+    a_err, b_err, t0_err, sigma_err = (
+        property(lambda s, i=i: math.sqrt(max(float(s.covariance[i][i]), 0.0))) for i in range(4))
+    cwr = property(lambda s: (s.a + s.b) / s.a if s.a > 0 else math.nan)
+
+    @property
+    def cwr_err(self) -> float:
+        # one error for cwr and visibility (opposite gradients); a NaN g unless a > 0
+        g = np.array([-self.b / (self.a * self.a), 1.0 / self.a] if self.a > 0 else [math.nan] * 2)
+        return math.sqrt(max(g @ np.asarray(self.covariance)[:2, :2] @ g, 0.0))
+
+    visibility = property(lambda s: None if s.b >= 0 else -s.b / s.a if s.a > 0 else math.nan)
+    visibility_err = property(lambda s: s.cwr_err if s.b < 0 else None)
+
     def to_dict(self) -> dict:
-        out = {f: getattr(self, f) for f in self.__dataclass_fields__ if f != "covariance"}
+        out = {f: getattr(self, f) for f in (
+            "a", "b", "t0", "sigma", "a_err", "b_err", "t0_err", "sigma_err", "cwr", "cwr_err",
+            "visibility", "visibility_err", "residual_norm", "n_points", "n_iterations")}
         out["covariance"] = [list(row) for row in np.asarray(self.covariance)]
         return out
 
@@ -307,9 +317,7 @@ def _fit(x: np.ndarray, ys: list, errs: list) -> list[FitResult]:
         if np.all(y == y[0]):
             out[i] = FitResult(
                 a=float(y[0]), b=0.0, t0=float(0.5 * (x[0] + x[-1])), sigma=(x[-1] - x[0]) / 6.0,
-                a_err=0.0, b_err=0.0, t0_err=0.0, sigma_err=0.0, cwr=1.0 if y[0] > 0 else math.nan,
-                cwr_err=0.0, visibility=None, visibility_err=None, residual_norm=0.0,
-                n_points=x.size, n_iterations=0, covariance=np.zeros((4, 4)))
+                residual_norm=0.0, n_points=x.size, n_iterations=0, covariance=np.zeros((4, 4)))
     fitted = [i for i, fit in enumerate(out) if fit is None]
     if not fitted:
         return out
@@ -333,21 +341,10 @@ def _fit(x: np.ndarray, ys: list, errs: list) -> list[FitResult]:
     except np.linalg.LinAlgError:
         full = np.linalg.pinv(jac.T @ jac)
     for m, i in enumerate(fitted):
-        cov = full[np.ix_(blocks[m], blocks[m])]
-        errs_m = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        am, bm = float(a[m]), float(b[m])
-        # cwr and visibility have opposite gradients, so one error
-        g_cwr = np.array([-bm / (am * am), 1.0 / am])
-        cwr_err = float(math.sqrt(max(g_cwr @ cov[:2, :2] @ g_cwr, 0.0)))
-        r = (am + bm * e - ys[m]) * ws[m]
+        r = (a[m] + b[m] * e - ys[m]) * ws[m]
         out[i] = FitResult(
-            a=am, b=bm, t0=t0, sigma=s,
-            a_err=float(errs_m[0]), b_err=float(errs_m[1]),
-            t0_err=float(errs_m[2]), sigma_err=float(errs_m[3]),
-            cwr=(am + bm) / am, cwr_err=cwr_err,
-            visibility=-bm / am if bm < 0 else None, visibility_err=cwr_err if bm < 0 else None,
-            residual_norm=float(math.sqrt(r @ r)), n_points=n, n_iterations=rounds, covariance=cov,
-        )
+            a=float(a[m]), b=float(b[m]), t0=t0, sigma=s, residual_norm=float(math.sqrt(r @ r)),
+            n_points=n, n_iterations=rounds, covariance=full[np.ix_(blocks[m], blocks[m])])
     return out
 
 
@@ -388,9 +385,7 @@ def visibility(fit: FitResult) -> tuple[float, float]:
     """
     if fit.b > 0:
         raise WrongShapeError("visibility is defined for dip fits (b <= 0)")
-    if fit.visibility is None:
-        return 0.0, 0.0
-    return float(fit.visibility), fit.visibility_err
+    return (fit.visibility, fit.visibility_err) if fit.b < 0 else (0.0, 0.0)
 
 
 def _cwr_value(fit_or_value) -> float:
@@ -471,6 +466,7 @@ def write_rate_csv(summaries: Sequence[RateSummary], sink, rep_rate_hz: float) -
     per-pulse ones for the click rates, matching how counting rates are
     usually plotted.
     """
+    rep_rate_hz = check_real("rep_rate_hz", rep_rate_hz, "positive")
     per_s = ["singles1", "singles2", "coincidence", "heralded_rate"]
     with _opened(sink, "w", newline="") as fh:
         writer = csv.writer(fh)

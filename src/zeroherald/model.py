@@ -152,8 +152,10 @@ class IndistinguishabilityProfile:
             raise ValidationError(f"unknown profile shape {self.shape!r}")
 
     def nu(self, delta_t):
-        """Indistinguishability at the given delay (scalar or array)."""
-        dt = np.asarray(delta_t, dtype=float)
+        """Indistinguishability at a finite real delay, or an array of them."""
+        dt = np.asarray(delta_t if np.ndim(delta_t) else check_real("delta_t", delta_t))
+        if dt.dtype.kind not in "iuf" or not np.all(np.isfinite(dt)):
+            raise ValidationError(f"delta_t must be finite reals, got {delta_t!r}")
         if self.shape == "gaussian":
             out = self.nu_max * np.exp(-((dt / self.tau) ** 2))
         elif self.shape == "triangular":

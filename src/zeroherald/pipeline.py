@@ -47,17 +47,27 @@ __all__ = [
 
 @dataclass
 class PulseGrid:
-    """Pulse train rebuilt from reference tags.
-
-    Pulse k lives in reference segment k // divider; its time is the
-    linear interpolation between the bracketing references. period_tb
-    is the median pulse spacing in timebins.
+    """Pulse train rebuilt from reference tags: the references (counts,
+    at least one, held as uint64; their order is not checked), the
+    divider (a positive integer) and period_tb, the median pulse spacing
+    in timebins (positive), off which n_pulses, (len(ref_times) - 1) *
+    divider + 1, is read. Pulse k lives in reference segment k //
+    divider; its time is the linear interpolation between the
+    bracketing references.
     """
 
     ref_times: np.ndarray
     divider: int
-    n_pulses: int
     period_tb: float
+
+    def __post_init__(self):
+        self.ref_times = check_counts("ref_times", self.ref_times).astype(np.uint64, copy=False)
+        if self.ref_times.size == 0:
+            raise InsufficientReferenceError("a pulse grid needs at least one reference tag")
+        self.divider = check_count("divider", self.divider, least=1)
+        self.period_tb = check_real("period_tb", self.period_tb, "positive")
+
+    n_pulses = property(lambda self: (self.ref_times.size - 1) * self.divider + 1)
 
 
 def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
@@ -117,13 +127,7 @@ def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
             f"{median!r} by more than {half} timebins",
             indices=bad.tolist(),
         )
-    n_pulses = n_gaps * stream.divider + 1
-    return PulseGrid(
-        ref_times=refs,
-        divider=stream.divider,
-        n_pulses=n_pulses,
-        period_tb=median / stream.divider,
-    )
+    return PulseGrid(ref_times=refs, divider=stream.divider, period_tb=median / stream.divider)
 
 
 def _narrow_gap_extremes(refs: np.ndarray):
@@ -177,9 +181,9 @@ def virtual_gate(stream: TagStream, grid: PulseGrid, window: float) -> GateResul
     tag lands in at most one pulse; everything else is rejected.
     """
     window_tb = gate_window_tb(window, stream.timebin_ps, grid.period_tb)
-    refs = check_counts("ref_times", grid.ref_times).astype(np.uint64, copy=False)
     tags = {Channel.D1: stream.d1, Channel.D2: stream.d2}
-    assigned = {ch: _gated_pulses(t, refs, grid.divider, window_tb) for ch, t in tags.items()}
+    assigned = {ch: _gated_pulses(t, grid.ref_times, grid.divider, window_tb)
+                for ch, t in tags.items()}
     n_rejected = {ch: int(t.size - assigned[ch].size) for ch, t in tags.items()}
     return GateResult(grid=grid, assigned=assigned, n_rejected=n_rejected)
 

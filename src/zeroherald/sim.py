@@ -330,7 +330,7 @@ def _pair_draws(rng: np.random.Generator, prob: np.ndarray, pair_pulses: np.ndar
 
 
 def _jitter_offsets(rng: np.random.Generator, count: int, cfg: SimConfig) -> np.ndarray:
-    if cfg.jitter_sigma <= 0.0 or count == 0:
+    if cfg.jitter_sigma <= 0.0:
         return np.zeros(count, dtype=np.int64)
     sigma_tb = cfg.jitter_sigma * PS_PER_SECOND / cfg.timebin_ps
     jitter = rng.normal(0.0, sigma_tb, size=count)
@@ -354,12 +354,7 @@ def _channel_plan(
     dark_offsets = rng.integers(0, cfg.ingate_bins, size=dark_pulses.size, dtype=np.int64)
 
     og_pulses = _event_pulses(rng, cfg.p_out_gate_dark, n_pulses)
-    if og_pulses.size:
-        og_offsets = rng.integers(
-            cfg.ingate_bins, cfg.period_tb, size=og_pulses.size, dtype=np.int64
-        )
-    else:
-        og_offsets = np.empty(0, dtype=np.int64)
+    og_offsets = rng.integers(cfg.ingate_bins, cfg.period_tb, size=og_pulses.size, dtype=np.int64)
 
     # in the order of a stable sort of photon, dark and out-of-gate
     # candidates; the small dark runs merge first, so the photon run is

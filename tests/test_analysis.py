@@ -7,6 +7,7 @@ known before any fitting happens.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -679,3 +680,73 @@ class TestWriters:
 
         record = json.loads(sink.getvalue(), parse_constant=no_constant)
         assert record["cwr"] is None and record["a"] == 0.0
+        assert record["cwr_err"] is None
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0, 0.0, "1e8", True])
+    def test_rate_csv_rejects_a_repetition_rate_that_is_not_positive(self, rate):
+        sink = io.StringIO()
+        with pytest.raises(ValidationError, match="rep_rate_hz"):
+            write_rate_csv(self.summaries(), sink, rep_rate_hz=rate)
+        assert sink.getvalue() == ""
+
+
+def fit_result(a, b, covariance=np.diag([4.0, 9.0, 16.0, 25.0])):
+    return FitResult(a=a, b=b, t0=1e-14, sigma=1e-13, residual_norm=0.5, n_points=7,
+                     n_iterations=3, covariance=covariance)
+
+
+class TestFitResultRule:
+    """A FitResult stores what was fitted and reads the rest off it."""
+
+    def test_fields_are_what_was_fitted(self):
+        assert [f.name for f in dataclasses.fields(FitResult)] == [
+            "a", "b", "t0", "sigma", "residual_norm", "n_points", "n_iterations", "covariance"]
+
+    @pytest.mark.parametrize("name", ["a_err", "b_err", "t0_err", "sigma_err", "cwr", "cwr_err",
+                                      "visibility", "visibility_err"])
+    def test_derived_values_are_read_only(self, name):
+        with pytest.raises(AttributeError):
+            setattr(fit_result(2.0, -0.5), name, 0.0)
+
+    def test_errors_are_the_root_of_the_covariance_diagonal(self):
+        fit = fit_result(2.0, -0.5, np.diag([4.0, 9.0, 16.0, -1e-30]))
+        assert (fit.a_err, fit.b_err, fit.t0_err, fit.sigma_err) == (2.0, 3.0, 4.0, 0.0)
+
+    def test_cwr_and_its_error(self):
+        cov = np.array([[4.0, 1.0, 0, 0], [1.0, 9.0, 0, 0], [0, 0, 16.0, 0], [0, 0, 0, 25.0]])
+        fit = fit_result(2.0, 3.0, cov)
+        assert fit.cwr == 5.0 / 2.0
+        g = np.array([-3.0 / 4.0, 1.0 / 2.0])
+        assert fit.cwr_err == pytest.approx(math.sqrt(g @ cov[:2, :2] @ g), rel=1e-15)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0])
+    @pytest.mark.parametrize("b", [-0.5, 0.0, 0.5])
+    def test_no_ratio_without_a_positive_baseline(self, a, b):
+        fit = fit_result(a, b)
+        assert math.isnan(fit.cwr) and math.isnan(fit.cwr_err)
+
+    @pytest.mark.parametrize("a", [2.0, 0.0, -1.0])
+    def test_visibility_only_for_dips(self, a):
+        dip, flat, peak = fit_result(a, -0.5), fit_result(a, 0.0), fit_result(a, 0.5)
+        for fit in (flat, peak):
+            assert fit.visibility is None and fit.visibility_err is None
+        if a > 0:
+            assert dip.visibility == 0.25 and dip.visibility_err == dip.cwr_err
+        else:
+            assert math.isnan(dip.visibility) and math.isnan(dip.visibility_err)
+
+    def test_to_dict_keeps_its_keys_in_order(self):
+        assert list(fit_result(2.0, -0.5).to_dict()) == [
+            "a", "b", "t0", "sigma", "a_err", "b_err", "t0_err", "sigma_err", "cwr", "cwr_err",
+            "visibility", "visibility_err", "residual_norm", "n_points", "n_iterations",
+            "covariance"]
+
+    @pytest.mark.parametrize("level", [0.25, 0.0, -1.0])
+    def test_flat_series(self, level):
+        fit = gaussian_fit([(x, level, 1e-3) for x in np.linspace(-3e-13, 3e-13, 7)])
+        assert (fit.a, fit.b, fit.a_err, fit.sigma_err) == (level, 0.0, 0.0, 0.0)
+        assert fit.visibility is None and fit.visibility_err is None
+        if level > 0:
+            assert (fit.cwr, fit.cwr_err) == (1.0, 0.0)
+        else:
+            assert math.isnan(fit.cwr) and math.isnan(fit.cwr_err)

@@ -126,7 +126,7 @@ class TestCheckCount:
 def gate(refs):
     """virtual_gate over a hand-built grid with these reference times."""
     tags = TagStream(timebin_ps=1, rep_period_ps=10, divider=4, refs=[0, 40], d1=[5], d2=[])
-    return virtual_gate(tags, PulseGrid(ref_times=refs, divider=4, n_pulses=5, period_tb=10.0),
+    return virtual_gate(tags, PulseGrid(ref_times=refs, divider=4, period_tb=10.0),
                         window=5e-12)
 
 

@@ -353,6 +353,26 @@ class TestIndistinguishabilityProfile:
             IndistinguishabilityProfile(shape="tabulated", tau=1e-13,
                                         delays=[-1e-13, 0.0, 1e-13], values=[0.1, 0.9, 0.1])
 
+    @pytest.mark.parametrize("shape", ["gaussian", "triangular", "tabulated"])
+    @pytest.mark.parametrize("delay", ["1e-13", math.nan, math.inf, True, None,
+                                       np.array([0.0, math.nan]), np.array([True, False]),
+                                       np.array(["1e-13"]), [0.0, "1e-13"]],
+                             ids=["string", "nan", "inf", "bool", "none", "nan entry",
+                                  "bool array", "string array", "mixed list"])
+    def test_delay_must_be_finite_reals(self, shape, delay):
+        if shape == "tabulated":
+            prof = IndistinguishabilityProfile(shape=shape, delays=[-1e-13, 0.0, 1e-13],
+                                               values=[0.1, 0.9, 0.1])
+        else:
+            prof = IndistinguishabilityProfile(nu_max=0.5, tau=1e-13, shape=shape)
+        with pytest.raises(ValidationError, match="delta_t"):
+            prof.nu(delay)
+
+    def test_integer_delays_are_reals(self):
+        prof = IndistinguishabilityProfile(nu_max=0.5, tau=1e-13)
+        assert prof.nu(0) == 0.5
+        np.testing.assert_array_equal(prof.nu(np.array([0, 0], dtype=np.int16)), [0.5, 0.5])
+
     def test_vectorized_evaluation(self):
         prof = IndistinguishabilityProfile(nu_max=0.5, tau=1e-13)
         out = prof.nu(np.array([0.0, 1e-13]))

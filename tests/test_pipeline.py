@@ -6,6 +6,8 @@ sit at known offsets, and the expected per-pulse states are written out
 literally.
 """
 
+import dataclasses
+import math
 import random
 import tracemalloc
 
@@ -320,6 +322,43 @@ class TestVirtualGate:
             assert gate.assigned[ch].size + gate.n_rejected[ch] == tags.size
 
 
+class TestPulseGridFields:
+    """A hand-built grid checks its own fields and reads its pulse count
+    off its references and divider."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(PulseGrid)] == [
+            "ref_times", "divider", "period_tb"]
+
+    @pytest.mark.parametrize("n_refs, n_pulses", [(1, 1), (2, 5), (3, 9)])
+    def test_pulse_count_is_read_off_the_references(self, n_refs, n_pulses):
+        grid = PulseGrid(ref_times=np.arange(n_refs, dtype=np.uint64) * 40, divider=4,
+                         period_tb=10.0)
+        assert grid.n_pulses == n_pulses
+        with pytest.raises(AttributeError):
+            grid.n_pulses = 99
+
+    @pytest.mark.parametrize("divider", [0, -4, 2.5, "4", True])
+    def test_divider_must_be_a_positive_integer(self, divider):
+        with pytest.raises(ValidationError, match="divider"):
+            PulseGrid(ref_times=[0, 40], divider=divider, period_tb=10.0)
+
+    @pytest.mark.parametrize("period", [0.0, -10.0, math.nan, math.inf])
+    def test_period_must_be_positive(self, period):
+        with pytest.raises(ValidationError, match="period_tb"):
+            PulseGrid(ref_times=[0, 40], divider=4, period_tb=period)
+
+    def test_needs_a_reference(self):
+        with pytest.raises(InsufficientReferenceError):
+            PulseGrid(ref_times=np.array([], dtype=np.uint64), divider=4, period_tb=10.0)
+
+    def test_references_are_held_as_uint64(self):
+        grid = PulseGrid(ref_times=[0, 40], divider=4, period_tb=10.0)
+        assert grid.ref_times.dtype == np.uint64
+        refs = np.array([0, 40], dtype=np.uint64)
+        assert PulseGrid(ref_times=refs, divider=4, period_tb=10.0).ref_times is refs
+
+
 class TestWideTimestamps:
     """Gating depends only on offsets between tags, for any u64 timestamps."""
 
@@ -454,8 +493,7 @@ class TestGateMatchesSearch:
         refs = np.array(refs, dtype=np.uint64)
         d1 = np.array([0, 999, 1000, 1005, 1006, 1010, 2**64 - 1], dtype=np.uint64)
         stream = TagStream(timebin_ps=1, rep_period_ps=10, divider=4, refs=refs, d1=d1, d2=[])
-        grid = PulseGrid(ref_times=refs, divider=4, n_pulses=(refs.size - 1) * 4 + 1,
-                         period_tb=10.0)
+        grid = PulseGrid(ref_times=refs, divider=4, period_tb=10.0)
         gate = self.assert_gates_alike(stream, grid, 0.6)
         # past the last reference: its pulse, in the gate below 6 timebins
         last = (refs.size - 1) * 4
@@ -776,7 +814,7 @@ class TestSparseTable:
         # a dense view of this train would need about 2 TB
         n = 10**12
         grid = PulseGrid(ref_times=np.array([0, n - 1], dtype=np.uint64),
-                         divider=n - 1, n_pulses=n, period_tb=1.0)
+                         divider=n - 1, period_tb=1.0)
         gate = GateResult(
             grid=grid,
             assigned={Channel.D1: np.array([0, 3, 10, 200, 500, n - 2]),
