@@ -35,6 +35,7 @@ from .errors import (
     WrongShapeError,
     check_count,
     check_real,
+    check_reals,
 )
 from . import model
 from .pipeline import PulseEventTable
@@ -135,7 +136,7 @@ class RateSummary:
 def compute_rates(table: PulseEventTable, delta_t: float = 0.0) -> RateSummary:
     """The RateSummary of a table's live cells at delay delta_t."""
     (n00, n01), (n10, n11) = table.cell_counts()[:2, :2].tolist()
-    return RateSummary(float(delta_t), table.n_pulses, n00, n01, n10, n11)
+    return RateSummary(check_real("delta_t", delta_t), table.n_pulses, n00, n01, n10, n11)
 
 
 def series_points(summaries: Sequence[RateSummary], name: str) -> list[tuple[float, float, float]]:
@@ -191,13 +192,11 @@ class FitResult:
 
 
 def _fit_points(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    arr = np.asarray(list(points), dtype=float)
+    arr = check_reals("fit points", list(points))
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValidationError("fit points must be (delta_t, rate, stderr) triples")
     if arr.shape[0] < MIN_FIT_POINTS:
         raise ValidationError(f"need at least {MIN_FIT_POINTS} points to fit, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("fit points must be finite")
     order = np.argsort(arr[:, 0], kind="stable")
     x, y, err = arr[order, 0], arr[order, 1], arr[order, 2]
     if x[-1] == x[0]:
@@ -388,10 +387,6 @@ def visibility(fit: FitResult) -> tuple[float, float]:
     return (fit.visibility, fit.visibility_err) if fit.b < 0 else (0.0, 0.0)
 
 
-def _cwr_value(fit_or_value) -> float:
-    return float(getattr(fit_or_value, "cwr", fit_or_value))
-
-
 def estimate_efficiencies(cwr_peak, cwr_noherald, nu_max: float) -> tuple[float, float]:
     """Effective efficiencies from the two fitted curve ratios.
 
@@ -400,8 +395,8 @@ def estimate_efficiencies(cwr_peak, cwr_noherald, nu_max: float) -> tuple[float,
     FitResults or bare ratio values. The forward formula is re-checked
     on the result to 1e-6.
     """
-    c_peak = _cwr_value(cwr_peak)
-    c_wing = _cwr_value(cwr_noherald)
+    c_peak = check_real("cwr_peak", getattr(cwr_peak, "cwr", cwr_peak))
+    c_wing = check_real("cwr_noherald", getattr(cwr_noherald, "cwr", cwr_noherald))
     eta2p = model.invert_cwr_for_eta2_unheralded(c_wing, nu_max)
     eta1p = model.invert_cwr_for_eta1(c_peak, eta2p, nu_max)
     back1 = model.cwr_approx(eta1p, eta2p, nu_max)

@@ -4,13 +4,13 @@ Each class carries its command-line exit code as exit_code, by group: 3
 for parameter, config and output-path problems, 4 for tag-file format and
 integrity problems, and 5 for numerical or degenerate-data problems.
 
-check_count is the one count rule: a pulse count, dead window, header
-field or cell tally that is not a whole number is rejected, never truncated.
-check_counts is its rule for arrays: pulse indices, timestamps and channel
-codes that are not 1-d, integer and in range are rejected, never cast.
-check_real is the one rule for real parameters: a delay, period,
-probability or ratio that is not a real number, or falls outside its
-range (NaN outside every one), is rejected.
+check_count is the one count rule: a pulse count, dead window, header field
+or cell tally that is not a whole number is rejected, never truncated.
+check_counts is its rule for arrays (pulse indices, timestamps, channel
+codes, photon numbers). check_real is the one rule for real parameters: a
+delay, period, probability or ratio that is not a real number, or falls
+outside its range (NaN outside every one), is rejected. check_reals is its
+rule for arrays. No array rule parses or casts a string, bool or ragged list.
 """
 
 import math
@@ -106,11 +106,21 @@ def check_count(name: str, value, least: int = 0) -> int:
     return int(value)
 
 
+def _array(values) -> np.ndarray:
+    """values as an array; a list or tuple of anything but non-bool reals (a ragged
+    one, or one with a bool numpy would promote) as an object array, which no rule takes."""
+    if isinstance(values, (list, tuple)) and values:
+        entries = np.array(values, dtype=object)
+        if not all(isinstance(x, Real) and not isinstance(x, bool) for x in entries.flat):
+            return entries
+    return np.asarray(values)
+
+
 def check_counts(name: str, values, below: int | None = None) -> np.ndarray:
     """values as a 1-d array, its dtype kept; ValidationError unless, when not
     empty, its dtype is integer and no entry is negative or, given below, at or
     above below. A float, bool or string array fails, as does a list of them."""
-    counts = np.asarray(values)
+    counts = _array(values)
     if counts.ndim != 1 or counts.size and (
             counts.dtype.kind not in "ui" or counts.dtype.kind == "i" and counts.min() < 0
             or below is not None and counts.max() >= below):
@@ -120,12 +130,12 @@ def check_counts(name: str, values, below: int | None = None) -> np.ndarray:
     return counts
 
 
-# check_real's ranges: each test, and how its message states the range
+# the real ranges: each test, elementwise on arrays, and how a message states it
 _REAL_RANGES = {
-    "finite": (math.isfinite, "finite"),
-    "positive": (lambda x: 0 < x < math.inf, "positive and finite"),
-    "non-negative": (lambda x: 0 <= x < math.inf, "finite and >= 0"),
-    "unit": (lambda x: 0 <= x <= 1, "in [0, 1]"),
+    "finite": (lambda x: abs(x) < math.inf, "finite"),
+    "positive": (lambda x: (0 < x) & (x < math.inf), "positive and finite"),
+    "non-negative": (lambda x: (0 <= x) & (x < math.inf), "finite and >= 0"),
+    "unit": (lambda x: (0 <= x) & (x <= 1), "in [0, 1]"),
 }
 
 
@@ -146,3 +156,20 @@ def check_real(name: str, value, within: str = "finite") -> float:
     if not test(number):
         raise ValidationError(f"{name} must be {text}, got {number!r}")
     return number
+
+
+def check_reals(name: str, values, within: str = "finite") -> np.ndarray:
+    """values as a float64 array of their shape; ValidationError unless their
+    dtype is integer or float and every entry is in check_real's range within,
+    naming the first entry out of range. A bool, string or ragged list fails."""
+    test, text = _REAL_RANGES[within]
+    arr = _array(values)
+    if arr.dtype.kind not in "uif":
+        raise ValidationError(f"{name} must be real numbers, got {arr.dtype} of shape {arr.shape}")
+    reals = arr.astype(np.float64, copy=False)
+    inside = test(reals)
+    if not inside.all():
+        at = tuple(int(i) for i in np.unravel_index(np.argmin(inside), reals.shape))
+        where = f" at index {at}" if at else ""
+        raise ValidationError(f"{name} must be {text}, got {float(reals[at])!r}{where}")
+    return reals

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,9 @@ from .errors import (
     NoSolutionError,
     ValidationError,
     check_count,
+    check_counts,
     check_real,
+    check_reals,
 )
 from .tags import _opened
 
@@ -126,48 +128,38 @@ class IndistinguishabilityProfile:
                 raise ValidationError("tabulated profile needs delays and values")
             if self.tau is not None:
                 raise ValidationError("tabulated profile takes no tau")
-            d = np.asarray(self.delays, dtype=float)
-            v = np.asarray(self.values, dtype=float)
+            d = check_reals("delays", self.delays)
+            v = check_reals("values", self.values, "unit")
             if d.ndim != 1 or d.shape != v.shape or d.size < 2:
                 raise ValidationError("profile table needs two same-length 1-d arrays")
-            # written so that NaN fails each test
-            if not (np.all(np.isfinite(d)) and np.all(np.diff(d) > 0)):
-                raise ValidationError(
-                    "profile table delays must be finite and strictly increasing")
-            if not np.all((v >= 0) & (v <= 1)):
-                raise ValidationError("profile table values must be in [0, 1]")
+            if not np.all(np.diff(d) > 0):
+                raise ValidationError("profile table delays must be strictly increasing")
             if not (d[0] <= 0.0 <= d[-1]):
                 raise ValidationError("profile table must cover delay 0")
             # tuples, so that equal tables compare and hash by value
-            object.__setattr__(self, "delays", tuple(map(float, d)))
-            object.__setattr__(self, "values", tuple(map(float, v)))
+            object.__setattr__(self, "delays", tuple(d.tolist()))
+            object.__setattr__(self, "values", tuple(v.tolist()))
             at_zero = float(np.interp(0.0, d, v))
             if self.nu_max is None:
                 object.__setattr__(self, "nu_max", at_zero)
             elif not abs(self.nu_max - at_zero) <= 1e-9:
-                raise ValidationError(
-                    "nu_max disagrees with the tabulated value at delay 0"
-                )
+                raise ValidationError("nu_max disagrees with the tabulated value at delay 0")
         else:
             raise ValidationError(f"unknown profile shape {self.shape!r}")
 
     def nu(self, delta_t):
-        """Indistinguishability at a finite real delay, or an array of them."""
-        dt = np.asarray(delta_t if np.ndim(delta_t) else check_real("delta_t", delta_t))
-        if dt.dtype.kind not in "iuf" or not np.all(np.isfinite(dt)):
-            raise ValidationError(f"delta_t must be finite reals, got {delta_t!r}")
+        """Indistinguishability at a finite real delay, or an array of them (0-d too)."""
+        dt = check_reals("delta_t", delta_t)
         if self.shape == "gaussian":
             out = self.nu_max * np.exp(-((dt / self.tau) ** 2))
         elif self.shape == "triangular":
             out = self.nu_max * np.clip(1.0 - np.abs(dt) / self.tau, 0.0, None)
         else:
             if np.any(dt < self.delays[0]) or np.any(dt > self.delays[-1]):
-                raise ValidationError(
-                    "delay outside the tabulated profile range "
-                    f"[{self.delays[0]!r}, {self.delays[-1]!r}]"
-                )
+                raise ValidationError("delay outside the tabulated profile range "
+                                      f"[{self.delays[0]!r}, {self.delays[-1]!r}]")
             out = np.interp(dt, self.delays, self.values)
-        return out if np.ndim(delta_t) else float(out)
+        return out if dt.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -186,8 +178,7 @@ class OutputDistribution:
     p02: float
 
     def __post_init__(self):
-        for name, p in self.as_dict().items():
-            check_real(name, p, "unit")
+        check_reals("p00, p10, p01, p11, p20, p02", list(self.as_dict().values()), "unit")
         if abs(self.total() - 1.0) > 1e-12:
             raise ValidationError(f"output distribution sums to {self.total()!r}, not 1")
 
@@ -209,23 +200,21 @@ class OutputDistribution:
 def p_noclick_given_n(det: DetectorParams, n) -> float:
     """Probability a detector stays silent when n photons arrive.
 
-    The detector misses every photon and does not dark-click:
-    (1 - d) * (1 - eta)^n. Dead time and afterpulsing are dynamics, not
-    per-pulse statistics, so they do not enter here.
+    The detector misses every photon and does not dark-click: (1 - d) *
+    (1 - eta)^n, n a count or a 1-d array of counts. Dead time and
+    afterpulsing are dynamics, not per-pulse statistics: they do not enter.
     """
-    n_arr = np.asarray(n)
-    if np.any(n_arr < 0) or not np.issubdtype(n_arr.dtype, np.integer):
-        raise ValidationError(f"photon number must be a non-negative integer, got {n!r}")
-    out = (1.0 - det.dark_prob) * (1.0 - det.eta) ** n_arr
-    return out if np.ndim(n) else float(out)
+    one = not isinstance(n, (list, tuple, np.ndarray))
+    k = check_counts("n", [check_count("n", n)] if one else n)
+    # one count is a 0-d power, whose last bit can differ from a 1-d one's
+    out = (1.0 - det.dark_prob) * (1.0 - det.eta) ** (k.reshape(()) if one else k)
+    return float(out) if one else out
 
 
 def _check_photon_dist(probs) -> np.ndarray:
-    p = np.asarray(probs, dtype=float)
+    p = check_reals("photon_probs", probs, "unit")
     if p.ndim != 1 or p.size == 0:
         raise ValidationError("photon distribution must be a non-empty 1-d sequence")
-    if np.any(p < 0) or np.any(np.isnan(p)):
-        raise ValidationError("photon distribution has negative or NaN entries")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValidationError(f"photon distribution sums to {p.sum()!r}, not 1")
     return p
@@ -436,20 +425,23 @@ def curve_grid(
     eta1: float,
     eta2: float,
     profile: IndistinguishabilityProfile,
-    delays: Iterable[float],
+    delays: Sequence[float],
 ) -> list[dict]:
-    """Model curves over a delay grid, one dict per delay.
+    """Model curves over a 1-d grid of finite real delays, one dict per delay.
 
     The cwr column is the heralded rate normalized to its own wings, so
     it reads the center-to-wings ratio at delay 0 and tends to 1 far out.
     """
     e1p = src.kappa_tilde * check_real("eta", eta1, "unit")
     e2p = src.kappa_tilde * check_real("eta", eta2, "unit")
+    delays = check_reals("delays", delays)
+    if delays.ndim != 1:
+        raise ValidationError(f"delays must be 1-d, got shape {delays.shape}")
     rows = []
-    for dt in delays:
-        nu = profile.nu(float(dt))
+    for dt in delays.tolist():
+        nu = profile.nu(dt)
         rows.append(dict(zip(CURVE_COLUMNS, (
-            float(dt), nu, *_click_rates(src, eta1, eta2, nu),
+            dt, nu, *_click_rates(src, eta1, eta2, nu),
             p_c2_given_nc1_approx(e1p, e2p, src.gamma, nu), cwr_approx(e1p, e2p, nu)))))
     return rows
 

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PulseGrid:
     """Pulse train rebuilt from reference tags: the references (counts,
     at least one, held as uint64; their order is not checked), the
@@ -61,11 +61,12 @@ class PulseGrid:
     period_tb: float
 
     def __post_init__(self):
-        self.ref_times = check_counts("ref_times", self.ref_times).astype(np.uint64, copy=False)
-        if self.ref_times.size == 0:
+        refs = check_counts("ref_times", self.ref_times).astype(np.uint64, copy=False)
+        if refs.size == 0:
             raise InsufficientReferenceError("a pulse grid needs at least one reference tag")
-        self.divider = check_count("divider", self.divider, least=1)
-        self.period_tb = check_real("period_tb", self.period_tb, "positive")
+        object.__setattr__(self, "ref_times", refs)
+        object.__setattr__(self, "divider", check_count("divider", self.divider, least=1))
+        object.__setattr__(self, "period_tb", check_real("period_tb", self.period_tb, "positive"))
 
     n_pulses = property(lambda self: (self.ref_times.size - 1) * self.divider + 1)
 
@@ -78,40 +79,33 @@ def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
     timebin per synthesized pulse) from the median is a clock glitch:
     ClockGlitchError lists the indices of every such gap.
 
-    One pass over the gaps, a block at a time in one reused buffer,
-    finds the smallest and the largest. If they differ by at most one,
-    the gaps, which add up to the span of the references, give the
-    median by a count. The pass stops at the first block where they
-    differ by more: then the gaps are taken whole, for their extremes
-    and a partition for the median, and only then does the peak add one
-    gap per reference. The glitch test needs only the extremes, so the
-    gaps are taken again only to list a glitch. The grid keeps the
-    stream's references.
+    One pass over the gaps, a block at a time in one reused buffer, finds
+    the smallest and the largest. If they differ by at most one, the gaps,
+    which add up to the span of the references, give the median by a count.
+    If they differ by more, the gaps are taken whole for a partition, and
+    only then does the peak add one gap per reference. The glitch test needs
+    only the extremes, so the gaps are taken again only to list a glitch.
+    The grid keeps the stream's references.
     """
     refs = stream.refs
     if refs.size < 2:
         raise InsufficientReferenceError(
             f"need at least 2 reference tags to rebuild the pulse train, got {refs.size}"
         )
-    extremes = _narrow_gap_extremes(refs)
-    if extremes is None:
-        gaps = refs[1:] - refs[:-1]
-        low, top = int(gaps.min()), int(gaps.max())
-    else:
-        low, top = extremes
+    low, top = _gap_extremes(refs)
     if top * stream.divider >= 1 << 63:
-        raise ValidationError(
-            "reference spacing times divider must stay below 2**63 for exact gating"
-        )
+        raise ValidationError("reference spacing times divider must stay below 2**63 "
+                              "for exact gating")
     n_gaps = refs.size - 1
     mid = [(n_gaps - 1) // 2, n_gaps // 2]
-    if extremes is None:
-        gaps.partition(mid)
-        pair = gaps[mid]
-    else:
+    if top - low <= 1:
         # the gaps above low add one each to n_gaps * low: the span tells them
         n_low = n_gaps - (int(refs[-1]) - int(refs[0]) - n_gaps * low)
         pair = np.array([low if i < n_low else top for i in mid], dtype=np.uint64)
+    else:
+        gaps = refs[1:] - refs[:-1]
+        gaps.partition(mid)
+        pair = gaps[mid]
     # u64 -> f64 is monotone, so the middle pair of the gaps converts to
     # the middle pair of their float copy, and mean() adds it as median() does
     median = float(np.mean(pair))
@@ -130,10 +124,9 @@ def reconstruct_pulse_train(stream: TagStream) -> PulseGrid:
     return PulseGrid(ref_times=refs, divider=stream.divider, period_tb=median / stream.divider)
 
 
-def _narrow_gap_extremes(refs: np.ndarray):
+def _gap_extremes(refs: np.ndarray) -> tuple[int, int]:
     """The smallest and the largest gap between neighbouring references,
-    taken a block of _GAP_BLOCK at a time into one buffer, or None as
-    soon as they differ by more than one."""
+    taken a block of _GAP_BLOCK at a time into one buffer."""
     n_gaps = refs.size - 1
     buffer = np.empty(min(n_gaps, _GAP_BLOCK), dtype=np.uint64)
     low, top = 1 << 64, 0
@@ -141,15 +134,13 @@ def _narrow_gap_extremes(refs: np.ndarray):
         stop = min(start + _GAP_BLOCK, n_gaps)
         gaps = np.subtract(refs[start + 1:stop + 1], refs[start:stop], out=buffer[:stop - start])
         low, top = min(low, int(gaps.min())), max(top, int(gaps.max()))
-        if top - low > 1:
-            return None
     return low, top
 
 
-_GAP_BLOCK = 1 << 16  # reference gaps per block of _narrow_gap_extremes
+_GAP_BLOCK = 1 << 16  # reference gaps per block of _gap_extremes
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateResult:
     """Detector tags assigned to pulses by the virtual gate.
 
@@ -292,10 +283,7 @@ def _greedy_chain(positions: np.ndarray, ends: np.ndarray) -> np.ndarray:
     the jump table, then squares the table) takes about log2 of the
     longest chain in rounds, O(m log m) for m contested indices.
     """
-    n = positions.size
-    keep = np.ones(n, dtype=bool)
-    if n < 2:
-        return keep
+    keep = np.ones(positions.size, dtype=bool)
     keep[1:] = np.maximum.accumulate(ends[:-1]) < positions[1:]
     nodes = ~keep
     nodes[:-1] |= nodes[1:].copy()  # each cluster's free head
@@ -320,7 +308,7 @@ def _greedy_chain(positions: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return keep
 
 
-@dataclass
+@dataclass(frozen=True)
 class PulseEventTable:
     """Per-pulse outcomes of both detectors, stored as accepted clicks.
 
@@ -342,7 +330,7 @@ class PulseEventTable:
     dead_pulses2: int
 
     def __post_init__(self):
-        self.n_pulses = check_count("n_pulses", self.n_pulses)
+        object.__setattr__(self, "n_pulses", check_count("n_pulses", self.n_pulses))
         if self.n_pulses >= 1 << 63:  # every pulse index is an int64
             raise ValidationError(f"n_pulses must be below 2**63, got {self.n_pulses}")
         for i in (1, 2):
@@ -352,8 +340,8 @@ class PulseEventTable:
             if np.any(np.diff(clicks) <= dead):
                 raise ValidationError(f"clicks{i} must be sorted and more than "
                                       f"dead_pulses{i} = {dead} apart")
-            setattr(self, f"dead_pulses{i}", dead)
-            setattr(self, f"clicks{i}", clicks)
+            object.__setattr__(self, f"dead_pulses{i}", dead)
+            object.__setattr__(self, f"clicks{i}", clicks)
 
     def cell_counts(self) -> np.ndarray:
         """3x3 matrix counting pulses by (detector 1 state, detector 2 state).

@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, check_count, check_real
+from .errors import CapacityError, ValidationError, check_count, check_real, check_reals
 from .model import (_CLASSES, DetectorParams, IndistinguishabilityProfile, SourceParams,
                     _class_probs)
 from .pipeline import _first_of_runs, _greedy_chain, gate_window_tb
@@ -527,17 +527,17 @@ def derive_delay_seed(seed: int, index: int) -> int:
 
 
 def delay_configs(cfg: SimConfig, delays) -> list[tuple[float, SimConfig]]:
-    """One config per delay of a scan, as (delta_t, config) pairs.
+    """One config per delay of a non-empty 1-d scan, as (delta_t, config) pairs.
 
     Each delay gets its own seed derived from (cfg.seed, position), so
     scan results are reproducible yet statistically independent across
     the grid.
     """
-    delays = [float(delta_t) for delta_t in delays]
-    if not delays:
-        raise ValidationError("scan needs at least one delay")
+    delays = check_reals("delays", delays)
+    if delays.ndim != 1 or delays.size == 0:
+        raise ValidationError(f"scan needs at least one delay, in 1-d, got shape {delays.shape}")
     return [(delta_t, replace(cfg, delta_t=delta_t, seed=derive_delay_seed(cfg.seed, index)))
-            for index, delta_t in enumerate(delays)]
+            for index, delta_t in enumerate(delays.tolist())]
 
 
 def _scan(runs: list[tuple[float, SimConfig]]):

@@ -10,24 +10,40 @@ each array below must reject what is not a 1-d integer array of counts
 in its range. check_real is the
 only copy of the finite, positive, non-negative and unit-interval
 checks, so a value that is not a real number is a ValidationError at
-each real parameter below, never an untyped TypeError.
+each real parameter below, never an untyped TypeError. check_reals is
+the same rule for arrays of delays, profile values, photon
+probabilities and fit points, so a string, bool, ragged or non-finite
+array, or one outside the unit range where that is the range, is a
+ValidationError at each array site below, and an int or float32 array
+gives what its float64 copy gives.
 """
 
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
 
-from zeroherald.analysis import RateSummary
-from zeroherald.errors import ValidationError, check_count, check_counts, check_real
+from zeroherald.analysis import RateSummary, compute_rates, estimate_efficiencies, gaussian_fit
+from zeroherald.errors import (
+    ValidationError,
+    check_count,
+    check_counts,
+    check_real,
+    check_reals,
+)
 from zeroherald.model import (
     DetectorParams,
     IndistinguishabilityProfile,
     SourceParams,
+    curve_grid,
     cwr_approx,
+    heralded_fidelity,
     invert_cwr_for_eta1,
     invert_cwr_for_eta2_unheralded,
+    p_noclick_given_n,
+    success_probability,
 )
 from zeroherald.pipeline import (
     PulseEventTable,
@@ -36,7 +52,7 @@ from zeroherald.pipeline import (
     gate_window_tb,
     virtual_gate,
 )
-from zeroherald.sim import SimConfig
+from zeroherald.sim import SimConfig, delay_configs
 from zeroherald.tags import TagStream
 
 # a whole float, a bool and a digit string were each accepted somewhere
@@ -134,6 +150,11 @@ def records(channels=(0, 1), timestamps=(3, 4)):
     return TagStream.from_records(channels, timestamps, timebin_ps=1, rep_period_ps=10, divider=4)
 
 
+def size(values) -> int:
+    """Entries of values, a ragged list's too."""
+    return np.asarray(values, dtype=object).size
+
+
 # every entry point that takes an integer array, by the array it takes;
 # the first three take pulse indices, which are int64 and so below 2**63
 PULSE_SITES = {
@@ -146,8 +167,8 @@ ARRAY_SITES = {
     "TagStream.refs": lambda v: stream(refs=v),
     "TagStream.d1": lambda v: stream(d1=v),
     "TagStream.d2": lambda v: stream(d2=v),
-    "from_records.channels": lambda v: records(channels=v, timestamps=[3] * np.size(v)),
-    "from_records.timestamps": lambda v: records(channels=[0] * np.size(v), timestamps=v),
+    "from_records.channels": lambda v: records(channels=v, timestamps=[3] * size(v)),
+    "from_records.timestamps": lambda v: records(channels=[0] * size(v), timestamps=v),
     "virtual_gate.ref_times": gate,
 }
 BAD_ARRAYS = {
@@ -157,6 +178,7 @@ BAD_ARRAYS = {
     "0-d": np.array(3),
     "2-d": [[1, 2]],
     "negative": [-5, 995],
+    "ragged": [1, [2]],
 }
 
 
@@ -216,6 +238,9 @@ REAL_CALLS = {
     "SourceParams.gamma": lambda: SourceParams(gamma="0.1", kappa1=1.0, kappa2=1.0),
     "cwr_approx.eta1p": lambda: cwr_approx("0.1", 0.1, 0.9),
     "gate_window_tb.window": lambda: gate_window_tb("1e-9", 81, 123.0),
+    "compute_rates.delta_t": lambda: compute_rates(event_table(), "0"),
+    "estimate_efficiencies.cwr_peak": lambda: estimate_efficiencies("1.04", 0.96, 0.975),
+    "estimate_efficiencies.cwr_noherald": lambda: estimate_efficiencies(1.04, "0.96", 0.975),
 }
 
 
@@ -247,3 +272,115 @@ class TestCheckReal:
     @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.int8(0), 0])
     def test_numpy_reals_and_ints_pass_as_float(self, value):
         assert type(check_real("x", value, "unit")) is float
+
+
+def tabulated(delays=(0.0, 1e-13), values=(0.5, 0.5)):
+    return IndistinguishabilityProfile(shape="tabulated", delays=delays, values=values)
+
+
+def fit(pair):
+    """gaussian_fit of six points, the first with pair as its delay and rate."""
+    return gaussian_fit([[*pair, 0.1]] + [[x, 1.0, 0.1] for x in range(1, 6)])
+
+
+# every entry point that takes an array of reals, by the array it takes, as
+# (call of a two-entry array, a valid one); the unit sites take [0, 1]
+REAL_SITES = {
+    "nu": (lambda v: IndistinguishabilityProfile(nu_max=0.9, tau=1e-13).nu(v), [0.0, 1e-13]),
+    "tabulated.delays": (lambda v: tabulated(delays=v), [0.0, 1e-13]),
+    "curve_grid.delays": (lambda v: curve_grid(SourceParams(1e-3, 1.0, 1.0), 0.5, 0.5,
+                                               sim_config().profile, v), [0.0, 1e-13]),
+    "delay_configs": (lambda v: delay_configs(sim_config(), v), [0.0, 1e-13]),
+    "gaussian_fit.points": (fit, [0.0, 1e-13]),
+}
+UNIT_SITES = {
+    "tabulated.values": (lambda v: tabulated(values=v), [0.0, 1.0]),
+    "success_probability": (lambda v: success_probability(v, detector()), [0.0, 1.0]),
+    "heralded_fidelity": (lambda v: heralded_fidelity(v, detector()), [0.0, 1.0]),
+}
+
+
+def bad_reals(good, unit):
+    """Two-entry arrays like good that are not what the site takes."""
+    rows = {"string": [str(x) for x in good], "bool": [False, True],
+            "ragged": [good[0], [good[1]]], "nan": [good[0], math.nan],
+            "inf": [good[0], math.inf]}
+    return {**rows, "-0.5": [-0.5, 1.5], "1.5": [1.5, -0.5]} if unit else rows
+
+
+BAD_REAL_ROWS = [(f"{site}-{row}", call, values)
+                 for sites, unit in ((REAL_SITES, False), (UNIT_SITES, True))
+                 for site, (call, good) in sites.items()
+                 for row, values in bad_reals(good, unit).items()]
+
+
+@pytest.mark.parametrize("call, values", [row[1:] for row in BAD_REAL_ROWS],
+                         ids=[row[0] for row in BAD_REAL_ROWS])
+def test_every_real_array_site_rejects_what_is_not_reals_in_range(call, values):
+    with pytest.raises(ValidationError):
+        call(values)
+
+
+@pytest.mark.parametrize("call", [call for call, _ in [*REAL_SITES.values(), *UNIT_SITES.values()]],
+                         ids=[*REAL_SITES, *UNIT_SITES])
+@pytest.mark.parametrize("dtype", [np.int64, np.float32], ids=["int64", "float32"])
+def test_every_real_array_site_takes_int_and_float32_as_their_float64(call, dtype):
+    values = np.array([0, 1], dtype=dtype)
+    assert pickle.dumps(call(values)) == pickle.dumps(call(values.astype(np.float64)))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32], ids=["int64", "float32"])
+def test_fit_points_of_any_real_dtype_fit_as_float64(dtype):
+    points = np.array([[x, 1 + (x == 2), 1] for x in range(6)], dtype=dtype)
+    assert gaussian_fit(points).to_dict() == gaussian_fit(points.astype(np.float64)).to_dict()
+
+
+class TestPhotonNumbers:
+    @pytest.mark.parametrize("n", [[1, [2]], [[1, 2]], np.array([[1, 2]])], ids=repr)
+    def test_ragged_and_2d_photon_numbers_are_rejected(self, n):
+        with pytest.raises(ValidationError, match="^n must be a 1-d array"):
+            p_noclick_given_n(detector(), n)
+
+    @pytest.mark.parametrize("n", [2, np.int64(2), np.uint8(2)], ids=repr)
+    def test_a_numpy_integer_is_a_photon_number(self, n):
+        got = p_noclick_given_n(detector(), n)
+        assert type(got) is float and got == 0.25
+
+    def test_an_array_of_photon_numbers_gives_an_array(self):
+        np.testing.assert_array_equal(p_noclick_given_n(detector(), [0, 1, 2]), [1, 0.5, 0.25])
+
+
+class TestCheckReals:
+    @pytest.mark.parametrize("values", [["0.5"], [True], [0.5, True], [0.5, [1]], 1 + 0j,
+                                        None, np.array([2**70], dtype=object)], ids=repr)
+    def test_what_is_not_reals_is_rejected(self, values):
+        with pytest.raises(ValidationError, match=r"^x must be real numbers, got \S+ of shape "):
+            check_reals("x", values)
+
+    @pytest.mark.parametrize("values, shape", [(3, ()), ([1, 2], (2,)), ([[1.5], [2]], (2, 1))])
+    def test_returns_float64_of_the_input_shape(self, values, shape):
+        reals = check_reals("x", values)
+        assert reals.dtype == np.float64 and reals.shape == shape
+
+    def test_a_float64_array_is_returned_as_it_is(self):
+        values = np.array([0.5, 1.0])
+        assert check_reals("x", values, "unit") is values
+
+    @pytest.mark.parametrize("within, text, inside, outside", [
+        ("finite", "finite", [-1e300, 0, 7], [math.nan, math.inf, -math.inf]),
+        ("positive", "positive and finite", [1e-300, 3], [0, -1.0, math.nan, math.inf]),
+        ("non-negative", "finite and >= 0", [0, 0.0, 2], [-1e-300, math.nan, math.inf]),
+        ("unit", r"in \[0, 1\]", [0, 0.5, 1], [-1e-300, 1 + 1e-15, math.nan, math.inf]),
+    ])
+    def test_each_range_as_check_real(self, within, text, inside, outside):
+        np.testing.assert_array_equal(check_reals("x", inside, within), inside)
+        for value in outside:
+            with pytest.raises(ValidationError, match=f"^x must be {text}, got {float(value)!r}$"):
+                check_reals("x", value, within)
+            with pytest.raises(ValidationError, match=rf"^x must be {text}, got .* index \(1, 0\)$"):
+                check_reals("x", [[inside[0]], [value]], within)
+
+    def test_the_message_gives_the_first_bad_entry_not_the_input(self):
+        with pytest.raises(ValidationError) as err:
+            check_reals("x", [0.0] * 1000 + [math.nan, math.inf])
+        assert str(err.value) == "x must be finite, got nan at index (1000,)"

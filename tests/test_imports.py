@@ -127,8 +127,9 @@ def test_write_opens_are_recognised(source, writes):
     assert opened_to_write(ast.parse(source).body[0].value) is writes
 
 
-def integer_dtype(node) -> bool:
-    """Whether node names an integer dtype: int, np.<name> or a dtype string."""
+def number_dtype(node) -> bool:
+    """Whether node names an integer or float dtype: int, float, np.<name>
+    or a dtype string."""
     if isinstance(node, ast.Name):
         kind = getattr(builtins, node.id, None)
     elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
@@ -138,15 +139,15 @@ def integer_dtype(node) -> bool:
     else:
         return False
     try:
-        return kind is not None and np.dtype(kind).kind in "ui"
+        return kind is not None and np.dtype(kind).kind in "uif"
     except TypeError:
         return False
 
 
 def argument_casts(node, params=frozenset()):
     """Line of each np.asarray or np.array call under node with an integer
-    dtype whose first argument is a parameter of the enclosing function,
-    or an attribute of one."""
+    or float dtype whose first argument is a parameter of the enclosing
+    function, or an attribute of one."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = child.args
@@ -162,16 +163,18 @@ def argument_casts(node, params=frozenset()):
             root = child.args[0]
             while isinstance(root, ast.Attribute):
                 root = root.value
-            if (dtype is not None and integer_dtype(dtype) and isinstance(root, ast.Name)
+            if (dtype is not None and number_dtype(dtype) and isinstance(root, ast.Name)
                     and root.id in params):
                 yield child.lineno
         yield from argument_casts(child, params)
 
 
-def test_no_function_casts_an_argument_to_integers():
-    """An integer array a function is given goes through check_counts:
-    np.asarray(x, dtype=np.int64) would truncate 1.5, parse "3" and wrap
-    2**63 + 5 where check_counts rejects each."""
+def test_no_function_casts_an_argument_to_numbers():
+    """An integer array a function is given goes through check_counts, a
+    real array through check_reals: np.asarray(x, dtype=np.int64) would
+    truncate 1.5, parse "3" and wrap 2**63 + 5 where check_counts rejects
+    each, and np.asarray(x, dtype=float) would parse "3" and take True as
+    1.0 where check_reals rejects both."""
     found = [(path.name, line) for path in MODULES
              for line in argument_casts(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
     assert found == []
@@ -183,8 +186,9 @@ def test_no_function_casts_an_argument_to_integers():
     ("def f(self): np.array(self.a.b, 'u8')", True),
     ("def f(*xs): np.array(xs, dtype=int)", True),
     ("f = lambda x: np.asarray(x, dtype='<i4')", True),
-    ("def f(x): np.asarray(x, dtype=float)", False),
-    ("def f(self): np.asarray(self.delays, dtype=np.float64)", False),
+    ("def f(x): np.asarray(x, dtype=float)", True),
+    ("def f(self): np.asarray(self.delays, dtype=np.float64)", True),
+    ("def f(x): np.asarray(x, dtype=complex)", False),
     ("def f(x): np.asarray(x)", False),
     ("def f(x): np.asarray(x[0], dtype=np.int64)", False),
     ("def f(x): y = x; np.asarray(y, dtype=np.int64)", False),
@@ -192,5 +196,5 @@ def test_no_function_casts_an_argument_to_integers():
     ("def f(x): np.array([x, 0], dtype=np.uint64)", False),
     ("def f(x): np.asarray(x, dtype=STAMP)", False),
 ])
-def test_integer_casts_of_arguments_are_recognised(source, casts):
+def test_number_casts_of_arguments_are_recognised(source, casts):
     assert bool(list(argument_casts(ast.parse(source)))) is casts

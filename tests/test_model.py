@@ -105,7 +105,7 @@ class TestSuccessAndFidelity:
 
     @pytest.mark.parametrize("probs, match", [
         ([], "non-empty 1-d"),
-        ([-0.5, 1.5], "negative or NaN"),
+        ([-0.5, 1.5], r"photon_probs must be in \[0, 1\], got -0.5"),
     ])
     def test_rejects_empty_or_negative_distribution(self, probs, match):
         with pytest.raises(ValidationError, match=match):

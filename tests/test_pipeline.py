@@ -359,6 +359,25 @@ class TestPulseGridFields:
         assert PulseGrid(ref_times=refs, divider=4, period_tb=10.0).ref_times is refs
 
 
+def frozen_records() -> dict:
+    """A grid, a gate and an event table, each built through its checks."""
+    grid = PulseGrid(ref_times=[0, 40], divider=4, period_tb=10.0)
+    tags = TagStream(timebin_ps=1, rep_period_ps=10, divider=4, refs=[0, 40], d1=[5], d2=[])
+    records = [grid, virtual_gate(tags, grid, window=5e-12), PulseEventTable(10, [1, 5], [2], 2, 2)]
+    return {type(record).__name__: record for record in records}
+
+
+@pytest.mark.parametrize("name, field", [
+    (name, f.name) for name, record in frozen_records().items()
+    for f in dataclasses.fields(record)])
+def test_no_record_field_can_be_assigned_after_its_checks(name, field):
+    # a grid's divider set to 0 after its checks assigned no tag, and a
+    # table's clicks set out of order miscounted its cells
+    record = frozen_records()[name]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, getattr(record, field))
+
+
 class TestWideTimestamps:
     """Gating depends only on offsets between tags, for any u64 timestamps."""
 
