@@ -369,6 +369,7 @@ def scan_fit(summaries: Sequence[RateSummary],
     FitResult}, each covariance the series' block of the joint one.
     Raises FitConvergenceError if any fitted baseline is not positive.
     """
+    names = [] if names is None else list(names)  # a numpy array of names has no truth value
     if not names:
         raise ValidationError("scan_fit needs at least one series")
     series = [_fit_points(series_points(summaries, name)) for name in names]

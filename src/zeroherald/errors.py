@@ -110,7 +110,10 @@ def _array(values) -> np.ndarray:
     """values as an array; a list or tuple of anything but non-bool reals (a ragged
     one, or one with a bool numpy would promote) as an object array, which no rule takes."""
     if isinstance(values, (list, tuple)) and values:
-        entries = np.array(values, dtype=object)
+        try:
+            entries = np.array(values, dtype=object)
+        except ValueError:  # arrays whose shapes differ past the first axis
+            return np.fromiter(values, dtype=object, count=len(values))
         if not all(isinstance(x, Real) and not isinstance(x, bool) for x in entries.flat):
             return entries
     return np.asarray(values)

@@ -197,7 +197,7 @@ class SimConfig:
         return f"philox4x64 seed={self.seed} delta_t={self.delta_t!r}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimTruth:
     """Ground truth the tag stream cannot reveal on its own.
 
@@ -220,7 +220,7 @@ class SimTruth:
     n = property(lambda self: _N[self.pair_class])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimResult:
     """A simulated stream plus the ground truth behind it."""
 

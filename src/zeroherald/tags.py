@@ -6,19 +6,15 @@ a sorted array of u64 timebin counts since the run started: refs for
 the reference clock, d1 and d2 for the detectors. Streams are equal when
 their headers and each channel's timestamps are.
 
-The binary writer writes format version 2, each channel's array whole;
-the binary reader reads versions 1 and 2. Both share an 18-byte prefix
+The binary format is version 2, each channel's array whole
 (little-endian):
 
     offset  size  field
     0       4     magic "ZHT1"
-    4       2     u16 format version (1 or 2)
+    4       2     u16 format version (2)
     6       4     u32 timebin in picoseconds
     10      4     u32 pulse period in picoseconds
     14      4     u32 reference divider
-
-Version 2 then holds three u64 counts and the three sections:
-
     18      24    u64 counts of refs, d1 and d2
     42      8*R   refs timestamps, u64 each
     42+8R   8*D1  d1 timestamps
@@ -29,26 +25,21 @@ allocated: a section that runs past the end of the file, or bytes left
 after the d2 section, is a FormatError naming the section (or the
 trailing bytes) and its byte offset. A timestamp below the one before
 it in its channel is an IntegrityError naming the channel, the index
-and the byte offset of the timestamp.
-
-Version 1, which is read but no longer written, holds one list of
-9-byte records (u8 channel, u64 timestamp) in time order from offset
-18, REF then D1 then D2 on equal timestamps. Its reader checks the order
-across all records and splits them; an error in a record names it and
-its byte offset. A file with equal-timestamp tags in another channel
-order reads to the same stream.
+and the byte offset of the timestamp. Any other version, the version 1
+record list written before version 2 included, is a FormatError.
 
 The CSV form stays interleaved, as the text a time-tagger exports: it
 carries the header and the record count as "# key = value" comment
 lines plus a free-text provenance note, then the column header
-"channel,timestamp" and a record NAME,DIGITS a line in the record order
-above, written a block at a time: NAME is REF, D1 or D2 and DIGITS a
-decimal below 2**64 (a plus sign, leading zeros and surrounding ASCII
-blanks are tolerated). Empty lines are skipped; anything else, a "#"
-line or a non-ASCII character included, is a FormatError naming its
-line. A record count other than the header's, as in a file cut at a
-line boundary, is a FormatError too; a file without the count line is
-read unchecked.
+"channel,timestamp" and a record NAME,DIGITS a line in (timestamp,
+channel) order, written a block at a time: NAME is REF, D1 or D2 and
+DIGITS a decimal below 2**64 (a plus sign, leading zeros and surrounding
+ASCII blanks are tolerated). The writer puts REF, then D1, then D2 on
+equal timestamps; the reader takes ties in any channel order. Empty
+lines are skipped; anything else, a "#" line or a non-ASCII character
+included, is a FormatError naming its line. A record count other than
+the header's, as in a file cut at a line boundary, is a FormatError
+too; a file without the count line is read unchecked.
 
 Every file the package writes to a path goes through _opened, which
 writes a regular file beside the path and renames it into place, so a
@@ -78,12 +69,11 @@ __all__ = ["Channel", "TagStream", "write_tags", "read_tags",
 
 PS_PER_SECOND = 1e12
 MAGIC = b"ZHT1"
-VERSION = 2  # of the binary files written; version 1 is still read
+VERSION = 2  # of the binary files written and read
 _CSV_VERSION = 1
-_HEADER = struct.Struct("<4sHIII")  # the prefix both binary versions share
-_COUNTS = struct.Struct("<QQQ")  # version 2: tags in refs, d1 and d2
+_HEADER = struct.Struct("<4sHIII")  # magic, version and the three header fields
+_COUNTS = struct.Struct("<QQQ")  # tags in refs, d1 and d2
 _STAMP = np.dtype("<u8")
-_RECORD = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
 _CSV_COLUMNS = "channel,timestamp"
 _CSV_DTYPE = np.dtype([("ch", "S4"), ("ts", "u8")])
 _BLOCK = 1 << 16  # records per block of the CSV interleave and the record split
@@ -108,12 +98,13 @@ _CSV_NAMES = np.frombuffer(b"REFD1 D2 ", dtype=np.uint8).reshape(len(Channel), 3
 _CSV_NAME_KEYS = np.array([c.name for c in Channel], dtype="S4").view("<u4")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TagStream:
     """A header and three sorted u64 timestamp arrays, one per channel;
     integer input is cast, u64 input kept as it is. provenance is free
     text (generator, seed) for the CSV form and run manifests, not the
-    binary header, and is left out of equality."""
+    binary header, and is left out of equality. Frozen: a field cannot
+    be set after its checks."""
 
     timebin_ps: int
     rep_period_ps: int
@@ -128,23 +119,24 @@ class TagStream:
             value = check_count(name, getattr(self, name), least=1)
             if value > 0xFFFFFFFF:
                 raise ValidationError(f"{name} does not fit the 32-bit header field")
-            setattr(self, name, value)
+            object.__setattr__(self, name, value)
         for name in _CHANNELS:
             ts = check_counts(f"{name} timestamps", getattr(self, name))
             ts = ts.astype(np.uint64, copy=False)
             if _first_descent(ts) is not None:
                 raise IntegrityError(f"{name} timestamps must be non-decreasing")
-            setattr(self, name, ts)
+            object.__setattr__(self, name, ts)
 
     @classmethod
     def from_records(cls, channels, timestamps, **header) -> TagStream:
-        """A stream from (channel, timestamp) records, as the version 1
-        and CSV readers split them; header holds the other fields. Codes
-        must be 0 (REF), 1 (D1) or 2 (D2) and timestamps may not decrease
-        across records, ties in any channel order. A pass over the blocks
-        sizes the channels and a second fills them, splitting each block
-        by one stable counting sort of its codes, so beside the records
-        and the result only a block is held."""
+        """A stream from (channel, timestamp) records, as the CSV reader
+        splits them; header holds the other fields. Codes must be 0
+        (REF), 1 (D1) or 2 (D2) and timestamps may not decrease across
+        records, ties in any channel order. A pass over the blocks sizes
+        the channels and a second fills them, splitting each block by one
+        stable counting sort of its codes, so beside the records and the
+        result only a block is held; the stream is built from the three
+        filled arrays."""
         ts, block_sizes = check_counts("timestamps", timestamps).astype(np.uint64, copy=False), []
         try:  # one message for every code outside 0..2, a negative one too
             ch = check_counts("channel codes", channels, below=len(Channel))
@@ -156,24 +148,20 @@ class TagStream:
             codes = ch[start:start + _BLOCK].copy()  # contiguous: it is read twice
             nonzero, high = np.count_nonzero(codes), np.count_nonzero(codes > Channel.D1)
             block_sizes.append((codes.size - nonzero, nonzero - high, high))
-        # header first; records in time order leave each part sorted, unchecked
-        stream = cls(refs=[], d1=[], d2=[], **header)
+        cls(refs=[], d1=[], d2=[], **header)  # the header before the record order
+        if _first_descent(ts) is not None:
+            raise IntegrityError("timestamps must be non-decreasing")
         totals = np.array(block_sizes, dtype=np.int64).reshape(-1, len(Channel)).sum(axis=0)
         parts, filled = [np.empty(n, dtype=np.uint64) for n in totals], [0] * len(Channel)
         for start, sizes in zip(range(0, ts.size, _BLOCK), block_sizes):
-            # with the timestamp before it, to check the order across blocks
-            block = ts[max(start - 1, 0):start + _BLOCK].copy()
-            if _first_descent(block) is not None:
-                raise IntegrityError("timestamps must be non-decreasing")
-            block = block[min(start, 1):]
             # a stable sort of the codes lists each channel's records in turn
+            block = ts[start:start + _BLOCK]
             order = np.argsort(ch[start:start + _BLOCK].astype(np.uint8), kind="stable")
             for code, (part, size) in enumerate(zip(parts, sizes)):
                 np.take(block, order[:size], out=part[filled[code]:filled[code] + size])
                 order = order[size:]
                 filled[code] += size
-        stream.refs, stream.d1, stream.d2 = parts
-        return stream
+        return cls(**dict(zip(_CHANNELS, parts)), **header)
 
     def __eq__(self, other):
         if not isinstance(other, TagStream):
@@ -321,11 +309,11 @@ def write_tags(stream: TagStream, sink) -> None:
 
 
 def read_tags(source) -> TagStream:
-    """Read a binary tag file of version 1 or 2; source is a path or
-    file, and an unseekable one is read whole first. Bad magic, version
-    or header fields raise FormatError, as do a v2 section that does not
-    fit the file and a v1 record with a bad channel code or cut short;
-    timestamps that go backwards raise IntegrityError."""
+    """Read a binary tag file of version 2; source is a path or file,
+    and an unseekable one is read whole first. Bad magic, any other
+    version (1 included) or bad header fields raise FormatError, as does
+    a section that does not fit the file; timestamps that go backwards
+    raise IntegrityError."""
     with _opened(source, "rb") as fh:
         if not fh.seekable():
             fh = io.BytesIO(fh.read())
@@ -335,19 +323,16 @@ def read_tags(source) -> TagStream:
         magic, version, timebin_ps, rep_period_ps, divider = _HEADER.unpack(head)
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        header = dict(timebin_ps=timebin_ps, rep_period_ps=rep_period_ps, divider=divider)
-        if version == 1:
-            return _read_records(fh.read(), header)
-        if version == 2:
-            return _read_sections(fh, header)
-    raise FormatError(f"unsupported format version {version}")
+        if version != VERSION:
+            raise FormatError(f"unsupported format version {version}")
+        return _read_sections(fh, dict(timebin_ps=timebin_ps, rep_period_ps=rep_period_ps,
+                                       divider=divider))
 
 
 def _read_sections(fh, header: dict) -> TagStream:
-    """The three sections of a version 2 file, fh just past the 18-byte
-    prefix: the counts are checked against the bytes left, then each
-    section is read into its own array and TagStream checks each
-    channel's order."""
+    """The three sections of a file, fh just past the 18-byte prefix:
+    the counts are checked against the bytes left, then each section is
+    read into its own array and TagStream checks each channel's order."""
     raw, start = fh.read(_COUNTS.size), _HEADER.size + _COUNTS.size
     if len(raw) < _COUNTS.size:
         raise FormatError(f"file too short for a version 2 header "
@@ -382,29 +367,6 @@ def _read_sections(fh, header: dict) -> TagStream:
                 raise IntegrityError(f"{name} timestamps go backwards at index {bad} (byte "
                                      f"offset {offset + bad * _STAMP.itemsize})") from None
         raise
-
-
-def _read_records(body: bytes, header: dict) -> TagStream:
-    """The 9-byte records of a version 1 file after its 18-byte header,
-    split by TagStream.from_records."""
-    trailing = len(body) % _RECORD.itemsize
-    if trailing:
-        raise FormatError(f"truncated record at byte offset {_HEADER.size + len(body) - trailing} "
-                          f"({trailing} trailing bytes)")
-    records = np.frombuffer(body, dtype=_RECORD)
-    channels, timestamps = records["channel"], records["timestamp"]
-    try:
-        return TagStream.from_records(channels, timestamps, **header)
-    except ValidationError:  # a bad channel code, or a zero timebin, period or divider
-        if channels.size and channels.max() > max(Channel):
-            bad = int(np.argmax(channels > max(Channel)))
-            raise FormatError(f"unknown channel code {channels[bad]} at record {bad} "
-                              f"(byte offset {_HEADER.size + bad * _RECORD.itemsize})") from None
-        raise FormatError("header fields must be positive") from None
-    except IntegrityError:
-        bad = _first_descent(timestamps)
-        raise IntegrityError(f"timestamps go backwards at record {bad} "
-                             f"(byte offset {_HEADER.size + bad * _RECORD.itemsize})") from None
 
 
 def write_tags_csv(stream: TagStream, sink) -> None:

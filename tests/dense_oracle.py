@@ -19,8 +19,9 @@ reference for the estimated segments pipeline.virtual_gate checks.
 oracle_records is the record order of a stream by one stable sort of
 its three channels concatenated, the reference for the block-wise
 interleave of the CSV tag writer. v1_bytes encodes a stream as a
-version 1 binary tag file, 9-byte records in that order, which
-tags.read_tags still reads and tags.write_tags no longer writes.
+version 1 binary tag file, 9-byte records in that order: the format
+written before version 2, which tags.read_tags rejects. Its digests
+stay as pins of the golden streams.
 
 greedy_dead_time is the scalar walk that pipeline.apply_dead_time
 vectorises: the differential oracle for the shared dead-time thinning.

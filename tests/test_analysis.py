@@ -526,6 +526,18 @@ class TestScanFit:
         with pytest.raises(ValidationError, match="at least 5"):
             scan_fit(paper_scan[:4])
 
+    def test_an_array_of_names_fits_as_the_equal_list(self, paper_scan):
+        names = ["heralded_rate", "coincidence"]
+        fits = scan_fit(paper_scan, names=np.array(names))
+        assert list(fits) == names
+        assert ({name: fit.to_dict() for name, fit in fits.items()}
+                == {name: fit.to_dict() for name, fit in scan_fit(paper_scan, names).items()})
+
+    @pytest.mark.parametrize("names", [np.array([], dtype=str), None], ids=["empty", "none"])
+    def test_an_empty_array_of_names_is_rejected(self, paper_scan, names):
+        with pytest.raises(ValidationError, match="^scan_fit needs at least one series$"):
+            scan_fit(paper_scan, names=names)
+
 
 class TestEstimateEfficiencies:
     def test_frozen_ratio_pair_inverts_exactly(self):

@@ -469,8 +469,9 @@ class TestScanCommand:
         class table of its photons and click candidates (same law, new
         streams). The tag files moved to format version 2 with the same
         streams: each one's version 1 encoding (v1_bytes) keeps its old
-        pin. fits.jsonl holds the shared-shape scan fit and goes
-        through LAPACK, so its pin assumes the same numpy build."""
+        pin, and read_tags rejects it. fits.jsonl holds the shared-shape
+        scan fit and goes through LAPACK, so its pin assumes the same
+        numpy build."""
         out_dir = tmp_path / "scan"
         assert main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
                      "--span", "3e-13", "--points", "7",
@@ -503,7 +504,8 @@ class TestScanCommand:
             stream = tags.read_tags(out_dir / name)
             v1 = v1_bytes(stream)
             assert hashlib.sha256(v1).hexdigest() == pin, name
-            assert tags.read_tags(io.BytesIO(v1)) == stream, name
+            with pytest.raises(FormatError, match="^unsupported format version 1$"):
+                tags.read_tags(io.BytesIO(v1))
 
     def test_gate_defaults_to_the_config_gate_window(self, tmp_path, cfg_path):
         scan = ["scan", "--config", str(cfg_path), "--delays=0",

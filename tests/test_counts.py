@@ -350,6 +350,21 @@ class TestPhotonNumbers:
         np.testing.assert_array_equal(p_noclick_given_n(detector(), [0, 1, 2]), [1, 0.5, 0.25])
 
 
+# arrays whose shapes differ past the first axis, which numpy cannot stack
+MISSHAPEN = [np.zeros((2, 2), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)]
+
+
+def test_misshapen_arrays_are_not_counts():
+    message = "refs timestamps must be a 1-d array of non-negative integers, got object of shape (2,)"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        stream(refs=MISSHAPEN)
+
+
+def test_misshapen_arrays_are_not_reals():
+    with pytest.raises(ValidationError, match=r"^delays must be real numbers, got object of shape \(2,\)$"):
+        REAL_SITES["curve_grid.delays"][0](MISSHAPEN)
+
+
 class TestCheckReals:
     @pytest.mark.parametrize("values", [["0.5"], [True], [0.5, True], [0.5, [1]], 1 + 0j,
                                         None, np.array([2**70], dtype=object)], ids=repr)

@@ -6,7 +6,8 @@ Importing the package after numpy loads no module outside it beyond a
 known few. Only tags._opened opens a file to write. No function casts
 an argument to an integer dtype: an integer array it is given goes
 through errors.check_counts, which rejects what a cast would round,
-parse or wrap.
+parse or wrap. Every dataclass is frozen, so a record keeps the values
+it was checked with.
 """
 
 import ast
@@ -198,3 +199,42 @@ def test_no_function_casts_an_argument_to_numbers():
 ])
 def test_number_casts_of_arguments_are_recognised(source, casts):
     assert bool(list(argument_casts(ast.parse(source)))) is casts
+
+
+def dataclass_decorators(tree: ast.Module):
+    """(class name, decorator) of each @dataclass or @dataclass(...) under tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                func = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+                    yield node.name, decorator
+
+
+def frozen(decorator) -> bool:
+    return isinstance(decorator, ast.Call) and any(
+        kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+        for kw in decorator.keywords)
+
+
+def test_every_dataclass_is_frozen():
+    """A field set after __post_init__'s checks is never checked again,
+    so every record the package hands out is frozen."""
+    found = {(path.name, name): frozen(decorator) for path in MODULES
+             for name, decorator in dataclass_decorators(
+                 ast.parse(path.read_text(encoding="utf-8"), str(path)))}
+    assert ("tags.py", "TagStream") in found
+    assert [where for where, is_frozen in found.items() if not is_frozen] == []
+
+
+@pytest.mark.parametrize("source, is_frozen", [
+    ("@dataclass(frozen=True)\nclass A: pass", True),
+    ("@dataclasses.dataclass(frozen=True)\nclass A: pass", True),
+    ("@dataclass\nclass A: pass", False),
+    ("@dataclass()\nclass A: pass", False),
+    ("@dataclass(frozen=False)\nclass A: pass", False),
+    ("@dataclass(eq=False)\nclass A: pass", False),
+])
+def test_frozen_dataclasses_are_recognised(source, is_frozen):
+    [(_, decorator)] = dataclass_decorators(ast.parse(source))
+    assert frozen(decorator) is is_frozen

@@ -35,6 +35,7 @@ from zeroherald.pipeline import (
     table_from_stream,
     virtual_gate,
 )
+from zeroherald.sim import SimResult, SimTruth
 from zeroherald.tags import Channel, TagStream
 
 from dense_oracle import (
@@ -360,10 +361,13 @@ class TestPulseGridFields:
 
 
 def frozen_records() -> dict:
-    """A grid, a gate and an event table, each built through its checks."""
+    """A grid, a gate, an event table and a stream, each built through its
+    checks, and a run's truth and result."""
     grid = PulseGrid(ref_times=[0, 40], divider=4, period_tb=10.0)
     tags = TagStream(timebin_ps=1, rep_period_ps=10, divider=4, refs=[0, 40], d1=[5], d2=[])
-    records = [grid, virtual_gate(tags, grid, window=5e-12), PulseEventTable(10, [1, 5], [2], 2, 2)]
+    truth = SimTruth(*[np.zeros(0, dtype=np.int64)] * 6)
+    records = [grid, virtual_gate(tags, grid, window=5e-12), PulseEventTable(10, [1, 5], [2], 2, 2),
+               tags, truth, SimResult(tags, truth, config=None)]
     return {type(record).__name__: record for record in records}
 
 
@@ -371,8 +375,9 @@ def frozen_records() -> dict:
     (name, f.name) for name, record in frozen_records().items()
     for f in dataclasses.fields(record)])
 def test_no_record_field_can_be_assigned_after_its_checks(name, field):
-    # a grid's divider set to 0 after its checks assigned no tag, and a
-    # table's clicks set out of order miscounted its cells
+    # a grid's divider set to 0 after its checks assigned no tag, a
+    # table's clicks set out of order miscounted its cells, and a
+    # stream's divider set to 0 was kept
     record = frozen_records()[name]
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(record, field, getattr(record, field))

@@ -26,7 +26,7 @@ from zeroherald import (
     run_simulation,
     scan_delays,
 )
-from zeroherald.errors import CapacityError, ValidationError
+from zeroherald.errors import CapacityError, FormatError, ValidationError
 from zeroherald.pipeline import table_from_stream
 from zeroherald.model import _CLASSES, _class_probs, p_noclick_given_n
 from zeroherald.sim import (
@@ -421,8 +421,9 @@ class TestGoldenStreams:
     the first two take the inversion. Every run is busy (about one click
     in ten pulses at dead length 4), so dead-time chains and same-pulse
     candidates occur. The v2 pins were added when write_tags moved to
-    version 2, the same streams stored channel by channel; each v1 file
-    still reads back to its stream.
+    version 2, the same streams stored channel by channel. The v1 pins
+    stay as digests of each stream's records in (timestamp, channel)
+    order; read_tags no longer reads version 1 and rejects each v1 file.
     """
 
     @staticmethod
@@ -460,7 +461,8 @@ class TestGoldenStreams:
         assert len(res.stream) == n_tags
         assert hashlib.sha256(v1).hexdigest() == digest
         assert hashlib.sha256(buf.getvalue()).hexdigest() == v2
-        assert read_tags(io.BytesIO(v1)) == res.stream
+        with pytest.raises(FormatError, match="^unsupported format version 1$"):
+            read_tags(io.BytesIO(v1))
 
 
 class TestStreamShape:

@@ -168,6 +168,28 @@ class TestStreamValidation:
         with pytest.raises(IntegrityError, match="^timestamps must be non-decreasing$"):
             make_stream([0, 1, 0], [0, 50, 40])
 
+    @pytest.mark.parametrize("at", [3, 4, 5])
+    def test_from_records_checks_order_at_a_block_edge(self, monkeypatch, at):
+        # records 0-3 fill the first block: a step back at record 4 shows
+        # only across the edge, at 3 and 5 inside a block; the record
+        # stepping back is the only D1 tag, so each channel stays sorted
+        timestamps = list(range(0, 80, 10))
+        timestamps[at] = timestamps[at - 1] - 5
+        channels = [0] * 8
+        channels[at] = 1
+        monkeypatch.setattr(tags, "_BLOCK", 4)
+        with pytest.raises(IntegrityError, match="^timestamps must be non-decreasing$"):
+            make_stream(channels, timestamps)
+
+    @pytest.mark.parametrize("codes, header, match", [
+        ([0, 3, 0], HEADER, r"^channel codes must be 0 \(REF\), 1 \(D1\) or 2 \(D2\)$"),
+        ([0, 1, 0], {**HEADER, "divider": 0}, "^divider must be a positive integer, got 0$"),
+    ], ids=["bad code", "zero divider"])
+    def test_from_records_reports_codes_and_header_before_the_record_order(self, codes, header,
+                                                                            match):
+        with pytest.raises(ValidationError, match=match):
+            TagStream.from_records(codes, [0, 50, 40], **header)
+
 
 class TestBinaryRoundTrip:
     @given(streams())
@@ -181,11 +203,12 @@ class TestBinaryRoundTrip:
         assert back.rep_period_ps == stream.rep_period_ps
         assert back.divider == stream.divider
 
-    def test_record_layout_is_nine_bytes(self):
-        # version 1, which is read but no longer written
+    def test_version_1_is_rejected(self):
+        # the 9-byte records written before version 2
         s = make_stream([1, 2], [3, 4])
         assert len(v1_bytes(s)) == 18 + 2 * 9
-        assert read_tags(io.BytesIO(v1_bytes(s))) == s
+        with pytest.raises(FormatError, match="^unsupported format version 1$"):
+            read_tags(io.BytesIO(v1_bytes(s)))
 
     def test_v2_layout_is_header_counts_and_sections(self):
         s = TagStream(refs=u64([5, 2**64 - 1]), d1=u64([]), d2=u64([7]), **HEADER)
@@ -218,21 +241,21 @@ class TestBinaryRoundTrip:
             assert read_tags(path) == stream
             assert peak < 2**20
 
-    def test_reader_copies_each_column_once(self, tmp_path):
-        # version 1: the file (9 bytes a record), the three channel
-        # arrays (8 bytes a record) and one block of the split
+    def test_record_split_copies_each_column_once(self):
+        # from_records, as the CSV reader calls it: beside the records, the
+        # three channel arrays (8 bytes a record) and one block of the split
         n_rows = 1_000_000
-        path = tmp_path / "tags.zht"
-        path.write_bytes(v1_bytes(make_stream(np.arange(n_rows) % 3, np.arange(n_rows))))
+        channels = (np.arange(n_rows) % 3).astype(np.uint8)
+        timestamps = np.arange(n_rows, dtype=np.uint64)
         tracemalloc.start()
         try:
-            back = read_tags(path)
+            back = TagStream.from_records(channels, timestamps, **HEADER)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         for part in (back.refs, back.d1, back.d2):
             assert part.flags.owndata and part.flags.writeable
-        assert peak < 17 * n_rows + 2 * 2**20
+        assert peak < 8 * n_rows + 2 * 2**20
 
     def test_v2_reader_holds_only_the_channels(self, tmp_path):
         # version 2: the three channel arrays (8 bytes a tag), read in
@@ -421,11 +444,21 @@ class TestReplacingWrites:
             assert fh is binary
 
 
+def v2_blob(counts, *sections, header=(81, 9963, 512)):
+    """A version 2 file of these counts and u64 sections, as given."""
+    return struct.pack("<4sHIIIQQQ", b"ZHT1", 2, *header, *counts) + u64(
+        [t for part in sections for t in part]).tobytes()
+
+
+u64_lists = st.lists(st.sampled_from([0, 1, 7, 2**32, 2**63, 2**64 - 2, 2**64 - 1])
+                     | st.integers(0, 2**64 - 1), max_size=40).map(lambda ts: u64(sorted(ts)))
+
+
 class TestBinaryCorruption:
-    """Version 1 files, built by v1_bytes."""
+    """The prefix of a file built by v2_blob."""
 
     def good_bytes(self):
-        return bytearray(v1_bytes(make_stream([0, 1, 2], [0, 10, 20])))
+        return bytearray(v2_blob((1, 1, 1), [0], [10], [20]))
 
     def test_short_file(self):
         with pytest.raises(FormatError, match="too short"):
@@ -443,92 +476,9 @@ class TestBinaryCorruption:
         with pytest.raises(FormatError, match="version 99"):
             read_tags(io.BytesIO(bytes(blob)))
 
-    def test_truncated_record_reports_byte_offset(self):
-        blob = self.good_bytes()
-        with pytest.raises(FormatError, match="byte offset 36"):
-            read_tags(io.BytesIO(bytes(blob[:-4])))
-
-    def test_unknown_channel_reports_record(self):
-        blob = self.good_bytes()
-        blob[18 + 9] = 7  # second record's channel byte
-        with pytest.raises(FormatError, match="channel code 7 at record 1"):
-            read_tags(io.BytesIO(bytes(blob)))
-
-    def test_unknown_channel_reported_before_backwards_timestamps(self):
-        blob = self.good_bytes()
-        blob[18 + 9] = 7
-        struct.pack_into("<Q", blob, 18 + 2 * 9 + 1, 5)  # now 0, 10, 5
-        with pytest.raises(FormatError,
-                           match=r"^unknown channel code 7 at record 1 \(byte offset 27\)$"):
-            read_tags(io.BytesIO(bytes(blob)))
-
-    def test_unknown_channel_reported_before_zero_header_field(self):
-        blob = self.good_bytes()
-        blob[18 + 2 * 9] = 255
-        struct.pack_into("<I", blob, 14, 0)  # divider
-        with pytest.raises(FormatError,
-                           match=r"^unknown channel code 255 at record 2 \(byte offset 36\)$"):
-            read_tags(io.BytesIO(bytes(blob)))
-
-    def test_zero_header_field_without_records(self):
-        blob = self.good_bytes()[:18]
-        struct.pack_into("<I", blob, 10, 0)  # period
-        with pytest.raises(FormatError, match="^header fields must be positive$"):
-            read_tags(io.BytesIO(bytes(blob)))
-
-    def test_zero_header_field(self):
-        blob = self.good_bytes()
-        struct.pack_into("<I", blob, 6, 0)  # timebin
-        with pytest.raises(FormatError, match="positive"):
-            read_tags(io.BytesIO(bytes(blob)))
-
-    def test_zero_divider(self):
-        blob = self.good_bytes()
-        struct.pack_into("<I", blob, 14, 0)  # divider
-        with pytest.raises(FormatError, match="^header fields must be positive$"):
-            read_tags(io.BytesIO(bytes(blob)))
-
-    def test_backwards_timestamps_report_record(self):
-        blob = self.good_bytes()
-        struct.pack_into("<Q", blob, 18 + 9 + 1, 25)  # now 0, 25, 20
-        with pytest.raises(IntegrityError, match="record 2"):
-            read_tags(io.BytesIO(bytes(blob)))
-
-    def test_backwards_timestamps_report_byte_offset(self, tmp_path):
-        blob = self.good_bytes()
-        struct.pack_into("<Q", blob, 18 + 9 + 1, 25)
-        path = tmp_path / "tags.zht"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(IntegrityError, match=r"^timestamps go backwards at record 2 "
-                                                 r"\(byte offset 36\)$"):
-            read_tags(path)
-
-    @pytest.mark.parametrize("at", [3, 4, 5])
-    def test_backwards_timestamps_at_a_block_edge(self, monkeypatch, at):
-        # records 0-3 fill the first block: a step back at record 4 shows
-        # only across the edge, at 3 and 5 inside a block
-        timestamps = list(range(0, 80, 10))
-        timestamps[at] = timestamps[at - 1] - 5
-        blob = v1_bytes(make_stream([0] * 8, sorted(timestamps)))
-        records = np.frombuffer(blob, dtype=RECORD, offset=18).copy()
-        records["timestamp"] = timestamps
-        monkeypatch.setattr(tags, "_BLOCK", 4)
-        with pytest.raises(IntegrityError, match=f"^timestamps go backwards at record {at} "):
-            read_tags(io.BytesIO(blob[:18] + records.tobytes()))
-
     def test_magic_constant(self):
         assert MAGIC == b"ZHT1"
         assert bytes(self.good_bytes()[:4]) == b"ZHT1"
-
-
-def v2_blob(counts, *sections, header=(81, 9963, 512)):
-    """A version 2 file of these counts and u64 sections, as given."""
-    return struct.pack("<4sHIIIQQQ", b"ZHT1", 2, *header, *counts) + u64(
-        [t for part in sections for t in part]).tobytes()
-
-
-u64_lists = st.lists(st.sampled_from([0, 1, 7, 2**32, 2**63, 2**64 - 2, 2**64 - 1])
-                     | st.integers(0, 2**64 - 1), max_size=40).map(lambda ts: u64(sorted(ts)))
 
 
 class TestV2Sections:
@@ -612,8 +562,7 @@ class TestV2Sections:
                                                  f"\\(byte offset {42 + 8 * at}\\)$"):
             read_tags(io.BytesIO(v2_blob((8, 0, 0), refs)))
 
-    @pytest.mark.parametrize("encode", ["v1", "v2"])
-    def test_unseekable_source_reads_equal_to_a_seekable_one(self, encode):
+    def test_unseekable_source_reads_equal_to_a_seekable_one(self):
         class Unseekable(io.BytesIO):
             def seekable(self):
                 return False
@@ -625,12 +574,9 @@ class TestV2Sections:
                 raise io.UnsupportedOperation("tell")
 
         stream = make_stream([0, 1, 0, 2, 0], [0, 3, 10, 12, 20])
-        if encode == "v1":
-            blob = v1_bytes(stream)
-        else:
-            buf = io.BytesIO()
-            write_tags(stream, buf)
-            blob = buf.getvalue()
+        buf = io.BytesIO()
+        write_tags(stream, buf)
+        blob = buf.getvalue()
         assert read_tags(Unseekable(blob)) == read_tags(io.BytesIO(blob)) == stream
 
 
@@ -743,9 +689,9 @@ def interleaved(stream):
 class TestRecordOrder:
     """The block-wise interleave against oracle_records, a stable sort of
     the three channels concatenated, as records and as the CSV writer's
-    text, at block sizes down to three records; both readers split
-    blocks of the same size. Inputs range from many references beside a
-    few detector tags to channels of equal size."""
+    text, at block sizes down to three records; from_records and the
+    CSV reader split blocks of the same size. Inputs range from many
+    references beside a few detector tags to channels of equal size."""
 
     @given(refs=tag_times(60), d1=tag_times(12), d2=tag_times(12),
            block=st.sampled_from([3, 4, 5, 8, 64]))
@@ -759,8 +705,8 @@ class TestRecordOrder:
             assert all(codes.size <= block + 2 for codes, _ in _record_blocks(stream))
             records = interleaved(stream)
             write_tags_csv(stream, text)
-            # the readers split in blocks of the same size
-            assert read_tags(io.BytesIO(v1_bytes(stream))) == stream
+            # the records split back in blocks of the same size
+            assert TagStream.from_records(want_channels, want_times, **HEADER) == stream
             assert read_tags_csv(io.StringIO(text.getvalue())) == stream
         assert records["channel"].tolist() == want_channels.tolist()
         assert records["timestamp"].tolist() == want_times.tolist()
@@ -783,11 +729,10 @@ class TestRecordOrder:
         foreign = [(2, 0), (1, 0), (0, 0), (1, 5), (0, 5), (2, 7)]
         canonical = [(0, 0), (1, 0), (2, 0), (0, 5), (1, 5), (2, 7)]
         want = TagStream(refs=u64([0, 5]), d1=u64([0, 5]), d2=u64([0, 7]), **HEADER)
-        blob = v1_bytes(want)[:18] + np.array(foreign, dtype=RECORD).tobytes()
         text = csv_text((), ()) + "".join(f"{('REF', 'D1', 'D2')[c]},{t}\n" for c, t in foreign)
-        for back in (read_tags(io.BytesIO(blob)), read_tags_csv(io.StringIO(text))):
-            assert back == want
-            assert interleaved(back).tolist() == canonical
+        back = read_tags_csv(io.StringIO(text))
+        assert back == want
+        assert interleaved(back).tolist() == canonical
 
 
 def edge_stream(n_rows, seed=0):
@@ -1076,15 +1021,18 @@ class TestCsvRecordGrammar:
 class TestReaderFuzz:
     """Hostile bodies after a valid header: a typed error or a stream."""
 
-    @given(st.binary(max_size=200))
+    @given(st.binary(min_size=8, max_size=200))
     @settings(max_examples=300, deadline=None)
     def test_binary_body(self, body):
-        header = v1_bytes(make_stream([0, 1], [0, 5]))[:18]
+        # the body's whole tags, at least one, as the sections after a
+        # valid version 2 prefix whose counts split them over the channels
+        n = len(body) // 8
+        counts = (n // 3, n // 3, n - 2 * (n // 3))
         try:
-            stream = read_tags(io.BytesIO(header + body))
+            stream = read_tags(io.BytesIO(v2_blob(counts) + body[:8 * n]))
         except ZeroHeraldError:
             return
-        assert len(stream) == len(body) // 9
+        assert (stream.refs.size, stream.d1.size, stream.d2.size) == counts
 
     @given(st.binary(max_size=200))
     @settings(max_examples=300, deadline=None)
