@@ -146,7 +146,7 @@ def series_points(summaries: Sequence[RateSummary], name: str) -> list[tuple[flo
     return [(s.delta_t, *s.rate_and_err(name)) for s in summaries]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Gaussian fit a + b*exp(-(x-t0)^2/(2 sigma^2)) of a rate series.
 
@@ -158,7 +158,8 @@ class FitResult:
     uncertainty. The rest is read off them: each *_err is sqrt(max(C[i,
     i], 0)); cwr = (a+b)/a, the center-to-wings ratio, and its error by
     the gradient (-b/a^2, 1/a) are NaN unless a > 0; visibility = -b/a,
-    with cwr's error, is set only for dips (b < 0).
+    with cwr's error, is set only for dips (b < 0). A fit compares and
+    hashes by identity.
     """
 
     a: float

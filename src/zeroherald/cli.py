@@ -18,12 +18,13 @@ errors module gives the error raised; a failure in an input file names it.
 The front end only parses: each parameter is checked by the model type
 that holds it, and --delays is read as a config list is, so a
 non-finite delay fails (exit 3) before any tag file is read or written.
-So does a --points below 1, and scan checks its gate and dead windows by
-the pipeline's own rules, and that each run holds two reference tags,
-before it writes anything. An output that resolves to another output or
-to an input (--config, a tag file) fails (exit 3) before any work; a
-skipped fit leaves a note and no regular file at a named fits path, and
-scan removes, with a note, the tag files a longer scan left behind.
+So does a --points below 1 or a --span beside --delays, and scan checks
+its gate and dead windows by the pipeline's own rules, and that each run
+holds two reference tags, before it writes anything. An output that
+resolves to another output or to an input (--config, a tag file) fails
+(exit 3) before any work; a skipped fit leaves a note and no regular
+file at a named fits path, and scan removes, with a note, the tag files
+a longer scan left behind.
 
 "-" means stdout for model --out, analyze --rates-out and --fits-out,
 and compare --out. analyze and compare read and reduce one tag file at
@@ -283,12 +284,10 @@ def _remove_stale_tags(out_dir: Path, count: int) -> None:
 def cmd_scan(args) -> int:
     started = time.perf_counter()
     cfg = config_mod.load_config(args.config, _overrides(args.set))
-    if args.delays is not None:
-        delays = config_mod._parse_list("--delays", args.delays)
-    elif args.span is None:
-        raise ValidationError("scan needs --delays or --span")
-    else:
-        delays = list(_delay_grid(args.span, args.points))
+    if (args.delays is None) == (args.span is None):
+        raise ValidationError("scan needs --delays or --span, not both")
+    delays = (list(_delay_grid(args.span, args.points)) if args.delays is None
+              else config_mod._parse_list("--delays", args.delays))
     gate = cfg.gate_window if args.gate is None else args.gate
     # the rules the reduction applies, checked before anything is written;
     # the pipeline's period is a float, a median over the divider

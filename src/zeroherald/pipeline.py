@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseGrid:
     """Pulse train rebuilt from reference tags: the references (counts,
     at least one, held as uint64; their order is not checked), the
@@ -53,7 +53,7 @@ class PulseGrid:
     in timebins (positive), off which n_pulses, (len(ref_times) - 1) *
     divider + 1, is read. Pulse k lives in reference segment k //
     divider; its time is the linear interpolation between the
-    bracketing references.
+    bracketing references. A grid compares and hashes by identity.
     """
 
     ref_times: np.ndarray
@@ -140,14 +140,14 @@ def _gap_extremes(refs: np.ndarray) -> tuple[int, int]:
 _GAP_BLOCK = 1 << 16  # reference gaps per block of _gap_extremes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateResult:
     """Detector tags assigned to pulses by the virtual gate.
 
     assigned maps each detector channel to the pulse index of every
     in-gate tag (stream order, so non-decreasing); n_rejected counts
     tags that fell outside every gate window, including tags before the
-    first reference.
+    first reference. A result compares and hashes by identity.
     """
 
     grid: PulseGrid
@@ -308,7 +308,7 @@ def _greedy_chain(positions: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return keep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseEventTable:
     """Per-pulse outcomes of both detectors, stored as accepted clicks.
 
@@ -320,7 +320,8 @@ class PulseEventTable:
     detector is dead there. Storage and cell_counts() grow with the
     number of clicks, never with the number of pulses. n_pulses and the
     dead lengths must be integers: a float, bool or string is rejected,
-    never truncated.
+    never truncated. int64 clicks are kept as given, not copied. A table
+    compares and hashes by identity.
     """
 
     n_pulses: int
@@ -336,7 +337,7 @@ class PulseEventTable:
         for i in (1, 2):
             dead = check_count(f"dead_pulses{i}", getattr(self, f"dead_pulses{i}"))
             clicks = check_counts(f"clicks{i}", getattr(self, f"clicks{i}"), below=self.n_pulses)
-            clicks = clicks.astype(np.int64)
+            clicks = clicks.astype(np.int64, copy=False)
             if np.any(np.diff(clicks) <= dead):
                 raise ValidationError(f"clicks{i} must be sorted and more than "
                                       f"dead_pulses{i} = {dead} apart")

@@ -197,7 +197,7 @@ class SimConfig:
         return f"philox4x64 seed={self.seed} delta_t={self.delta_t!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTruth:
     """Ground truth the tag stream cannot reveal on its own.
 
@@ -207,7 +207,8 @@ class SimTruth:
     it (a new array at each read). clicks1/clicks2 are the pulses where
     each detector really clicked (post dead time, any cause), and
     ingate_clicks1/2 the subset whose tag falls inside the gate window,
-    i.e. what a perfect analysis should recover.
+    i.e. what a perfect analysis should recover. Compared and hashed by
+    identity.
     """
 
     pair_pulses: np.ndarray
@@ -220,9 +221,9 @@ class SimTruth:
     n = property(lambda self: _N[self.pair_class])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
-    """A simulated stream plus the ground truth behind it."""
+    """A simulated stream plus the ground truth behind it; compared and hashed by identity."""
 
     stream: TagStream
     truth: SimTruth

@@ -56,7 +56,7 @@ import stat
 import struct
 import warnings
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from itertools import count, islice
 
@@ -98,13 +98,14 @@ _CSV_NAMES = np.frombuffer(b"REFD1 D2 ", dtype=np.uint8).reshape(len(Channel), 3
 _CSV_NAME_KEYS = np.array([c.name for c in Channel], dtype="S4").view("<u4")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TagStream:
     """A header and three sorted u64 timestamp arrays, one per channel;
     integer input is cast, u64 input kept as it is. provenance is free
     text (generator, seed) for the CSV form and run manifests, not the
-    binary header, and is left out of equality. Frozen: a field cannot
-    be set after its checks."""
+    binary header. Two streams are equal when their headers and arrays
+    are, whatever their provenance; a stream is unhashable. Frozen: a
+    field cannot be set after its checks."""
 
     timebin_ps: int
     rep_period_ps: int
@@ -112,7 +113,7 @@ class TagStream:
     refs: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    provenance: str = field(default="", compare=False)
+    provenance: str = ""
 
     def __post_init__(self):
         for name in ("timebin_ps", "rep_period_ps", "divider"):

@@ -645,6 +645,15 @@ class TestScanCommand:
         assert code == 3
         assert "--delays or --span" in capsys.readouterr().err
 
+    def test_delays_and_span_together_fail_before_writing(self, tmp_path, cfg_path, capsys):
+        # --span used to be dropped: a 2-point scan of the delays ran and skipped its fit
+        out_dir = tmp_path / "scan"
+        code = main(["scan", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "--delays", "0,1e-13", "--span", "3e-13", "--points", "7"])
+        assert code == 3
+        assert capsys.readouterr() == ("", "error: scan needs --delays or --span, not both\n")
+        assert not out_dir.exists()
+
 
 class TestCompareCommand:
     def test_matching_config_scores_small(self, tmp_path, cfg_path, capsys):

@@ -7,7 +7,8 @@ known few. Only tags._opened opens a file to write. No function casts
 an argument to an integer dtype: an integer array it is given goes
 through errors.check_counts, which rejects what a cast would round,
 parse or wrap. Every dataclass is frozen, so a record keeps the values
-it was checked with.
+it was checked with, and one that holds an array generates no equality,
+which could only raise.
 """
 
 import ast
@@ -238,3 +239,66 @@ def test_every_dataclass_is_frozen():
 def test_frozen_dataclasses_are_recognised(source, is_frozen):
     [(_, decorator)] = dataclass_decorators(ast.parse(source))
     assert frozen(decorator) is is_frozen
+
+
+def array_records(trees) -> set:
+    """Names of the dataclasses under trees with a field whose annotation
+    names np.ndarray, or names a dataclass that is one of them."""
+    fields = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    name == node.name for name, _ in dataclass_decorators(node)):
+                fields[node.name] = {getattr(part, "id", getattr(part, "attr", None))
+                                     for item in node.body if isinstance(item, ast.AnnAssign)
+                                     for part in ast.walk(item.annotation)}
+    holding = {"ndarray"}
+    while more := {name for name, names in fields.items() if names & holding} - holding:
+        holding |= more
+    return holding - {"ndarray"}
+
+
+def without_eq(decorator) -> bool:
+    return isinstance(decorator, ast.Call) and any(
+        kw.arg == "eq" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in decorator.keywords)
+
+
+def test_records_that_hold_arrays_generate_no_equality():
+    """A generated __eq__ compares fields as tuples, and == on two arrays
+    has no truth value, so it raises numpy's untyped ValueError; a generated
+    __hash__ raises on the array too. A record that holds an array, itself
+    or inside another record, takes eq=False: it compares and hashes by
+    identity unless, as TagStream does, it writes its own __eq__."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in MODULES]
+    holding = array_records(trees)
+    assert {"TagStream", "PulseGrid", "GateResult", "SimResult", "FitResult"} <= holding
+    assert [name for tree in trees for name, decorator in dataclass_decorators(tree)
+            if name in holding and not without_eq(decorator)] == []
+
+
+@pytest.mark.parametrize("source, holding", [
+    ("@dataclass\nclass A:\n    x: np.ndarray", {"A"}),
+    ("@dataclass(frozen=True)\nclass A:\n    x: numpy.ndarray | None = None", {"A"}),
+    ("@dataclass\nclass A:\n    x: list[np.ndarray]", {"A"}),
+    ("@dataclass\nclass C:\n    b: B\n@dataclass\nclass B:\n    a: A\n"
+     "@dataclass\nclass A:\n    x: np.ndarray", {"A", "B", "C"}),
+    ("@dataclass\nclass A:\n    x: int\n    y: dict\n    z: float = 0.0", set()),
+    ("@dataclass\nclass A:\n    m = property(lambda s: np.ndarray)", set()),
+    ("class A:\n    x: np.ndarray\n@dataclass\nclass B:\n    a: A", set()),
+])
+def test_records_that_hold_arrays_are_recognised(source, holding):
+    assert array_records([ast.parse(source)]) == holding
+
+
+@pytest.mark.parametrize("source, no_eq", [
+    ("@dataclass(frozen=True, eq=False)\nclass A: pass", True),
+    ("@dataclasses.dataclass(eq=False)\nclass A: pass", True),
+    ("@dataclass(frozen=True)\nclass A: pass", False),
+    ("@dataclass\nclass A: pass", False),
+    ("@dataclass(eq=True)\nclass A: pass", False),
+    ("@dataclass(eq=0)\nclass A: pass", False),
+])
+def test_dataclasses_without_eq_are_recognised(source, no_eq):
+    [(_, decorator)] = dataclass_decorators(ast.parse(source))
+    assert without_eq(decorator) is no_eq

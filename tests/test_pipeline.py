@@ -6,6 +6,7 @@ sit at known offsets, and the expected per-pulse states are written out
 literally.
 """
 
+import copy
 import dataclasses
 import math
 import random
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zeroherald.analysis import compute_rates
+from zeroherald.analysis import FitResult, compute_rates
 from zeroherald.errors import (
     ClockGlitchError,
     InsufficientReferenceError,
@@ -362,12 +363,13 @@ class TestPulseGridFields:
 
 def frozen_records() -> dict:
     """A grid, a gate, an event table and a stream, each built through its
-    checks, and a run's truth and result."""
+    checks, a run's truth and result, and a fit."""
     grid = PulseGrid(ref_times=[0, 40], divider=4, period_tb=10.0)
     tags = TagStream(timebin_ps=1, rep_period_ps=10, divider=4, refs=[0, 40], d1=[5], d2=[])
     truth = SimTruth(*[np.zeros(0, dtype=np.int64)] * 6)
     records = [grid, virtual_gate(tags, grid, window=5e-12), PulseEventTable(10, [1, 5], [2], 2, 2),
-               tags, truth, SimResult(tags, truth, config=None)]
+               tags, truth, SimResult(tags, truth, config=None),
+               FitResult(1.0, -0.5, 0.0, 1e-13, 0.0, 5, 3, covariance=np.eye(4))]
     return {type(record).__name__: record for record in records}
 
 
@@ -381,6 +383,21 @@ def test_no_record_field_can_be_assigned_after_its_checks(name, field):
     record = frozen_records()[name]
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(record, field, getattr(record, field))
+
+
+@pytest.mark.parametrize("name", list(frozen_records()))
+def test_records_compare_and_hash_without_raising(name):
+    # a generated __eq__ compared their arrays, whose == has no truth
+    # value, and a generated __hash__ hashed them: both raised numpy's errors
+    record = frozen_records()[name]
+    twin = copy.copy(record)
+    assert (record == twin) is (name == "TagStream")  # a stream by content, the rest by identity
+    assert record in [twin, record]
+    if name == "TagStream":
+        with pytest.raises(TypeError, match="unhashable type: 'TagStream'"):
+            hash(record)
+    else:
+        assert len({record, twin, record}) == 2
 
 
 class TestWideTimestamps:
@@ -733,6 +750,12 @@ class TestEventTable:
         _, _, table = table_from_stream(s, window=30e-12, dead_pulses1=5,
                                         dead_pulses2=0)
         np.testing.assert_array_equal(DenseTable.of(table).d1[9:], [C, D])
+
+    def test_int64_clicks_are_kept_not_copied(self):
+        clicks1, clicks2 = np.array([1, 5], dtype=np.int64), np.array([2], dtype=np.uint64)
+        table = PulseEventTable(10, clicks1, clicks2, 2, 2)
+        assert table.clicks1 is clicks1
+        assert table.clicks2.dtype == np.int64 and table.clicks2.tolist() == [2]
 
 
 class TestGateDeadIndependence:

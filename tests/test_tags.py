@@ -1034,17 +1034,18 @@ class TestReaderFuzz:
             return
         assert (stream.refs.size, stream.d1.size, stream.d2.size) == counts
 
-    @given(st.binary(max_size=200))
+    @given(st.tuples(*[st.integers(0, 30)] * 3), st.just(0) | st.integers(-8, 8), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_v2_body(self, body):
-        # the counts and sections after a valid version 2 prefix
-        buf = io.BytesIO()
-        write_tags(make_stream([0, 1], [0, 5]), buf)
+    def test_v2_body(self, counts, off, data):
+        # three counts after a valid version 2 prefix, then a hostile body
+        # of the size they need, or up to a tag shorter or longer
+        size = max(8 * sum(counts) + off, 0)
+        body = data.draw(st.binary(min_size=size, max_size=size))
         try:
-            stream = read_tags(io.BytesIO(buf.getvalue()[:18] + body))
+            stream = read_tags(io.BytesIO(v2_blob(counts) + body))
         except ZeroHeraldError:
             return
-        assert 24 + 8 * len(stream) == len(body)
+        assert (stream.refs.size, stream.d1.size, stream.d2.size) == counts
 
     @given(st.one_of(
         st.text(max_size=120),
