@@ -31,10 +31,8 @@ CFG = zh.SimConfig(
 
 def main():
     delays = np.linspace(-3 * TAU, 3 * TAU, 13)
-    summaries = []
-    for dt, res in zh.scan_delays(CFG, delays):
-        _, _, table = zh.table_from_stream(res.stream, CFG.gate_window, 5, 5)
-        summaries.append(zh.compute_rates(table, dt))
+    streams = (res.stream for _, res in zh.scan_delays(CFG, delays))
+    summaries, _ = zh.scan_rates(streams, delays, CFG.gate_window, 5)
 
     print("delay (fs)   heralded/pulse   singles2/pulse   coincidence/pulse")
     for s in summaries:

@@ -69,6 +69,7 @@ from .analysis import (
     estimate_efficiencies,
     gaussian_fit,
     scan_fit,
+    scan_rates,
     series_points,
     visibility,
     write_fits_jsonl,

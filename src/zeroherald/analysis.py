@@ -20,7 +20,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,22 +32,26 @@ from .errors import (
     EmptyTableError,
     FitConvergenceError,
     HeraldUndefinedError,
+    IntegrityError,
     NumericalError,
+    OutputError,
     ValidationError,
     WrongShapeError,
+    ZeroHeraldError,
     check_count,
     check_real,
     check_reals,
 )
 from . import model
-from .pipeline import PulseEventTable
-from .tags import _opened
+from .pipeline import PulseEventTable, table_from_stream
+from .tags import PS_PER_SECOND, _opened
 
 __all__ = [
     "RateSummary",
     "FitResult",
     "ModelComparison",
     "compute_rates",
+    "scan_rates",
     "series_points",
     "gaussian_fit",
     "scan_fit",
@@ -139,6 +145,45 @@ def compute_rates(table: PulseEventTable, delta_t: float = 0.0) -> RateSummary:
     return RateSummary(check_real("delta_t", delta_t), table.n_pulses, n00, n01, n10, n11)
 
 
+@contextmanager
+def _naming(name):
+    """Prefix a failure in the block with name, unless None; an OutputError names its path."""
+    try:
+        yield
+    except ZeroHeraldError as exc:
+        if name is not None and not isinstance(exc, OutputError):
+            exc.args = (f"{name}: {exc}",)  # in place: the class and its attributes stay
+        raise
+
+
+def scan_rates(streams, delays, window, dead_pulses: int, names=None) -> tuple[list, float]:
+    """Each stream's RateSummary at its delay, by table_from_stream with
+    dead_pulses on both detectors, and the streams' repetition rate in Hz.
+    Each stream is dropped before the next is taken, and a failure at stream
+    i, taking it too, prefixed with names[i] if given. Periods that differ are
+    an IntegrityError; no delay, or other counts of streams or names, a ValidationError."""
+    delays, streams, summaries = list(delays), iter(streams), []
+    labels = [None] * len(delays) if names is None else list(names)
+    if not delays or len(labels) != len(delays):
+        raise ValidationError(f"a scan needs a delay or more, and one name per delay if named: "
+                              f"got {len(delays)} delays and {len(labels)} names")
+    for name, delta_t in zip(labels, delays):
+        with _naming(name):
+            if (stream := next(streams, None)) is None:
+                raise ValidationError(f"got {len(delays)} delays but {len(summaries)} streams")
+            if summaries and stream.rep_period_ps != period:
+                raise IntegrityError(
+                    f"rep_period_ps {stream.rep_period_ps} differs from {period} in "
+                    f"{labels[0] or 'the first stream'}; a scan has one repetition period")
+            period = stream.rep_period_ps
+            table = table_from_stream(stream, window, dead_pulses, dead_pulses)[2]
+            del stream  # not held while the next one is taken
+            summaries.append(compute_rates(table, delta_t))
+    if next(streams, None) is not None:
+        raise ValidationError(f"got more streams than the {len(delays)} delays")
+    return summaries, PS_PER_SECOND / period
+
+
 def series_points(summaries: Sequence[RateSummary], name: str) -> list[tuple[float, float, float]]:
     """Extract (delta_t, rate, stderr) triples for one rate field."""
     if name not in RATE_FIELDS:
@@ -158,8 +203,8 @@ class FitResult:
     uncertainty. The rest is read off them: each *_err is sqrt(max(C[i,
     i], 0)); cwr = (a+b)/a, the center-to-wings ratio, and its error by
     the gradient (-b/a^2, 1/a) are NaN unless a > 0; visibility = -b/a,
-    with cwr's error, is set only for dips (b < 0). A fit compares and
-    hashes by identity.
+    with cwr's error, is set only for dips (b < 0). The covariance is made
+    read-only; a fit compares and hashes by identity.
     """
 
     a: float
@@ -171,6 +216,9 @@ class FitResult:
     n_iterations: int
     covariance: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        self.covariance.flags.writeable = False
+
     a_err, b_err, t0_err, sigma_err = (
         property(lambda s, i=i: math.sqrt(max(float(s.covariance[i][i]), 0.0))) for i in range(4))
     cwr = property(lambda s: (s.a + s.b) / s.a if s.a > 0 else math.nan)
@@ -179,7 +227,7 @@ class FitResult:
     def cwr_err(self) -> float:
         # one error for cwr and visibility (opposite gradients); a NaN g unless a > 0
         g = np.array([-self.b / (self.a * self.a), 1.0 / self.a] if self.a > 0 else [math.nan] * 2)
-        return math.sqrt(max(g @ np.asarray(self.covariance)[:2, :2] @ g, 0.0))
+        return math.sqrt(max(g @ self.covariance[:2, :2] @ g, 0.0))
 
     visibility = property(lambda s: None if s.b >= 0 else -s.b / s.a if s.a > 0 else math.nan)
     visibility_err = property(lambda s: s.cwr_err if s.b < 0 else None)
@@ -188,7 +236,7 @@ class FitResult:
         out = {f: getattr(self, f) for f in (
             "a", "b", "t0", "sigma", "a_err", "b_err", "t0_err", "sigma_err", "cwr", "cwr_err",
             "visibility", "visibility_err", "residual_norm", "n_points", "n_iterations")}
-        out["covariance"] = [list(row) for row in np.asarray(self.covariance)]
+        out["covariance"] = [list(row) for row in self.covariance]
         return out
 
 
@@ -408,9 +456,9 @@ def estimate_efficiencies(cwr_peak, cwr_noherald, nu_max: float) -> tuple[float,
     return eta1p, eta2p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelComparison:
-    """Measured rates against closed-form predictions, as z-scores."""
+    """Measured against predicted rates, as z-scores in read-only maps; compared by identity."""
 
     delta_t: float
     nu: float
@@ -419,10 +467,15 @@ class ModelComparison:
     stderr: dict
     z: dict
     flags: tuple
+    _MAPPINGS = ("measured", "predicted", "stderr", "z")  # not a field: no annotation
+
+    def __post_init__(self):
+        for name in self._MAPPINGS:
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def to_dict(self) -> dict:
         out = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        return {**out, "flags": list(self.flags)}
+        return {**out, **{k: dict(out[k]) for k in self._MAPPINGS}, "flags": list(self.flags)}
 
 
 def compare_to_model(summary: RateSummary, cfg) -> ModelComparison:

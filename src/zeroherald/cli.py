@@ -49,7 +49,6 @@ import numpy as np
 from . import __version__
 from .errors import (
     FormatError,
-    IntegrityError,
     NumericalError,
     OutputError,
     ValidationError,
@@ -128,17 +127,6 @@ def _overrides(pairs) -> dict[str, str]:
     return out
 
 
-@contextmanager
-def _naming(path):
-    """Prefix a failure in the block with path; an OutputError names its path already."""
-    try:
-        yield
-    except ZeroHeraldError as exc:
-        if not isinstance(exc, OutputError):
-            exc.args = (f"{path}: {exc}",)  # in place: the class and its attributes stay
-        raise
-
-
 def _read_tag_file(path: str) -> tags.TagStream:
     try:
         return (tags.read_tags_csv if path.endswith(".csv") else tags.read_tags)(path)
@@ -193,28 +181,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _reduce(names, streams, delays, gate, dead_pulses):
-    """Each stream's RateSummary at its delay, and the streams' shared
-    repetition rate in Hz. Streams are taken one at a time and dropped
-    once reduced, so memory follows the largest one; a failure names its
-    file. One rate serves every row of the rate CSV, so a period that
-    differs from the first stream's is an IntegrityError."""
-    summaries = []
-    for name, delta_t in zip(names, delays):
-        with _naming(name):
-            stream = next(streams)
-            if not summaries:
-                first, period = name, stream.rep_period_ps
-            elif stream.rep_period_ps != period:
-                raise IntegrityError(
-                    f"rep_period_ps {stream.rep_period_ps} differs from {period} in {first}; "
-                    "files analysed together must share one repetition period")
-            table = pipeline.table_from_stream(stream, gate, dead_pulses, dead_pulses)[2]
-            del stream  # not held while the next one is read
-            summaries.append(analysis.compute_rates(table, delta_t))
-    return summaries, tags.PS_PER_SECOND / period
-
-
 def _write_results(summaries, rep_rate_hz, rates_out, fits_out):
     """Write the rate CSV, then the shared-shape fit to fits_out if given;
     returns the fits. A skipped fit gets a note (too few delays only when
@@ -245,17 +211,14 @@ def _write_results(summaries, rep_rate_hz, rates_out, fits_out):
 def _delays_for_files(args) -> list[float]:
     if args.delays is None and len(args.files) > 1:
         raise ValidationError("multiple tag files need --delays")
-    delays = [0.0] if args.delays is None else config_mod._parse_list("--delays", args.delays)
-    if len(delays) != len(args.files):
-        raise ValidationError(f"got {len(delays)} delays for {len(args.files)} tag files")
-    return delays
+    return [0.0] if args.delays is None else config_mod._parse_list("--delays", args.delays)
 
 
 def cmd_analyze(args) -> int:
     delays = _delays_for_files(args)
     _check_outputs(args.files, args.rates_out, args.fits_out)
-    summaries, rep_rate_hz = _reduce(args.files, map(_read_tag_file, args.files), delays,
-                                     args.gate, args.dead_pulses)
+    summaries, rep_rate_hz = analysis.scan_rates(map(_read_tag_file, args.files), delays,
+                                                 args.gate, args.dead_pulses, args.files)
     fits = _write_results(summaries, rep_rate_hz, args.rates_out, args.fits_out)
     if not args.fits_out:
         for name, fit in fits.items():
@@ -306,8 +269,8 @@ def cmd_scan(args) -> int:
     tag_paths = [out_dir / f"tags_{index:03d}.zht" for index in range(len(runs))]
     fits_path, manifest = out_dir / "fits.jsonl", out_dir / "scan_manifest.json"
     _check_outputs([args.config], *tag_paths, out_dir / "rates.csv", fits_path, manifest)
-    summaries, rep_rate_hz = _reduce(tag_paths, map(_write_run, sim._scan(runs), tag_paths),
-                                     delays, gate, args.dead_pulses)
+    summaries, rep_rate_hz = analysis.scan_rates(map(_write_run, sim._scan(runs), tag_paths),
+                                                 delays, gate, args.dead_pulses, tag_paths)
     outputs = [*tag_paths, out_dir / "rates.csv"]
     if _write_results(summaries, rep_rate_hz, outputs[-1], fits_path):
         outputs.append(fits_path)
@@ -323,12 +286,12 @@ def cmd_compare(args) -> int:
     _check_outputs([*args.files, args.config], args.out)
     cfg = config_mod.load_config(args.config)
     gate = cfg.gate_window if args.gate is None else args.gate
-    summaries, _ = _reduce(args.files, map(_read_tag_file, args.files), delays,
-                           gate, args.dead_pulses)
+    summaries, _ = analysis.scan_rates(map(_read_tag_file, args.files), delays,
+                                       gate, args.dead_pulses, args.files)
     worst = 0.0
     with _out_stream(args.out) as fh:
         for name, summary in zip(args.files, summaries):
-            with _naming(name):
+            with analysis._naming(name):
                 report = analysis.compare_to_model(summary, cfg)
             worst = max(worst, *map(abs, report.z.values()))
             fh.write(json.dumps(report.to_dict()) + "\n")

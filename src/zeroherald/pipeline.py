@@ -19,6 +19,7 @@ is placed correctly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,8 +48,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PulseGrid:
-    """Pulse train rebuilt from reference tags: the references (counts,
-    at least one, held as uint64; their order is not checked), the
+    """Pulse train rebuilt from reference tags: the references (counts, at
+    least one, held as read-only uint64; their order is not checked), the
     divider (a positive integer) and period_tb, the median pulse spacing
     in timebins (positive), off which n_pulses, (len(ref_times) - 1) *
     divider + 1, is read. Pulse k lives in reference segment k //
@@ -64,6 +65,7 @@ class PulseGrid:
         refs = check_counts("ref_times", self.ref_times).astype(np.uint64, copy=False)
         if refs.size == 0:
             raise InsufficientReferenceError("a pulse grid needs at least one reference tag")
+        refs.flags.writeable = False
         object.__setattr__(self, "ref_times", refs)
         object.__setattr__(self, "divider", check_count("divider", self.divider, least=1))
         object.__setattr__(self, "period_tb", check_real("period_tb", self.period_tb, "positive"))
@@ -145,14 +147,20 @@ class GateResult:
     """Detector tags assigned to pulses by the virtual gate.
 
     assigned maps each detector channel to the pulse index of every
-    in-gate tag (stream order, so non-decreasing); n_rejected counts
-    tags that fell outside every gate window, including tags before the
-    first reference. A result compares and hashes by identity.
+    in-gate tag (stream order, so non-decreasing), read-only; n_rejected
+    counts tags outside every gate window, tags before the first reference
+    too. Both are read-only mappings; a result compares by identity.
     """
 
     grid: PulseGrid
     assigned: dict
     n_rejected: dict
+
+    def __post_init__(self):
+        for pulses in self.assigned.values():
+            pulses.flags.writeable = False
+        object.__setattr__(self, "assigned", MappingProxyType(dict(self.assigned)))
+        object.__setattr__(self, "n_rejected", MappingProxyType(dict(self.n_rejected)))
 
 
 def gate_window_tb(window: float, timebin_ps: int, period_tb: float) -> float:
@@ -320,8 +328,8 @@ class PulseEventTable:
     detector is dead there. Storage and cell_counts() grow with the
     number of clicks, never with the number of pulses. n_pulses and the
     dead lengths must be integers: a float, bool or string is rejected,
-    never truncated. int64 clicks are kept as given, not copied. A table
-    compares and hashes by identity.
+    never truncated. int64 clicks are kept as given, not copied, and made
+    read-only. A table compares and hashes by identity.
     """
 
     n_pulses: int
@@ -341,6 +349,7 @@ class PulseEventTable:
             if np.any(np.diff(clicks) <= dead):
                 raise ValidationError(f"clicks{i} must be sorted and more than "
                                       f"dead_pulses{i} = {dead} apart")
+            clicks.flags.writeable = False
             object.__setattr__(self, f"dead_pulses{i}", dead)
             object.__setattr__(self, f"clicks{i}", clicks)
 

@@ -61,7 +61,7 @@ the dead-time and afterpulse walk of D1 and of D2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -207,8 +207,8 @@ class SimTruth:
     it (a new array at each read). clicks1/clicks2 are the pulses where
     each detector really clicked (post dead time, any cause), and
     ingate_clicks1/2 the subset whose tag falls inside the gate window,
-    i.e. what a perfect analysis should recover. Compared and hashed by
-    identity.
+    i.e. what a perfect analysis should recover. Each array is made
+    read-only; compared and hashed by identity.
     """
 
     pair_pulses: np.ndarray
@@ -219,6 +219,10 @@ class SimTruth:
     ingate_clicks2: np.ndarray
     m = property(lambda self: _M[self.pair_class])
     n = property(lambda self: _N[self.pair_class])
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,14 +460,10 @@ def _reference_count(cfg: SimConfig) -> int:
 
 
 def _reference_grid(cfg: SimConfig) -> np.ndarray:
-    """The reference tags of a run of cfg, one every divider-th pulse, as
-    a read-only array: runs with the same n_pulses, period and divider
-    can hold one grid, and an in-place edit through any of their streams
-    raises ValueError instead of changing all of them."""
+    """The reference tags of a run of cfg, one every divider-th pulse: runs with
+    the same n_pulses, period and divider can hold one grid (read-only once in a stream)."""
     step = cfg.divider * cfg.period_tb
-    refs = np.arange(0, _reference_count(cfg) * step, step, dtype=np.uint64)
-    refs.flags.writeable = False
-    return refs
+    return np.arange(0, _reference_count(cfg) * step, step, dtype=np.uint64)
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -473,7 +473,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     one tag per accepted detector click at pulse time + offset (jitter
     for photon-induced and afterpulse clicks, uniform in-gate or
     out-of-gate positions for dark clicks). Identical configs produce
-    byte-identical streams. The stream's refs are read-only.
+    byte-identical streams. The stream's arrays are read-only.
     """
     return _simulate(cfg, _reference_grid(cfg))
 

@@ -101,11 +101,11 @@ _CSV_NAME_KEYS = np.array([c.name for c in Channel], dtype="S4").view("<u4")
 @dataclass(frozen=True, eq=False)
 class TagStream:
     """A header and three sorted u64 timestamp arrays, one per channel;
-    integer input is cast, u64 input kept as it is. provenance is free
-    text (generator, seed) for the CSV form and run manifests, not the
-    binary header. Two streams are equal when their headers and arrays
-    are, whatever their provenance; a stream is unhashable. Frozen: a
-    field cannot be set after its checks."""
+    integer input is cast, u64 input kept as it is, and each array kept is
+    marked read-only. provenance is free text (generator, seed) for the CSV
+    form and run manifests, not the binary header. Two streams are equal
+    when their headers and arrays are, whatever their provenance; a stream
+    is unhashable. Frozen: a field cannot be set after its checks."""
 
     timebin_ps: int
     rep_period_ps: int
@@ -126,6 +126,7 @@ class TagStream:
             ts = ts.astype(np.uint64, copy=False)
             if _first_descent(ts) is not None:
                 raise IntegrityError(f"{name} timestamps must be non-decreasing")
+            ts.flags.writeable = False
             object.__setattr__(self, name, ts)
 
     @classmethod

@@ -74,12 +74,15 @@ def delay_scan(tmp_path_factory):
     delays = np.linspace(-3 * TAU, 3 * TAU, 13)
     out = tmp_path_factory.mktemp("scan")
     t0 = time.perf_counter()
-    summaries = []
-    for i, (dt, res) in enumerate(zh.scan_delays(cfg, delays)):
-        path = out / f"tags_{i:03d}.zht"
-        zh.write_tags(res.stream, path)
-        _, _, table = zh.table_from_stream(zh.read_tags(path), 2e-9, 5, 5)
-        summaries.append(zh.compute_rates(table, dt))
+
+    def through_files(results):
+        """Each run's stream, written to its tag file and read back."""
+        for i, (_, res) in enumerate(results):
+            path = out / f"tags_{i:03d}.zht"
+            zh.write_tags(res.stream, path)
+            yield zh.read_tags(path)
+
+    summaries, _ = zh.scan_rates(through_files(zh.scan_delays(cfg, delays)), delays, 2e-9, 5)
     fits = zh.scan_fit(summaries)
     elapsed = time.perf_counter() - t0
     return SimpleNamespace(fits=fits, elapsed=elapsed)
@@ -128,11 +131,8 @@ def test_scan_fit_seed_sweep():
             n_pulses=10**8,
             seed=seed,
         )
-        summaries = [
-            zh.compute_rates(zh.table_from_stream(res.stream, cfg.gate_window, 5, 5)[2], dt)
-            for dt, res in zh.scan_delays(cfg, delays)
-        ]
-        fits = zh.scan_fit(summaries)
+        streams = (res.stream for _, res in zh.scan_delays(cfg, delays))
+        fits = zh.scan_fit(zh.scan_rates(streams, delays, cfg.gate_window, 5)[0])
         fh, fu = fits["heralded_rate"], fits["singles2"]
         vis, vis_err = zh.visibility(fits["coincidence"])
         zs["heralded cwr"].append((fh.cwr - CWR_PEAK) / fh.cwr_err)

@@ -11,6 +11,7 @@ import dataclasses
 import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from zeroherald.analysis import (
     estimate_efficiencies,
     gaussian_fit,
     scan_fit,
+    scan_rates,
     series_points,
     visibility,
     write_fits_jsonl,
@@ -35,14 +37,18 @@ from zeroherald.analysis import (
 from zeroherald.errors import (
     EmptyTableError,
     FitConvergenceError,
+    FormatError,
     HeraldUndefinedError,
+    IntegrityError,
     NoSolutionError,
+    OutputError,
     ValidationError,
     WrongShapeError,
 )
 from zeroherald.model import DetectorParams, IndistinguishabilityProfile, SourceParams
 from zeroherald.pipeline import table_from_stream
 from zeroherald.sim import SimConfig, run_simulation, scan_delays
+from zeroherald.tags import TagStream
 
 from dense_oracle import DenseTable, PulseState
 
@@ -431,10 +437,9 @@ class TestFitAgainstClosedForm:
         assert eta2p == pytest.approx(0.15, abs=1e-6)
 
 
-@pytest.fixture(scope="module")
-def paper_scan():
-    """13 delays over +-3 tau at the reference point, 1e8 pulses each, seed 3."""
-    cfg = SimConfig(
+def paper_config():
+    """The reference point, 1e8 pulses a delay, seed 3."""
+    return SimConfig(
         source=SourceParams(gamma=1e-4, kappa1=0.5, kappa2=0.5),
         det1=DetectorParams(eta=0.32, dead_pulses=5),
         det2=DetectorParams(eta=0.30, dead_pulses=5),
@@ -442,8 +447,14 @@ def paper_scan():
         n_pulses=10**8,
         seed=3,
     )
-    return [compute_rates(table_from_stream(res.stream, cfg.gate_window, 5, 5)[2], dt)
-            for dt, res in scan_delays(cfg, DELAYS)]
+
+
+@pytest.fixture(scope="module")
+def paper_scan():
+    """13 delays over +-3 tau at the reference point, 1e8 pulses each, seed 3."""
+    cfg = paper_config()
+    streams = (res.stream for _, res in scan_delays(cfg, DELAYS))
+    return scan_rates(streams, DELAYS, cfg.gate_window, 5)[0]
 
 
 # the (delta_t, heralded_rate, error) points of the paper_scan fixture
@@ -585,6 +596,88 @@ def sim_config(**kw):
     kw.setdefault("seed", 424242)
     kw.setdefault("out_gate_dark_rate", 0.0)
     return SimConfig(**kw)
+
+
+class TestScanRates:
+    """scan_rates, the one reduction of a delay scan: each stream through
+    table_from_stream and compute_rates, taken one at a time."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return run_simulation(sim_config(n_pulses=20_001)).stream
+
+    def test_equals_the_chain_call_by_call(self, paper_scan):
+        cfg = paper_config()
+        chain = [compute_rates(table_from_stream(res.stream, cfg.gate_window, 5, 5)[2], dt)
+                 for dt, res in scan_delays(cfg, DELAYS)]
+        assert paper_scan == chain
+
+    def test_rate_is_the_streams_repetition_rate(self, stream):
+        _, rate = scan_rates([stream, stream], [0.0, 1e-13], 2e-9, 5)
+        assert rate == 1e12 / stream.rep_period_ps
+
+    def test_each_stream_is_dropped_before_the_next_is_taken(self):
+        cfg, alive, seen = sim_config(n_pulses=20_001), [], []
+
+        def simulated(seed):
+            seen.append([ref() is not None for ref in alive])
+            stream = run_simulation(dataclasses.replace(cfg, seed=seed)).stream
+            alive.append(weakref.ref(stream))
+            return stream
+
+        scan_rates(map(simulated, range(3)), [0.0] * 3, 2e-9, 5)
+        assert seen == [[], [False], [False, False]]
+
+    @pytest.mark.parametrize("names", [None, ["a.zht", "b.zht"]], ids=["bare", "named"])
+    def test_a_second_period_is_an_integrity_error(self, stream, names):
+        other = TagStream(stream.timebin_ps, stream.rep_period_ps + 1, stream.divider,
+                          stream.refs, stream.d1, stream.d2)
+        with pytest.raises(IntegrityError) as err:
+            scan_rates([stream, other], [0.0, 1e-13], 2e-9, 5, names)
+        prefix, first = ("", "the first stream") if names is None else ("b.zht: ", "a.zht")
+        assert str(err.value).startswith(
+            f"{prefix}rep_period_ps {other.rep_period_ps} differs from "
+            f"{stream.rep_period_ps} in {first};")
+
+    def test_a_failure_taking_a_stream_is_named(self, stream):
+        def streams():
+            yield stream
+            raise FormatError("bad magic b'delt'")
+
+        with pytest.raises(FormatError, match=r"^b\.zht: bad magic b'delt'$"):
+            scan_rates(streams(), [0.0, 1e-13], 2e-9, 5, ["a.zht", "b.zht"])
+
+    def test_an_output_error_is_not_prefixed(self, stream):
+        def streams():
+            yield stream
+            raise OutputError("cannot write b.zht: No space left on device")
+
+        with pytest.raises(OutputError, match=r"^cannot write b\.zht: No space left on device$"):
+            scan_rates(streams(), [0.0, 1e-13], 2e-9, 5, ["a.zht", "b.zht"])
+
+    # the count checks take no stream, and a stream past the last delay is the only one taken
+    @pytest.mark.parametrize("n_streams, n_delays, names, message, n_taken", [
+        (1, 0, None, "a scan needs a delay or more", 0),
+        (0, 0, None, "a scan needs a delay or more", 0),
+        (2, 2, ["a"], "a scan needs .* got 2 delays and 1 names", 0),
+        (2, 2, ["a", "b", "c"], "a scan needs .* got 2 delays and 3 names", 0),
+        (1, 2, None, "got 2 delays but 1 streams", 1),
+        (1, 2, ["a", "b"], "b: got 2 delays but 1 streams", 1),
+        (5, 2, None, "got more streams than the 2 delays", 3),
+    ], ids=["empty", "nothing", "few names", "many names", "few streams", "few named",
+            "many streams"])
+    def test_counts_that_differ_are_validation_errors(self, stream, n_streams, n_delays,
+                                                      names, message, n_taken):
+        taken = []
+
+        def streams():
+            for _ in range(n_streams):
+                taken.append(stream)
+                yield stream
+
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            scan_rates(streams(), [0.0, 1e-13][:n_delays], 2e-9, 5, names)
+        assert len(taken) == n_taken
 
 
 class TestCompareToModel:

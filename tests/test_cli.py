@@ -738,7 +738,8 @@ class TestUnwritableOutputs:
     ], ids=["simulate", "simulate-manifest", "analyze-rates", "analyze-fits", "compare", "scan"])
     def test_directory_in_place_of_an_output_fails_before_the_work(
             self, tmp_path, cfg_path, tag_file, capsys, monkeypatch, command, blocked):
-        for module, name in ((sim_mod, "run_simulation"), (sim_mod, "_scan"), (cli, "_reduce")):
+        for module, name in ((sim_mod, "run_simulation"), (sim_mod, "_scan"),
+                             (analysis, "scan_rates")):
             monkeypatch.setattr(module, name, no_work)
         (tmp_path / blocked).mkdir(parents=True)
         argv = [arg.format(tmp=tmp_path, cfg=cfg_path, tags=tag_file) for arg in command]
@@ -750,7 +751,7 @@ class TestUnwritableOutputs:
     def test_two_outputs_to_one_file_fail_before_the_work(
             self, tmp_path, tag_file, capsys, monkeypatch, link):
         # the fits used to replace the rate CSV without a word
-        monkeypatch.setattr(cli, "_reduce", no_work)
+        monkeypatch.setattr(analysis, "scan_rates", no_work)
         rates, fits = tmp_path / "out.txt", tmp_path / ("link.txt" if link else "out.txt")
         if link:
             fits.symlink_to(rates)
@@ -772,7 +773,7 @@ class TestUnwritableOutputs:
             self, tmp_path, cfg_path, tag_file, capsys, monkeypatch, command, replaced, link):
         # analyze a.zht --rates-out a.zht used to replace the tag file with
         # the rate CSV, and simulate --out c.cfg the config it recorded
-        for module, name in ((sim_mod, "run_simulation"), (cli, "_reduce")):
+        for module, name in ((sim_mod, "run_simulation"), (analysis, "scan_rates")):
             monkeypatch.setattr(module, name, no_work)
         target = {"tags": tag_file, "cfg": cfg_path}[replaced]
         out, before = tmp_path / "link" if link else target, target.read_bytes()
@@ -887,7 +888,7 @@ class TestFailingFileIsNamed:
             reconstruct_pulse_train(tags.read_tags(bad))
         names = [str(ok), str(bad)]
         with pytest.raises(ClockGlitchError) as named:
-            cli._reduce(names, map(cli._read_tag_file, names), [0.0, 1e-13], 2e-9, 5)
+            analysis.scan_rates(map(tags.read_tags, names), [0.0, 1e-13], 2e-9, 5, names)
         assert named.value.indices == direct.value.indices == (9,)
         assert str(named.value) == f"{bad}: {direct.value}"
 

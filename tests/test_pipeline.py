@@ -8,16 +8,18 @@ literally.
 
 import copy
 import dataclasses
+import json
 import math
 import random
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zeroherald.analysis import FitResult, compute_rates
+from zeroherald.analysis import FitResult, ModelComparison, compute_rates
 from zeroherald.errors import (
     ClockGlitchError,
     InsufficientReferenceError,
@@ -363,13 +365,14 @@ class TestPulseGridFields:
 
 def frozen_records() -> dict:
     """A grid, a gate, an event table and a stream, each built through its
-    checks, a run's truth and result, and a fit."""
+    checks, a run's truth and result, a fit and a model comparison."""
     grid = PulseGrid(ref_times=[0, 40], divider=4, period_tb=10.0)
     tags = TagStream(timebin_ps=1, rep_period_ps=10, divider=4, refs=[0, 40], d1=[5], d2=[])
     truth = SimTruth(*[np.zeros(0, dtype=np.int64)] * 6)
     records = [grid, virtual_gate(tags, grid, window=5e-12), PulseEventTable(10, [1, 5], [2], 2, 2),
                tags, truth, SimResult(tags, truth, config=None),
-               FitResult(1.0, -0.5, 0.0, 1e-13, 0.0, 5, 3, covariance=np.eye(4))]
+               FitResult(1.0, -0.5, 0.0, 1e-13, 0.0, 5, 3, covariance=np.eye(4)),
+               ModelComparison(0.0, 0.9, *({"singles1": v} for v in (2e-3, 1e-3, 1e-4, 10.0)), ())]
     return {type(record).__name__: record for record in records}
 
 
@@ -398,6 +401,68 @@ def test_records_compare_and_hash_without_raising(name):
             hash(record)
     else:
         assert len({record, twin, record}) == 2
+
+
+@pytest.mark.parametrize("name", list(frozen_records()))
+def test_records_hold_their_arrays_and_mappings_read_only(name):
+    # a frozen record's arrays could be written through, and a gate's or a
+    # comparison's dicts took any entry, after the record's checks
+    record = frozen_records()[name]
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, Mapping):
+            with pytest.raises(TypeError):
+                value["new"] = 0
+        for array in (value.values() if isinstance(value, Mapping) else [value]):
+            if isinstance(array, np.ndarray):
+                assert not array.flags.writeable, f.name
+                with pytest.raises(ValueError):
+                    array[...] = 0
+
+
+class TestRecordsKeepWhatTheyChecked:
+    """Once a record has checked an array or a mapping, no write through
+    the caller's reference or the record's changes it."""
+
+    def test_a_table_keeps_the_clicks_it_checked(self):
+        # writing the caller's array used to put clicks 1 and 2 inside one
+        # dead window and count pulse 2 as both click and dead
+        clicks = np.array([1, 5])
+        table = PulseEventTable(10, clicks, np.array([], np.int64), 2, 2)
+        with pytest.raises(ValueError):
+            clicks[1] = 2
+        assert table.clicks1.tolist() == [1, 5]
+
+    def test_a_stream_keeps_the_references_it_checked(self):
+        refs = np.array([0, 40], np.uint64)
+        stream = TagStream(1, 10, 4, refs, [], [])
+        with pytest.raises(ValueError):
+            refs[0] = 99
+        assert stream.refs is refs and stream.refs.tolist() == [0, 40]
+
+    def test_a_gate_takes_no_entry_after_the_gate(self):
+        grid = PulseGrid(ref_times=[0, 40], divider=4, period_tb=10.0)
+        stream = TagStream(timebin_ps=1, rep_period_ps=10, divider=4, refs=[0, 40], d1=[5], d2=[])
+        gate = virtual_gate(stream, grid, window=5e-12)
+        with pytest.raises(TypeError):
+            gate.n_rejected[Channel.D1] = -5
+        with pytest.raises(TypeError):
+            gate.assigned[Channel.D1] = "x"
+        assert dict(gate.n_rejected) == {Channel.D1: 1, Channel.D2: 0}
+
+    def test_a_hand_built_gate_holds_its_own_mappings(self):
+        assigned, n_rejected = {Channel.D1: np.array([1]), Channel.D2: np.array([2])}, {}
+        gate = GateResult(PulseGrid([0, 40], 4, 10.0), assigned, n_rejected)
+        assigned[Channel.D1], n_rejected[Channel.D1] = np.array([3]), 7
+        assert gate.assigned[Channel.D1].tolist() == [1] and dict(gate.n_rejected) == {}
+
+    def test_a_comparison_hashes_and_writes_plain_json(self):
+        comparison = frozen_records()["ModelComparison"]
+        assert hash(comparison) == hash(comparison)
+        line = json.dumps(comparison.to_dict())
+        assert json.loads(line)["z"] == {"singles1": 10.0}
+        assert all(type(comparison.to_dict()[name]) is dict
+                   for name in ("measured", "predicted", "stderr", "z"))
 
 
 class TestWideTimestamps:

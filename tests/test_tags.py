@@ -254,7 +254,7 @@ class TestBinaryRoundTrip:
         finally:
             tracemalloc.stop()
         for part in (back.refs, back.d1, back.d2):
-            assert part.flags.owndata and part.flags.writeable
+            assert part.flags.owndata and not part.flags.writeable
         assert peak < 8 * n_rows + 2 * 2**20
 
     def test_v2_reader_holds_only_the_channels(self, tmp_path):
@@ -270,7 +270,7 @@ class TestBinaryRoundTrip:
         finally:
             tracemalloc.stop()
         for part in (back.refs, back.d1, back.d2):
-            assert part.flags.owndata and part.flags.writeable
+            assert part.flags.owndata and not part.flags.writeable
         assert peak < 8.1 * n_rows + 2**20
 
 
