@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 import time
 from contextlib import contextmanager
@@ -67,10 +68,13 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(path, args, cfg, config, outputs, started) -> None:
-    """The JSON record of a simulate or scan run: config, seed, version,
-    command, SHA-256 of the config file and of each output, and timing."""
+    """The JSON record of a simulate or scan run: config, seed, the tool,
+    numpy and Python versions (a stream's bytes depend on numpy's), command,
+    SHA-256 of the config file and of each output, and timing."""
     manifest = {
         "tool_version": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
         "command": [args.command] + list(args.set or []),
         "config": config,
         "seed": cfg.seed,

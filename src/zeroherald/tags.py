@@ -27,6 +27,9 @@ trailing bytes) and its byte offset. A timestamp below the one before
 it in its channel is an IntegrityError naming the channel, the index
 and the byte offset of the timestamp. Any other version, the version 1
 record list written before version 2 included, is a FormatError.
+The refs section is not copied when it equals, every byte compared, the
+refs of the last stream built on an array of its own while that array
+lives: the stream read holds that array, and the two share it.
 
 The CSV form stays interleaved, as the text a time-tagger exports: it
 carries the header and the record count as "# key = value" comment
@@ -55,6 +58,7 @@ import re
 import stat
 import struct
 import warnings
+import weakref
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import IntEnum
@@ -128,6 +132,9 @@ class TagStream:
                 raise IntegrityError(f"{name} timestamps must be non-decreasing")
             ts.flags.writeable = False
             object.__setattr__(self, name, ts)
+        if self.refs.size and self.refs.base is None:  # owned: no caller writes it through a base
+            global _live_refs
+            _live_refs = weakref.ref(self.refs)
 
     @classmethod
     def from_records(cls, channels, timestamps, **header) -> TagStream:
@@ -183,6 +190,9 @@ class TagStream:
 
 
 _CHANNELS = ("refs", "d1", "d2")  # the TagStream fields, by channel code
+# the refs of the last stream built on an array of its own, dead at first:
+# _read_sections returns it for a refs section equal to it; keeps nothing alive
+_live_refs = weakref.ref(np.empty(0))
 
 
 def _first_descent(ts: np.ndarray) -> int | None:
@@ -315,7 +325,8 @@ def read_tags(source) -> TagStream:
     and an unseekable one is read whole first. Bad magic, any other
     version (1 included) or bad header fields raise FormatError, as does
     a section that does not fit the file; timestamps that go backwards
-    raise IntegrityError."""
+    raise IntegrityError. The refs returned may be an array another live
+    stream holds, when the file repeats it; nothing is copied for it."""
     with _opened(source, "rb") as fh:
         if not fh.seekable():
             fh = io.BytesIO(fh.read())
@@ -334,7 +345,8 @@ def read_tags(source) -> TagStream:
 def _read_sections(fh, header: dict) -> TagStream:
     """The three sections of a file, fh just past the 18-byte prefix:
     the counts are checked against the bytes left, then each section is
-    read into its own array and TagStream checks each channel's order."""
+    read into its own array, or refs compared with _live_refs and that
+    array returned if equal, and TagStream checks each channel's order."""
     raw, start = fh.read(_COUNTS.size), _HEADER.size + _COUNTS.size
     if len(raw) < _COUNTS.size:
         raise FormatError(f"file too short for a version 2 header "
@@ -352,12 +364,9 @@ def _read_sections(fh, header: dict) -> TagStream:
     if end < size:
         raise FormatError(f"{size - end} trailing bytes at byte offset {end}, "
                           f"after the d2 section")
-    parts = []
-    for name, offset, count in zip(_CHANNELS, offsets, counts):
-        part = np.empty(count, dtype=_STAMP)
-        if fh.readinto(part) != part.nbytes:  # the file shrank since it was sized
-            raise FormatError(f"{name} section at byte offset {offset} is cut short")
-        parts.append(part)
+    live = _live_refs()
+    parts = [_read_section(fh, name, offset, count, live if name == "refs" else None)
+             for name, offset, count in zip(_CHANNELS, offsets, counts)]
     try:
         return TagStream(refs=parts[0], d1=parts[1], d2=parts[2], **header)
     except ValidationError:  # a zero timebin, period or divider
@@ -369,6 +378,30 @@ def _read_sections(fh, header: dict) -> TagStream:
                 raise IntegrityError(f"{name} timestamps go backwards at index {bad} (byte "
                                      f"offset {offset + bad * _STAMP.itemsize})") from None
         raise
+
+
+def _read_section(fh, name: str, offset: int, count: int, live) -> np.ndarray:
+    """The section of count tags at offset: live itself if it holds count
+    tags and every block of _BLOCK tags read into one buffer equals its
+    slice, else a new array, which takes the equal prefix from live."""
+    if live is None or live.size != count:
+        return _read_into(fh, np.empty(count, dtype=_STAMP), name, offset)
+    buffer = np.empty(min(count, _BLOCK), dtype=_STAMP)
+    for done in range(0, count, _BLOCK):
+        block = _read_into(fh, buffer[:count - done], name, offset)
+        if not np.array_equal(block, live[done:done + block.size]):
+            part = np.empty(count, dtype=_STAMP)
+            part[:done], part[done:done + block.size] = live[:done], block
+            _read_into(fh, part[done + block.size:], name, offset)
+            return part
+    return live
+
+
+def _read_into(fh, buffer: np.ndarray, name: str, offset: int) -> np.ndarray:
+    """buffer, filled from fh; a FormatError if the file ends first."""
+    if fh.readinto(buffer) != buffer.nbytes:  # the file shrank since it was sized
+        raise FormatError(f"{name} section at byte offset {offset} is cut short")
+    return buffer
 
 
 def write_tags_csv(stream: TagStream, sink) -> None:

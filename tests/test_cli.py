@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import platform
 import stat
 import tracemalloc
 from pathlib import Path
@@ -34,6 +35,10 @@ from zeroherald.model import cwr_approx
 from zeroherald.pipeline import reconstruct_pulse_train, table_from_stream
 
 from dense_oracle import v1_bytes
+
+# the numpy version every golden digest was taken with: numpy keeps a bit
+# generator's raw stream across versions but not its Generator methods
+PINNED_WITH = f"digest pinned with numpy 2.4.6, this run has numpy {np.__version__}"
 
 CONFIG = """\
 gamma = 5e-3
@@ -497,13 +502,14 @@ class TestScanCommand:
             "tags_006.zht": "4ee273fa8ac4925c5e454bbba9830c68142054f4ee28b682fc757a044126a338",
         }
         manifest = json.loads((out_dir / "scan_manifest.json").read_text())
-        assert manifest["outputs"] == {str(out_dir / name): pin for name, pin in pins.items()}
+        assert manifest["outputs"] == {
+            str(out_dir / name): pin for name, pin in pins.items()}, PINNED_WITH
         for name, pin in pins.items():
-            assert sha256(out_dir / name) == pin, name
+            assert sha256(out_dir / name) == pin, f"{name}: {PINNED_WITH}"
         for name, pin in v1_pins.items():
             stream = tags.read_tags(out_dir / name)
             v1 = v1_bytes(stream)
-            assert hashlib.sha256(v1).hexdigest() == pin, name
+            assert hashlib.sha256(v1).hexdigest() == pin, f"{name}: {PINNED_WITH}"
             with pytest.raises(FormatError, match="^unsupported format version 1$"):
                 tags.read_tags(io.BytesIO(v1))
 
@@ -528,6 +534,19 @@ class TestScanCommand:
         for name, gate, dead_pulses in (("auto", 1e-9, 5), ("flags", 2e-9, 3)):
             config = json.loads((tmp_path / name / "scan_manifest.json").read_text())["config"]
             assert (config["scan_gate"], config["scan_dead_pulses"]) == (gate, dead_pulses)
+
+    def test_manifests_record_the_numpy_and_python_versions(self, tmp_path, cfg_path):
+        # a stream's bytes depend on numpy's Generator methods, so every
+        # manifest names the numpy (and Python) it was made with
+        assert main(["simulate", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "run.zht")]) == 0
+        assert main(["scan", "--config", str(cfg_path), "--delays=0", "--set",
+                     "n_pulses=5121", "--out-dir", str(tmp_path / "scan")]) == 0
+        for manifest in (tmp_path / "run.zht.manifest.json",
+                         tmp_path / "scan" / "scan_manifest.json"):
+            versions = json.loads(manifest.read_text())
+            assert versions["numpy"] == np.__version__
+            assert versions["python"] == platform.python_version()
 
     def test_non_finite_delay_fails_before_simulating(self, tmp_path, cfg_path, capsys):
         # "nan,0" used to write a nan row with no clicks at all

@@ -8,6 +8,7 @@ import stat
 import struct
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,14 @@ from zeroherald.errors import (
     ValidationError,
     ZeroHeraldError,
 )
-from zeroherald import tags
+from zeroherald import (
+    DetectorParams,
+    IndistinguishabilityProfile,
+    SimConfig,
+    SourceParams,
+    scan_delays,
+    tags,
+)
 from zeroherald.tags import (
     MAGIC,
     TagStream,
@@ -272,6 +280,120 @@ class TestBinaryRoundTrip:
         for part in (back.refs, back.d1, back.d2):
             assert part.flags.owndata and not part.flags.writeable
         assert peak < 8.1 * n_rows + 2**20
+
+
+def refs_file(refs):
+    """The bytes of a version 2 file holding only these references."""
+    return (struct.pack("<4sHIIIQQQ", b"ZHT1", 2, 81, 9963, 512, refs.size, 0, 0)
+            + refs.astype("<u8").tobytes())
+
+
+class TestSharedReferences:
+    """A refs section equal to the refs of the last stream built on an
+    array of its own, while that array lives, is returned as that array;
+    any other section is read into a new one."""
+
+    N = 3 * tags._BLOCK + 5
+
+    def grid(self):
+        return np.arange(self.N, dtype=np.uint64) * 7
+
+    def test_an_equal_section_is_the_live_array(self):
+        grid = self.grid()
+        live = TagStream(refs=grid, d1=u64([]), d2=u64([3]), **HEADER)
+        back = read_tags(io.BytesIO(refs_file(grid.copy())))
+        assert back.refs is grid is live.refs
+        assert back == TagStream(refs=grid.copy(), d1=u64([]), d2=u64([]), **HEADER)
+
+    @pytest.mark.parametrize("at", [0, tags._BLOCK - 1, tags._BLOCK, N - 1],
+                             ids=["first", "end-of-first-block", "second-block", "last"])
+    def test_a_section_that_differs_is_read_whole(self, monkeypatch, at):
+        grid = self.grid()
+        shifted = grid.copy()
+        shifted[at:] += 1
+        blob = refs_file(shifted)
+        with monkeypatch.context() as mp:  # no live array
+            mp.setattr(tags, "_live_refs", lambda: None)
+            alone = read_tags(io.BytesIO(blob))
+        live = TagStream(refs=grid, d1=u64([]), d2=u64([]), **HEADER)
+        back = read_tags(io.BytesIO(blob))
+        assert back == alone
+        np.testing.assert_array_equal(back.refs, shifted)
+        assert not np.shares_memory(back.refs, live.refs)
+
+    def test_another_count_is_not_shared(self):
+        grid = self.grid()
+        live = TagStream(refs=grid, d1=u64([]), d2=u64([]), **HEADER)
+        back = read_tags(io.BytesIO(refs_file(grid[:-1])))
+        np.testing.assert_array_equal(back.refs, grid[:-1])
+        assert not np.shares_memory(back.refs, live.refs)
+
+    def test_a_view_of_a_writable_array_is_never_returned(self):
+        # its base can still be written, so another stream must not hold it
+        base = self.grid() + 1
+        view = TagStream(refs=base[:], d1=u64([]), d2=u64([]), **HEADER)
+        back = read_tags(io.BytesIO(refs_file(base.copy())))
+        assert np.array_equal(back.refs, view.refs)
+        assert not np.shares_memory(back.refs, base)
+
+    def test_the_registry_keeps_nothing_alive(self):
+        grid = self.grid()
+        kept = weakref.ref(grid)
+        stream = TagStream(refs=grid, d1=u64([]), d2=u64([]), **HEADER)
+        back = read_tags(io.BytesIO(refs_file(grid.copy())))
+        assert back.refs is grid
+        del grid, stream, back
+        assert kept() is None
+        assert tags._live_refs() is None
+
+    def test_a_step_back_in_the_second_block_is_named(self):
+        grid = self.grid()
+        live = TagStream(refs=grid, d1=u64([]), d2=u64([]), **HEADER)
+        stepped = grid.copy()
+        stepped[tags._BLOCK + 3] -= 8
+        at, offset = tags._BLOCK + 3, 42 + 8 * (tags._BLOCK + 3)
+        with pytest.raises(IntegrityError, match=f"^refs timestamps go backwards at index {at} "
+                                                 f"\\(byte offset {offset}\\)$"):
+            read_tags(io.BytesIO(refs_file(stepped)))
+        assert live.refs is grid
+
+    def test_a_read_cut_short_in_the_compare(self):
+        class ShortSecondRead(io.BytesIO):  # the file shrinks in the second block
+            reads = 0
+
+            def readinto(self, buffer):
+                self.reads += 1
+                view = memoryview(buffer).cast("B")
+                return super().readinto(view[:-8] if self.reads == 2 else view)
+
+        grid = self.grid()
+        live = TagStream(refs=grid, d1=u64([]), d2=u64([]), **HEADER)
+        with pytest.raises(FormatError, match=r"^refs section at byte offset 42 is cut short$"):
+            read_tags(ShortSecondRead(refs_file(grid.copy())))
+        assert live.refs is grid
+
+    def test_a_held_scan_reads_back_onto_its_grid(self, tmp_path):
+        # 13 delays on one grid: the 13 streams read back hold that grid,
+        # not 13 copies of it
+        cfg = SimConfig(source=SourceParams(gamma=1e-4, kappa1=0.5, kappa2=0.5),
+                        det1=DetectorParams(eta=0.32, dead_pulses=5),
+                        det2=DetectorParams(eta=0.30, dead_pulses=5),
+                        profile=IndistinguishabilityProfile(nu_max=0.975, tau=1e-13),
+                        n_pulses=10**7, seed=3)
+        scan = scan_delays(cfg, np.linspace(-3e-13, 3e-13, 13))
+        grid = scan[0][1].stream.refs
+        paths = [tmp_path / f"scan_{i:02d}.zht" for i in range(len(scan))]
+        for path, (_, res) in zip(paths, scan):
+            write_tags(res.stream, path)
+        tracemalloc.start()
+        try:
+            back = [read_tags(path) for path in paths]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(stream.refs is grid for stream in back)
+        assert back == [res.stream for _, res in scan]
+        assert held < 2 * grid.nbytes
 
 
 def files_beside(path):
